@@ -162,3 +162,111 @@ def test_digests_change_with_content(tmp_path):
     b.write_text("two")
     assert dataio.digest_file(a) != dataio.digest_file(b)
     assert dataio.digest_arrays([1.0, 2.0]) != dataio.digest_arrays([1.0, 2.000001])
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes: save_csv against the per-value writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_fmt(x) -> str:
+    # the per-value rule of the CSV writer, kept here as the oracle
+    if float(x) == int(x) and abs(float(x)) < 1e16:
+        return str(int(x))
+    return repr(float(x))
+
+
+def _reference_csv(header, columns) -> bytes:
+    """One field at a time: numbers through ``_reference_fmt``, text as is."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(v if isinstance(v, str) else _reference_fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# integral and non-integral floats, -0.0, values at and above 1e16, 1e-05
+# and subnormals, mixed within one column
+_EDGE = [0.0, 1.0, 2.5, -0.0, 1e16, 1.5e17, 1e-05, -3.0, 0.1, 9999999999999998.0,
+         -1e16, 123456789.125, 2.0**53 + 2.0, 1e300, 5e-324, -7.25]
+_GRID = [600.25, 600.5, 601.0, 602.75]
+_MAP_COUNTS = [[0.0, 1.0, 2.5, 1e16], [1e-05, 7.0, 0.1, 1.5e17], [3.0, -0.0, 5.0, 6.0]]
+
+
+def _spectral_map(grid, counts):
+    return SpectralMap(
+        frames=tuple(Spectrum(wavelength_nm=grid, counts=row) for row in counts)
+    )
+
+
+def _map_columns(grid, counts):
+    return [grid] + [row for row in counts]
+
+
+def _map_header(n_frames):
+    return ",".join(["wavelength_nm"] + [f"frame_{i:04d}" for i in range(n_frames)])
+
+
+def _golden_case(name):
+    """(record, schema id, header, columns as the reference writer sees them)."""
+    if name == "spectrum":
+        counts = [abs(v) for v in _EDGE[:12]]
+        wl = np.linspace(600.0, 611.0, 12)
+        return Spectrum(wavelength_nm=wl, counts=counts), "spectrum", \
+            "wavelength_nm,counts", [wl, counts]
+    if name == "temperature_log":
+        t = np.arange(len(_EDGE)) * 60.0
+        return TemperatureLog(time_s=t, temperature_k=_EDGE), "temperature_log", \
+            "time_s,temperature_k", [t, _EDGE]
+    if name == "histogram":
+        counts = np.array([0, 3, 17, 10**16, 2**60, 12345], dtype=np.int64)
+        centers = 0.125 + 0.25 * np.arange(counts.size)
+        return TimeHistogram(bin_centers_ns=centers, counts=counts), "histogram", \
+            "t_ns,counts", [centers, counts]
+    if name == "scan":
+        up = ScanTrace(axis=[0.0, 0.5, 1.0, 1.5], signal=[1.0, 2.5, -0.0, 1e16])
+        down = ScanTrace(axis=[1.5, 1.25, 1e-05, -2.0], signal=[0.1, 7.0, 3.0, 1.5e17],
+                         sweep_direction="down")
+        columns = [list(up.axis) + list(down.axis), list(up.signal) + list(down.signal),
+                   ["up"] * 4 + ["down"] * 4]
+        return [up, down], "scan", "axis,signal,direction", columns
+    if name == "spectral_map":
+        return _spectral_map(_GRID, _MAP_COUNTS), "spectral_map", \
+            _map_header(3), _map_columns(_GRID, _MAP_COUNTS)
+    if name == "one_frame_map":
+        return _spectral_map(_GRID, _MAP_COUNTS[1:2]), "spectral_map", \
+            _map_header(1), _map_columns(_GRID, _MAP_COUNTS[1:2])
+    raise KeyError(name)
+
+
+def _arrays(record):
+    if isinstance(record, Spectrum):
+        return [record.wavelength_nm, record.counts]
+    if isinstance(record, TemperatureLog):
+        return [record.time_s, record.temperature_k]
+    if isinstance(record, TimeHistogram):
+        return [record.bin_centers_ns, record.counts]
+    if isinstance(record, SpectralMap):
+        return [record.wavelength_nm, record.counts_matrix()]
+    return [a for trace in record for a in (trace.axis, trace.signal, trace.sweep_direction)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["spectrum", "temperature_log", "histogram", "scan", "spectral_map", "one_frame_map"],
+)
+def test_save_csv_golden_bytes(tmp_path, name):
+    record, schema, header, columns = _golden_case(name)
+    path = dataio.save_csv(record, tmp_path / f"{name}.csv")
+    assert path.read_bytes() == _reference_csv(header, columns)
+    loaded = dataio.load_csv(path, schema)
+    for got, want in zip(_arrays(loaded), _arrays(record), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_save_csv_golden_bytes_beyond_float_precision(tmp_path):
+    # an int64 count above 2**53 has no exact float; it is written as the
+    # nearest float's repr, as the per-value rule does
+    counts = np.array([1, 2**53 + 1, 2**53 - 1], dtype=np.int64)
+    hist = TimeHistogram(bin_centers_ns=[0.5, 1.5, 2.5], counts=counts)
+    path = dataio.save_csv(hist, tmp_path / "h.csv")
+    assert path.read_bytes() == _reference_csv("t_ns,counts", [hist.bin_centers_ns, counts])

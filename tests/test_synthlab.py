@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavitylab import fitkit, models, optics, synthlab
+from cavitylab import dataio, fitkit, models, optics, synthlab
 from cavitylab.dataio import TimeHistogram
 from cavitylab.errors import ValidationError
 from cavitylab.synthlab import GeneratorSpec
@@ -168,3 +168,24 @@ def test_vibration_implied_jitter_documents_regime():
     assert 0.2 < jitter < 1.5
     back = synthlab.vibration_broadening_sim(15.0, jitter, n_samples=20_000, seed=3)
     assert back == pytest.approx(160.0, abs=2.0)
+
+
+# content digests of the map generators' output, recorded from the
+# per-frame generators; any change to the Philox stream or to the order in
+# which peaks are summed changes them
+_WLED_DIGESTS = {
+    0: "c354877d1da25aac34d4ef02742f3b4b6ea5e85d535bc0ee27252f26a5db850a",
+    11: "49ee37b29d3848fac9a7910eef047d91395e0278968f1a0f5f5818291c53c6b3",
+}
+_DRIFT_DIGESTS = {
+    0: "ce769ab9e11664985406aec88e231fb4b29b907eec86f369579b408700cc6349",
+    11: "19176c89d2c911535a1bb4f09019d3c6410bcf2c8a23508368149127802d97c5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_WLED_DIGESTS))
+def test_map_generators_bit_identical(seed):
+    wled = synthlab.generate_wled_map(72, seed=seed)
+    assert dataio.digest_arrays(wled.wavelength_nm, wled.counts_matrix()) == _WLED_DIGESTS[seed]
+    drift, _ = synthlab.generate_drift_map(seed=seed)
+    assert dataio.digest_arrays(drift.wavelength_nm, drift.counts_matrix()) == _DRIFT_DIGESTS[seed]
