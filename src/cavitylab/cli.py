@@ -337,3 +337,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -1,8 +1,12 @@
 """Ingestion, validation and persistence of experimental trace formats.
 
 All record types validate their invariants at construction, so downstream
-code never sees a non-monotonic axis or a negative count. CSV schemas use a
-single header line with exact column names (comma separated, UTF-8):
+code never sees a non-monotonic axis or a negative count. A
+:class:`SpectralMap` is columnar: one read-only ``(n_frames, n_pixels)``
+counts matrix on one wavelength grid, validated once with whole-array
+checks; per-frame :class:`Spectrum` records are built only when
+``SpectralMap.frames`` is read. CSV schemas use a single header line with
+exact column names (comma separated, UTF-8):
 
 ====================  =========================================
 schema id             header
@@ -17,6 +21,11 @@ schema id             header
 Units at the boundary follow the internal convention everywhere:
 wavelengths in nm, times in ns (logs in s), lengths in um, rates in GHz,
 powers in mW, intensities in kC/s.
+
+Numbers are written one rule for every schema: an integral value below 1e16
+in magnitude as an integer, any other value as the shortest ``repr`` that
+round-trips. In a ``spectral_map`` file each row is one pixel and each
+``frame_NNNN`` column one frame.
 
 JSON reports are canonical (sorted keys, floats rendered with ``%.10g``) so
 identical inputs always produce byte-identical files.
@@ -51,10 +60,10 @@ __all__ = [
 ]
 
 
-def _freeze(obj, name, values, dtype=float):
+def _freeze(obj, name, values, dtype=float, ndim=1):
     arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
@@ -65,13 +74,29 @@ def _first_nonascending(axis: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _check_counts(counts: np.ndarray, what: str):
-    if not np.all(np.isfinite(counts)):
-        idx = int(np.nonzero(~np.isfinite(counts))[0][0])
-        raise DataError(f"{what} contains non-finite value at row {idx}", index=idx)
-    if np.any(counts < 0):
-        idx = int(np.nonzero(counts < 0)[0][0])
-        raise DataError(f"{what} contains negative value at row {idx}", index=idx)
+def _check_grid(wl: np.ndarray, what: str):
+    if wl.size < 2:
+        raise ValidationError(f"{what} needs at least two samples")
+    if not np.all(np.isfinite(wl)):
+        raise DataError("wavelength_nm contains non-finite value")
+    bad = _first_nonascending(wl)
+    if bad is not None:
+        raise SchemaError(f"wavelength_nm not strictly ascending at row {bad}", row_index=bad)
+
+
+def _first_bad_count(counts: np.ndarray):
+    """``(kind, index)`` of the first non-finite count, else of the first
+    negative one; None when every count is finite and non-negative."""
+    bad, kind = ~np.isfinite(counts), "non-finite"
+    if not bad.any():
+        bad, kind = counts < 0, "negative"
+        if not bad.any():
+            return None
+    return kind, tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _frame_column(i: int) -> str:
+    return f"frame_{i:04d}"
 
 
 @dataclass(frozen=True)
@@ -90,16 +115,11 @@ class Spectrum:
             raise ValidationError(
                 f"wavelength_nm and counts lengths differ ({wl.size} != {counts.size})"
             )
-        if wl.size < 2:
-            raise ValidationError("spectrum needs at least two samples")
-        if not np.all(np.isfinite(wl)):
-            raise DataError("wavelength_nm contains non-finite value")
-        bad = _first_nonascending(wl)
-        if bad is not None:
-            raise SchemaError(
-                f"wavelength_nm not strictly ascending at row {bad}", row_index=bad
-            )
-        _check_counts(counts, "counts")
+        _check_grid(wl, "spectrum")
+        found = _first_bad_count(counts)
+        if found is not None:
+            kind, (row,) = found
+            raise DataError(f"counts contains {kind} value at row {row}", index=row)
 
     def __len__(self):
         return self.wavelength_nm.size
@@ -187,38 +207,51 @@ class TimeHistogram:
 
 @dataclass(frozen=True)
 class SpectralMap:
-    """Time-ordered stack of spectra sharing one wavelength grid."""
+    """Time-ordered spectra on one wavelength grid, held as one matrix.
 
-    frames: tuple[Spectrum, ...]
+    ``counts`` is a read-only ``(n_frames, n_pixels)`` matrix whose row ``i``
+    is frame ``i`` on the grid ``wavelength_nm``.
+    """
+
+    wavelength_nm: np.ndarray
+    counts: np.ndarray
     frame_period_s: float = 1.0
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
+        wl = _freeze(self, "wavelength_nm", self.wavelength_nm)
+        counts = _freeze(self, "counts", self.counts, ndim=2)
+        _check_grid(wl, "spectral map")
+        if counts.shape[1] != wl.size:
+            raise ValidationError(
+                f"counts has {counts.shape[1]} columns, the wavelength grid {wl.size} samples"
+            )
+        if counts.shape[0] == 0:
             raise ValidationError("spectral map needs at least one frame")
-        grid = frames[0].wavelength_nm
-        for i, frame in enumerate(frames[1:], start=1):
-            if frame.wavelength_nm.size != grid.size or not np.array_equal(
-                frame.wavelength_nm, grid
-            ):
-                raise ValidationError(f"frame {i} does not share the wavelength grid")
+        found = _first_bad_count(counts)
+        if found is not None:
+            kind, (frame, row) = found
+            raise DataError(
+                f"counts contains {kind} value in frame {frame} "
+                f"(column {_frame_column(frame)}) at row {row}",
+                index=(frame, row),
+            )
         if not self.frame_period_s > 0:
             raise ValidationError("frame_period_s must be positive")
-        object.__setattr__(self, "frames", frames)
 
     @property
-    def wavelength_nm(self) -> np.ndarray:
-        return self.frames[0].wavelength_nm
+    def frames(self) -> tuple[Spectrum, ...]:
+        """The frames as :class:`Spectrum` records, built on each access."""
+        return tuple(Spectrum(wavelength_nm=self.wavelength_nm, counts=row) for row in self.counts)
 
     def counts_matrix(self) -> np.ndarray:
-        """Counts as a (n_frames, n_wavelengths) array."""
-        return np.stack([f.counts for f in self.frames])
+        """Counts as a (n_frames, n_wavelengths) array (the stored matrix)."""
+        return self.counts
 
     def times_s(self) -> np.ndarray:
-        return np.arange(len(self.frames)) * self.frame_period_s
+        return np.arange(len(self)) * self.frame_period_s
 
     def __len__(self):
-        return len(self.frames)
+        return self.counts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -327,6 +360,10 @@ def _load_scan(path: Path) -> list[ScanTrace]:
                 raise SchemaError(
                     f"malformed numeric value at row {lineno}", row_index=lineno
                 ) from None
+            if parts[2] not in ("up", "down"):
+                raise SchemaError(
+                    f"unknown sweep direction {parts[2]!r} at row {lineno}", row_index=lineno
+                )
             direction.append(parts[2])
     traces = []
     start = 0
@@ -352,9 +389,7 @@ def _load_spectral_map(path: Path, header: str) -> SpectralMap:
     data = _loadtxt(path)
     if data.shape[1] != len(columns):
         raise SchemaError(f"column count mismatch: header {len(columns)}, data {data.shape[1]}")
-    wavelengths = data[:, 0]
-    frames = [Spectrum(wavelength_nm=wavelengths, counts=data[:, j]) for j in range(1, data.shape[1])]
-    return SpectralMap(frames=tuple(frames))
+    return SpectralMap(wavelength_nm=data[:, 0], counts=data[:, 1:].T)
 
 
 def save_csv(record, path) -> Path:
@@ -362,41 +397,77 @@ def save_csv(record, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(record, Spectrum):
-        _write_columns(path, "wavelength_nm,counts", [record.wavelength_nm, record.counts])
+        _write_csv(path, "wavelength_nm,counts", [record.wavelength_nm, record.counts])
     elif isinstance(record, TimeHistogram):
-        _write_columns(path, "t_ns,counts", [record.bin_centers_ns, record.counts])
+        _write_csv(path, "t_ns,counts", [record.bin_centers_ns, record.counts])
     elif isinstance(record, TemperatureLog):
-        _write_columns(path, "time_s,temperature_k", [record.time_s, record.temperature_k])
+        _write_csv(path, "time_s,temperature_k", [record.time_s, record.temperature_k])
     elif isinstance(record, ScanTrace):
         save_csv([record], path)
     elif isinstance(record, SpectralMap):
-        names = [f"frame_{i:04d}" for i in range(len(record))]
-        cols = [record.wavelength_nm] + [f.counts for f in record.frames]
-        _write_columns(path, ",".join(["wavelength_nm"] + names), cols)
+        names = [_frame_column(i) for i in range(len(record))]
+        _write_csv(path, ",".join(["wavelength_nm"] + names),
+                   [record.wavelength_nm, record.counts.T])
     elif isinstance(record, Sequence) and record and isinstance(record[0], ScanTrace):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("axis,signal,direction\n")
-            for trace in record:
-                for a, s in zip(trace.axis, trace.signal):
-                    fh.write(f"{_fmt(a)},{_fmt(s)},{trace.sweep_direction}\n")
+        directions = np.array([t.sweep_direction for t in record], dtype=object)
+        _write_csv(path, "axis,signal,direction", [
+            np.concatenate([t.axis for t in record]),
+            np.concatenate([t.signal for t in record]),
+            np.repeat(directions, [len(t) for t in record]),
+        ])
     else:
         raise ValidationError(f"cannot serialize record of type {type(record).__name__}")
     return path
 
 
-def _fmt(x) -> str:
-    # str() is the shortest representation that round-trips exactly
-    if float(x) == int(x) and abs(float(x)) < 1e16:
-        return str(int(x))
-    return repr(float(x))
+# fields formatted at once: one row of an acquisition-sized map, or a few
+# thousand rows of a narrow file; a whole map at once would hold millions
+# of field objects in memory
+_CHUNK_FIELDS = 8192
 
 
-def _write_columns(path: Path, header: str, columns):
-    arrays = [np.asarray(c) for c in columns]
+def _fields(values: np.ndarray) -> np.ndarray:
+    """Objects whose ``str`` is the CSV field of each of ``values``.
+
+    An integral value below 1e16 in magnitude becomes a Python int (written
+    as ``str(int)``), any other number a Python float (written as its
+    shortest round-trip ``repr``); text (object arrays) passes through.
+    """
+    if values.dtype == object:
+        return values
+    f = values.astype(np.float64)
+    small = np.abs(f) < 1e16
+    ints = np.where(small, f, 0.0).astype(np.int64)
+    # for int64 input this comparison is exact, so a count above 2**53 with
+    # no exact float is written as its nearest float, as float(x) == int(x)
+    # decides in the per-value rule
+    as_int = small & (ints == values)
+    if as_int.all():
+        return ints
+    return np.where(as_int, ints.astype(object), f.astype(object))
+
+
+def _write_csv(path: Path, header: str, blocks):
+    """Write CSV rows made of the rows of ``blocks`` side by side.
+
+    Each block is a 1-D array (one column) or a 2-D array (one column per
+    array column); all have the same number of rows. Rows are formatted a
+    chunk at a time, so only one chunk's fields exist as Python objects.
+    """
+    blocks = [b.reshape(len(b), -1) for b in blocks]
+    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+    n_rows, n_fields = len(blocks[0]), int(edges[-1])
+    step = max(1, _CHUNK_FIELDS // n_fields)
+    # "%s" formats as str() does, and one format call per chunk is faster
+    # than joining field by field
+    line = ",".join(["%s"] * n_fields) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, step):
+            chunk = np.empty((min(step, n_rows - lo), n_fields), dtype=object)
+            for block, a, z in zip(blocks, edges, edges[1:]):
+                chunk[:, a:z] = _fields(block[lo:lo + step])
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

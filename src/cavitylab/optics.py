@@ -554,35 +554,36 @@ def drift_series(
     if isinstance(frames, SpectralMap):
         if times is None:
             times = frames.times_s()
-        frames = frames.frames
-    frames = list(frames)
-    if not frames:
+        spectra = [(frames.wavelength_nm, row) for row in frames.counts_matrix()]
+    else:
+        frames = list(frames)
+        if times is None:
+            times = [
+                f.timestamp if f.timestamp is not None else float(i)
+                for i, f in enumerate(frames)
+            ]
+        spectra = [(f.wavelength_nm, f.counts) for f in frames]
+    if not spectra:
         raise InsufficientDataError("no spectra to track")
-    if times is None:
-        times = [
-            f.timestamp if f.timestamp is not None else float(i)
-            for i, f in enumerate(frames)
-        ]
     times = np.asarray(times, dtype=float)
-    if times.size != len(frames):
+    if times.size != len(spectra):
         raise ValidationError("times must match the number of frames")
 
+    wl0, counts0 = spectra[0]
     if l_eff_um is None:
         try:
-            l_eff_um = effective_length_from_spectrum(frames[0])
+            l_eff_um = effective_length_from_spectrum(Spectrum(wavelength_nm=wl0, counts=counts0))
         except (InsufficientDataError, ValidationError):
             l_eff_um = None
     max_jump_nm = None
     if l_eff_um is not None:
-        lam0 = float(frames[0].wavelength_nm[np.argmax(frames[0].counts)])
+        lam0 = float(wl0[np.argmax(counts0)])
         max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
     centers = []
-    for i, frame in enumerate(frames):
+    for i, (wl, counts) in enumerate(spectra):
         try:
-            result = fit_lorentzian_peak(
-                frame.wavelength_nm, frame.counts, index=None, weights=None
-            )
+            result = fit_lorentzian_peak(wl, counts, index=None, weights=None)
         except CavityLabError as exc:
             raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i)
         center = float(result.params[1])

@@ -291,16 +291,15 @@ def generate_drift_map(
         n_pixels,
     )
     h = (peak_fwhm_nm / 2.0) ** 2
-    rng = rng_from_seed(seed)
-    frames = []
-    for k in range(n_frames):
-        center = lambda0_nm + shift_nm[k]
-        expected = baseline + peak_height * h / ((grid - center) ** 2 + h)
-        counts = rng.poisson(expected).astype(float) if noise == "poisson" else expected
-        frames.append(Spectrum(wavelength_nm=grid, counts=counts))
+    centers = lambda0_nm + shift_nm
+    expected = baseline + peak_height * h / ((grid - centers[:, None]) ** 2 + h)
+    counts = expected
+    if noise == "poisson":
+        # one draw over the matrix gives the counts of one draw per frame
+        counts = rng_from_seed(seed).poisson(expected).astype(float)
     times = np.arange(n_frames) * frame_period_s
     return (
-        SpectralMap(frames=tuple(frames), frame_period_s=frame_period_s),
+        SpectralMap(wavelength_nm=grid, counts=counts, frame_period_s=frame_period_s),
         TemperatureLog(time_s=times, temperature_k=temps),
     )
 
@@ -321,21 +320,32 @@ def generate_wled_map(
     grid = np.linspace(lambda_range_nm[0], lambda_range_nm[1], n_pixels)
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
     h = (peak_fwhm_nm / 2.0) ** 2
-    rng = rng_from_seed(seed)
-    frames = []
-    for l_um in lengths:
-        g = gouy_fraction(l_um, roc_um)
-        expected = np.full(n_pixels, baseline)
-        m_lo = int(2000.0 * l_um / lambda_range_nm[1]) - 1
-        m_hi = int(2000.0 * l_um / lambda_range_nm[0]) + 1
-        for m in range(max(m_lo, 1), m_hi + 1):
-            center = 2000.0 * l_um / (m + g)
-            if lambda_range_nm[0] < center < lambda_range_nm[1]:
-                expected = expected + peak_height * h / ((grid - center) ** 2 + h)
-        frames.append(
-            Spectrum(wavelength_nm=grid, counts=rng.poisson(expected).astype(float))
-        )
-    return SpectralMap(frames=tuple(frames), frame_period_s=1.0)
+    gouy = np.array([gouy_fraction(l_um, roc_um) for l_um in lengths])
+    # candidate mode numbers m_first + k per frame, k = 0 .. n_m - 1
+    m_first = np.maximum((2000.0 * lengths / lambda_range_nm[1]).astype(int) - 1, 1)
+    m_last = (2000.0 * lengths / lambda_range_nm[0]).astype(int) + 1
+    n_m = int(np.max(m_last - m_first, initial=-1)) + 1
+    m = m_first[:, None] + np.arange(n_m)
+    centers = 2000.0 * lengths[:, None] / (m + gouy[:, None])
+    inside = (
+        (m <= m_last[:, None]) & (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
+    )
+    # peaks are added in ascending m within each frame, the summation order
+    # the generated counts are pinned to; a frame without peak k adds an
+    # exact 0.0. One work matrix keeps the peak memory at two matrices.
+    expected = np.full((n_frames, n_pixels), baseline)
+    term = np.empty_like(expected)
+    for k in range(n_m):
+        np.subtract(grid, centers[:, k, None], out=term)
+        np.square(term, out=term)
+        term += h
+        np.divide(peak_height * h, term, out=term)
+        term[~inside[:, k]] = 0.0
+        expected += term
+    del term
+    counts = rng_from_seed(seed).poisson(expected)
+    del expected
+    return SpectralMap(wavelength_nm=grid, counts=counts.astype(float), frame_period_s=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,34 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
 def test_missing_outdir_exit_2(monkeypatch):
     monkeypatch.delenv("CAVITYLAB_OUTDIR", raising=False)
     assert run(_dispersion_args("x")[:-2]) == 2
+
+
+def _run_module(argv):
+    """Run ``python -m cavitylab.cli`` in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("CAVITYLAB_OUTDIR", None)
+    return subprocess.run(
+        [sys.executable, "-m", "cavitylab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    assert _run_module([]).returncode == 2
+    readme = (
+        "dispersion --lambda-exc 533.3 --lambda-det 618.5 --roc 24 "
+        "--l-min 2 --l-max 6 --tol-nm 25"
+    ).split()
+    proc = _run_module(readme + ["--out", str(tmp_path / "module")])
+    assert proc.returncode == 0, proc.stderr
+    assert run(readme + ["--out", str(tmp_path / "in_process")]) == 0
+    report = "dispersion_report.json"
+    written = (tmp_path / "module" / report).read_bytes()
+    assert written == (tmp_path / "in_process" / report).read_bytes()

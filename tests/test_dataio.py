@@ -58,6 +58,15 @@ def test_scan_multi_ramp_split(tmp_path):
     assert np.array_equal(ramps[1].axis, down.axis)
 
 
+def test_scan_unknown_direction_label_names_row(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_text("axis,signal,direction\n0,1,up\n1,2,up\n2,3,sideways\n3,4,up\n")
+    with pytest.raises(SchemaError) as err:
+        dataio.load_csv(path, "scan")
+    assert err.value.row_index == 2
+    assert "sideways" in str(err.value)
+
+
 def test_scan_direction_must_match_axis():
     with pytest.raises(SchemaError):
         ScanTrace(axis=[0.0, 1.0], signal=[1.0, 1.0], sweep_direction="down")
@@ -76,25 +85,50 @@ def test_histogram_validation():
 
 def test_spectral_map_shared_grid():
     grid = [600.0, 601.0, 602.0]
-    frames = [Spectrum(wavelength_nm=grid, counts=[1, 2, 3]) for _ in range(3)]
-    m = SpectralMap(frames=tuple(frames), frame_period_s=2.0)
+    m = SpectralMap(wavelength_nm=grid, counts=[[1, 2, 3]] * 3, frame_period_s=2.0)
     assert m.counts_matrix().shape == (3, 3)
+    assert m.counts_matrix() is m.counts
     assert np.array_equal(m.times_s(), [0.0, 2.0, 4.0])
-    other = Spectrum(wavelength_nm=[600.0, 601.5, 602.0], counts=[1, 2, 3])
+    assert [len(f) for f in m.frames] == [3, 3, 3]
     with pytest.raises(ValidationError):
-        SpectralMap(frames=(frames[0], other))
+        SpectralMap(wavelength_nm=grid, counts=[[1, 2, 3, 4]] * 3)
 
 
 def test_spectral_map_roundtrip(tmp_path):
     grid = np.linspace(600.0, 610.0, 11)
-    frames = tuple(
-        Spectrum(wavelength_nm=grid, counts=np.arange(11.0) + i) for i in range(4)
-    )
-    m = SpectralMap(frames=frames)
+    counts = np.arange(11.0) + np.arange(4.0)[:, None]
+    m = SpectralMap(wavelength_nm=grid, counts=counts)
     path = dataio.save_csv(m, tmp_path / "map.csv")
     loaded = dataio.load_csv(path, "spectral_map")
     assert len(loaded) == 4
-    assert np.array_equal(loaded.frames[2].counts, frames[2].counts)
+    assert np.array_equal(loaded.frames[2].counts, counts[2])
+
+
+def test_spectral_map_is_read_only():
+    m = SpectralMap(wavelength_nm=[600.0, 601.0], counts=[[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        m.counts[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("value, kind", [("-2", "negative"), ("nan", "non-finite")])
+def test_spectral_map_bad_count_names_frame(tmp_path, value, kind):
+    path = tmp_path / "map.csv"
+    path.write_text(
+        "wavelength_nm,frame_0000,frame_0001,frame_0002\n"
+        f"600.0,1,2,3\n601.0,4,{value},6\n602.0,7,8,9\n"
+    )
+    with pytest.raises(DataError) as err:
+        dataio.load_csv(path, "spectral_map")
+    message = str(err.value)
+    assert kind in message
+    assert "frame 1" in message and "frame_0001" in message and "row 1" in message
+    assert err.value.index == (1, 1)
+
+
+def test_spectral_map_descending_grid_rejected_with_row_index():
+    with pytest.raises(SchemaError) as err:
+        SpectralMap(wavelength_nm=[600.0, 602.0, 601.0], counts=[[1.0, 2.0, 3.0]])
+    assert err.value.row_index == 1
 
 
 def test_temperature_log_roundtrip(tmp_path):
@@ -192,12 +226,6 @@ _GRID = [600.25, 600.5, 601.0, 602.75]
 _MAP_COUNTS = [[0.0, 1.0, 2.5, 1e16], [1e-05, 7.0, 0.1, 1.5e17], [3.0, -0.0, 5.0, 6.0]]
 
 
-def _spectral_map(grid, counts):
-    return SpectralMap(
-        frames=tuple(Spectrum(wavelength_nm=grid, counts=row) for row in counts)
-    )
-
-
 def _map_columns(grid, counts):
     return [grid] + [row for row in counts]
 
@@ -230,10 +258,10 @@ def _golden_case(name):
                    ["up"] * 4 + ["down"] * 4]
         return [up, down], "scan", "axis,signal,direction", columns
     if name == "spectral_map":
-        return _spectral_map(_GRID, _MAP_COUNTS), "spectral_map", \
+        return SpectralMap(wavelength_nm=_GRID, counts=_MAP_COUNTS), "spectral_map", \
             _map_header(3), _map_columns(_GRID, _MAP_COUNTS)
     if name == "one_frame_map":
-        return _spectral_map(_GRID, _MAP_COUNTS[1:2]), "spectral_map", \
+        return SpectralMap(wavelength_nm=_GRID, counts=_MAP_COUNTS[1:2]), "spectral_map", \
             _map_header(1), _map_columns(_GRID, _MAP_COUNTS[1:2])
     raise KeyError(name)
 
