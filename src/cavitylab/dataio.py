@@ -427,21 +427,22 @@ _CHUNK_FIELDS = 8192
 
 
 def _fields(values: np.ndarray) -> np.ndarray:
-    """Objects whose ``str`` is the CSV field of each of ``values``.
+    """The values to write for ``values``, each formatted by ``str``.
 
-    An integral value below 1e16 in magnitude becomes a Python int (written
-    as ``str(int)``), any other number a Python float (written as its
-    shortest round-trip ``repr``); text (object arrays) passes through.
+    An integral value below 1e16 in magnitude is written as an integer, any
+    other number as the shortest round-trip ``repr`` of its float; text
+    (object arrays) passes through. Returns int64 when every value is
+    written as an integer, else an object array of Python ints and floats.
     """
     if values.dtype == object:
         return values
     f = values.astype(np.float64)
-    small = np.abs(f) < 1e16
-    ints = np.where(small, f, 0.0).astype(np.int64)
-    # for int64 input this comparison is exact, so a count above 2**53 with
+    # a value at or above 1e16 in magnitude maps to 0 and fails the test
+    # below; for int64 input the test is exact, so a count above 2**53 with
     # no exact float is written as its nearest float, as float(x) == int(x)
     # decides in the per-value rule
-    as_int = small & (ints == values)
+    ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
+    as_int = ints == values
     if as_int.all():
         return ints
     return np.where(as_int, ints.astype(object), f.astype(object))

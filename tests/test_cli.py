@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,11 +201,6 @@ def test_missing_outdir_exit_2(monkeypatch):
 
 def _run_module(argv):
     """Run ``python -m cavitylab.cli`` in a fresh interpreter."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -226,43 +226,43 @@ _GRID = [600.25, 600.5, 601.0, 602.75]
 _MAP_COUNTS = [[0.0, 1.0, 2.5, 1e16], [1e-05, 7.0, 0.1, 1.5e17], [3.0, -0.0, 5.0, 6.0]]
 
 
-def _map_columns(grid, counts):
-    return [grid] + [row for row in counts]
-
-
-def _map_header(n_frames):
-    return ",".join(["wavelength_nm"] + [f"frame_{i:04d}" for i in range(n_frames)])
+def _map_case(counts):
+    header = ",".join(["wavelength_nm"] + [f"frame_{i:04d}" for i in range(len(counts))])
+    record = SpectralMap(wavelength_nm=_GRID, counts=counts)
+    return record, "spectral_map", header, [_GRID, *counts]
 
 
 def _golden_case(name):
     """(record, schema id, header, columns as the reference writer sees them)."""
     if name == "spectrum":
-        counts = [abs(v) for v in _EDGE[:12]]
-        wl = np.linspace(600.0, 611.0, 12)
-        return Spectrum(wavelength_nm=wl, counts=counts), "spectrum", \
-            "wavelength_nm,counts", [wl, counts]
+        wl, counts = np.linspace(600.0, 611.0, 12), [abs(v) for v in _EDGE[:12]]
+        return (Spectrum(wavelength_nm=wl, counts=counts), "spectrum",
+                "wavelength_nm,counts", [wl, counts])
     if name == "temperature_log":
         t = np.arange(len(_EDGE)) * 60.0
-        return TemperatureLog(time_s=t, temperature_k=_EDGE), "temperature_log", \
-            "time_s,temperature_k", [t, _EDGE]
+        return (TemperatureLog(time_s=t, temperature_k=_EDGE), "temperature_log",
+                "time_s,temperature_k", [t, _EDGE])
+    if name == "long_temperature_log":
+        # more rows than the writer formats in one chunk
+        t, temp = np.arange(5000) * 0.5, np.resize(_EDGE, 5000)
+        return (TemperatureLog(time_s=t, temperature_k=temp), "temperature_log",
+                "time_s,temperature_k", [t, temp])
     if name == "histogram":
         counts = np.array([0, 3, 17, 10**16, 2**60, 12345], dtype=np.int64)
         centers = 0.125 + 0.25 * np.arange(counts.size)
-        return TimeHistogram(bin_centers_ns=centers, counts=counts), "histogram", \
-            "t_ns,counts", [centers, counts]
+        return (TimeHistogram(bin_centers_ns=centers, counts=counts), "histogram",
+                "t_ns,counts", [centers, counts])
     if name == "scan":
         up = ScanTrace(axis=[0.0, 0.5, 1.0, 1.5], signal=[1.0, 2.5, -0.0, 1e16])
         down = ScanTrace(axis=[1.5, 1.25, 1e-05, -2.0], signal=[0.1, 7.0, 3.0, 1.5e17],
                          sweep_direction="down")
-        columns = [list(up.axis) + list(down.axis), list(up.signal) + list(down.signal),
+        columns = [[*up.axis, *down.axis], [*up.signal, *down.signal],
                    ["up"] * 4 + ["down"] * 4]
         return [up, down], "scan", "axis,signal,direction", columns
     if name == "spectral_map":
-        return SpectralMap(wavelength_nm=_GRID, counts=_MAP_COUNTS), "spectral_map", \
-            _map_header(3), _map_columns(_GRID, _MAP_COUNTS)
+        return _map_case(_MAP_COUNTS)
     if name == "one_frame_map":
-        return SpectralMap(wavelength_nm=_GRID, counts=_MAP_COUNTS[1:2]), "spectral_map", \
-            _map_header(1), _map_columns(_GRID, _MAP_COUNTS[1:2])
+        return _map_case(_MAP_COUNTS[1:2])
     raise KeyError(name)
 
 
@@ -280,7 +280,8 @@ def _arrays(record):
 
 @pytest.mark.parametrize(
     "name",
-    ["spectrum", "temperature_log", "histogram", "scan", "spectral_map", "one_frame_map"],
+    ["spectrum", "temperature_log", "long_temperature_log", "histogram", "scan",
+     "spectral_map", "one_frame_map"],
 )
 def test_save_csv_golden_bytes(tmp_path, name):
     record, schema, header, columns = _golden_case(name)
