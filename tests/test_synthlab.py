@@ -189,3 +189,16 @@ def test_map_generators_bit_identical(seed):
     assert dataio.digest_arrays(wled.wavelength_nm, wled.counts_matrix()) == _WLED_DIGESTS[seed]
     drift, _ = synthlab.generate_drift_map(seed=seed)
     assert dataio.digest_arrays(drift.wavelength_nm, drift.counts_matrix()) == _DRIFT_DIGESTS[seed]
+
+
+_SCAN_PAIR_DIGESTS = {
+    0: "ed4b959e147582e767166482c46257aac25b2fa65b80e96a6e00bf7f068ae220",
+    11: "3a8ed0af4327106af28fc88c254fb52e58a874c24458b212693a16b1b301ae93",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SCAN_PAIR_DIGESTS))
+def test_scan_pair_generator_bit_identical(seed):
+    traces = synthlab.generate_scan_pair(seed=seed)
+    arrays = [a for t in traces for a in (t.axis, t.signal)]
+    assert dataio.digest_arrays(*arrays) == _SCAN_PAIR_DIGESTS[seed]
