@@ -5,8 +5,13 @@ Reproduces the desk-scale design loop for a plano-concave microcavity that
 must resonate simultaneously at a green excitation wavelength and at the
 emitter's zero-phonon line: sweep the effective length, inspect the
 fundamental-mode dispersion, and rank candidate mode-number pairs by how
-closely their resonance lengths coincide.
+closely their resonance lengths coincide. The map CSV goes to
+$CAVITYLAB_OUTDIR, or to a temporary directory when that is not set.
 """
+
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +20,16 @@ from cavitylab import optics
 ROC_UM = 24.0
 LAMBDA_EXC_NM = 533.3
 LAMBDA_DET_NM = 618.5
+
+
+def output_dir() -> Path:
+    """$CAVITYLAB_OUTDIR when it is set, else a fresh temporary directory."""
+    out = os.environ.get("CAVITYLAB_OUTDIR")
+    if not out:
+        return Path(tempfile.mkdtemp(prefix="cavitylab_demo_"))
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def main():
@@ -33,11 +48,12 @@ def main():
         res = optics.mode_frequency(at_37, m)
         print(f"  m = {m:2d}: {res.wavelength_nm:7.2f} nm  {res.frequency_thz:7.2f} THz")
 
+    map_path = output_dir() / "dispersion_map.csv"
     print("\ndispersion map over the length sweep 5.0 -> 3.7 um "
-          "(written to dispersion_map.csv):")
+          f"(written to {map_path}):")
     l_grid = np.linspace(5.0, 3.7, 261)
     rows = optics.dispersion_map(ROC_UM, l_grid, range(11, 18))
-    with open("dispersion_map.csv", "w", encoding="utf-8") as fh:
+    with open(map_path, "w", encoding="utf-8") as fh:
         fh.write("l_eff_um,wavelength_nm,mode_m,transverse_order\n")
         for l_um, wavelength, m, q in rows:
             fh.write(f"{l_um:.6g},{wavelength:.6g},{int(m)},{int(q)}\n")

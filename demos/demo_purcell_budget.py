@@ -4,11 +4,27 @@
 Builds the audited chain from the ideal cavity enhancement down to the
 measured lifetime ratio, prints every step with its formula, classifies
 the coupling regime at two temperatures, and writes the budget as a
-byte-reproducible JSON report.
+byte-reproducible JSON report in $CAVITYLAB_OUTDIR, or in a temporary
+directory when that is not set.
 """
+
+import os
+import tempfile
+from pathlib import Path
 
 from cavitylab import cqed, dataio
 from cavitylab.optics import CavityGeometry
+
+
+def output_dir() -> Path:
+    """$CAVITYLAB_OUTDIR when it is set, else a fresh temporary directory."""
+    out = os.environ.get("CAVITYLAB_OUTDIR")
+    if not out:
+        return Path(tempfile.mkdtemp(prefix="cavitylab_demo_"))
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
 
 def main():
     geom = CavityGeometry(roc_x_um=24.0, roc_y_um=24.0, l_eff_um=3.75)
@@ -33,10 +49,9 @@ def main():
           "restricted to the zero-phonon channel, leaving a dipole "
           f"alignment ratio of {budget.alignment:.2f}")
 
-    dataio.export_report(
-        dataio.make_report(steps=budget.steps()), "purcell_budget.json"
-    )
-    print("  full chain written to purcell_budget.json\n")
+    report_path = output_dir() / "purcell_budget.json"
+    dataio.export_report(dataio.make_report(steps=budget.steps()), report_path)
+    print(f"  full chain written to {report_path}\n")
 
     print("coupling regimes as the emitter line narrows with temperature:")
     for label, gamma_star in [("100 K", 210.0), ("4 K (resolution limited)", 10.0)]:

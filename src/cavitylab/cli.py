@@ -15,6 +15,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,25 +41,13 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _geometry(args, l_eff_um: float) -> optics.CavityGeometry:
+def _radii(args) -> tuple[float, float]:
+    """The (x, y) mirror radii of curvature from --roc, --roc-x and --roc-y."""
     roc_x = args.roc_x if args.roc_x is not None else args.roc
     roc_y = args.roc_y if args.roc_y is not None else args.roc
     if roc_x is None or roc_y is None:
         raise ValidationError("provide --roc or both --roc-x and --roc-y")
-    return optics.CavityGeometry(
-        roc_x_um=roc_x, roc_y_um=roc_y, l_eff_um=l_eff_um,
-        refractive_index=args.refractive_index,
-    )
-
-
-def _scalar_roc(args, roc_mode: str) -> float:
-    roc_x = args.roc_x if args.roc_x is not None else args.roc
-    roc_y = args.roc_y if args.roc_y is not None else args.roc
-    if roc_x is None or roc_y is None:
-        raise ValidationError("provide --roc or both --roc-x and --roc-y")
-    if roc_x <= 0 or roc_y <= 0:
-        raise ValidationError("radii of curvature must be positive")
-    return {"geometric": (roc_x * roc_y) ** 0.5, "x": roc_x, "y": roc_y}[roc_mode]
+    return roc_x, roc_y
 
 
 def _write_map_csv(path: Path, rows: np.ndarray):
@@ -76,54 +65,31 @@ def cmd_dispersion(args) -> int:
     roc_modes = (
         [("geometric", "")] if args.roc_mode == "geometric" else [("x", "_x"), ("y", "_y")]
     )
-    gouy_on = args.gouy == "on"
+    radii = _radii(args)
+    l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
+    m_lo = max(1, int(2000.0 * args.l_min / max(args.lambda_det, args.lambda_exc)) - 1)
+    m_hi = int(2000.0 * args.l_max / min(args.lambda_det, args.lambda_exc)) + 1
+    m_values = range(m_lo, m_hi + 1)
+    orders = [int(q) for q in args.transverse_orders.split(",")]
 
     reports = []
     for roc_mode, suffix in roc_modes:
-        roc_um = _scalar_roc(args, roc_mode)
-        if gouy_on and args.l_max >= roc_um:
+        roc_um = optics.scalar_roc(radii, roc_mode)
+        if args.gouy == "off":
+            # plane-wave resonances are the flat-mirror limit, fundamental only
+            roc_um, orders = math.inf, (0,)
+        elif args.l_max >= roc_um:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
-        l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
-        m_lo = max(1, int(2000.0 * args.l_min / max(args.lambda_det, args.lambda_exc)) - 1)
-        m_hi = int(2000.0 * args.l_max / min(args.lambda_det, args.lambda_exc)) + 1
-        m_values = range(m_lo, m_hi + 1)
-        orders = [int(q) for q in args.transverse_orders.split(",")]
-        if gouy_on:
-            rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
-        else:
-            rows = np.array(
-                [
-                    (l_um, 2000.0 * l_um / m, float(m), 0.0)
-                    for l_um in l_grid
-                    for m in m_values
-                ]
-            )
+        rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
         map_path = out / f"dispersion_map{suffix}.csv"
         _write_map_csv(map_path, rows)
 
-        if gouy_on:
-            candidates = optics.double_resonance_search(
-                args.lambda_exc, args.lambda_det, roc_um,
-                (args.l_min, args.l_max), args.tol_nm / 1000.0,
-            )
-        else:
-            candidates = []
-            for m_exc in m_values:
-                l_exc = m_exc * args.lambda_exc / 2000.0
-                for m_det in m_values:
-                    l_det = m_det * args.lambda_det / 2000.0
-                    if (
-                        abs(l_exc - l_det) < args.tol_nm / 1000.0
-                        and args.l_min <= 0.5 * (l_exc + l_det) <= args.l_max
-                    ):
-                        candidates.append(
-                            optics.DoubleResonance(
-                                m_exc, m_det, 0.5 * (l_exc + l_det), abs(l_exc - l_det)
-                            )
-                        )
-            candidates.sort(key=lambda c: (c.mismatch_um, c.m_exc, c.m_det))
+        candidates = optics.double_resonance_search(
+            args.lambda_exc, args.lambda_det, roc_um,
+            (args.l_min, args.l_max), args.tol_nm / 1000.0,
+        )
 
         reports.append(
             {
@@ -221,7 +187,9 @@ def cmd_fit(args) -> int:
 def cmd_purcell_budget(args) -> int:
     """Write the Purcell budget JSON for the given emitter/cavity inputs."""
     out = _out_dir(args)
-    geom = _geometry(args, l_eff_um=args.l_eff)
+    geom = optics.CavityGeometry(
+        *_radii(args), l_eff_um=args.l_eff, refractive_index=args.refractive_index
+    )
     budget = cqed.budget_report(
         tau0_ns=args.tau0,
         tau_p_ns=args.tau_p,
@@ -254,22 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", help="output directory (default: $CAVITYLAB_OUTDIR)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+
+    def add_roc(p):
         p.add_argument("--roc", type=float, help="mirror radius of curvature (um)")
         p.add_argument("--roc-x", type=float, dest="roc_x")
         p.add_argument("--roc-y", type=float, dest="roc_y")
-        p.add_argument(
-            "--roc-mode", choices=["geometric", "per-axis"], default="geometric",
-            dest="roc_mode",
-        )
-        p.add_argument("--refractive-index", type=float, default=1.0,
-                       dest="refractive_index")
-        p.add_argument("--gouy", choices=["on", "off"], default="on")
 
     p_disp = sub.add_parser("dispersion", help="mode map and double-resonance search")
-    add_common(p_disp)
+    add_out(p_disp)
+    add_roc(p_disp)
+    p_disp.add_argument(
+        "--roc-mode", choices=["geometric", "per-axis"], default="geometric",
+        dest="roc_mode",
+    )
+    p_disp.add_argument("--gouy", choices=["on", "off"], default="on")
     p_disp.add_argument("--lambda-exc", type=float, required=True, dest="lambda_exc")
     p_disp.add_argument("--lambda-det", type=float, required=True, dest="lambda_det")
     p_disp.add_argument("--l-min", type=float, required=True, dest="l_min")
@@ -280,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.set_defaults(func=cmd_dispersion)
 
     p_fit = sub.add_parser("fit", help="fit a CSV dataset or a named preset")
-    add_common(p_fit)
+    add_out(p_fit)
+    p_fit.add_argument("--seed", type=int, default=0, help="random seed")
     p_fit.add_argument("--input", help="input CSV path")
     p_fit.add_argument(
         "--schema", choices=["spectrum", "scan", "histogram"], help="input CSV schema"
@@ -295,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_budget = sub.add_parser("purcell-budget", help="audited enhancement chain")
-    add_common(p_budget)
+    add_out(p_budget)
+    add_roc(p_budget)
+    p_budget.add_argument("--refractive-index", type=float, default=1.0,
+                          dest="refractive_index")
     p_budget.add_argument("--tau0", type=float, required=True,
                           help="free-space lifetime (ns)")
     p_budget.add_argument("--tau-p", type=float, required=True, dest="tau_p",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonphysicalResultError, ValidationError
-from .optics import C_NM_GHZ, CavityGeometry, beam_waist_um, mirror_spot_um
+from .optics import C_NM_GHZ, CavityGeometry, beam_waist_um, mirror_spot_um, mode_volume_lambda3
 
 __all__ = [
     "CouplingRates",
@@ -89,16 +89,15 @@ def purcell_theoretical(
     )
 
 
-def spatial_correction(geom: CavityGeometry, lambda_nm: float,
-                       roc_mode: str = "geometric") -> float:
+def spatial_correction(geom: CavityGeometry, lambda_nm: float) -> float:
     """Coupling reduction (w0/w(L))^2 for an emitter on the curved mirror.
 
     For the plano-concave Gaussian mode this equals 1 - L/ROC; it is computed
     from the waist and mirror-spot expressions so it stays consistent with
     the beam geometry route.
     """
-    w0 = beam_waist_um(geom, lambda_nm, roc_mode)
-    w_l = mirror_spot_um(geom, lambda_nm, roc_mode)
+    w0 = beam_waist_um(geom, lambda_nm)
+    w_l = mirror_spot_um(geom, lambda_nm)
     return (w0 / w_l) ** 2
 
 
@@ -285,7 +284,6 @@ def budget_report(
     kappa_exp_ghz: float | None = None,
     q_exp: float | None = None,
     f_fp: float = 0.0,
-    roc_mode: str = "geometric",
 ) -> PurcellBudget:
     """Assemble the full enhancement budget from raw inputs.
 
@@ -302,14 +300,11 @@ def budget_report(
         if kappa_exp_ghz is None:
             raise ValidationError("provide q_exp or kappa_exp_ghz")
         q_exp = q_from_linewidth(lambda_c_nm, kappa_exp_ghz)
-    w0 = beam_waist_um(geom, lambda_c_nm, roc_mode)
-    volume = (
-        math.pi * w0**2 * geom.l_eff_um / 4.0 / (lambda_c_nm / 1000.0) ** 3
-    )
+    volume = mode_volume_lambda3(geom, lambda_c_nm)
     n = geom.refractive_index
 
     f_cav_ideal = purcell_theoretical(lambda_c_nm, n, q_ideal, volume)
-    spatial = spatial_correction(geom, lambda_c_nm, roc_mode)
+    spatial = spatial_correction(geom, lambda_c_nm)
     f_cav_corrected = f_cav_ideal * spatial
     f_vib = purcell_theoretical(lambda_c_nm, n, q_exp, volume) * spatial
     f_measured = purcell_measured(tau0_ns, tau_p_ns)

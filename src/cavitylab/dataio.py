@@ -386,6 +386,11 @@ def _load_spectral_map(path: Path, header: str) -> SpectralMap:
         raise SchemaError(
             f"spectral_map header must start with 'wavelength_nm,frame_0000', got {header!r}"
         )
+    for i, name in enumerate(columns[1:]):
+        if name != _frame_column(i):
+            raise SchemaError(
+                f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {name!r}"
+            )
     data = _loadtxt(path)
     if data.shape[1] != len(columns):
         raise SchemaError(f"column count mismatch: header {len(columns)}, data {data.shape[1]}")

@@ -32,7 +32,6 @@ __all__ = [
     "FitResult",
     "bootstrap_uncertainty",
     "fit",
-    "jacobian",
     "poisson_weights",
     "weighted_linear_fit",
 ]
@@ -52,6 +51,8 @@ class FitProblem:
 
     ``weights`` are 1/sigma per point (uniform when omitted). ``bounds`` is a
     sequence of (lo, hi) pairs per parameter; use +-inf for free parameters.
+    Without it the model's bounds apply. A heuristic start is clipped into
+    the bounds; explicit ``initial_params`` must lie within them.
     """
 
     model_id: str
@@ -97,12 +98,15 @@ class FitProblem:
             raise ValidationError(
                 f"initial_params must have {model.n_params} entries, got {p0.size}"
             )
-        object.__setattr__(self, "initial_params", p0)
-        if self.bounds is not None:
-            lo, hi = _split_bounds(self.bounds, model.n_params)
-            if np.any(p0 < lo) or np.any(p0 > hi):
+        bounds = self.bounds if self.bounds is not None else model.bounds
+        if bounds is not None:
+            lo, hi = _split_bounds(bounds, model.n_params)
+            if self.initial_params is None:
+                p0 = np.clip(p0, lo, hi)
+            elif np.any(p0 < lo) or np.any(p0 > hi):
                 raise ValidationError("initial_params must lie within bounds")
             object.__setattr__(self, "bounds", (lo, hi))
+        object.__setattr__(self, "initial_params", p0)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -161,11 +165,6 @@ class FitResult:
         return {"name": "fit", "params": {"model_id": self.model_id}, "outputs": outputs}
 
 
-def jacobian(model_id: str, params, x) -> np.ndarray:
-    """Analytic Jacobian of a registered model; shape (len(x), n_params)."""
-    return models.jacobian_matrix(model_id, params, x)
-
-
 def _rank_check(H: np.ndarray, names: Sequence[str]):
     # catch genuine singularity (dead or exactly dependent columns) on the
     # scale-free correlation form; near-singular but healthy systems are the
@@ -212,8 +211,6 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
         return r
 
     p = problem.initial_params.copy()
-    if lo is not None:
-        p = np.clip(p, lo, hi)
     r = residual(p)
     cost = float(r @ r)
     cost_trace = [cost]

@@ -30,12 +30,15 @@ __all__ = ["MODELS", "Model", "evaluate", "initial_params", "jacobian_matrix", "
 
 @dataclass(frozen=True)
 class Model:
+    """A registered model; ``bounds`` has one (lo, hi) pair per parameter (None: open)."""
+
     name: str
     params: tuple[str, ...]
     fn: Callable
     jac: Callable
     init: Callable
     canonical: Callable = staticmethod(lambda p: p)
+    bounds: tuple | None = None
 
     @property
     def n_params(self) -> int:
@@ -295,7 +298,8 @@ MODELS: dict[str, Model] = {
         Model("g2_three_level", ("contrast", "beta", "gamma1", "gamma2", "t0"),
               _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical),
         Model("saturation", ("i_sat", "p_sat"),
-              _saturation, _saturation_jac, _saturation_init),
+              _saturation, _saturation_jac, _saturation_init,
+              bounds=((1e-12, None), (1e-12, None))),
         Model("detuned_purcell", ("peak", "q", "center", "offset"),
               _detuned_purcell, _detuned_purcell_jac, _detuned_purcell_init,
               _abs_width(1)),

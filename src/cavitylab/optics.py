@@ -7,8 +7,9 @@ Resonances of the empty cavity follow
 for longitudinal index m, transverse order q (0 for the fundamental) and
 effective length L. Mirror field penetration is folded into L and never
 modeled separately. An elliptical concave mirror is reduced to a scalar
-radius of curvature, by default the geometric mean sqrt(roc_x * roc_y);
-per-axis values are available through ``roc_mode``.
+radius of curvature, the geometric mean sqrt(roc_x * roc_y), by
+:func:`scalar_roc`. ROC = inf is the flat-mirror (plane-wave) limit: the
+Gouy term vanishes and 2 L / lambda = m.
 
 Wavelengths are the in-gap values c/(n * nu); with a vacuum or air gap
 (n = 1) they equal vacuum wavelengths. Internal units: um for lengths,
@@ -53,6 +54,7 @@ __all__ = [
     "gouy_fraction",
     "gouy_term",
     "mode_frequency",
+    "mode_volume_lambda3",
     "resonance_length",
     "scalar_roc",
 ]
@@ -89,14 +91,19 @@ class CavityGeometry:
 
 
 def scalar_roc(roc, roc_mode: str = "geometric") -> float:
-    """Reduce a geometry (or pass through a scalar) to one radius of curvature."""
+    """Reduce a geometry or an (roc_x, roc_y) pair to one radius; pass a scalar through."""
     if isinstance(roc, CavityGeometry):
+        roc = (roc.roc_x_um, roc.roc_y_um)
+    if isinstance(roc, tuple):
+        roc_x, roc_y = roc
+        if not (roc_x > 0 and roc_y > 0):
+            raise GeometryError("radii of curvature must be positive")
         if roc_mode == "geometric":
-            return math.sqrt(roc.roc_x_um * roc.roc_y_um)
+            return math.sqrt(roc_x * roc_y)
         if roc_mode == "x":
-            return roc.roc_x_um
+            return roc_x
         if roc_mode == "y":
-            return roc.roc_y_um
+            return roc_y
         raise ValidationError(f"roc_mode must be geometric, x or y, got {roc_mode!r}")
     value = float(roc)
     if value <= 0:
@@ -115,9 +122,9 @@ def gouy_fraction(l_eff_um: float, roc_um: float) -> float:
     return math.acos(math.sqrt(1.0 - l_eff_um / roc_um)) / math.pi
 
 
-def gouy_term(geom: CavityGeometry, roc_mode: str = "geometric") -> float:
+def gouy_term(geom: CavityGeometry) -> float:
     """Gouy term of the fundamental mode for a validated geometry."""
-    return gouy_fraction(geom.l_eff_um, scalar_roc(geom, roc_mode))
+    return gouy_fraction(geom.l_eff_um, scalar_roc(geom))
 
 
 @dataclass(frozen=True)
@@ -147,12 +154,11 @@ def mode_frequency(
     geom: CavityGeometry,
     m: int,
     transverse_order: int = 0,
-    roc_mode: str = "geometric",
 ) -> ModeResonance:
     """Resonance of longitudinal index ``m`` (and transverse order q)."""
     if m < 1:
         raise ValidationError("longitudinal index m must be >= 1")
-    g = gouy_term(geom, roc_mode)
+    g = gouy_term(geom)
     phase_index = m + (transverse_order + 1) * g
     n = geom.refractive_index
     freq_thz = C_UM_THZ / (2.0 * n * geom.l_eff_um) * phase_index
@@ -171,18 +177,20 @@ def resonance_length(
     m: int,
     roc,
     transverse_order: int = 0,
-    roc_mode: str = "geometric",
 ) -> float:
     """Length (um) at which index ``m`` resonates at the given wavelength.
 
     Solves 2 L / lambda = m + (q + 1) * gouy(L) by bracketed root finding;
-    the residual frequency error of the returned root is below 1 MHz.
+    the residual frequency error of the returned root is below 1 MHz. For
+    a flat mirror (ROC = inf) the root is the closed form m * lambda / 2.
     """
     if m < 1:
         raise ValidationError("longitudinal index m must be >= 1")
     if wavelength_nm <= 0:
         raise ValidationError("wavelength must be positive")
-    roc_um = scalar_roc(roc, roc_mode)
+    roc_um = scalar_roc(roc)
+    if math.isinf(roc_um):
+        return m * wavelength_nm / 2000.0
     order = transverse_order + 1
 
     def mismatch(l_um):
@@ -214,7 +222,7 @@ class DoubleResonance:
     mismatch_um: float
 
 
-def _mode_index_range(wavelength_nm, l_range_um, order) -> range:
+def _mode_index_range(wavelength_nm, l_range_um) -> range:
     m_lo = max(1, math.floor(2000.0 * l_range_um[0] / wavelength_nm) - 1)
     m_hi = math.ceil(2000.0 * l_range_um[1] / wavelength_nm) + 1
     return range(m_lo, m_hi + 1)
@@ -226,14 +234,13 @@ def double_resonance_search(
     roc,
     l_range_um: tuple[float, float],
     tolerance_um: float,
-    roc_mode: str = "geometric",
 ) -> list[DoubleResonance]:
     """All index pairs whose resonance lengths agree within ``tolerance_um``.
 
     Candidates are sorted by length mismatch (the physically tunable
     variable); an empty list is a valid outcome.
     """
-    roc_um = scalar_roc(roc, roc_mode)
+    roc_um = scalar_roc(roc)
     lo = max(l_range_um[0], 1e-6)
     hi = min(l_range_um[1], roc_um * (1 - 1e-9))
     if not lo < hi:
@@ -241,7 +248,7 @@ def double_resonance_search(
 
     def lengths(wavelength):
         out = {}
-        for m in _mode_index_range(wavelength, (lo, hi), 1):
+        for m in _mode_index_range(wavelength, (lo, hi)):
             try:
                 l_um = resonance_length(wavelength, m, roc_um)
             except SearchError:
@@ -274,14 +281,13 @@ def dispersion_map(
     l_grid_um,
     m_values: Sequence[int],
     transverse_orders: Sequence[int] = (0,),
-    roc_mode: str = "geometric",
 ) -> np.ndarray:
     """Resonance wavelengths over a length sweep.
 
     Returns an array with columns (l_eff_um, wavelength_nm, mode_m,
     transverse_order), ready for CSV export.
     """
-    roc_um = scalar_roc(roc, roc_mode)
+    roc_um = scalar_roc(roc)
     rows = []
     for l_um in np.asarray(l_grid_um, dtype=float):
         g = gouy_fraction(l_um, roc_um)
@@ -336,22 +342,28 @@ class CavityFigures:
         }
 
 
-def beam_waist_um(geom: CavityGeometry, wavelength_nm: float, roc_mode="geometric") -> float:
+def beam_waist_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """1/e^2 intensity waist radius at the flat mirror (um)."""
-    roc_um = scalar_roc(geom, roc_mode)
+    roc_um = scalar_roc(geom)
     l_um = geom.l_eff_um
     lam_um = wavelength_nm / 1000.0 / geom.refractive_index
     w0_sq = (lam_um / math.pi) * math.sqrt(l_um * (roc_um - l_um))
     return math.sqrt(w0_sq)
 
 
-def mirror_spot_um(geom: CavityGeometry, wavelength_nm: float, roc_mode="geometric") -> float:
+def mirror_spot_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """Beam radius on the curved mirror (um)."""
-    roc_um = scalar_roc(geom, roc_mode)
+    roc_um = scalar_roc(geom)
     l_um = geom.l_eff_um
     lam_um = wavelength_nm / 1000.0 / geom.refractive_index
     wl_sq = (lam_um / math.pi) * roc_um * math.sqrt(l_um / (roc_um - l_um))
     return math.sqrt(wl_sq)
+
+
+def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
+    """Mode volume pi * w0^2 * L / 4 in units of the vacuum wavelength cubed."""
+    w0 = beam_waist_um(geom, lambda_nm)
+    return math.pi * w0**2 * geom.l_eff_um / 4.0 / (lambda_nm / 1000.0) ** 3
 
 
 def cavity_figures(
@@ -359,7 +371,6 @@ def cavity_figures(
     finesse: float,
     m_det: int,
     lambda_c_nm: float,
-    roc_mode: str = "geometric",
 ) -> CavityFigures:
     """FSR, linewidth, quality factors, beam sizes and mode volume."""
     if finesse <= 0:
@@ -370,19 +381,15 @@ def cavity_figures(
     fsr_thz = C_UM_THZ / (2.0 * n * geom.l_eff_um)
     kappa_ghz = fsr_thz * 1000.0 / finesse
     nu_ghz = C_NM_GHZ / (n * lambda_c_nm)
-    w0 = beam_waist_um(geom, lambda_c_nm, roc_mode)
-    w_l = mirror_spot_um(geom, lambda_c_nm, roc_mode)
-    volume_um3 = math.pi * w0**2 * geom.l_eff_um / 4.0
-    lam_um = lambda_c_nm / 1000.0
     return CavityFigures(
         fsr_thz=fsr_thz,
         finesse=finesse,
         kappa_ghz=kappa_ghz,
         quality_factor=m_det * finesse,
         quality_factor_linewidth=nu_ghz / kappa_ghz,
-        beam_waist_um=w0,
-        mirror_spot_um=w_l,
-        mode_volume_lambda3=volume_um3 / lam_um**3,
+        beam_waist_um=beam_waist_um(geom, lambda_c_nm),
+        mirror_spot_um=mirror_spot_um(geom, lambda_c_nm),
+        mode_volume_lambda3=mode_volume_lambda3(geom, lambda_c_nm),
     )
 
 
@@ -391,14 +398,12 @@ def cavity_figures(
 # ---------------------------------------------------------------------------
 
 
-def detect_peaks(
-    signal, threshold_mads: float = 5.0, rel_prominence: float = 0.0
-) -> np.ndarray:
+def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     """Indices of local maxima whose prominence exceeds the noise floor.
 
-    The floor is ``threshold_mads`` times the median absolute deviation of
-    the signal around its median, which tracks the baseline for traces where
-    peaks occupy a small fraction of samples. ``rel_prominence`` additionally
+    The floor is five times the median absolute deviation of the signal
+    around its median, which tracks the baseline for traces where peaks
+    occupy a small fraction of samples. ``rel_prominence`` additionally
     drops peaks below that fraction of the strongest prominence, which
     rejects shot-noise spikes on long traces whose resonances are of
     comparable height.
@@ -408,7 +413,7 @@ def detect_peaks(
     span = float(np.max(signal) - np.min(signal))
     if span == 0.0:
         return np.array([], dtype=int)
-    prominence = max(threshold_mads * mad, 1e-9 * span)
+    prominence = max(5.0 * mad, 1e-9 * span)
     peaks, props = find_peaks(signal, prominence=prominence)
     if rel_prominence > 0.0 and peaks.size:
         keep = props["prominences"] >= rel_prominence * props["prominences"].max()
@@ -427,8 +432,7 @@ def _fwhm_in_samples(y: np.ndarray, i_peak: int, baseline: float) -> float:
     return max(right - left, 3.0)
 
 
-def fit_lorentzian_peak(x, y, index: int | None = None, window_fwhms: float = 8.0,
-                        weights=None) -> fitkit.FitResult:
+def fit_lorentzian_peak(x, y, index: int | None = None) -> fitkit.FitResult:
     """Fit one Lorentzian around the strongest (or the given) local maximum."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -439,20 +443,22 @@ def fit_lorentzian_peak(x, y, index: int | None = None, window_fwhms: float = 8.
         index = int(peaks[np.argmax(y[peaks])])
     baseline = float(np.median(y))
     width = _fwhm_in_samples(y, index, baseline)
-    half_window = int(max(window_fwhms * width, 10))
+    half_window = int(max(8.0 * width, 10))
     sl = slice(max(index - half_window, 0), min(index + half_window + 1, x.size))
-    w = None if weights is None else np.asarray(weights, dtype=float)[sl]
-    problem = fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl], weights=w)
+    problem = fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl])
     return fitkit.fit(problem)
 
 
-def finesse_from_scan(traces, threshold_mads: float = 5.0) -> tuple[float, float]:
+def finesse_from_scan(traces) -> tuple[float, float]:
     """Finesse as resonance spacing over linewidth, pooled over piezo ramps.
+
+    Peaks whose fitted centers lie within one fitted FWHM of each other are
+    one resonance (a noisy top can hold two equal maxima).
 
     Parameters
     ----------
     traces : ScanTrace or sequence of ScanTrace
-        Each ramp must show at least two resonance peaks.
+        Each ramp must show at least two resonances.
 
     Returns
     -------
@@ -467,16 +473,20 @@ def finesse_from_scan(traces, threshold_mads: float = 5.0) -> tuple[float, float
         raise InsufficientDataError("no scan traces given")
     estimates = []
     for i, trace in enumerate(traces):
-        peaks = detect_peaks(trace.signal, threshold_mads, rel_prominence=0.2)
-        if peaks.size < 2:
-            raise InsufficientDataError(
-                f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
-            )
+        peaks = detect_peaks(trace.signal, rel_prominence=0.2)
         fits = [fit_lorentzian_peak(trace.axis, trace.signal, index=int(p)) for p in peaks]
         centers = np.array([f.params[1] for f in fits])
         widths = np.abs(np.array([f.params[2] for f in fits]))
         order = np.argsort(centers)
         centers, widths = centers[order], widths[order]
+        distinct = np.diff(centers) > widths[:-1]
+        centers = np.concatenate([centers[:1], centers[1:][distinct]])
+        widths = np.concatenate([widths[:1], widths[1:][distinct]])
+        if centers.size < 2:
+            raise InsufficientDataError(
+                f"ramp {i} ({trace.sweep_direction}): found {centers.size} resonances, "
+                "need >= 2"
+            )
         for j in range(centers.size - 1):
             spacing = abs(centers[j + 1] - centers[j])
             estimates.append(spacing / widths[j])
@@ -541,7 +551,6 @@ def drift_series(
     frames,
     times=None,
     l_eff_um: float | None = None,
-    threshold_mads: float = 5.0,
 ) -> list[tuple[float, float]]:
     """Effective-length drift from tracking one resonance across spectra.
 
@@ -583,7 +592,7 @@ def drift_series(
     centers = []
     for i, (wl, counts) in enumerate(spectra):
         try:
-            result = fit_lorentzian_peak(wl, counts, index=None, weights=None)
+            result = fit_lorentzian_peak(wl, counts)
         except CavityLabError as exc:
             raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i)
         center = float(result.params[1])

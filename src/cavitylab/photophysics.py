@@ -276,7 +276,6 @@ def fit_saturation(power_mw, rate_kcps, sigmas=None):
         x=np.asarray(power_mw, dtype=float),
         y=np.asarray(rate_kcps, dtype=float),
         weights=weights,
-        bounds=[(1e-12, None), (1e-12, None)],
     )
     result = fitkit.fit(problem)
     return SaturationParams(float(result.params[0]), float(result.params[1])), result

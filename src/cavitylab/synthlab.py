@@ -241,11 +241,10 @@ def generate_scan_pair(
     if finesse <= 0 or fsr_volts <= 0:
         raise ValidationError("finesse and fsr must be positive")
     fwhm = fsr_volts / finesse
-    h = (fwhm / 2.0) ** 2
     axis = np.linspace(0.0, span_volts, n_samples)
     signal = np.full(n_samples, baseline)
     for center in (first_peak_volts, first_peak_volts + fsr_volts):
-        signal = signal + peak_height * h / ((axis - center) ** 2 + h)
+        signal = signal + models.evaluate("lorentzian", [peak_height, center, fwhm, 0.0], axis)
     rng = rng_from_seed(seed)
     traces = []
     for direction in ("up", "down"):
@@ -290,9 +289,11 @@ def generate_drift_map(
         lambda0_nm + wavelength_span_nm / 2.0 + shift_nm.max(),
         n_pixels,
     )
-    h = (peak_fwhm_nm / 2.0) ** 2
     centers = lambda0_nm + shift_nm
-    expected = baseline + peak_height * h / ((grid - centers[:, None]) ** 2 + h)
+    # the line shape at the detuning from each frame's center
+    expected = models.evaluate(
+        "lorentzian", [peak_height, 0.0, peak_fwhm_nm, baseline], grid - centers[:, None]
+    )
     counts = expected
     if noise == "poisson":
         # one draw over the matrix gives the counts of one draw per frame
@@ -330,7 +331,10 @@ def generate_wled_map(
     inside = (
         (m <= m_last[:, None]) & (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
     )
-    # peaks are added in ascending m within each frame, the summation order
+    # the "lorentzian" model's expression, computed in place: this generator
+    # is the hot path of building acquisition-sized maps, and a
+    # models.evaluate call per peak would allocate fresh matrices each time.
+    # Peaks are added in ascending m within each frame, the summation order
     # the generated counts are pinned to; a frame without peak k adds an
     # exact 0.0. One work matrix keeps the peak memory at two matrices.
     expected = np.full((n_frames, n_pixels), baseline)

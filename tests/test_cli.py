@@ -146,6 +146,39 @@ def test_fit_flat_data_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "center" in err
 
 
+def test_fit_saturation_flat_data_stays_in_model_bounds(tmp_path):
+    flat = tmp_path / "flat.csv"
+    rows = "\n".join(f"{600.0 + 0.1 * i},50" for i in range(100))
+    flat.write_text("wavelength_nm,counts\n" + rows + "\n")
+    code = run(
+        [
+            "fit", "--input", str(flat), "--schema", "spectrum",
+            "--model", "saturation", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["steps"][0]["outputs"]["params"]["p_sat"] >= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--preset", "g2_dip", "--roc", "24"],
+        ["fit", "--preset", "g2_dip", "--gouy", "off"],
+        _dispersion_args("x")[:-2] + ["--seed", "3"],
+        [
+            "purcell-budget", "--tau0", "21.7", "--tau-p", "12.2", "--qe", "0.8",
+            "--dw", "0.56", "--lambda-c", "618.5", "--l-eff", "3.75", "--roc", "24",
+            "--q-ideal", "56400", "--kappa-exp", "160", "--roc-mode", "per-axis",
+        ],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_fit_requires_input_or_preset(tmp_path):
     assert run(["fit", "--out", str(tmp_path)]) == 2
 

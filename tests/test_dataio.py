@@ -125,6 +125,21 @@ def test_spectral_map_bad_count_names_frame(tmp_path, value, kind):
     assert err.value.index == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "header, bad",
+    [
+        ("wavelength_nm,foo,frame_0000", "'foo'"),  # misnamed
+        ("wavelength_nm,frame_0001,frame_0000", "'frame_0001'"),  # reordered
+    ],
+)
+def test_spectral_map_frame_columns_checked(tmp_path, header, bad):
+    path = tmp_path / "map.csv"
+    path.write_text(header + "\n600.0,1,2\n601.0,3,4\n")
+    with pytest.raises(SchemaError) as err:
+        dataio.load_csv(path, "spectral_map")
+    assert bad in str(err.value) and "'frame_0000'" in str(err.value)
+
+
 def test_spectral_map_descending_grid_rejected_with_row_index():
     with pytest.raises(SchemaError) as err:
         SpectralMap(wavelength_nm=[600.0, 602.0, 601.0], counts=[[1.0, 2.0, 3.0]])

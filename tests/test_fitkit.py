@@ -189,3 +189,14 @@ def test_weighted_linear_fit_matches_polyfit():
     assert intercept == pytest.approx(ref[1], rel=1e-10)
     assert cov.shape == (2, 2)
     assert cov[0, 1] == pytest.approx(cov[1, 0])
+
+
+def test_model_bounds_apply_and_clip_the_heuristic_start():
+    x = np.linspace(0.1, 10.0, 50)
+    y = -models.evaluate("saturation", [100.0, 2.0], x)  # heuristic i_sat < 0
+    problem = fitkit.FitProblem(model_id="saturation", x=x, y=y)
+    lo, hi = problem.bounds
+    assert lo.tolist() == [1e-12, 1e-12] and np.all(np.isinf(hi))
+    assert problem.initial_params[0] == 1e-12
+    with pytest.raises(ValidationError):
+        fitkit.FitProblem(model_id="saturation", x=x, y=y, initial_params=[-1.0, 2.0])
