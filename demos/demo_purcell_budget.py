@@ -18,10 +18,7 @@ from cavitylab.optics import CavityGeometry
 
 def output_dir() -> Path:
     """$CAVITYLAB_OUTDIR when it is set, else a fresh temporary directory."""
-    out = os.environ.get("CAVITYLAB_OUTDIR")
-    if not out:
-        return Path(tempfile.mkdtemp(prefix="cavitylab_demo_"))
-    path = Path(out)
+    path = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
