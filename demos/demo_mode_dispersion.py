@@ -22,13 +22,6 @@ LAMBDA_EXC_NM = 533.3
 LAMBDA_DET_NM = 618.5
 
 
-def output_dir() -> Path:
-    """$CAVITYLAB_OUTDIR when it is set, else a fresh temporary directory."""
-    path = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def main():
     geom = optics.CavityGeometry(roc_x_um=25.0, roc_y_um=22.0, l_eff_um=3.75)
     print("elliptical mirror reduced to scalar ROC:",
@@ -45,7 +38,9 @@ def main():
         res = optics.mode_frequency(at_37, m)
         print(f"  m = {m:2d}: {res.wavelength_nm:7.2f} nm  {res.frequency_thz:7.2f} THz")
 
-    map_path = output_dir() / "dispersion_map.csv"
+    out = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
+    out.mkdir(parents=True, exist_ok=True)
+    map_path = out / "dispersion_map.csv"
     print("\ndispersion map over the length sweep 5.0 -> 3.7 um "
           f"(written to {map_path}):")
     l_grid = np.linspace(5.0, 3.7, 261)

@@ -16,13 +16,6 @@ from cavitylab import cqed, dataio
 from cavitylab.optics import CavityGeometry
 
 
-def output_dir() -> Path:
-    """$CAVITYLAB_OUTDIR when it is set, else a fresh temporary directory."""
-    path = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def main():
     geom = CavityGeometry(roc_x_um=24.0, roc_y_um=24.0, l_eff_um=3.75)
 
@@ -46,7 +39,9 @@ def main():
           "restricted to the zero-phonon channel, leaving a dipole "
           f"alignment ratio of {budget.alignment:.2f}")
 
-    report_path = output_dir() / "purcell_budget.json"
+    out = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
+    out.mkdir(parents=True, exist_ok=True)
+    report_path = out / "purcell_budget.json"
     dataio.export_report(dataio.make_report(steps=budget.steps()), report_path)
     print(f"  full chain written to {report_path}\n")
 

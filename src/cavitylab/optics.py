@@ -474,6 +474,10 @@ def finesse_from_scan(traces) -> tuple[float, float]:
     estimates = []
     for i, trace in enumerate(traces):
         peaks = detect_peaks(trace.signal, rel_prominence=0.2)
+        if peaks.size < 2:
+            raise InsufficientDataError(
+                f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
+            )
         fits = [fit_lorentzian_peak(trace.axis, trace.signal, index=int(p)) for p in peaks]
         centers = np.array([f.params[1] for f in fits])
         widths = np.abs(np.array([f.params[2] for f in fits]))
@@ -484,8 +488,8 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         widths = np.concatenate([widths[:1], widths[1:][distinct]])
         if centers.size < 2:
             raise InsufficientDataError(
-                f"ramp {i} ({trace.sweep_direction}): found {centers.size} resonances, "
-                "need >= 2"
+                f"ramp {i} ({trace.sweep_direction}): {peaks.size} peaks merge into "
+                "one resonance, need >= 2"
             )
         for j in range(centers.size - 1):
             spacing = abs(centers[j + 1] - centers[j])

@@ -320,7 +320,6 @@ def generate_wled_map(
     """Broadband transmission map over a cavity-length sweep (fundamentals)."""
     grid = np.linspace(lambda_range_nm[0], lambda_range_nm[1], n_pixels)
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
-    h = (peak_fwhm_nm / 2.0) ** 2
     gouy = np.array([gouy_fraction(l_um, roc_um) for l_um in lengths])
     # candidate mode numbers m_first + k per frame, k = 0 .. n_m - 1
     m_first = np.maximum((2000.0 * lengths / lambda_range_nm[1]).astype(int) - 1, 1)
@@ -331,22 +330,15 @@ def generate_wled_map(
     inside = (
         (m <= m_last[:, None]) & (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
     )
-    # the "lorentzian" model's expression, computed in place: this generator
-    # is the hot path of building acquisition-sized maps, and a
-    # models.evaluate call per peak would allocate fresh matrices each time.
-    # Peaks are added in ascending m within each frame, the summation order
-    # the generated counts are pinned to; a frame without peak k adds an
-    # exact 0.0. One work matrix keeps the peak memory at two matrices.
+    # peaks are added in ascending m within each frame, the summation order
+    # the generated counts are pinned to; peak k is evaluated only on the
+    # frames whose window holds it
     expected = np.full((n_frames, n_pixels), baseline)
-    term = np.empty_like(expected)
     for k in range(n_m):
-        np.subtract(grid, centers[:, k, None], out=term)
-        np.square(term, out=term)
-        term += h
-        np.divide(peak_height * h, term, out=term)
-        term[~inside[:, k]] = 0.0
-        expected += term
-    del term
+        rows = inside[:, k]
+        expected[rows] += models.evaluate(
+            "lorentzian", [peak_height, 0.0, peak_fwhm_nm, 0.0], grid - centers[rows, k, None]
+        )
     counts = rng_from_seed(seed).poisson(expected)
     del expected
     return SpectralMap(wavelength_nm=grid, counts=counts.astype(float), frame_period_s=1.0)

@@ -58,6 +58,19 @@ def test_dispersion_gouy_off_plane_wave(tmp_path):
     assert top["l_eff_um"] == pytest.approx(0.5 * (l_exc + l_det), rel=1e-12)
 
 
+@pytest.mark.parametrize("gouy", ["on", "off"])
+def test_dispersion_pair_needs_both_lengths_in_range(gouy, tmp_path):
+    # (m_exc, m_det) = (5, 4) has its midpoint 1.285 um inside 1.23-1.31 um,
+    # but l_exc = 5 * 533.3 / 2000 = 1.333 um lies outside: with and without
+    # the Gouy phase, a pair counts only when both lengths are in range
+    args = _dispersion_args(tmp_path, extra=("--gouy", gouy))
+    for flag, value in (("--l-min", "1.23"), ("--l-max", "1.31"), ("--tol-nm", "200")):
+        args[args.index(flag) + 1] = value
+    assert run(args) == 0
+    report = json.loads((tmp_path / "dispersion_report.json").read_text())
+    assert report["steps"][0]["outputs"]["candidates"] == []
+
+
 def test_dispersion_per_axis_writes_two_maps(tmp_path):
     args = _dispersion_args(tmp_path, extra=("--roc-mode", "per-axis"))
     i = args.index("--roc")

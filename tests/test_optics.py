@@ -271,7 +271,10 @@ def test_finesse_hand_split_noiseless_top_is_one_resonance():
 
 
 # (finesse, uncertainty) as float.hex for the scan pairs of seeds 100-120,
-# recorded before split tops were merged; no other pair has a split top
+# recorded before split tops were merged; no other pair has a split top.
+# Recorded with OpenBLAS's AVX-512 kernels (SkylakeX, Cooperlake,
+# SapphireRapids); its AVX2 kernels (Haswell, Zen) sum the fits' dot products
+# in another order and differ in the last bits for two seeds, given below.
 _FINESSE_BY_SEED = {
     100: ("0x1.1dfcb2545c195p+12", "0x1.126ccd8b3ff55p+5"),
     101: ("0x1.1fc1ec8ba39e0p+12", "0x1.2a6e913f93cc7p+7"),
@@ -296,10 +299,17 @@ _FINESSE_BY_SEED = {
 }
 
 
+_FINESSE_AVX2 = {
+    101: ("0x1.1fc1ec8ba39e0p+12", "0x1.2a6e913f93ccdp+7"),
+    117: ("0x1.1fe1d9bce3d7fp+12", "0x1.83e1ec9db77bfp+7"),
+}
+
+
 def test_finesse_unchanged_without_split_tops():
     for seed, expected in _FINESSE_BY_SEED.items():
         finesse, sigma = optics.finesse_from_scan(synthlab.generate_scan_pair(seed=seed))
-        assert (finesse.hex(), sigma.hex()) == expected, seed
+        recorded = {expected, _FINESSE_AVX2.get(seed, expected)}
+        assert (finesse.hex(), sigma.hex()) in recorded, seed
 
 
 def test_finesse_insufficient_peaks():
@@ -308,6 +318,35 @@ def test_finesse_insufficient_peaks():
     signal = 5.0 + 1000.0 * h / ((axis - 0.5) ** 2 + h)
     trace = ScanTrace(axis=axis, signal=signal, sweep_direction="up")
     with pytest.raises(InsufficientDataError):
+        optics.finesse_from_scan(trace)
+
+
+def test_finesse_too_few_peaks_refused_before_fitting(monkeypatch):
+    # the peak count settles a ramp with 0 or 1 peaks; no fit runs, so a
+    # failing fit cannot turn the refusal into a NumericalError
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted a ramp with fewer than two peaks")
+
+    monkeypatch.setattr(optics, "fit_lorentzian_peak", no_fit)
+    axis = np.linspace(0.0, 1.0, 2000)
+    h = (2e-3 / 2) ** 2
+    one_peak = 5.0 + 1000.0 * h / ((axis - 0.5) ** 2 + h)
+    for signal, n in ((np.full_like(axis, 5.0), 0), (one_peak, 1)):
+        trace = ScanTrace(axis=axis, signal=signal, sweep_direction="up")
+        with pytest.raises(InsufficientDataError, match=f"found {n} peaks"):
+            optics.finesse_from_scan(trace)
+
+
+def test_finesse_split_top_of_one_resonance_is_too_few():
+    axis = np.linspace(0.0, 1.0, 2000)
+    h = (2e-3 / 2) ** 2
+    signal = 5.0 + 1000.0 * h / ((axis - 0.5) ** 2 + h)
+    i = int(np.argmax(signal))
+    signal[i - 1] = signal[i + 1] = signal[i]
+    signal[i] -= 1.0
+    assert optics.detect_peaks(signal, rel_prominence=0.2).size >= 2
+    trace = ScanTrace(axis=axis, signal=signal, sweep_direction="up")
+    with pytest.raises(InsufficientDataError, match="merge into one resonance"):
         optics.finesse_from_scan(trace)
 
 
