@@ -50,6 +50,23 @@ def _radii(args) -> tuple[float, float]:
     return roc_x, roc_y
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _orders(text: str) -> list[int]:
+    """A comma-separated list of transverse orders, each a non-negative integer."""
+    parts = text.split(",")
+    if not all(q.strip().isdecimal() for q in parts):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated non-negative integers, got {text!r}"
+        )
+    return [int(q) for q in parts]
+
+
 def _write_map_csv(path: Path, rows: np.ndarray):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("l_eff_um,wavelength_nm,mode_m,transverse_order\n")
@@ -70,7 +87,7 @@ def cmd_dispersion(args) -> int:
     m_lo = max(1, int(2000.0 * args.l_min / max(args.lambda_det, args.lambda_exc)) - 1)
     m_hi = int(2000.0 * args.l_max / min(args.lambda_det, args.lambda_exc)) + 1
     m_values = range(m_lo, m_hi + 1)
-    orders = [int(q) for q in args.transverse_orders.split(",")]
+    orders = args.transverse_orders
 
     reports = []
     for roc_mode, suffix in roc_modes:
@@ -129,8 +146,6 @@ def cmd_fit(args) -> int:
     if args.preset:
         spec = synthlab.preset(args.preset, seed=args.seed)
         ds = synthlab.generate(spec)
-        csv_path, truth_path = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
-        inputs.append(dataio.digest_file(csv_path))
         x, y = ds.x, ds.y
         model_id = args.model or spec.model_id
         record = ds.record()
@@ -153,6 +168,11 @@ def cmd_fit(args) -> int:
     else:
         raise ValidationError("provide --input or --preset")
 
+    if args.bootstrap and model_id == "g2_three_level":
+        raise ValidationError("--bootstrap is not supported for model g2_three_level")
+    if args.preset:
+        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
+        inputs.append(dataio.digest_file(csv_path))
     steps = []
     if model_id == "g2_three_level":
         hist = record if isinstance(record, dataio.TimeHistogram) else dataio.TimeHistogram(
@@ -242,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--lambda-det", type=float, required=True, dest="lambda_det")
     p_disp.add_argument("--l-min", type=float, required=True, dest="l_min")
     p_disp.add_argument("--l-max", type=float, required=True, dest="l_max")
-    p_disp.add_argument("--tol-nm", type=float, default=25.0, dest="tol_nm")
-    p_disp.add_argument("--l-step-nm", type=float, default=5.0, dest="l_step_nm")
-    p_disp.add_argument("--transverse-orders", default="0", dest="transverse_orders")
+    p_disp.add_argument("--tol-nm", type=_positive, default=25.0, dest="tol_nm")
+    p_disp.add_argument("--l-step-nm", type=_positive, default=5.0, dest="l_step_nm")
+    p_disp.add_argument("--transverse-orders", type=_orders, default="0",
+                        dest="transverse_orders")
     p_disp.set_defaults(func=cmd_dispersion)
 
     p_fit = sub.add_parser("fit", help="fit a CSV dataset or a named preset")

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import models
 from .errors import NonphysicalResultError, ValidationError
 from .optics import C_NM_GHZ, CavityGeometry, beam_waist_um, mirror_spot_um, mode_volume_lambda3
 
@@ -115,9 +114,9 @@ def detuned_purcell(
     """
     if quality_factor <= 0:
         raise ValidationError("quality factor must be positive")
-    lam = np.asarray(lambda_nm, dtype=float)
-    z = 2.0 * quality_factor * (lam / lambda_cav_nm - 1.0)
-    return f_cav * alignment_sq / (1.0 + z * z) + f_fp
+    return models.evaluate(
+        "detuned_purcell", [f_cav * alignment_sq, quality_factor, lambda_cav_nm, f_fp], lambda_nm
+    )
 
 
 def epsilon_correction(

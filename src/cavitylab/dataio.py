@@ -1,12 +1,18 @@
 """Ingestion, validation and persistence of experimental trace formats.
 
-All record types validate their invariants at construction, so downstream
-code never sees a non-monotonic axis or a negative count. A
-:class:`SpectralMap` is columnar: one read-only ``(n_frames, n_pixels)``
-counts matrix on one wavelength grid, validated once with whole-array
-checks; per-frame :class:`Spectrum` records are built only when
-``SpectralMap.frames`` is read. CSV schemas use a single header line with
-exact column names (comma separated, UTF-8):
+All record types validate their invariants at construction, each by one
+check that every record shares: the sample axis has at least two samples,
+all finite and strictly ascending (descending for a ``down`` scan); the
+values on it match its length and are finite, counts also non-negative
+(whole int64 numbers in a histogram). A failure names the row (in a map
+also the frame and its column). Stored arrays are read-only: a writeable
+array the caller holds is copied, so the record never changes and the
+caller's array stays writeable; a read-only one is taken as handed over.
+A :class:`SpectralMap` is columnar: one ``(n_frames, n_pixels)`` counts
+matrix on one wavelength grid; per-frame :class:`Spectrum` records are
+built only when ``SpectralMap.frames`` is read.
+
+CSV schemas use one exact header line (comma separated, UTF-8):
 
 ====================  =========================================
 schema id             header
@@ -34,6 +40,7 @@ identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, ValidationError
+from .errors import DataError, InsufficientDataError, SchemaError, ValidationError
 
 __all__ = [
     "ScanTrace",
@@ -61,38 +68,52 @@ __all__ = [
 
 
 def _freeze(obj, name, values, dtype=float, ndim=1):
+    """Store ``values`` on ``obj`` read-only, copied if its caller can write it."""
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != ndim:
         raise ValidationError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
+    if arr.flags.writeable and (arr is values or arr.base is not None):
+        arr = arr.copy()
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
     return arr
 
 
-def _first_nonascending(axis: np.ndarray) -> int | None:
-    bad = np.nonzero(np.diff(axis) <= 0)[0]
-    return int(bad[0]) if bad.size else None
+def _axis(name: str, axis: np.ndarray, descending: bool = False):
+    """Check a sample axis: at least two samples, every one finite, strictly
+    ascending (strictly descending when ``descending``)."""
+    if axis.size < 2:
+        raise InsufficientDataError(f"{name} needs at least two samples")
+    bad = np.flatnonzero(~np.isfinite(axis))
+    if bad.size:
+        raise DataError(f"{name} contains non-finite value at row {bad[0]}", index=int(bad[0]))
+    steps = np.diff(axis)
+    bad = np.flatnonzero(steps >= 0 if descending else steps <= 0)
+    if bad.size:
+        order = "descending" if descending else "ascending"
+        raise SchemaError(f"{name} not strictly {order} at row {bad[0]}", row_index=int(bad[0]))
 
 
-def _check_grid(wl: np.ndarray, what: str):
-    if wl.size < 2:
-        raise ValidationError(f"{what} needs at least two samples")
-    if not np.all(np.isfinite(wl)):
-        raise DataError("wavelength_nm contains non-finite value")
-    bad = _first_nonascending(wl)
-    if bad is not None:
-        raise SchemaError(f"wavelength_nm not strictly ascending at row {bad}", row_index=bad)
-
-
-def _first_bad_count(counts: np.ndarray):
-    """``(kind, index)`` of the first non-finite count, else of the first
-    negative one; None when every count is finite and non-negative."""
-    bad, kind = ~np.isfinite(counts), "non-finite"
+def _values(name: str, values: np.ndarray, axis: np.ndarray, counts: bool = False):
+    """Check values on ``axis``, one row or one row per frame: every value
+    finite, and non-negative when they are ``counts``."""
+    if values.shape[-1] != axis.size:
+        raise ValidationError(
+            f"{name} and its axis differ in length ({values.shape[-1]} != {axis.size})"
+        )
+    bad, kind = ~np.isfinite(values), "non-finite"
+    if counts and not bad.any():
+        bad, kind = values < 0, "negative"
     if not bad.any():
-        bad, kind = counts < 0, "negative"
-        if not bad.any():
-            return None
-    return kind, tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        return
+    *frame, row = (int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    if frame:
+        raise DataError(
+            f"{name} contains {kind} value in frame {frame[0]} "
+            f"(column {_frame_column(frame[0])}) at row {row}",
+            index=(frame[0], row),
+        )
+    raise DataError(f"{name} contains {kind} value at row {row}", index=row)
 
 
 def _frame_column(i: int) -> str:
@@ -105,21 +126,11 @@ class Spectrum:
 
     wavelength_nm: np.ndarray
     counts: np.ndarray
-    timestamp: float | None = None
-    temperature_k: float | None = None
 
     def __post_init__(self):
         wl = _freeze(self, "wavelength_nm", self.wavelength_nm)
-        counts = _freeze(self, "counts", self.counts)
-        if wl.size != counts.size:
-            raise ValidationError(
-                f"wavelength_nm and counts lengths differ ({wl.size} != {counts.size})"
-            )
-        _check_grid(wl, "spectrum")
-        found = _first_bad_count(counts)
-        if found is not None:
-            kind, (row,) = found
-            raise DataError(f"counts contains {kind} value at row {row}", index=row)
+        _axis("wavelength_nm", wl)
+        _values("counts", _freeze(self, "counts", self.counts), wl, counts=True)
 
     def __len__(self):
         return self.wavelength_nm.size
@@ -134,26 +145,13 @@ class ScanTrace:
     sweep_direction: str = "up"
 
     def __post_init__(self):
-        axis = _freeze(self, "axis", self.axis)
-        signal = _freeze(self, "signal", self.signal)
-        if axis.size != signal.size:
-            raise ValidationError(
-                f"axis and signal lengths differ ({axis.size} != {signal.size})"
-            )
-        if axis.size < 2:
-            raise ValidationError("scan trace needs at least two samples")
         if self.sweep_direction not in ("up", "down"):
             raise ValidationError(
                 f"sweep_direction must be 'up' or 'down', got {self.sweep_direction!r}"
             )
-        if not np.all(np.isfinite(axis)) or not np.all(np.isfinite(signal)):
-            raise DataError("scan trace contains non-finite values")
-        diffs = np.diff(axis)
-        monotone = np.all(diffs > 0) if self.sweep_direction == "up" else np.all(diffs < 0)
-        if not monotone:
-            raise SchemaError(
-                f"axis not strictly monotone for a {self.sweep_direction!r} sweep"
-            )
+        axis = _freeze(self, "axis", self.axis)
+        _axis("axis", axis, descending=self.sweep_direction == "down")
+        _values("signal", _freeze(self, "signal", self.signal), axis)
 
     def __len__(self):
         return self.axis.size
@@ -169,33 +167,25 @@ class TimeHistogram:
 
     def __post_init__(self):
         centers = _freeze(self, "bin_centers_ns", self.bin_centers_ns)
+        _axis("bin_centers_ns", centers)
         counts = np.asarray(self.counts)
-        if np.issubdtype(counts.dtype, np.floating):
-            if not np.all(np.isfinite(counts)):
-                idx = int(np.nonzero(~np.isfinite(counts))[0][0])
-                raise DataError(f"counts non-finite at row {idx}", index=idx)
-            if np.any(counts != np.round(counts)):
-                idx = int(np.nonzero(counts != np.round(counts))[0][0])
-                raise DataError(f"counts must be integers (row {idx})", index=idx)
-        counts = _freeze(self, "counts", counts, dtype=np.int64)
-        if centers.size != counts.size:
-            raise ValidationError(
-                f"bin_centers_ns and counts lengths differ ({centers.size} != {counts.size})"
-            )
-        if centers.size < 2:
-            raise ValidationError("histogram needs at least two bins")
-        if np.any(counts < 0):
-            idx = int(np.nonzero(counts < 0)[0][0])
-            raise DataError(f"negative counts at row {idx}", index=idx)
-        bad = _first_nonascending(centers)
-        if bad is not None:
-            raise SchemaError(f"bin_centers_ns not ascending at row {bad}", row_index=bad)
+        if counts.dtype.kind != "i":
+            # the int64 cast would wrap NaN, +-inf and values from 2**63 up
+            f = np.asarray(counts, dtype=float)
+            bad = np.flatnonzero(~((f == np.round(f)) & (np.abs(f) < 2.0**63)))
+            if bad.size:
+                raise DataError(
+                    f"counts must be whole numbers below 2**63, got {f[bad[0]]} at row {bad[0]}",
+                    index=int(bad[0]),
+                )
+        _values("counts", _freeze(self, "counts", counts, dtype=np.int64), centers, counts=True)
         widths = np.diff(centers)
         width = float(np.median(widths))
-        if np.any(np.abs(widths - width) > 1e-9 * width):
+        # written so that a NaN or infinite width fails
+        if not np.all(np.abs(widths - width) <= 1e-9 * width):
             raise ValidationError("bin width not uniform within 1e-9 relative")
         declared = float(self.bin_width_ns) if self.bin_width_ns else width
-        if abs(declared - width) > 1e-9 * width:
+        if not abs(declared - width) <= 1e-9 * width:
             raise ValidationError(
                 f"declared bin_width_ns {declared} inconsistent with grid ({width})"
             )
@@ -219,22 +209,11 @@ class SpectralMap:
 
     def __post_init__(self):
         wl = _freeze(self, "wavelength_nm", self.wavelength_nm)
+        _axis("wavelength_nm", wl)
         counts = _freeze(self, "counts", self.counts, ndim=2)
-        _check_grid(wl, "spectral map")
-        if counts.shape[1] != wl.size:
-            raise ValidationError(
-                f"counts has {counts.shape[1]} columns, the wavelength grid {wl.size} samples"
-            )
         if counts.shape[0] == 0:
             raise ValidationError("spectral map needs at least one frame")
-        found = _first_bad_count(counts)
-        if found is not None:
-            kind, (frame, row) = found
-            raise DataError(
-                f"counts contains {kind} value in frame {frame} "
-                f"(column {_frame_column(frame)}) at row {row}",
-                index=(frame, row),
-            )
+        _values("counts", counts, wl, counts=True)
         if not self.frame_period_s > 0:
             raise ValidationError("frame_period_s must be positive")
 
@@ -263,14 +242,8 @@ class TemperatureLog:
 
     def __post_init__(self):
         t = _freeze(self, "time_s", self.time_s)
-        temp = _freeze(self, "temperature_k", self.temperature_k)
-        if t.size != temp.size:
-            raise ValidationError("time_s and temperature_k lengths differ")
-        bad = _first_nonascending(t)
-        if bad is not None:
-            raise SchemaError(f"time_s not strictly ascending at row {bad}", row_index=bad)
-        if not np.all(np.isfinite(temp)):
-            raise DataError("temperature_k contains non-finite value")
+        _axis("time_s", t)
+        _values("temperature_k", _freeze(self, "temperature_k", self.temperature_k), t)
 
     def __len__(self):
         return self.time_s.size
@@ -340,13 +313,17 @@ def load_csv(path, schema_id: str):
 
 def _loadtxt(path: Path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # no comment character: "#" in a field is malformed, as in scan files
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError as exc:
         raise SchemaError(f"malformed numeric data in {path.name}: {exc}") from exc
+    # nothing else holds the array, so records keep views of it uncopied
+    data.flags.writeable = False
+    return data
 
 
 def _load_scan(path: Path) -> list[ScanTrace]:
-    axis, signal, direction = [], [], []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         next(fh)
         for lineno, line in enumerate(fh):
@@ -354,8 +331,7 @@ def _load_scan(path: Path) -> list[ScanTrace]:
             if len(parts) != 3:
                 raise SchemaError(f"expected 3 columns at row {lineno}", row_index=lineno)
             try:
-                axis.append(float(parts[0]))
-                signal.append(float(parts[1]))
+                rows.append((parts[2], float(parts[0]), float(parts[1])))
             except ValueError:
                 raise SchemaError(
                     f"malformed numeric value at row {lineno}", row_index=lineno
@@ -364,19 +340,13 @@ def _load_scan(path: Path) -> list[ScanTrace]:
                 raise SchemaError(
                     f"unknown sweep direction {parts[2]!r} at row {lineno}", row_index=lineno
                 )
-            direction.append(parts[2])
+    if not rows:
+        raise InsufficientDataError(f"{path.name} holds no data rows")
     traces = []
-    start = 0
-    for i in range(1, len(axis) + 1):
-        if i == len(axis) or direction[i] != direction[start]:
-            traces.append(
-                ScanTrace(
-                    axis=axis[start:i],
-                    signal=signal[start:i],
-                    sweep_direction=direction[start],
-                )
-            )
-            start = i
+    # each run of one direction label is one ramp
+    for direction, ramp in itertools.groupby(rows, key=lambda row: row[0]):
+        _, axis, signal = zip(*ramp)
+        traces.append(ScanTrace(axis=axis, signal=signal, sweep_direction=direction))
     return traces
 
 

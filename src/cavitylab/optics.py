@@ -552,51 +552,33 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
 
 
 def drift_series(
-    frames,
-    times=None,
+    spectral_map: SpectralMap,
     l_eff_um: float | None = None,
 ) -> list[tuple[float, float]]:
-    """Effective-length drift from tracking one resonance across spectra.
+    """Effective-length drift from tracking one resonance across a map.
 
     Each frame's fundamental peak is fitted with a Lorentzian; the drift is
-    delta_L(t) = (lambda_res(t) - lambda_res(0)) / 2 in nm. A failed fit, or
-    a frame-to-frame jump larger than half a free spectral range (available
-    when ``l_eff_um`` is known or estimable from the first frame), raises
-    TrackingBreakError carrying the frame index.
+    delta_L(t) = (lambda_res(t) - lambda_res(0)) / 2 in nm at the frame
+    times of the map. A failed fit, or a frame-to-frame jump larger than
+    half a free spectral range (available when ``l_eff_um`` is known or
+    estimable from the first frame), raises TrackingBreakError carrying the
+    frame index.
     """
-    if isinstance(frames, SpectralMap):
-        if times is None:
-            times = frames.times_s()
-        spectra = [(frames.wavelength_nm, row) for row in frames.counts_matrix()]
-    else:
-        frames = list(frames)
-        if times is None:
-            times = [
-                f.timestamp if f.timestamp is not None else float(i)
-                for i, f in enumerate(frames)
-            ]
-        spectra = [(f.wavelength_nm, f.counts) for f in frames]
-    if not spectra:
-        raise InsufficientDataError("no spectra to track")
-    times = np.asarray(times, dtype=float)
-    if times.size != len(spectra):
-        raise ValidationError("times must match the number of frames")
-
-    wl0, counts0 = spectra[0]
+    wl, counts = spectral_map.wavelength_nm, spectral_map.counts_matrix()
     if l_eff_um is None:
         try:
-            l_eff_um = effective_length_from_spectrum(Spectrum(wavelength_nm=wl0, counts=counts0))
-        except (InsufficientDataError, ValidationError):
+            l_eff_um = effective_length_from_spectrum(Spectrum(wavelength_nm=wl, counts=counts[0]))
+        except ValidationError:
             l_eff_um = None
     max_jump_nm = None
     if l_eff_um is not None:
-        lam0 = float(wl0[np.argmax(counts0)])
+        lam0 = float(wl[np.argmax(counts[0])])
         max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
     centers = []
-    for i, (wl, counts) in enumerate(spectra):
+    for i, row in enumerate(counts):
         try:
-            result = fit_lorentzian_peak(wl, counts)
+            result = fit_lorentzian_peak(wl, row)
         except CavityLabError as exc:
             raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i)
         center = float(result.params[1])
@@ -608,7 +590,7 @@ def drift_series(
             )
         centers.append(center)
     return [
-        (float(t), (c - centers[0]) / 2.0) for t, c in zip(times, centers)
+        (float(t), (c - centers[0]) / 2.0) for t, c in zip(spectral_map.times_s(), centers)
     ]
 
 

@@ -91,11 +91,6 @@ class G2Params:
             [self.contrast, self.beta, self.gamma1_per_ns, self.gamma2_per_ns, self.t0_ns]
         )
 
-    @classmethod
-    def from_vector(cls, vec) -> "G2Params":
-        c, beta, g1, g2, t0 = (float(v) for v in vec)
-        return cls(c, beta, g1, g2, t0)
-
     @property
     def g2_at_t0(self) -> float:
         return 1.0 + self.contrast * (2.0 * self.beta - 1.0)

@@ -223,6 +223,14 @@ def preset(name: str, seed: int = 0) -> GeneratorSpec:
 # ---------------------------------------------------------------------------
 
 
+def _handed_over(*arrays):
+    """Mark arrays that only the record built from them will hold read-only,
+    so that the record keeps them without a copy."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def generate_scan_pair(
     finesse: float = 4600.0,
     fsr_volts: float = 1.0,
@@ -249,13 +257,8 @@ def generate_scan_pair(
     traces = []
     for direction in ("up", "down"):
         y = rng.poisson(signal).astype(float) if noise == "poisson" else signal.copy()
-        if direction == "down":
-            traces.append(
-                ScanTrace(axis=axis[::-1].copy(), signal=y[::-1].copy(),
-                          sweep_direction="down")
-            )
-        else:
-            traces.append(ScanTrace(axis=axis, signal=y, sweep_direction="up"))
+        ramp = (axis, y) if direction == "up" else (axis[::-1].copy(), y[::-1].copy())
+        traces.append(ScanTrace(*_handed_over(*ramp), sweep_direction=direction))
     return traces
 
 
@@ -299,6 +302,7 @@ def generate_drift_map(
         # one draw over the matrix gives the counts of one draw per frame
         counts = rng_from_seed(seed).poisson(expected).astype(float)
     times = np.arange(n_frames) * frame_period_s
+    _handed_over(grid, counts, times, temps)
     return (
         SpectralMap(wavelength_nm=grid, counts=counts, frame_period_s=frame_period_s),
         TemperatureLog(time_s=times, temperature_k=temps),
@@ -341,7 +345,7 @@ def generate_wled_map(
         )
     counts = rng_from_seed(seed).poisson(expected)
     del expected
-    return SpectralMap(wavelength_nm=grid, counts=counts.astype(float), frame_period_s=1.0)
+    return SpectralMap(*_handed_over(grid, counts.astype(float)), frame_period_s=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -269,3 +269,32 @@ def test_module_entry_point(tmp_path):
     report = "dispersion_report.json"
     written = (tmp_path / "module" / report).read_bytes()
     assert written == (tmp_path / "in_process" / report).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--transverse-orders", "a"),
+        ("--transverse-orders", "-1"),
+        ("--transverse-orders", "0,,2"),
+        ("--l-step-nm", "0"),
+        ("--l-step-nm", "-5"),
+        ("--tol-nm", "0"),
+        ("--tol-nm", "-25"),
+    ],
+)
+def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
+    assert run(_dispersion_args(tmp_path, extra=(flag, value))) == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_fit_g2_refuses_bootstrap_before_fitting(tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli.photophysics, "fit_g2_histogram", no_fit)
+    argv = ["fit", "--preset", "g2_dip", "--seed", "7", "--bootstrap", "20"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "--bootstrap" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -314,3 +314,74 @@ def test_save_csv_golden_bytes_beyond_float_precision(tmp_path):
     hist = TimeHistogram(bin_centers_ns=[0.5, 1.5, 2.5], counts=counts)
     path = dataio.save_csv(hist, tmp_path / "h.csv")
     assert path.read_bytes() == _reference_csv("t_ns,counts", [hist.bin_centers_ns, counts])
+
+
+# ---------------------------------------------------------------------------
+# One axis rule and one value rule for every record
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, row",
+    [
+        (lambda: TemperatureLog(time_s=[0.0, np.nan, 2.0], temperature_k=[1.0] * 3), 1),
+        (lambda: TemperatureLog(time_s=[0.0, 1.0, np.inf], temperature_k=[1.0] * 3), 2),
+        (lambda: TimeHistogram(bin_centers_ns=[0.0, 1.0, np.nan, 3.0], counts=[1] * 4), 2),
+        (lambda: TimeHistogram(bin_centers_ns=[-np.inf, 1.0, 2.0], counts=[1] * 3), 0),
+    ],
+)
+def test_non_finite_axis_rejected_with_row(make, row):
+    with pytest.raises(DataError) as err:
+        make()
+    assert err.value.index == row and f"row {row}" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_temperature_log_needs_two_samples(n):
+    with pytest.raises(ValidationError):
+        TemperatureLog(time_s=np.arange(n, dtype=float), temperature_k=np.full(n, 290.0))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # an object array reaches the int64 cast with the value unchanged
+        np.array([1.0, np.inf, 2.0], dtype=object),
+        np.array([1.0, -np.inf, 2.0], dtype=object),
+        np.array([1.0, np.nan, 2.0], dtype=object),
+        # no int64 holds it; the cast would wrap it
+        np.array([1.0, 2.0**63, 2.0]),
+    ],
+)
+def test_histogram_count_int64_cannot_hold_rejected(counts):
+    with pytest.raises(DataError, match="whole numbers") as err:
+        TimeHistogram(bin_centers_ns=[0.0, 1.0, 2.0], counts=counts)
+    assert err.value.index == 1
+
+
+def test_record_leaves_caller_arrays_writeable_and_copies_them():
+    wl, counts = np.array([600.0, 601.0]), np.array([1.0, 2.0])
+    spec = Spectrum(wavelength_nm=wl, counts=counts)
+    assert wl.flags.writeable and counts.flags.writeable
+    counts[0] = 7.0
+    assert spec.counts[0] == 1.0
+
+
+def test_loaded_map_is_a_view_of_the_parsed_file(tmp_path):
+    m = SpectralMap(wavelength_nm=[600.0, 601.0, 602.0], counts=[[1.0, 2.0, 3.0]] * 2)
+    loaded = dataio.load_csv(dataio.save_csv(m, tmp_path / "map.csv"), "spectral_map")
+    assert loaded.counts.base is not None and loaded.counts.base is loaded.wavelength_nm.base
+
+
+@pytest.mark.parametrize(
+    "schema, text",
+    [
+        ("scan", "axis,signal,direction\n"),  # no samples
+        ("spectrum", "wavelength_nm,counts\n600.0,1#2\n601.0,2\n"),  # '#' is no comment
+    ],
+)
+def test_malformed_csv_rejected(tmp_path, schema, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        dataio.load_csv(path, schema)

@@ -1,0 +1,230 @@
+"""Property tests for the record edge.
+
+Every record constructor, given any arrays, either refuses them with a
+ValidationError subclass or returns a record that meets the dataio
+invariants; every schema loader does the same for any altered file, and
+refuses text that does not parse. Examples are derandomized and bounded so
+that the suite stays deterministic and fast.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cavitylab import dataio
+from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
+from cavitylab.errors import ValidationError
+
+PROPERTY = settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# any float, with the special values and small whole numbers drawn often
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+    st.integers(-3, 20).map(float),
+)
+
+
+@st.composite
+def _axes(draw):
+    """Length 0-20, as drawn, sorted, reversed or uniform, maybe with one
+    sample repeated."""
+    order = draw(st.sampled_from(["drawn", "ascending", "descending", "uniform"]))
+    if order == "uniform":
+        start, step = draw(st.floats(-1e6, 1e6)), draw(st.sampled_from([1e-3, 0.25, 1.0]))
+        axis = start + step * np.arange(draw(st.integers(0, 20)))
+    else:
+        axis = np.array(draw(st.lists(_NUMBERS, max_size=20)), dtype=float)
+        if order != "drawn":
+            axis = np.sort(axis)
+            axis = axis[::-1].copy() if order == "descending" else axis
+    if axis.size and draw(st.booleans()):
+        i = draw(st.integers(0, axis.size - 1))
+        axis = np.insert(axis, i, axis[i])
+    return axis
+
+
+@st.composite
+def _axis_and_values(draw):
+    """An axis and values on it, of its length or one sample apart."""
+    axis = draw(_axes())
+    n = max(0, axis.size + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return axis, np.array(draw(st.lists(_NUMBERS, min_size=n, max_size=n)), dtype=float)
+
+
+def _build(make):
+    try:
+        return make()
+    except ValidationError:
+        return None
+
+
+def _check(rec):
+    """Assert the invariants of a built record; return its stored arrays."""
+    if isinstance(rec, Spectrum):
+        axis, values, counts = rec.wavelength_nm, rec.counts, True
+    elif isinstance(rec, ScanTrace):
+        axis, values, counts = rec.axis, rec.signal, False
+    elif isinstance(rec, TimeHistogram):
+        axis, values, counts = rec.bin_centers_ns, rec.counts, True
+        assert values.dtype == np.int64
+        assert np.isfinite(rec.bin_width_ns) and rec.bin_width_ns > 0
+    elif isinstance(rec, SpectralMap):
+        axis, values, counts = rec.wavelength_nm, rec.counts, True
+        assert values.ndim == 2 and len(rec) >= 1
+    else:
+        axis, values, counts = rec.time_s, rec.temperature_k, False
+    assert axis.ndim == 1 and axis.size >= 2 and np.all(np.isfinite(axis))
+    steps = np.diff(axis)
+    down = isinstance(rec, ScanTrace) and rec.sweep_direction == "down"
+    assert np.all(steps < 0) if down else np.all(steps > 0)
+    assert values.shape[-1] == axis.size and np.all(np.isfinite(values))
+    if counts:
+        assert np.all(values >= 0)
+    return [axis, values]
+
+
+def _assert_sealed(stored, given):
+    """Stored arrays are read-only, the caller's stay writeable, and writing
+    to the caller's arrays leaves the record as it was."""
+    kept = [a.copy() for a in stored]
+    assert not any(a.flags.writeable for a in stored)
+    assert all(g.flags.writeable for g in given)
+    for g in given:
+        g[...] = -1
+    assert all(np.array_equal(a, b) for a, b in zip(stored, kept))
+
+
+@PROPERTY
+@given(_axis_and_values())
+def test_spectrum(data):
+    wl, counts = data
+    rec = _build(lambda: Spectrum(wavelength_nm=wl, counts=counts))
+    if rec is not None:
+        _assert_sealed(_check(rec), [wl, counts])
+
+
+@PROPERTY
+@given(_axis_and_values(), st.sampled_from(["up", "down", "sideways"]))
+def test_scan_trace(data, direction):
+    axis, signal = data
+    rec = _build(lambda: ScanTrace(axis=axis, signal=signal, sweep_direction=direction))
+    if rec is not None:
+        _assert_sealed(_check(rec), [axis, signal])
+
+
+@PROPERTY
+@given(_axis_and_values())
+def test_temperature_log(data):
+    t, temp = data
+    rec = _build(lambda: TemperatureLog(time_s=t, temperature_k=temp))
+    if rec is not None:
+        _assert_sealed(_check(rec), [t, temp])
+
+
+@PROPERTY
+@given(_axis_and_values(), st.sampled_from(["float", "int64", "object"]))
+def test_time_histogram(data, dtype):
+    centers, counts = data
+    if dtype == "int64":
+        counts = np.nan_to_num(counts, posinf=2**62, neginf=-1).clip(-2**62, 2**62)
+        counts = counts.astype(np.int64)
+    elif dtype == "object":
+        counts = counts.astype(object)
+    rec = _build(lambda: TimeHistogram(bin_centers_ns=centers, counts=counts))
+    if rec is not None:
+        stored = _check(rec)
+        assert np.array_equal(rec.counts, counts)
+        _assert_sealed(stored, [centers, counts])
+
+
+@PROPERTY
+@given(_axis_and_values(), st.integers(0, 3))
+def test_spectral_map(data, n_frames):
+    wl, row = data
+    counts = np.array([np.roll(row, k) for k in range(n_frames)]).reshape(n_frames, row.size)
+    rec = _build(lambda: SpectralMap(wavelength_nm=wl, counts=counts))
+    if rec is not None:
+        _assert_sealed(_check(rec), [wl, counts])
+
+
+# ---------------------------------------------------------------------------
+# CSV text
+# ---------------------------------------------------------------------------
+
+_VALID = {
+    "spectrum": "wavelength_nm,counts\n600.0,1\n600.5,4\n601.0,2\n",
+    "scan": "axis,signal,direction\n0.0,1,up\n0.5,4,up\n1.0,2,up\n1.0,3,down\n0.5,5,down\n",
+    "histogram": "t_ns,counts\n0.5,3\n1.5,2\n2.5,1\n",
+    "spectral_map": "wavelength_nm,frame_0000,frame_0001\n600.0,1,2\n600.5,4,5\n601.0,2,3\n",
+    "temperature_log": "time_s,temperature_k\n0.0,285.0\n60.0,285.5\n120.0,286.0\n",
+}
+
+
+def _parses(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# field text that no loader reads as a number
+_JUNK = st.text(alphabet="abcxyz #;_-+.e", max_size=4).filter(lambda t: not _parses(t))
+# field text that parses, but may break an invariant
+_NUMERIC = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e999", "2.5", "600.0", "1e20"])
+
+
+@st.composite
+def _altered(draw, schema):
+    """(file text, whether some field or row of it cannot parse)."""
+    rows = [line.split(",") for line in _VALID[schema].splitlines()]
+    kind = draw(st.sampled_from(
+        ["junk field", "drop field", "extra field", "header", "numeric field",
+         "swap rows", "truncate"]
+    ))
+    r = draw(st.integers(1, len(rows) - 1))
+    c = draw(st.integers(0, len(rows[r]) - 1))
+    if kind == "junk field":
+        rows[r][c] = draw(_JUNK)
+    elif kind == "drop field":
+        del rows[r][c]
+    elif kind == "extra field":
+        rows[r].append(draw(st.one_of(_JUNK, _NUMERIC)))
+    elif kind == "header":
+        rows[0] = draw(st.lists(st.sampled_from(["t_ns", "counts", "frame_0000", "x", ""]),
+                                min_size=1, max_size=3))
+    elif kind == "numeric field":
+        rows[r][c] = draw(_NUMERIC)
+    elif kind == "swap rows":
+        s = draw(st.integers(1, len(rows) - 1))
+        rows[r], rows[s] = rows[s], rows[r]
+    else:
+        rows = rows[:r]
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    return text, kind in ("junk field", "drop field", "extra field")
+
+
+@pytest.mark.parametrize("schema", sorted(_VALID))
+@PROPERTY
+@given(data=st.data())
+@example(data=None)
+def test_load_csv(tmp_path, schema, data):
+    text, unparsable = (_VALID[schema], False) if data is None else data.draw(_altered(schema))
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    try:
+        loaded = dataio.load_csv(path, schema)
+    except ValidationError:
+        return
+    assert not unparsable
+    records = loaded if schema == "scan" else [loaded]
+    assert records
+    for rec in records:
+        _check(rec)

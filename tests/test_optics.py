@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavitylab import optics, synthlab
-from cavitylab.dataio import ScanTrace, Spectrum
+from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum
 from cavitylab.errors import (
     GeometryError,
     InsufficientDataError,
@@ -386,11 +386,9 @@ def test_effective_length_from_synthetic_spectrum():
 def _drift_frames(shifts_nm, lambda0=618.5, fwhm=0.3, height=2000.0):
     grid = np.linspace(612.0, 634.0, 1200)
     h = (fwhm / 2.0) ** 2
-    frames = []
-    for s in shifts_nm:
-        counts = 30.0 + height * h / ((grid - lambda0 - s) ** 2 + h)
-        frames.append(Spectrum(wavelength_nm=grid, counts=counts))
-    return frames
+    shifts = np.asarray(shifts_nm, dtype=float)[:, None]
+    counts = 30.0 + height * h / ((grid - lambda0 - shifts) ** 2 + h)
+    return SpectralMap(wavelength_nm=grid, counts=counts)
 
 
 def test_drift_series_linear_shift():
