@@ -184,8 +184,7 @@ def cmd_fit(args) -> int:
         step["outputs"]["plateau_counts"] = g2.plateau_counts
         steps.append(step)
     else:
-        weights = fitkit.poisson_weights(y) if model_id == "exponential_decay" else None
-        problem = fitkit.FitProblem(model_id=model_id, x=x, y=y, weights=weights)
+        problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
         result = fitkit.fit(problem)
         step = result.to_report_step(problem)
         if args.bootstrap:

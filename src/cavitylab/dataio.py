@@ -261,11 +261,6 @@ _SCHEMA_HEADERS = {
 }
 
 
-def _read_header(path: Path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.readline().strip()
-
-
 def load_csv(path, schema_id: str):
     """Load and validate one CSV file.
 
@@ -285,7 +280,10 @@ def load_csv(path, schema_id: str):
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file does not exist: {path}")
-    header = _read_header(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not any(line.strip() for line in fh):
+            raise InsufficientDataError(f"{path.name} holds no data rows")
 
     if schema_id == "spectral_map":
         return _load_spectral_map(path, header)
@@ -311,10 +309,12 @@ def load_csv(path, schema_id: str):
     return TemperatureLog(time_s=data[:, 0], temperature_k=data[:, 1])
 
 
-def _loadtxt(path: Path) -> np.ndarray:
+def _loadtxt(path: Path, usecols=None) -> np.ndarray:
     try:
-        # no comment character: "#" in a field is malformed, as in scan files
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        # no comment character: "#" in a field is malformed
+        data = np.loadtxt(
+            path, delimiter=",", skiprows=1, ndmin=2, comments=None, usecols=usecols
+        )
     except ValueError as exc:
         raise SchemaError(f"malformed numeric data in {path.name}: {exc}") from exc
     # nothing else holds the array, so records keep views of it uncopied
@@ -323,30 +323,21 @@ def _loadtxt(path: Path) -> np.ndarray:
 
 
 def _load_scan(path: Path) -> list[ScanTrace]:
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for lineno, line in enumerate(fh):
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"expected 3 columns at row {lineno}", row_index=lineno)
-            try:
-                rows.append((parts[2], float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise SchemaError(
-                    f"malformed numeric value at row {lineno}", row_index=lineno
-                ) from None
-            if parts[2] not in ("up", "down"):
-                raise SchemaError(
-                    f"unknown sweep direction {parts[2]!r} at row {lineno}", row_index=lineno
-                )
-    if not rows:
-        raise InsufficientDataError(f"{path.name} holds no data rows")
-    traces = []
+        rows = [line.strip().split(",") for line in fh][1:]
+    for i, parts in enumerate(rows):
+        if len(parts) != 3:
+            raise SchemaError(f"expected 3 columns at row {i}", row_index=i)
+        if parts[2] not in ("up", "down"):
+            raise SchemaError(f"unknown sweep direction {parts[2]!r} at row {i}", row_index=i)
+    data = _loadtxt(path, usecols=(0, 1))
+    traces, start = [], 0
     # each run of one direction label is one ramp
-    for direction, ramp in itertools.groupby(rows, key=lambda row: row[0]):
-        _, axis, signal = zip(*ramp)
-        traces.append(ScanTrace(axis=axis, signal=signal, sweep_direction=direction))
+    for direction, ramp in itertools.groupby(parts[2] for parts in rows):
+        stop = start + sum(1 for _ in ramp)
+        traces.append(ScanTrace(axis=data[start:stop, 0], signal=data[start:stop, 1],
+                                sweep_direction=direction))
+        start = stop
     return traces
 
 

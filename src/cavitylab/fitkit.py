@@ -1,17 +1,22 @@
-"""Weighted nonlinear least squares by Levenberg-Marquardt.
+"""Nonlinear fits by Levenberg-Marquardt under each model's noise policy.
 
 The engine uses the analytic Jacobians from :mod:`cavitylab.models`, a
 multiplicative damping schedule, and projected steps for box constraints
-(step clamped into the box, then re-damped if the cost did not drop). The
-objective never increases across accepted steps; ``FitResult.cost_trace``
-records it for inspection.
+(step clamped into the box, then re-damped if the cost did not drop). A
+``gaussian`` model minimises the weighted squared residual; a ``poisson``
+model minimises the deviance (Cash 1979) by Fisher scoring in the same loop,
+with weights 1/sqrt(mu) at the current point. A trial point whose cost is
+not finite is a rejected step. The objective never increases across
+accepted steps; ``FitResult.cost_trace`` records it for inspection.
 
-Covariance is the inverse of the Gauss-Newton normal matrix scaled by the
-reduced chi-square, matching the convention of relative weights.
+Covariance is the inverse of the Gauss-Newton (for counts, Fisher) normal
+matrix scaled by the reduced Pearson chi-square, matching the convention of
+relative weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,24 +37,18 @@ __all__ = [
     "FitResult",
     "bootstrap_uncertainty",
     "fit",
-    "poisson_weights",
     "weighted_linear_fit",
 ]
 
 _COST_SLACK = 1e-12  # relative slack: fp-equal costs count as accepted
 
 
-def poisson_weights(counts) -> np.ndarray:
-    """Weights 1/sigma for count data, sigma = sqrt(max(counts, 1))."""
-    counts = np.asarray(counts, dtype=float)
-    return 1.0 / np.sqrt(np.maximum(counts, 1.0))
-
-
 @dataclass(frozen=True)
 class FitProblem:
-    """One weighted least-squares problem for a registered model.
+    """One fit problem for a registered model.
 
-    ``weights`` are 1/sigma per point (uniform when omitted). ``bounds`` is a
+    ``weights`` are 1/sigma per point (uniform when omitted); a Poisson model
+    takes none, as its likelihood sets them. ``bounds`` is a
     sequence of (lo, hi) pairs per parameter; use +-inf for free parameters.
     Without it the model's bounds apply. A heuristic start is clipped into
     the bounds; explicit ``initial_params`` must lie within them.
@@ -78,6 +77,8 @@ class FitProblem:
             bad = np.nonzero(~np.isfinite(arr))[0]
             if bad.size:
                 raise DataError(f"non-finite {name} at index {int(bad[0])}", index=int(bad[0]))
+        if self.weights is not None and model.noise == "poisson":
+            raise ValidationError(f"model {self.model_id} has Poisson noise and takes no weights")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != x.shape:
@@ -191,8 +192,9 @@ def _rank_check(H: np.ndarray, names: Sequence[str]):
         )
 
 
+@np.errstate(all="ignore")
 def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
-    """Minimize the weighted squared residual of ``problem``.
+    """Minimize the objective of ``problem`` under its model's noise policy.
 
     Converged means the relative parameter step of the last accepted
     iteration fell below ``options.param_tol`` before ``max_iter``.
@@ -200,19 +202,32 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
     opts = options or FitOptions()
     model = models.get_model(problem.model_id)
     x, y = problem.x, problem.y
-    w = problem.effective_weights()
     lo, hi = problem.bounds if problem.bounds is not None else (None, None)
 
-    def residual(p):
-        r = w * (y - model.fn(x, p))
-        if not np.all(np.isfinite(r)):
-            idx = int(np.nonzero(~np.isfinite(r))[0][0])
-            raise DataError(f"non-finite residual at index {idx}", index=idx)
-        return r
+    if model.noise == "poisson":
+        ylogy = y * np.log(np.where(y > 0, y, 1.0))  # y ln y, 0 where y <= 0
 
+        def objective(p):
+            # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance
+            mu = model.fn(x, p)
+            w = 1.0 / np.sqrt(mu)
+            cost = 2.0 * float(np.sum(ylogy - y * np.log(mu) - y + mu))
+            return w, w * (y - mu), cost if mu.min() > 0 else math.nan
+    else:
+        w = problem.effective_weights()
+
+        def objective(p):
+            r = w * (y - model.fn(x, p))
+            return w, r, float(r @ r)
+
+    # a trial point off the model's domain has a non-finite cost and is
+    # rejected like any uphill step, without a warning (see the errstate);
+    # only a bad start point is a data error
     p = problem.initial_params.copy()
-    r = residual(p)
-    cost = float(r @ r)
+    w, r, cost = objective(p)
+    if not math.isfinite(cost):
+        idx = int(np.argmin(np.isfinite(r)))
+        raise DataError(f"non-finite residual at index {idx} of the start point", index=idx)
     cost_trace = [cost]
     lam = float(opts.damping_init)
     converged = False
@@ -236,18 +251,14 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
             p_new = p + step
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
-            r_new = residual(p_new)
-            cost_new = float(r_new @ r_new)
+            w_new, r_new, cost_new = objective(p_new)
             if cost_new <= cost * (1.0 + _COST_SLACK) + _COST_SLACK:
-                rel_step = float(
-                    np.max(np.abs(p_new - p) / (np.abs(p) + 1e-300))
-                ) if p.size else 0.0
-                p, r, cost = p_new, r_new, min(cost_new, cost)
+                rel_step = float(np.max(np.abs(p_new - p) / (np.abs(p) + 1e-300)))
+                p, w, r, cost = p_new, w_new, r_new, min(cost_new, cost)
                 cost_trace.append(cost)
                 lam = max(lam * 0.25, 1e-14)
                 accepted = True
-                if rel_step < opts.param_tol:
-                    converged = True
+                converged = rel_step < opts.param_tol
                 break
             lam *= 8.0
         if not accepted or converged:
@@ -258,10 +269,10 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
     if lo is None or (np.all(p_canon >= lo) and np.all(p_canon <= hi)):
         p = p_canon
 
+    # covariance: reduced (Pearson) chi-square times the inverse normal matrix
     J = w[:, None] * model.jac(x, p)
     H = J.T @ J
-    dof = max(x.size - model.n_params, 1)
-    reduced_chi2 = cost / dof
+    reduced_chi2 = float(r @ r) / max(x.size - model.n_params, 1)
     try:
         H_inv = np.linalg.inv(H)
     except np.linalg.LinAlgError:

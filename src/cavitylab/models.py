@@ -30,7 +30,8 @@ __all__ = ["MODELS", "Model", "evaluate", "initial_params", "jacobian_matrix", "
 
 @dataclass(frozen=True)
 class Model:
-    """A registered model; ``bounds`` has one (lo, hi) pair per parameter (None: open)."""
+    """A registered model; ``bounds`` has one (lo, hi) pair per parameter (None: open),
+    ``noise`` is "gaussian" (weighted least squares) or "poisson" (count likelihood)."""
 
     name: str
     params: tuple[str, ...]
@@ -39,6 +40,7 @@ class Model:
     init: Callable
     canonical: Callable = staticmethod(lambda p: p)
     bounds: tuple | None = None
+    noise: str = "gaussian"
 
     @property
     def n_params(self) -> int:
@@ -294,7 +296,8 @@ MODELS: dict[str, Model] = {
               _gaussian, _gaussian_jac, _gaussian_init, _abs_width(2)),
         Model("linear", ("slope", "intercept"), _linear, _linear_jac, _linear_init),
         Model("exponential_decay", ("amplitude", "tau"),
-              _exponential_decay, _exponential_decay_jac, _exponential_decay_init),
+              _exponential_decay, _exponential_decay_jac, _exponential_decay_init,
+              noise="poisson"),
         Model("g2_three_level", ("contrast", "beta", "gamma1", "gamma2", "t0"),
               _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical),
         Model("saturation", ("i_sat", "p_sat"),

@@ -163,12 +163,12 @@ def decay_rate_extrapolation(points, sigmas=None):
 def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
     """Single-exponential lifetime from a pulsed-decay histogram.
 
-    Weighted least squares on the log counts with Poisson-variance weights;
-    zero-count bins are excluded. The default window starts one bin after
-    the histogram maximum (the pulse edge) and ends at the last bin with at
-    least 5 counts: log least squares acquires a positive bias once expected
-    counts drop below ~1, because the surviving non-zero bins sit above the
-    decay line.
+    Fits ``exponential_decay`` to the bins in the window by the Poisson
+    likelihood of the registered model. The default window starts one bin
+    after the histogram maximum (the pulse edge) and ends at the last bin
+    with at least 5 counts. A window whose count centroid does not lie
+    before its mean bin time is refused: the log-likelihood is concave in
+    (ln amplitude, 1/tau), so such a window has no maximum at 1/tau > 0.
 
     Returns
     -------
@@ -184,25 +184,16 @@ def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
     lo, hi = float(window[0]), float(window[1])
     if lo < t[0] - hist.bin_width_ns / 2 or hi > t[-1] + hist.bin_width_ns / 2:
         raise ValidationError("window must lie within the histogram support")
-    mask = (t >= lo) & (t <= hi) & (counts > 0)
-    if np.count_nonzero(mask) < 10:
-        raise InsufficientDataError("need at least 10 bins with counts in the window")
+    mask = (t >= lo) & (t <= hi)
     tt, cc = t[mask], counts[mask]
-    # E[ln N] = ln lambda - 1/(2 lambda) for Poisson counts, so fit the
-    # corrected ordinate; var(ln N) ~ 1/lambda gives the weights. A single
-    # refinement with model-based weights removes the correlation between
-    # observed counts and their own weight, which otherwise biases tau high.
-    y = np.log(cc) + 0.5 / cc
-    (slope, log_a), _ = fitkit.weighted_linear_fit(tt, y, np.sqrt(cc))
-    expected = np.exp(log_a + slope * tt)
-    (slope, log_a), cov = fitkit.weighted_linear_fit(tt, y, np.sqrt(expected))
-    if slope >= 0:
-        raise FitQualityError(
-            f"window is not decaying (log-slope {slope:.4g}/ns >= 0)"
-        )
-    tau = -1.0 / slope
-    tau_sigma = math.sqrt(max(cov[0, 0], 0.0)) / slope**2
-    return float(tau), float(tau_sigma)
+    if np.count_nonzero(cc) < 10:
+        raise InsufficientDataError("need at least 10 bins with counts in the window")
+    centroid, middle = float(tt @ cc / cc.sum()), float(tt.mean())
+    if centroid >= middle:
+        raise FitQualityError(f"window is not decaying (count centroid {centroid:.4g} ns "
+                              f">= mean bin time {middle:.4g} ns)")
+    result = fitkit.fit(fitkit.FitProblem(model_id="exponential_decay", x=tt, y=cc))
+    return float(result.params[1]), float(result.sigmas[1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +236,7 @@ def fit_g2_histogram(hist: TimeHistogram) -> G2FitResult:
     y, plateau = _normalize_g2(t, counts, p0[4], p0[3])
     p0 = models.initial_params("g2_three_level", t, y)
     # sigma of y = sqrt(counts)/plateau, so 1/sigma scales back up by the plateau
-    weights = plateau * fitkit.poisson_weights(counts)
+    weights = plateau / np.sqrt(np.maximum(counts, 1.0))
     problem = fitkit.FitProblem(
         model_id="g2_three_level", x=t, y=y, weights=weights, initial_params=p0
     )

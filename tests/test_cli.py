@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,19 @@ def test_fit_csv_input(tmp_path):
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["inputs"] == [dataio.digest_file(csv_path)]
     assert abs(report["steps"][0]["outputs"]["params"]["tau"] - 12.2) < 0.6
+
+
+def test_fit_overflowing_trial_steps_are_rejected_not_data_errors(tmp_path, capsys):
+    # g2 trial steps on decay data overflow the model; each is a rejected
+    # step, so the fit ends in a numerical failure, not a data error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([
+            "fit", "--preset", "lifetime_4k", "--seed", "7",
+            "--model", "g2_three_level", "--out", str(tmp_path),
+        ])
+    assert code == 3
+    assert "non-finite residual" not in capsys.readouterr().err
 
 
 def test_fit_malformed_csv_exit_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from cavitylab.dataio import (
     TemperatureLog,
     TimeHistogram,
 )
-from cavitylab.errors import DataError, SchemaError, ValidationError
+from cavitylab.errors import DataError, InsufficientDataError, SchemaError, ValidationError
 
 
 def test_spectrum_roundtrip(tmp_path):
@@ -385,3 +385,25 @@ def test_malformed_csv_rejected(tmp_path, schema, text):
     path.write_text(text)
     with pytest.raises(ValidationError):
         dataio.load_csv(path, schema)
+
+
+@pytest.mark.parametrize("schema, header", [
+    ("spectrum", "wavelength_nm,counts"),
+    ("scan", "axis,signal,direction"),
+    ("histogram", "t_ns,counts"),
+    ("spectral_map", "wavelength_nm,frame_0000"),
+    ("temperature_log", "time_s,temperature_k"),
+])
+def test_header_only_csv_holds_no_data_rows(tmp_path, schema, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(InsufficientDataError, match="holds no data rows"):
+        dataio.load_csv(path, schema)
+
+
+def test_scan_numbers_parse_like_every_other_schema(tmp_path):
+    # Python's float() reads "1_0" as 10; numpy's parser refuses it
+    path = tmp_path / "scan.csv"
+    path.write_text("axis,signal,direction\n0,1_0,up\n1,2,up\n2,3,up\n")
+    with pytest.raises(SchemaError, match="row 0"):
+        dataio.load_csv(path, "scan")

@@ -58,14 +58,52 @@ def test_noiseless_roundtrip_from_perturbed_start(model_id):
         assert np.max(np.abs(result.params - truth) / scale) < 1e-8
 
 
-def test_objective_non_increasing():
+@pytest.mark.parametrize("model_id", sorted(models.MODELS))
+def test_objective_non_increasing(model_id):
+    # noisy data from random starts: Poisson draws for count models, else
+    # Gaussian noise at 5% of the curve's span
+    rng = np.random.Generator(np.random.Philox(11))
+    x = model_grid(model_id)
+    for _ in range(5):
+        truth = random_params(model_id, rng)
+        y = models.evaluate(model_id, truth, x)
+        if models.get_model(model_id).noise == "poisson":
+            y = rng.poisson(y).astype(float)
+        else:
+            y = y + rng.normal(0.0, 0.05 * np.ptp(y), x.size)
+        start = perturb_params(model_id, truth, rng)
+        result = fitkit.fit(
+            fitkit.FitProblem(model_id=model_id, x=x, y=y, initial_params=start)
+        )
+        trace = np.array(result.cost_trace)
+        assert trace.size >= 2
+        assert np.all(np.diff(trace) <= 1e-9 * trace[:-1] + 1e-12)
+
+
+def test_objective_non_increasing_from_a_far_start():
     x, y = _lorentzian_data(noise_sigma=25.0, seed=11)
-    start = [600.0, 619.5, 0.6, 0.0]
+    start = [600.0, 619.5, 0.6, 0.0]  # center 3.4 line widths off
     result = fitkit.fit(
         fitkit.FitProblem(model_id="lorentzian", x=x, y=y, initial_params=start)
     )
     trace = np.array(result.cost_trace)
     assert np.all(np.diff(trace) <= 1e-9 * trace[:-1] + 1e-12)
+
+
+def test_poisson_fit_maximizes_the_likelihood():
+    # the Poisson score sum((y - mu) / mu * dmu/dp) vanishes at the maximum;
+    # least-squares fits of these counts leave it at 0.2 (unweighted) and
+    # 3 (Neyman weights) in units of the Fisher sigma
+    t = model_grid("exponential_decay")
+    rng = np.random.Generator(np.random.Philox(4))
+    y = rng.poisson(models.evaluate("exponential_decay", [500.0, 12.2], t)).astype(float)
+    result = fitkit.fit(fitkit.FitProblem(model_id="exponential_decay", x=t, y=y))
+    assert result.converged
+    mu = models.evaluate("exponential_decay", result.params, t)
+    J = models.jacobian_matrix("exponential_decay", result.params, t)
+    score = J.T @ ((y - mu) / mu)
+    fisher_sigma = np.sqrt(np.diag(J.T @ (J / mu[:, None])))
+    assert np.all(np.abs(score) / fisher_sigma < 1e-6)
 
 
 def test_fit_invariant_under_data_reordering():
@@ -119,6 +157,11 @@ def test_problem_validation():
         fitkit.FitProblem(
             model_id="linear", x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0],
             initial_params=[5.0, 0.0], bounds=[(0.0, 1.0), (-1.0, 1.0)],
+        )
+    with pytest.raises(ValidationError, match="Poisson"):  # the likelihood sets them
+        fitkit.FitProblem(
+            model_id="exponential_decay", x=[0.0, 1.0, 2.0], y=[9.0, 4.0, 2.0],
+            weights=[1.0, 1.0, 1.0],
         )
 
 

@@ -57,19 +57,19 @@ GOLDEN = {
         "g2_dip.csv.truth.json": "1f92c2bbb3dca0c596289644d7e2e400148c5f76ea4b5179c17fc2da53c7123f",
     },
     "fit --preset lifetime_100k --seed 7": {
-        "fit_report.json": "08e3f591120272f103d9d4241b2898ba610835022114c9172931057acc294b60",
+        "fit_report.json": "eb6fd305b43b0371a5e4eb0a571efb2a1b51b685ffe4822070b9064c2dac8973",
         "lifetime_100k.csv": "eca883011ddd83d5eda779159c886c31be3122d66ba95f91125c551b6c31aed9",
         "lifetime_100k.csv.truth.json":
             "1e680d1fe3e10e821e03df660749c80db37418c224a647bd3c91efaa3fc8381e",
     },
     "fit --preset lifetime_40k --seed 7": {
-        "fit_report.json": "86d1265242d03bb9b25c29fcd41dd39426a18dd40b0f6a28b59bf2d3bdc42cf7",
+        "fit_report.json": "178252730d3dfe7a2a0f94b8bfbfa3781fcdbfc5410b8dc478100af1bc968128",
         "lifetime_40k.csv": "d5938deb3b41c13f2e334cbad7b4df1a7bb8feb35ed9624215872975ef2ae611",
         "lifetime_40k.csv.truth.json":
             "09298a2a71d2307701ac671bab7a137980512ffee6dbb42ca1d4db475534ca28",
     },
     "fit --preset lifetime_4k --seed 7": {
-        "fit_report.json": "855254cc26a10edee9ee7262be82e8b0b7cbd3980d4ea5701a6505807c880d0c",
+        "fit_report.json": "9a1f2266adae075a92e61221e15dc85f8db942055f364749aa9938a7eecf17c3",
         **_LIFETIME_4K_CSV,
     },
     "fit --preset saturation_100k --seed 7": {
@@ -91,7 +91,7 @@ GOLDEN = {
             "9ee11b4adf67195ed91fd593b3f52add1bc54f8bef1a2059ee149501a24f11f1",
     },
     "fit --preset lifetime_4k --seed 7 --bootstrap 20": {
-        "fit_report.json": "f0648bd9ecc0ec58d93cc3c348805aeb38328007b6f5df775b323b9115c6b536",
+        "fit_report.json": "c4a1fbb1ef691499e5264985fc8e7f7e62e09726601e97a50ade37db54232e60",
         **_LIFETIME_4K_CSV,
     },
 }
