@@ -1,17 +1,23 @@
 """Nonlinear fits by Levenberg-Marquardt under each model's noise policy.
 
-The engine uses the analytic Jacobians from :mod:`cavitylab.models`, a
-multiplicative damping schedule, and projected steps for box constraints
-(step clamped into the box, then re-damped if the cost did not drop). A
-``gaussian`` model minimises the weighted squared residual; a ``poisson``
-model minimises the deviance (Cash 1979) by Fisher scoring in the same loop,
-with weights 1/sqrt(mu) at the current point. A trial point whose cost is
-not finite is a rejected step. The objective never increases across
-accepted steps; ``FitResult.cost_trace`` records it for inspection.
+:func:`fit` is the one fit routine, straight lines included, and the model
+registry is its only configuration: :mod:`cavitylab.models` gives each model
+its analytic Jacobian, start values, bounds and noise policy. The engine has
+no options: at most 200 iterations, convergence at a relative parameter step
+below 1e-10, and a multiplicative damping schedule starting at 1e-3. A
+model's bounds are kept by projected steps (step clamped into the box, then
+re-damped if the cost did not drop). A ``gaussian`` model minimises the
+weighted squared residual; a ``poisson`` model minimises the deviance (Cash
+1979) by Fisher scoring in the same loop, with weights 1/sqrt(mu) at the
+current point. A trial point whose cost is not finite is a rejected step.
+The objective never increases across accepted steps;
+``FitResult.cost_trace`` records it for inspection.
 
 Covariance is the inverse of the Gauss-Newton (for counts, Fisher) normal
 matrix scaled by the reduced Pearson chi-square, matching the convention of
-relative weights.
+relative weights. :func:`bootstrap_uncertainty` draws its resamples from the
+model's noise: Poisson counts around the fitted curve, or resampled residuals
+for a Gaussian model.
 """
 
 from __future__ import annotations
@@ -31,15 +37,11 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = [
-    "FitOptions",
-    "FitProblem",
-    "FitResult",
-    "bootstrap_uncertainty",
-    "fit",
-    "weighted_linear_fit",
-]
+__all__ = ["FitProblem", "FitResult", "bootstrap_uncertainty", "fit"]
 
+_MAX_ITER = 200
+_PARAM_TOL = 1e-10
+_DAMPING_INIT = 1e-3
 _COST_SLACK = 1e-12  # relative slack: fp-equal costs count as accepted
 
 
@@ -48,10 +50,9 @@ class FitProblem:
     """One fit problem for a registered model.
 
     ``weights`` are 1/sigma per point (uniform when omitted); a Poisson model
-    takes none, as its likelihood sets them. ``bounds`` is a
-    sequence of (lo, hi) pairs per parameter; use +-inf for free parameters.
-    Without it the model's bounds apply. A heuristic start is clipped into
-    the bounds; explicit ``initial_params`` must lie within them.
+    takes none, as its likelihood sets them, and refuses negative counts.
+    Bounds come from the registered model only: a heuristic start is clipped
+    into them; explicit ``initial_params`` must lie within them.
     """
 
     model_id: str
@@ -59,7 +60,6 @@ class FitProblem:
     y: np.ndarray
     weights: np.ndarray | None = None
     initial_params: np.ndarray | None = None
-    bounds: tuple | None = None
 
     def __post_init__(self):
         model = models.get_model(self.model_id)
@@ -77,8 +77,15 @@ class FitProblem:
             bad = np.nonzero(~np.isfinite(arr))[0]
             if bad.size:
                 raise DataError(f"non-finite {name} at index {int(bad[0])}", index=int(bad[0]))
-        if self.weights is not None and model.noise == "poisson":
-            raise ValidationError(f"model {self.model_id} has Poisson noise and takes no weights")
+        if model.noise == "poisson":
+            if self.weights is not None:
+                raise ValidationError(f"model {self.model_id} has Poisson noise and takes no weights")
+            bad = np.nonzero(y < 0)[0]
+            if bad.size:
+                raise DataError(
+                    f"negative count at index {int(bad[0])}: model {self.model_id} "
+                    "has Poisson noise", index=int(bad[0]),
+                )
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != x.shape:
@@ -99,14 +106,12 @@ class FitProblem:
             raise ValidationError(
                 f"initial_params must have {model.n_params} entries, got {p0.size}"
             )
-        bounds = self.bounds if self.bounds is not None else model.bounds
-        if bounds is not None:
-            lo, hi = _split_bounds(bounds, model.n_params)
+        if model.bounds is not None:
+            lo, hi = model.bounds
             if self.initial_params is None:
                 p0 = np.clip(p0, lo, hi)
             elif np.any(p0 < lo) or np.any(p0 > hi):
                 raise ValidationError("initial_params must lie within bounds")
-            object.__setattr__(self, "bounds", (lo, hi))
         object.__setattr__(self, "initial_params", p0)
 
     @property
@@ -118,24 +123,6 @@ class FitProblem:
 
     def data_digest(self) -> str:
         return digest_arrays(self.x, self.y, self.effective_weights())
-
-
-def _split_bounds(bounds, n) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(bounds)
-    if len(pairs) != n:
-        raise ValidationError(f"bounds must have {n} (lo, hi) pairs")
-    lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in pairs])
-    hi = np.array([np.inf if b[1] is None else float(b[1]) for b in pairs])
-    if np.any(lo >= hi):
-        raise ValidationError("each bound must satisfy lo < hi")
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 200
-    param_tol: float = 1e-10
-    damping_init: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -193,16 +180,15 @@ def _rank_check(H: np.ndarray, names: Sequence[str]):
 
 
 @np.errstate(all="ignore")
-def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
+def fit(problem: FitProblem) -> FitResult:
     """Minimize the objective of ``problem`` under its model's noise policy.
 
     Converged means the relative parameter step of the last accepted
-    iteration fell below ``options.param_tol`` before ``max_iter``.
+    iteration fell below ``_PARAM_TOL`` within ``_MAX_ITER`` iterations.
     """
-    opts = options or FitOptions()
     model = models.get_model(problem.model_id)
     x, y = problem.x, problem.y
-    lo, hi = problem.bounds if problem.bounds is not None else (None, None)
+    lo, hi = model.bounds or (None, None)
 
     if model.noise == "poisson":
         ylogy = y * np.log(np.where(y > 0, y, 1.0))  # y ln y, 0 where y <= 0
@@ -229,11 +215,11 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
         idx = int(np.argmin(np.isfinite(r)))
         raise DataError(f"non-finite residual at index {idx} of the start point", index=idx)
     cost_trace = [cost]
-    lam = float(opts.damping_init)
+    lam = _DAMPING_INIT
     converged = False
     iterations = 0
 
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         J = w[:, None] * model.jac(x, p)
         H = J.T @ J
         g = J.T @ r
@@ -258,7 +244,7 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
                 cost_trace.append(cost)
                 lam = max(lam * 0.25, 1e-14)
                 accepted = True
-                converged = rel_step < opts.param_tol
+                converged = rel_step < _PARAM_TOL
                 break
             lam *= 8.0
         if not accepted or converged:
@@ -291,18 +277,16 @@ def fit(problem: FitProblem, options: FitOptions | None = None) -> FitResult:
 
 
 def bootstrap_uncertainty(
-    problem: FitProblem,
-    result: FitResult,
-    n_resamples: int = 200,
-    seed: int = 0,
-    options: FitOptions | None = None,
+    problem: FitProblem, result: FitResult, n_resamples: int = 200, seed: int = 0
 ) -> np.ndarray:
-    """Residual-resampling bootstrap standard deviation per parameter.
+    """Parametric bootstrap standard deviation per parameter.
 
-    Resamples the unweighted residuals with replacement, refits from the
-    converged parameters, and returns the sample standard deviation of the
-    refitted parameters. Agrees with the covariance-based sigma within ~30%
-    on well-conditioned problems.
+    Each resample is drawn from the model's noise around the fitted curve:
+    Poisson counts for a ``poisson`` model, the fitted curve plus residuals
+    resampled with replacement for a ``gaussian`` one. Each is refitted from
+    the converged parameters; the result is the sample standard deviation of
+    the refitted parameters. Agrees with the covariance-based sigma within
+    ~30% on well-conditioned problems.
     """
     if not result.converged:
         raise ValidationError("bootstrap requires a converged fit result")
@@ -315,43 +299,16 @@ def bootstrap_uncertainty(
     samples = np.empty((n_resamples, model.n_params))
     n = problem.x.size
     for k in range(n_resamples):
-        resampled = y_hat + residuals[rng.integers(0, n, n)]
+        if model.noise == "poisson":
+            resampled = rng.poisson(y_hat).astype(float)
+        else:
+            resampled = y_hat + residuals[rng.integers(0, n, n)]
         prob_k = FitProblem(
             model_id=problem.model_id,
             x=problem.x,
             y=resampled,
             weights=problem.weights,
             initial_params=result.params,
-            bounds=None if problem.bounds is None else list(zip(*problem.bounds)),
         )
-        samples[k] = fit(prob_k, options).params
+        samples[k] = fit(prob_k).params
     return samples.std(axis=0, ddof=1)
-
-
-def weighted_linear_fit(x, y, weights=None):
-    """Closed-form weighted straight-line fit.
-
-    Returns
-    -------
-    (slope, intercept), covariance : tuple of ndarray
-        Covariance carries the same reduced-chi-square scaling as :func:`fit`.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise InsufficientDataError("need at least two points for a line")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    X = np.column_stack([x, np.ones_like(x)])
-    Xw = w[:, None] * X
-    H = Xw.T @ Xw
-    if np.linalg.det(H) == 0 or np.linalg.cond(H) > 1e13:
-        raise RankDeficiencyError(
-            "singular normal matrix: slope and intercept are not independently "
-            "identifiable (all x identical?)",
-            parameters=("slope", "intercept"),
-        )
-    beta = np.linalg.solve(H, Xw.T @ (w * y))
-    r = w * (y - X @ beta)
-    dof = max(x.size - 2, 1)
-    covariance = float(r @ r) / dof * np.linalg.inv(H)
-    return beta, covariance

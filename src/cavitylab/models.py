@@ -23,15 +23,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FitQualityError, ValidationError
 
 __all__ = ["MODELS", "Model", "evaluate", "initial_params", "jacobian_matrix", "param_names"]
 
 
 @dataclass(frozen=True)
 class Model:
-    """A registered model; ``bounds`` has one (lo, hi) pair per parameter (None: open),
-    ``noise`` is "gaussian" (weighted least squares) or "poisson" (count likelihood)."""
+    """A registered model; ``bounds`` is (lo, hi), each with one entry per parameter
+    (+-inf: open), ``noise`` is "gaussian" (weighted least squares) or "poisson"
+    (count likelihood)."""
 
     name: str
     params: tuple[str, ...]
@@ -157,6 +158,15 @@ def _exponential_decay_jac(t, p):
 
 
 def _exponential_decay_init(t, y):
+    # the Poisson log-likelihood is concave in (ln amplitude, 1/tau), so
+    # counts whose centroid does not lie before the mean bin time have no
+    # maximum at 1/tau > 0
+    total = float(np.sum(y))
+    if total > 0:
+        centroid, middle = float(t @ y / total), float(t.mean())
+        if centroid >= middle:
+            raise FitQualityError(f"window is not decaying (count centroid {centroid:.4g} ns "
+                                  f">= mean bin time {middle:.4g} ns)")
     pos = y > 0
     if np.count_nonzero(pos) >= 2:
         slope, loga = np.polyfit(t[pos], np.log(y[pos]), 1)
@@ -302,7 +312,7 @@ MODELS: dict[str, Model] = {
               _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical),
         Model("saturation", ("i_sat", "p_sat"),
               _saturation, _saturation_jac, _saturation_init,
-              bounds=((1e-12, None), (1e-12, None))),
+              bounds=((1e-12, 1e-12), (np.inf, np.inf))),
         Model("detuned_purcell", ("peak", "q", "center", "offset"),
               _detuned_purcell, _detuned_purcell_jac, _detuned_purcell_init,
               _abs_width(1)),

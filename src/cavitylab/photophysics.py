@@ -8,7 +8,6 @@ zero-phonon-line emission fraction).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +130,8 @@ def saturation_model(power_mw, params: SaturationParams):
 def decay_rate_extrapolation(points, sigmas=None):
     """Zero-power lifetime from power-dependent decay rates.
 
-    Fits gamma1 = slope * P + 1/tau to (power, rate) pairs by weighted
-    linear least squares and extrapolates to zero excitation power.
+    Fits gamma1 = slope * P + 1/tau to (power, rate) pairs with the
+    registered ``linear`` model and extrapolates to zero excitation power.
 
     Parameters
     ----------
@@ -150,14 +149,17 @@ def decay_rate_extrapolation(points, sigmas=None):
     if np.unique(powers).size < 2:
         raise InsufficientDataError("need at least two distinct excitation powers")
     weights = None if sigmas is None else 1.0 / np.asarray(sigmas, dtype=float)
-    (slope, intercept), cov = fitkit.weighted_linear_fit(powers, rates, weights)
+    result = fitkit.fit(
+        fitkit.FitProblem(model_id="linear", x=powers, y=rates, weights=weights)
+    )
+    slope, intercept = result.params
     if intercept <= 0:
         raise NonphysicalResultError(
             f"zero-power decay rate {intercept:.4g}/ns is not positive"
         )
     tau = 1.0 / intercept
-    tau_sigma = math.sqrt(max(cov[1, 1], 0.0)) / intercept**2
-    return float(tau), float(tau_sigma), float(slope), cov
+    tau_sigma = result.sigmas[1] / intercept**2
+    return float(tau), float(tau_sigma), float(slope), result.covariance
 
 
 def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
@@ -166,9 +168,8 @@ def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
     Fits ``exponential_decay`` to the bins in the window by the Poisson
     likelihood of the registered model. The default window starts one bin
     after the histogram maximum (the pulse edge) and ends at the last bin
-    with at least 5 counts. A window whose count centroid does not lie
-    before its mean bin time is refused: the log-likelihood is concave in
-    (ln amplitude, 1/tau), so such a window has no maximum at 1/tau > 0.
+    with at least 5 counts. The model's start refuses a window that is not
+    decaying (``FitQualityError``).
 
     Returns
     -------
@@ -188,10 +189,6 @@ def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
     tt, cc = t[mask], counts[mask]
     if np.count_nonzero(cc) < 10:
         raise InsufficientDataError("need at least 10 bins with counts in the window")
-    centroid, middle = float(tt @ cc / cc.sum()), float(tt.mean())
-    if centroid >= middle:
-        raise FitQualityError(f"window is not decaying (count centroid {centroid:.4g} ns "
-                              f">= mean bin time {middle:.4g} ns)")
     result = fitkit.fit(fitkit.FitProblem(model_id="exponential_decay", x=tt, y=cc))
     return float(result.params[1]), float(result.sigmas[1])
 

@@ -173,6 +173,37 @@ def test_fit_flat_data_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in err and "center" in err
 
 
+def _fit_csv(tmp_path, record, schema, model_id):
+    csv_path = dataio.save_csv(record, tmp_path / "data.csv")
+    out = tmp_path / "out"
+    return run([
+        "fit", "--input", str(csv_path), "--schema", schema,
+        "--model", model_id, "--out", str(out),
+    ]), out
+
+
+def test_fit_negative_counts_with_a_poisson_model_exit_2(tmp_path, capsys):
+    # a background-subtracted decay whose last 4 rows dip below zero
+    t = np.arange(40.0)
+    signal = 500.0 * np.exp(-t / 8.0)
+    signal[-4:] = -1.0
+    trace = dataio.ScanTrace(axis=t, signal=signal)
+    code, out = _fit_csv(tmp_path, trace, "scan", "exponential_decay")
+    assert code == 2
+    assert "negative count at index 36" in capsys.readouterr().err
+    assert not (out / "fit_report.json").exists()
+
+
+def test_fit_rising_histogram_is_refused_exit_3(tmp_path, capsys):
+    rising = dataio.TimeHistogram(
+        bin_centers_ns=np.arange(0.5, 30.5, 1.0), counts=np.arange(30) * 10 + 5
+    )
+    code, out = _fit_csv(tmp_path, rising, "histogram", "exponential_decay")
+    assert code == 3
+    assert "not decaying" in capsys.readouterr().err
+    assert not (out / "fit_report.json").exists()
+
+
 def test_fit_saturation_flat_data_stays_in_model_bounds(tmp_path):
     flat = tmp_path / "flat.csv"
     rows = "\n".join(f"{600.0 + 0.1 * i},50" for i in range(100))

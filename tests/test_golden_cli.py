@@ -91,7 +91,7 @@ GOLDEN = {
             "9ee11b4adf67195ed91fd593b3f52add1bc54f8bef1a2059ee149501a24f11f1",
     },
     "fit --preset lifetime_4k --seed 7 --bootstrap 20": {
-        "fit_report.json": "c4a1fbb1ef691499e5264985fc8e7f7e62e09726601e97a50ade37db54232e60",
+        "fit_report.json": "ff408b4af9681f94513eedd30de826854e57b2adb971b65782746193ef162359",
         **_LIFETIME_4K_CSV,
     },
 }

@@ -64,8 +64,7 @@ def test_master_roundtrip_every_model():
         ds = synthlab.generate(spec)
         start = conftest.perturb_params(model_id, truth, rng)
         result = fitkit.fit(
-            fitkit.FitProblem(model_id=model_id, x=ds.x, y=ds.y, initial_params=start),
-            fitkit.FitOptions(max_iter=400, param_tol=1e-12),
+            fitkit.FitProblem(model_id=model_id, x=ds.x, y=ds.y, initial_params=start)
         )
         err = np.max(np.abs(result.params - truth) / (np.abs(truth) + 1e-12))
         assert err < 1e-8, model_id
