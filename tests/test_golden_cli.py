@@ -23,6 +23,7 @@ _PER_AXIS_PLANE_WAVE = (
     "dispersion --lambda-exc 533.3 --lambda-det 618.5 --roc-x 22 --roc-y 26 "
     "--roc-mode per-axis --gouy off --l-min 2 --l-max 6 --tol-nm 25"
 )
+_THREE_ORDERS = _README_DISPERSION + " --transverse-orders 0,1,2"
 _README_BUDGET = (
     "purcell-budget --tau0 21.7 --tau-p 12.2 --qe 0.8 --dw 0.56 --branching 0.8 "
     "--lambda-c 618.5 --l-eff 3.75 --roc 24 --q-ideal 56400 --kappa-exp 160"
@@ -38,6 +39,12 @@ _LIFETIME_4K_CSV = {
 GOLDEN = {
     _README_DISPERSION: {
         "dispersion_map.csv": "72e46f2d8369fdba3a5018ba9a9b773d870ac67722654cece68d1da0c9c27d62",
+        "dispersion_report.json":
+            "c87b5f3a1e555f5077da0fef3b78814811d1f2d2ad2404418332cfb19c8f3722",
+    },
+    _THREE_ORDERS: {
+        # the candidates do not depend on the orders mapped
+        "dispersion_map.csv": "d6d132a11516a07f77e9998adec3fbdc8a773e7a6d59f2aae62e84d634a03a0c",
         "dispersion_report.json":
             "c87b5f3a1e555f5077da0fef3b78814811d1f2d2ad2404418332cfb19c8f3722",
     },
