@@ -67,11 +67,16 @@ def _orders(text: str) -> list[int]:
     return [int(q) for q in parts]
 
 
+_MAP_CHUNK_ROWS = 2048  # rows formatted by one % call
+
+
 def _write_map_csv(path: Path, rows: np.ndarray):
+    line = "%.9g,%.9g,%d,%d\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("l_eff_um,wavelength_nm,mode_m,transverse_order\n")
-        for l_um, wavelength, m, q in rows:
-            fh.write(f"{l_um:.9g},{wavelength:.9g},{int(m)},{int(q)}\n")
+        for lo in range(0, len(rows), _MAP_CHUNK_ROWS):
+            chunk = rows[lo:lo + _MAP_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def cmd_dispersion(args) -> int:

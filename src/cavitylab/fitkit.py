@@ -1,17 +1,26 @@
 """Nonlinear fits by Levenberg-Marquardt under each model's noise policy.
 
-:func:`fit` is the one fit routine, straight lines included, and the model
-registry is its only configuration: :mod:`cavitylab.models` gives each model
-its analytic Jacobian, start values, bounds and noise policy. The engine has
-no options: at most 200 iterations, convergence at a relative parameter step
-below 1e-10, and a multiplicative damping schedule starting at 1e-3. A
-model's bounds are kept by projected steps (step clamped into the box, then
-re-damped if the cost did not drop). A ``gaussian`` model minimises the
-weighted squared residual; a ``poisson`` model minimises the deviance (Cash
-1979) by Fisher scoring in the same loop, with weights 1/sqrt(mu) at the
-current point. A trial point whose cost is not finite is a rejected step.
-The objective never increases across accepted steps;
-``FitResult.cost_trace`` records it for inspection.
+One engine fits every problem, straight lines included: :func:`fit_many`
+advances K problems in lockstep, and :func:`fit` is its batch of one. The
+problems are grouped by model and length, never padded; each group's
+Jacobians, normal matrices, damped solves, rank checks and covariance
+inverses are stacked (K, n, p) and (K, p, p) calls whose rows are the
+per-problem calls, so every result is bit for bit the one the problem gives
+fitted alone. Each problem keeps its own damping, step acceptance,
+iteration count and convergence, and one problem's failure changes no
+other result.
+
+The model registry is the engine's only configuration:
+:mod:`cavitylab.models` gives each model its analytic Jacobian, start
+values, bounds and noise policy. The engine has no options: at most 200
+iterations, convergence at a relative parameter step below 1e-10, and a
+multiplicative damping schedule starting at 1e-3. A model's bounds are kept
+by projected steps (step clamped into the box, then re-damped if the cost
+did not drop). A ``gaussian`` model minimises the weighted squared residual;
+a ``poisson`` model minimises the deviance (Cash 1979) by Fisher scoring in
+the same loop, with weights 1/sqrt(mu) at the current point. A trial point
+whose cost is not finite is a rejected step. The objective never increases
+across accepted steps; ``FitResult.cost_trace`` records it for inspection.
 
 Covariance is the inverse of the Gauss-Newton (for counts, Fisher) normal
 matrix scaled by the reduced Pearson chi-square, matching the convention of
@@ -37,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 
-__all__ = ["FitProblem", "FitResult", "bootstrap_uncertainty", "fit"]
+__all__ = ["FitProblem", "FitResult", "bootstrap_uncertainty", "fit", "fit_many"]
 
 _MAX_ITER = 200
 _PARAM_TOL = 1e-10
@@ -153,127 +162,241 @@ class FitResult:
         return {"name": "fit", "params": {"model_id": self.model_id}, "outputs": outputs}
 
 
-def _rank_check(H: np.ndarray, names: Sequence[str]):
+def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> list:
+    """The rank check of each normal matrix of a (K, p, p) stack: None where
+    it passes, else the RankDeficiencyError of that problem."""
     # catch genuine singularity (dead or exactly dependent columns) on the
     # scale-free correlation form; near-singular but healthy systems are the
     # damping schedule's job
-    d = np.sqrt(np.diag(H))
-    dead = [n for n, v in zip(names, d) if v == 0.0 or not np.isfinite(v)]
-    if dead:
-        raise RankDeficiencyError(
+    d = np.sqrt(np.diagonal(H, axis1=1, axis2=2))
+    alive = np.all((d != 0.0) & np.isfinite(d), axis=1)
+    errors = [None] * len(H)
+    for k in np.nonzero(~alive)[0]:
+        dead = [n for n, v in zip(names, d[k]) if v == 0.0 or not np.isfinite(v)]
+        errors[k] = RankDeficiencyError(
             "singular normal matrix: parameters "
             + ", ".join(dead)
             + " have no effect on the residual (zero Jacobian column)",
             parameters=dead,
         )
-    C = H / np.outer(d, d)
+    live = np.nonzero(alive)[0]
+    C = H[live] / (d[live, :, None] * d[live, None, :])
     vals, vecs = np.linalg.eigh(C)
-    if vals[0] <= vals[-1] * 1e-12:
-        v = vecs[:, 0]
-        involved = [n for n, c in zip(names, np.abs(v)) if c >= 0.4 * np.max(np.abs(v))]
-        raise RankDeficiencyError(
+    for j in np.nonzero(vals[:, 0] <= vals[:, -1] * 1e-12)[0]:
+        v = np.abs(vecs[j, :, 0])
+        involved = [n for n, c in zip(names, v) if c >= 0.4 * np.max(v)]
+        errors[live[j]] = RankDeficiencyError(
             "singular normal matrix: parameters "
             + ", ".join(involved)
             + " are not independently identifiable",
             parameters=involved,
         )
+    return errors
+
+
+def _normal_equations(model, x, w, p, r):
+    """Stacked Gauss-Newton (for counts, Fisher) normal matrix and gradient."""
+    J = model.jac(x, p)
+    J *= w[:, :, None]
+    Jt = J.transpose(0, 2, 1)
+    return Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+
+
+def _row_dots(r: np.ndarray) -> np.ndarray:
+    # each row's r @ r, by the same dot product as the 1-D call
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray):
+    """Solve each system of a stack, as a solve of that system alone would;
+    a singular system gives a NaN row and a True flag."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.zeros(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, singular = np.full_like(b, np.nan), np.zeros(len(A), dtype=bool)
+        for k in range(len(A)):
+            try:
+                out[k] = np.linalg.solve(A[k:k + 1], b[k:k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return out, singular
+
+
+def _inverse_rows(H: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(H)
+        for k in range(len(H)):
+            try:
+                out[k] = np.linalg.inv(H[k:k + 1])[0]
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.pinv(H[k])
+        return out
+
+
+def _take(keep, *arrays):
+    return tuple(a[keep] for a in arrays)
 
 
 @np.errstate(all="ignore")
-def fit(problem: FitProblem) -> FitResult:
-    """Minimize the objective of ``problem`` under its model's noise policy.
+def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
+    """The LM loop: K problems of one model and one length in lockstep.
 
-    Converged means the relative parameter step of the last accepted
-    iteration fell below ``_PARAM_TOL`` within ``_MAX_ITER`` iterations.
+    Returns one entry per problem, its FitResult or the error it failed
+    with. Every step is a stacked call whose rows are the per-problem calls,
+    and a problem that fails or stops leaves the stack, so no problem's
+    result depends on the others.
     """
-    model = models.get_model(problem.model_id)
-    x, y = problem.x, problem.y
+    n_params = model.n_params
+    x = np.stack([q.x for q in problems])
+    y = np.stack([q.y for q in problems])
     lo, hi = model.bounds or (None, None)
 
     if model.noise == "poisson":
-        ylogy = y * np.log(np.where(y > 0, y, 1.0))  # y ln y, 0 where y <= 0
+        aux = y * np.log(np.where(y > 0, y, 1.0))  # y ln y, 0 where y <= 0
 
-        def objective(p):
+        def objective(x, y, ylogy, p):
             # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance
             mu = model.fn(x, p)
             w = 1.0 / np.sqrt(mu)
-            cost = 2.0 * float(np.sum(ylogy - y * np.log(mu) - y + mu))
-            return w, w * (y - mu), cost if mu.min() > 0 else math.nan
+            cost = 2.0 * np.sum(ylogy - y * np.log(mu) - y + mu, axis=1)
+            cost[~(mu.min(axis=1) > 0)] = math.nan
+            return w, w * (y - mu), cost
     else:
-        w = problem.effective_weights()
+        aux = np.stack([q.effective_weights() for q in problems])
 
-        def objective(p):
+        def objective(x, y, w, p):
             r = w * (y - model.fn(x, p))
-            return w, r, float(r @ r)
+            return w, r, _row_dots(r)
 
     # a trial point off the model's domain has a non-finite cost and is
     # rejected like any uphill step, without a warning (see the errstate);
     # only a bad start point is a data error
-    p = problem.initial_params.copy()
-    w, r, cost = objective(p)
-    if not math.isfinite(cost):
-        idx = int(np.argmin(np.isfinite(r)))
-        raise DataError(f"non-finite residual at index {idx} of the start point", index=idx)
-    cost_trace = [cost]
-    lam = _DAMPING_INIT
-    converged = False
-    iterations = 0
+    outcome: list = [None] * len(problems)
+    p = np.stack([q.initial_params for q in problems])
+    w, r, cost = objective(x, y, aux, p)
+    for k in np.nonzero(~np.isfinite(cost))[0]:
+        idx = int(np.argmin(np.isfinite(r[k])))
+        outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
+    traces = [[c] for c in cost.tolist()]
+    converged = np.zeros(len(problems), dtype=bool)
+    iterations = np.zeros(len(problems), dtype=int)
+    w, r = w.copy(), r.copy()  # rows are overwritten by each problem's final state
 
-    for iterations in range(1, _MAX_ITER + 1):
-        J = w[:, None] * model.jac(x, p)
-        H = J.T @ J
-        g = J.T @ r
-        if iterations == 1:
-            _rank_check(H, model.params)
-        diag = np.maximum(np.diag(H), 1e-300)
+    # the problems still iterating, stacked in the upper-case arrays (data,
+    # weights or y ln y, then the state); ``ids`` maps their rows to problems
+    ids = np.nonzero(np.isfinite(cost))[0]
+    X, Y, A, P, W, R, C = _take(ids, x, y, aux, p, w, r, cost)
+    lam, conv = np.full(ids.size, _DAMPING_INIT), np.zeros(ids.size, dtype=bool)
+    diagonal = (slice(None),) + np.diag_indices(n_params)
+    for it in range(1, _MAX_ITER + 1):
+        if not ids.size:
+            break
+        H, g = _normal_equations(model, X, W, P, R)
+        if it == 1:
+            errors = _rank_deficiency(H, model.params)
+            for k, e in zip(ids, errors):
+                outcome[k] = e
+            keep = np.array([e is None for e in errors], dtype=bool)
+            ids, X, Y, A, P, W, R, C, lam, conv, H, g = _take(
+                keep, ids, X, Y, A, P, W, R, C, lam, conv, H, g)
+        damping = np.zeros_like(H)
+        damping[diagonal] = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-300)
 
-        accepted = False
+        # each try solves the damped system of every row not yet accepted;
+        # a singular system is a NaN step, rejected, with a larger damping
+        accepted = np.zeros(ids.size, dtype=bool)
+        rows = slice(None)
         for _ in range(60):
-            try:
-                step = np.linalg.solve(H + lam * np.diag(diag), g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_new = p + step
+            step, singular = _solve_rows(H[rows] + lam[rows, None, None] * damping[rows], g[rows])
+            p_new = P[rows] + step
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
-            w_new, r_new, cost_new = objective(p_new)
-            if cost_new <= cost * (1.0 + _COST_SLACK) + _COST_SLACK:
-                rel_step = float(np.max(np.abs(p_new - p) / (np.abs(p) + 1e-300)))
-                p, w, r, cost = p_new, w_new, r_new, min(cost_new, cost)
-                cost_trace.append(cost)
-                lam = max(lam * 0.25, 1e-14)
-                accepted = True
-                converged = rel_step < _PARAM_TOL
+            w_new, r_new, cost_new = objective(X[rows], Y[rows], A[rows], p_new)
+            ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
+            tried = np.arange(ids.size)[rows]
+            acc, rej = tried[ok], tried[~ok]
+            rel_step = np.max(np.abs(p_new[ok] - P[acc]) / (np.abs(P[acc]) + 1e-300), axis=1)
+            P[acc], W[acc], R[acc] = p_new[ok], w_new[ok], r_new[ok]
+            C[acc] = np.minimum(cost_new[ok], C[acc])
+            for k, c in zip(ids[acc], C[acc].tolist()):
+                traces[k].append(c)
+            lam[acc] = np.maximum(lam[acc] * 0.25, 1e-14)
+            conv[acc] = rel_step < _PARAM_TOL
+            accepted[acc] = True
+            lam[rej] *= np.where(singular[~ok], 10.0, 8.0)
+            rows = rej
+            if not rows.size:
                 break
-            lam *= 8.0
-        if not accepted or converged:
-            break
 
+        stop = ~accepted | conv | (it == _MAX_ITER)
+        if stop.any():
+            done = ids[stop]
+            p[done], w[done], r[done] = P[stop], W[stop], R[stop]
+            iterations[done], converged[done] = it, conv[stop]
+            ids, X, Y, A, P, W, R, C, lam, conv = _take(
+                ~stop, ids, X, Y, A, P, W, R, C, lam, conv)
+
+    fitted = np.array([o is None for o in outcome], dtype=bool)
     # canonical representation (positive widths, ordered rates); same curve
-    p_canon = np.asarray(model.canonical(p.copy()), dtype=float)
-    if lo is None or (np.all(p_canon >= lo) and np.all(p_canon <= hi)):
-        p = p_canon
+    for k in np.nonzero(fitted)[0]:
+        p_canon = np.asarray(model.canonical(p[k].copy()), dtype=float)
+        if lo is None or (np.all(p_canon >= lo) and np.all(p_canon <= hi)):
+            p[k] = p_canon
 
     # covariance: reduced (Pearson) chi-square times the inverse normal matrix
-    J = w[:, None] * model.jac(x, p)
-    H = J.T @ J
-    reduced_chi2 = float(r @ r) / max(x.size - model.n_params, 1)
-    try:
-        H_inv = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        H_inv = np.linalg.pinv(H)
-    covariance = reduced_chi2 * H_inv
+    H, _ = _normal_equations(model, x[fitted], w[fitted], p[fitted], r[fitted])
+    reduced_chi2 = _row_dots(r[fitted]) / max(x.shape[1] - n_params, 1)
+    covariance = reduced_chi2[:, None, None] * _inverse_rows(H)
+    for j, k in enumerate(np.nonzero(fitted)[0]):
+        outcome[k] = FitResult(
+            model_id=model.name,
+            params=p[k],
+            covariance=covariance[j],
+            reduced_chi2=float(reduced_chi2[j]),
+            iterations=int(iterations[k]),
+            converged=bool(converged[k]),
+            cost_trace=tuple(traces[k]),
+        )
+    return outcome
 
-    return FitResult(
-        model_id=problem.model_id,
-        params=p,
-        covariance=covariance,
-        reduced_chi2=reduced_chi2,
-        iterations=iterations,
-        converged=converged,
-        cost_trace=tuple(cost_trace),
-    )
+
+def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
+    """Minimize the objective of every problem under its model's noise policy.
+
+    Problems of one model and one length advance in lockstep, each with its
+    own damping, step acceptance, iteration count and convergence; a result
+    is bit for bit what the problem gives fitted alone. Converged means the
+    relative parameter step of the last accepted iteration fell below
+    ``_PARAM_TOL`` within ``_MAX_ITER`` iterations.
+
+    A problem that fails (non-finite start, singular normal matrix) changes
+    no other problem's result. If any fails, the error of the first failing
+    problem in input order is raised, with ``problem_index`` set to its
+    position and ``results`` to the list of results (None where a problem
+    failed).
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, q in enumerate(problems):
+        groups.setdefault((q.model_id, q.x.size), []).append(i)
+    outcome: list = [None] * len(problems)
+    for (model_id, _), idx in groups.items():
+        found = _fit_group(models.get_model(model_id), [problems[i] for i in idx])
+        for i, o in zip(idx, found):
+            outcome[i] = o
+    failed = [i for i, o in enumerate(outcome) if isinstance(o, Exception)]
+    if failed:
+        error = outcome[failed[0]]
+        error.problem_index = failed[0]
+        error.results = [None if isinstance(o, Exception) else o for o in outcome]
+        raise error
+    return outcome
+
+
+def fit(problem: FitProblem) -> FitResult:
+    """Fit one problem: :func:`fit_many` of a batch of one."""
+    return fit_many([problem])[0]
 
 
 def bootstrap_uncertainty(
@@ -283,9 +406,9 @@ def bootstrap_uncertainty(
 
     Each resample is drawn from the model's noise around the fitted curve:
     Poisson counts for a ``poisson`` model, the fitted curve plus residuals
-    resampled with replacement for a ``gaussian`` one. Each is refitted from
-    the converged parameters; the result is the sample standard deviation of
-    the refitted parameters. Agrees with the covariance-based sigma within
+    resampled with replacement for a ``gaussian`` one. All are refitted as one
+    batch from the converged parameters; the result is the sample standard
+    deviation of the refitted parameters. Agrees with the covariance-based sigma within
     ~30% on well-conditioned problems.
     """
     if not result.converged:
@@ -296,19 +419,22 @@ def bootstrap_uncertainty(
     y_hat = model.fn(problem.x, result.params)
     residuals = problem.y - y_hat
     rng = np.random.Generator(np.random.Philox(seed))
-    samples = np.empty((n_resamples, model.n_params))
     n = problem.x.size
-    for k in range(n_resamples):
+
+    def resample():
         if model.noise == "poisson":
-            resampled = rng.poisson(y_hat).astype(float)
-        else:
-            resampled = y_hat + residuals[rng.integers(0, n, n)]
-        prob_k = FitProblem(
+            return rng.poisson(y_hat).astype(float)
+        return y_hat + residuals[rng.integers(0, n, n)]
+
+    resamples = [
+        FitProblem(
             model_id=problem.model_id,
             x=problem.x,
-            y=resampled,
+            y=resample(),
             weights=problem.weights,
             initial_params=result.params,
         )
-        samples[k] = fit(prob_k).params
+        for _ in range(n_resamples)
+    ]
+    samples = np.array([r.params for r in fit_many(resamples)])
     return samples.std(axis=0, ddof=1)

@@ -5,6 +5,12 @@ synthetic-data generators and the pipelines all evaluate exactly the same
 expressions. Parameter vectors are plain 1-D float arrays in the documented
 order.
 
+Each ``fn`` and ``jac`` also takes a batch: ``x`` of shape (K, n) with ``p``
+of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
+``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
+equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
+``x.shape + (P,)``. Start values (``init``) are taken one problem at a time.
+
 Models
 ------
 ``lorentzian``        offset + amplitude * (w/2)^2 / ((x-center)^2 + (w/2)^2)
@@ -50,22 +56,40 @@ class Model:
 
 # -- lorentzian --------------------------------------------------------------
 
+def _columns(p):
+    """The parameters of ``p`` one by one: scalars for a single vector,
+    (K, 1) columns that broadcast over the rows of x for a (K, P) batch."""
+    p = np.asarray(p, dtype=float)
+    return p if p.ndim == 1 else p.T[..., None]
+
+
+def _pow(a, k):
+    # a float64 scalar's ``**`` calls the C library's pow, which differs from
+    # the array power (a*a for k = 2) in the last bit of about 1e-3 of
+    # values; a batch column is raised entry by entry as such scalars, so
+    # each batch row equals its single-vector evaluation bit for bit
+    if np.ndim(a) == 0:
+        return a**k
+    return np.fromiter((v**k for v in a.ravel()), float, a.size).reshape(a.shape)
+
+
 def _lorentzian(x, p):
-    amplitude, center, fwhm, offset = p
-    h = (fwhm / 2.0) ** 2
+    amplitude, center, fwhm, offset = _columns(p)
+    h = _pow(fwhm / 2.0, 2)
     return offset + amplitude * h / ((x - center) ** 2 + h)
 
 
 def _lorentzian_jac(x, p):
-    amplitude, center, fwhm, _ = p
+    amplitude, center, fwhm, _ = _columns(p)
     d = x - center
-    h = (fwhm / 2.0) ** 2
+    h = _pow(fwhm / 2.0, 2)
     denom = d * d + h
-    J = np.empty((x.size, 4))
-    J[:, 0] = h / denom
-    J[:, 1] = amplitude * h * 2.0 * d / denom**2
-    J[:, 2] = amplitude * (fwhm / 2.0) * d * d / denom**2
-    J[:, 3] = 1.0
+    denom2 = denom**2
+    J = np.empty(d.shape + (4,))
+    J[..., 0] = h / denom
+    J[..., 1] = amplitude * h * 2.0 * d / denom2
+    J[..., 2] = amplitude * (fwhm / 2.0) * d * d / denom2
+    J[..., 3] = 1.0
     return J
 
 
@@ -100,19 +124,19 @@ def _lorentzian_init(x, y):
 # -- gaussian ----------------------------------------------------------------
 
 def _gaussian(x, p):
-    amplitude, center, sigma, offset = p
-    return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+    amplitude, center, sigma, offset = _columns(p)
+    return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * _pow(sigma, 2)))
 
 
 def _gaussian_jac(x, p):
-    amplitude, center, sigma, _ = p
+    amplitude, center, sigma, _ = _columns(p)
     d = x - center
-    e = np.exp(-(d * d) / (2.0 * sigma**2))
-    J = np.empty((x.size, 4))
-    J[:, 0] = e
-    J[:, 1] = amplitude * e * d / sigma**2
-    J[:, 2] = amplitude * e * d * d / sigma**3
-    J[:, 3] = 1.0
+    e = np.exp(-(d * d) / (2.0 * _pow(sigma, 2)))
+    J = np.empty(d.shape + (4,))
+    J[..., 0] = e
+    J[..., 1] = amplitude * e * d / _pow(sigma, 2)
+    J[..., 2] = amplitude * e * d * d / _pow(sigma, 3)
+    J[..., 3] = 1.0
     return J
 
 
@@ -124,13 +148,14 @@ def _gaussian_init(x, y):
 # -- linear ------------------------------------------------------------------
 
 def _linear(x, p):
-    return p[0] * x + p[1]
+    slope, intercept = _columns(p)
+    return slope * x + intercept
 
 
 def _linear_jac(x, p):
-    J = np.empty((x.size, 2))
-    J[:, 0] = x
-    J[:, 1] = 1.0
+    J = np.empty(np.shape(x) + (2,))
+    J[..., 0] = x
+    J[..., 1] = 1.0
     return J
 
 
@@ -144,16 +169,16 @@ def _linear_init(x, y):
 # -- exponential decay -------------------------------------------------------
 
 def _exponential_decay(t, p):
-    amplitude, tau = p
+    amplitude, tau = _columns(p)
     return amplitude * np.exp(-t / tau)
 
 
 def _exponential_decay_jac(t, p):
-    amplitude, tau = p
+    amplitude, tau = _columns(p)
     e = np.exp(-t / tau)
-    J = np.empty((t.size, 2))
-    J[:, 0] = e
-    J[:, 1] = amplitude * t / tau**2 * e
+    J = np.empty(e.shape + (2,))
+    J[..., 0] = e
+    J[..., 1] = amplitude * t / _pow(tau, 2) * e
     return J
 
 
@@ -179,22 +204,22 @@ def _exponential_decay_init(t, y):
 # -- three-level g2 ----------------------------------------------------------
 
 def _g2_three_level(t, p):
-    c, beta, gamma1, gamma2, t0 = p
+    c, beta, gamma1, gamma2, t0 = _columns(p)
     u = np.abs(t - t0)
     return 1.0 + c * (beta * np.exp(-gamma1 * u) + (beta - 1.0) * np.exp(-gamma2 * u))
 
 
 def _g2_three_level_jac(t, p):
-    c, beta, gamma1, gamma2, t0 = p
+    c, beta, gamma1, gamma2, t0 = _columns(p)
     u = np.abs(t - t0)
     e1 = np.exp(-gamma1 * u)
     e2 = np.exp(-gamma2 * u)
-    J = np.empty((t.size, 5))
-    J[:, 0] = beta * e1 + (beta - 1.0) * e2
-    J[:, 1] = c * (e1 + e2)
-    J[:, 2] = -c * beta * u * e1
-    J[:, 3] = -c * (beta - 1.0) * u * e2
-    J[:, 4] = c * (beta * gamma1 * e1 + (beta - 1.0) * gamma2 * e2) * np.sign(t - t0)
+    J = np.empty(u.shape + (5,))
+    J[..., 0] = beta * e1 + (beta - 1.0) * e2
+    J[..., 1] = c * (e1 + e2)
+    J[..., 2] = -c * beta * u * e1
+    J[..., 3] = -c * (beta - 1.0) * u * e2
+    J[..., 4] = c * (beta * gamma1 * e1 + (beta - 1.0) * gamma2 * e2) * np.sign(t - t0)
     return J
 
 
@@ -227,16 +252,16 @@ def _g2_three_level_init(t, y):
 # -- saturation --------------------------------------------------------------
 
 def _saturation(power, p):
-    i_sat, p_sat = p
+    i_sat, p_sat = _columns(p)
     return i_sat * power / (p_sat + power)
 
 
 def _saturation_jac(power, p):
-    i_sat, p_sat = p
+    i_sat, p_sat = _columns(p)
     denom = p_sat + power
-    J = np.empty((power.size, 2))
-    J[:, 0] = power / denom
-    J[:, 1] = -i_sat * power / denom**2
+    J = np.empty(denom.shape + (2,))
+    J[..., 0] = power / denom
+    J[..., 1] = -i_sat * power / denom**2
     return J
 
 
@@ -251,21 +276,21 @@ def _saturation_init(power, y):
 # -- detuned purcell (lorentzian in relative detuning) -----------------------
 
 def _detuned_purcell(x, p):
-    peak, q, x0, offset = p
+    peak, q, x0, offset = _columns(p)
     z = 2.0 * q * (x / x0 - 1.0)
     return peak / (1.0 + z * z) + offset
 
 
 def _detuned_purcell_jac(x, p):
-    peak, q, x0, _ = p
+    peak, q, x0, _ = _columns(p)
     rel = x / x0 - 1.0
     z = 2.0 * q * rel
     denom = (1.0 + z * z) ** 2
-    J = np.empty((x.size, 4))
-    J[:, 0] = 1.0 / (1.0 + z * z)
-    J[:, 1] = -peak * 2.0 * z * (2.0 * rel) / denom
-    J[:, 2] = peak * 4.0 * q * z * x / (x0**2 * denom)
-    J[:, 3] = 1.0
+    J = np.empty(z.shape + (4,))
+    J[..., 0] = 1.0 / (1.0 + z * z)
+    J[..., 1] = -peak * 2.0 * z * (2.0 * rel) / denom
+    J[..., 2] = peak * 4.0 * q * z * x / (_pow(x0, 2) * denom)
+    J[..., 3] = 1.0
     return J
 
 

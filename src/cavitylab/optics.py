@@ -288,14 +288,13 @@ def dispersion_map(
     transverse_order), ready for CSV export.
     """
     roc_um = scalar_roc(roc)
-    rows = []
-    for l_um in np.asarray(l_grid_um, dtype=float):
-        g = gouy_fraction(l_um, roc_um)
-        for q in transverse_orders:
-            for m in m_values:
-                wavelength = 2000.0 * l_um / (m + (q + 1) * g)
-                rows.append((l_um, wavelength, float(m), float(q)))
-    return np.array(rows)
+    l_um = np.asarray(l_grid_um, dtype=float)
+    g = np.array([gouy_fraction(v, roc_um) for v in l_um])
+    # rows ordered by length, then order, then index, as (l, q, m) axes
+    l_um, q, m = np.meshgrid(l_um, np.asarray(transverse_orders, dtype=float),
+                             np.asarray(m_values, dtype=float), indexing="ij")
+    wavelength = 2000.0 * l_um / (m + (q + 1.0) * g[:, None, None])
+    return np.column_stack([a.ravel() for a in (l_um, wavelength, m, q)])
 
 
 # ---------------------------------------------------------------------------
@@ -432,21 +431,30 @@ def _fwhm_in_samples(y: np.ndarray, i_peak: int, baseline: float) -> float:
     return max(right - left, 3.0)
 
 
+def _strongest_peak(y: np.ndarray) -> int:
+    peaks = detect_peaks(y)
+    if peaks.size == 0:
+        raise InsufficientDataError("no peak found to fit")
+    return int(peaks[np.argmax(y[peaks])])
+
+
+def _peak_problem(x: np.ndarray, y: np.ndarray, index: int, baseline: float):
+    """Lorentzian fit problem on the samples within eight half-maximum widths
+    (at least 10 samples) of sample ``index``; the width is measured above
+    ``baseline``, the median of ``y``."""
+    width = _fwhm_in_samples(y, index, baseline)
+    half_window = int(max(8.0 * width, 10))
+    sl = slice(max(index - half_window, 0), min(index + half_window + 1, x.size))
+    return fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl])
+
+
 def fit_lorentzian_peak(x, y, index: int | None = None) -> fitkit.FitResult:
     """Fit one Lorentzian around the strongest (or the given) local maximum."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if index is None:
-        peaks = detect_peaks(y)
-        if peaks.size == 0:
-            raise InsufficientDataError("no peak found to fit")
-        index = int(peaks[np.argmax(y[peaks])])
-    baseline = float(np.median(y))
-    width = _fwhm_in_samples(y, index, baseline)
-    half_window = int(max(8.0 * width, 10))
-    sl = slice(max(index - half_window, 0), min(index + half_window + 1, x.size))
-    problem = fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl])
-    return fitkit.fit(problem)
+        index = _strongest_peak(y)
+    return fitkit.fit(_peak_problem(x, y, index, float(np.median(y))))
 
 
 def finesse_from_scan(traces) -> tuple[float, float]:
@@ -478,7 +486,10 @@ def finesse_from_scan(traces) -> tuple[float, float]:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        fits = [fit_lorentzian_peak(trace.axis, trace.signal, index=int(p)) for p in peaks]
+        baseline = float(np.median(trace.signal))
+        fits = fitkit.fit_many(
+            [_peak_problem(trace.axis, trace.signal, int(p), baseline) for p in peaks]
+        )
         centers = np.array([f.params[1] for f in fits])
         widths = np.abs(np.array([f.params[2] for f in fits]))
         order = np.argsort(centers)
@@ -543,11 +554,12 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    centers = []
-    for idx in strongest:
-        result = fit_lorentzian_peak(spectrum.wavelength_nm, spectrum.counts, index=int(idx))
-        centers.append(float(result.params[1]))
-    lo, hi = sorted(centers)
+    baseline = float(np.median(spectrum.counts))
+    fits = fitkit.fit_many([
+        _peak_problem(spectrum.wavelength_nm, spectrum.counts, int(idx), baseline)
+        for idx in strongest
+    ])
+    lo, hi = sorted(float(f.params[1]) for f in fits)
     return effective_length_from_adjacent_modes(hi, lo, roc_um)
 
 
@@ -575,12 +587,21 @@ def drift_series(
         lam0 = float(wl[np.argmax(counts[0])])
         max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
-    centers = []
+    # every frame's fit runs in one batch; the first frame in order that
+    # fails (no peak, failed fit or jump) is the one reported
+    problems, failure = [], None
     for i, row in enumerate(counts):
         try:
-            result = fit_lorentzian_peak(wl, row)
+            problems.append(_peak_problem(wl, row, _strongest_peak(row), float(np.median(row))))
         except CavityLabError as exc:
-            raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i)
+            failure = (i, exc)
+            break
+    try:
+        results = fitkit.fit_many(problems)
+    except CavityLabError as exc:
+        results, failure = exc.results[:exc.problem_index], (exc.problem_index, exc)
+    centers = []
+    for i, result in enumerate(results):
         center = float(result.params[1])
         if centers and max_jump_nm is not None and abs(center - centers[-1]) > max_jump_nm:
             raise TrackingBreakError(
@@ -589,6 +610,9 @@ def drift_series(
                 index=i,
             )
         centers.append(center)
+    if failure is not None:
+        i, exc = failure
+        raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i) from exc
     return [
         (float(t), (c - centers[0]) / 2.0) for t, c in zip(spectral_map.times_s(), centers)
     ]

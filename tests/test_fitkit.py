@@ -128,6 +128,64 @@ def test_affine_reparameterization():
     assert tau == pytest.approx(k * 12.2, rel=1e-8)
 
 
+def _bits(result):
+    return (
+        result.params.tobytes(),
+        np.ascontiguousarray(result.covariance).tobytes(),
+        np.float64(result.reduced_chi2).tobytes(),
+        result.iterations,
+        result.converged,
+        np.array(result.cost_trace).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("model_id", sorted(models.MODELS))
+def test_fit_many_matches_each_problem_fitted_alone(model_id):
+    # six noisy problems of two lengths, plus a rank-deficient one (constant
+    # abscissa: every Jacobian column is constant) and one whose start has a
+    # NaN parameter; the batch runs in lockstep per (model, length) group
+    rng = np.random.Generator(np.random.Philox(31))
+    x = model_grid(model_id)
+    poisson = models.get_model(model_id).noise == "poisson"
+    problems = []
+    for k in range(8):
+        truth = random_params(model_id, rng)
+        y = models.evaluate(model_id, truth, x)
+        y = rng.poisson(y).astype(float) if poisson else y + rng.normal(0.0, 0.05 * np.ptp(y), x.size)
+        n = x.size - 9 * (k % 2)
+        start = perturb_params(model_id, truth, rng)
+        if k == 2:
+            xk = np.full(n, x[n // 2])
+            problems.append(fitkit.FitProblem(
+                model_id=model_id, x=xk, y=models.evaluate(model_id, truth, xk),
+                initial_params=truth,
+            ))
+            continue
+        if k == 5:
+            start[0] = np.nan
+        problems.append(
+            fitkit.FitProblem(model_id=model_id, x=x[:n], y=y[:n], initial_params=start)
+        )
+    with pytest.raises(RankDeficiencyError):
+        fitkit.fit(problems[2])
+    with pytest.raises(DataError, match="non-finite residual .* start point"):
+        fitkit.fit(problems[5])
+    alone = {i: _bits(fitkit.fit(q)) for i, q in enumerate(problems) if i not in (2, 5)}
+
+    with pytest.raises(RankDeficiencyError) as err:
+        fitkit.fit_many(problems)
+    assert err.value.problem_index == 2
+    results = err.value.results
+    assert results[2] is None and results[5] is None
+    assert {i: _bits(r) for i, r in enumerate(results) if r is not None} == alone
+
+    good = [q for i, q in enumerate(problems) if i in alone]
+    assert [_bits(r) for r in fitkit.fit_many(good)] == list(alone.values())
+    with pytest.raises(DataError) as err:
+        fitkit.fit_many(good[:3] + [problems[5], problems[2]])
+    assert err.value.problem_index == 3
+
+
 def test_rank_deficiency_names_parameters():
     x = np.full(10, 2.0)
     y = np.linspace(0.0, 1.0, 10)

@@ -18,6 +18,25 @@ def test_jacobian_matches_finite_differences(model_id):
         assert jacobian_mismatch(analytic, numeric) < 1e-5
 
 
+@pytest.mark.parametrize("model_id", sorted(models.MODELS))
+def test_batch_rows_equal_single_evaluations(model_id):
+    # row k of a (K, n) batch with row k of a (K, P) parameter stack is the
+    # 1-D evaluation bit for bit, overflowing rows included (the last row's
+    # parameters are scaled to 1e200); powers of parameters round differently
+    # as arrays in about 1e-3 of values, so the batch is 2000 rows deep
+    rng = np.random.Generator(np.random.Philox(7))
+    x = model_grid(model_id)[::25]
+    p = np.array([random_params(model_id, rng) for _ in range(2000)])
+    p[-1] *= 1e200
+    xs = x + rng.uniform(0.0, 1e-3, (len(p), 1))
+    model = models.get_model(model_id)
+    with np.errstate(all="ignore"):
+        fn, jac = model.fn(xs, p), model.jac(xs, p)
+        for k in range(len(p)):
+            assert fn[k].tobytes() == model.fn(xs[k], p[k]).tobytes()
+            assert jac[k].tobytes() == model.jac(xs[k], p[k]).tobytes()
+
+
 def test_linear_jacobian_exact():
     x = np.array([1.0, 2.0, -3.0])
     J = models.jacobian_matrix("linear", [2.0, 1.0], x)

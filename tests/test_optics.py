@@ -327,7 +327,7 @@ def test_finesse_too_few_peaks_refused_before_fitting(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted a ramp with fewer than two peaks")
 
-    monkeypatch.setattr(optics, "fit_lorentzian_peak", no_fit)
+    monkeypatch.setattr(optics.fitkit, "fit_many", no_fit)
     axis = np.linspace(0.0, 1.0, 2000)
     h = (2e-3 / 2) ** 2
     one_peak = 5.0 + 1000.0 * h / ((axis - 0.5) ** 2 + h)
@@ -410,6 +410,25 @@ def test_drift_series_tracking_break():
     shifts = [0.0, 0.05, 0.1, 5.5, 5.55]
     with pytest.raises(TrackingBreakError) as err:
         optics.drift_series(_drift_frames(shifts), l_eff_um=20.0)
+    assert err.value.index == 3
+
+
+def test_drift_series_reports_the_first_bad_frame():
+    # frame 2 has no peak and frame 4 jumps by more than half an FSR: the
+    # frames are fitted as one batch, and the earlier failure is reported
+    frames = _drift_frames([0.0, 0.05, 0.1, 0.15, 5.5, 5.55])
+    counts = frames.counts_matrix().copy()
+    counts[2] = 30.0
+    flat = SpectralMap(wavelength_nm=frames.wavelength_nm, counts=counts)
+    with pytest.raises(TrackingBreakError, match="frame 2: no peak found") as err:
+        optics.drift_series(flat, l_eff_um=20.0)
+    assert err.value.index == 2
+    # and the other way round: a jump at frame 3 before a peakless frame 4
+    counts = _drift_frames([0.0, 0.05, 0.1, 5.5, 5.55, 5.6]).counts_matrix().copy()
+    counts[4] = 30.0
+    jump = SpectralMap(wavelength_nm=frames.wavelength_nm, counts=counts)
+    with pytest.raises(TrackingBreakError, match="jumped .* at frame 3") as err:
+        optics.drift_series(jump, l_eff_um=20.0)
     assert err.value.index == 3
 
 
