@@ -54,8 +54,6 @@ class Model:
         return len(self.params)
 
 
-# -- lorentzian --------------------------------------------------------------
-
 def _columns(p):
     """The parameters of ``p`` one by one: scalars for a single vector,
     (K, 1) columns that broadcast over the rows of x for a (K, P) batch."""
@@ -72,6 +70,8 @@ def _pow(a, k):
         return a**k
     return np.fromiter((v**k for v in a.ravel()), float, a.size).reshape(a.shape)
 
+
+# -- lorentzian --------------------------------------------------------------
 
 def _lorentzian(x, p):
     amplitude, center, fwhm, offset = _columns(p)
@@ -131,10 +131,11 @@ def _gaussian(x, p):
 def _gaussian_jac(x, p):
     amplitude, center, sigma, _ = _columns(p)
     d = x - center
-    e = np.exp(-(d * d) / (2.0 * _pow(sigma, 2)))
+    sigma2 = _pow(sigma, 2)
+    e = np.exp(-(d * d) / (2.0 * sigma2))
     J = np.empty(d.shape + (4,))
     J[..., 0] = e
-    J[..., 1] = amplitude * e * d / _pow(sigma, 2)
+    J[..., 1] = amplitude * e * d / sigma2
     J[..., 2] = amplitude * e * d * d / _pow(sigma, 3)
     J[..., 3] = 1.0
     return J
