@@ -35,7 +35,7 @@ def main():
               f"(truth {p_true:4.2f})")
 
     # pulsed lifetimes at three temperatures
-    print("\npulsed-lifetime fits (log-linear weighted least squares):")
+    print("\npulsed-lifetime fits (Poisson maximum likelihood):")
     for name, tau_true in [
         ("lifetime_4k", 12.2), ("lifetime_40k", 15.8), ("lifetime_100k", 21.0),
     ]:

@@ -19,12 +19,11 @@ nm for wavelengths, THz for mode frequencies, GHz for linewidths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import find_peaks
 
 from . import fitkit
 from .dataio import ScanTrace, SpectralMap, Spectrum
@@ -172,6 +171,64 @@ def mode_frequency(
     )
 
 
+def brent_root(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of ``f`` in the sign-changing bracket [a, b] (Brent-Dekker).
+
+    A step-for-step port of the C solver behind ``scipy.optimize.brentq``
+    (Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 4),
+    so it returns the same float for the same bracket and tolerances, and
+    raises ``ValueError`` where it does (no sign change, a NaN value) and
+    ``RuntimeError`` after ``maxiter`` iterations. It converges when the
+    bracket is narrower than ``xtol + rtol * |x|``.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator (inf in C) bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                if denom:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def resonance_length(
     wavelength_nm: float,
     m: int,
@@ -203,7 +260,7 @@ def resonance_length(
             f"no resonance length in (0, {roc_um} um) for m={m}, "
             f"lambda={wavelength_nm} nm"
         )
-    l_um = brentq(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    l_um = brent_root(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     # residual check in frequency units (1 MHz = 1e-6 THz)
     freq = C_UM_THZ / (2.0 * l_um) * (m + order * gouy_fraction(l_um, roc_um))
     target = C_NM_THZ / wavelength_nm
@@ -413,6 +470,10 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     if span == 0.0:
         return np.array([], dtype=int)
     prominence = max(5.0 * mad, 1e-9 * span)
+    # imported here: scipy.signal costs most of a command's start-up, and
+    # only the finesse, drift and spectrum-length paths detect peaks
+    from scipy.signal import find_peaks
+
     peaks, props = find_peaks(signal, prominence=prominence)
     if rel_prominence > 0.0 and peaks.size:
         keep = props["prominences"] >= rel_prominence * props["prominences"].max()

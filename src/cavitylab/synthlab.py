@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dataio, models
 from .dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
 from .errors import ValidationError
-from .optics import C_NM_GHZ, gouy_fraction
+from .optics import C_NM_GHZ, brent_root, gouy_fraction
 
 __all__ = [
     "GeneratorSpec",
@@ -468,7 +467,7 @@ def _averaged_profile_fwhm(kappa_ghz: float, centers_ghz: np.ndarray) -> float:
     half = peak_val / 2.0
 
     def crossing(a, b):
-        return brentq(lambda nu: profile(nu) - half, a, b, xtol=1e-9 * kappa_ghz)
+        return brent_root(lambda nu: profile(nu) - half, a, b, xtol=1e-9 * kappa_ghz)
 
     left_candidates = np.nonzero(values[: i_peak + 1] < half)[0]
     right_candidates = np.nonzero(values[i_peak:] < half)[0] + i_peak
@@ -534,4 +533,4 @@ def implied_length_jitter_nm(
     hi = 1.0
     while objective(hi) < 0 and hi < 1e6:
         hi *= 2.0
-    return brentq(objective, 1e-6, hi, rtol=1e-6)
+    return brent_root(objective, 1e-6, hi, rtol=1e-6)

@@ -142,8 +142,8 @@ def _bits(result):
 @pytest.mark.parametrize("model_id", sorted(models.MODELS))
 def test_fit_many_matches_each_problem_fitted_alone(model_id):
     # six noisy problems of two lengths, plus a rank-deficient one (constant
-    # abscissa: every Jacobian column is constant) and one whose start has a
-    # NaN parameter; the batch runs in lockstep per (model, length) group
+    # abscissa: every Jacobian column is constant) and one whose finite start
+    # overflows the cost; the batch runs in lockstep per (model, length) group
     rng = np.random.Generator(np.random.Philox(31))
     x = model_grid(model_id)
     poisson = models.get_model(model_id).noise == "poisson"
@@ -162,7 +162,7 @@ def test_fit_many_matches_each_problem_fitted_alone(model_id):
             ))
             continue
         if k == 5:
-            start[0] = np.nan
+            start[0] = np.finfo(float).max
         problems.append(
             fitkit.FitProblem(model_id=model_id, x=x[:n], y=y[:n], initial_params=start)
         )
@@ -201,6 +201,16 @@ def test_nonfinite_data_rejected_with_index():
     with pytest.raises(DataError) as err:
         fitkit.FitProblem(model_id="linear", x=np.arange(10.0), y=y)
     assert err.value.index == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_start_refused_with_parameter_name(bad):
+    with pytest.raises(ValidationError, match="initial value of tau must be finite") as err:
+        fitkit.FitProblem(
+            model_id="exponential_decay", x=[0.0, 1.0, 2.0], y=[9.0, 4.0, 2.0],
+            initial_params=[9.0, bad],
+        )
+    assert not isinstance(err.value, DataError)
 
 
 def test_problem_validation():
