@@ -115,10 +115,9 @@ class FitProblem:
             raise ValidationError(
                 f"initial_params must have {model.n_params} entries, got {p0.size}"
             )
-        bad = np.nonzero(~np.isfinite(p0))[0]
-        if self.initial_params is not None and bad.size:
-            name = model.params[int(bad[0])]
-            raise ValidationError(f"initial value of {name} must be finite, got {p0[bad[0]]}")
+        if self.initial_params is not None and not np.all(np.isfinite(p0)):
+            i = int(np.argmin(np.isfinite(p0)))
+            raise ValidationError(f"initial value of {model.params[i]} must be finite, got {p0[i]}")
         if model.bounds is not None:
             lo, hi = model.bounds
             if self.initial_params is None:

@@ -19,7 +19,6 @@ nm for wavelengths, THz for mode frequencies, GHz for linewidths.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,14 +170,14 @@ def mode_frequency(
     )
 
 
-def brent_root(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+def brent_root(f, a, b, xtol=2e-12, rtol=4 * math.ulp(1.0)):
     """Root of ``f`` in the sign-changing bracket [a, b] (Brent-Dekker).
 
     A step-for-step port of the C solver behind ``scipy.optimize.brentq``
     (Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 4),
     so it returns the same float for the same bracket and tolerances, and
     raises ``ValueError`` where it does (no sign change, a NaN value) and
-    ``RuntimeError`` after ``maxiter`` iterations. It converges when the
+    ``RuntimeError`` after its 100 iterations. It converges when the
     bracket is narrower than ``xtol + rtol * |x|``.
     """
 
@@ -197,7 +196,7 @@ def brent_root(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -226,7 +225,7 @@ def brent_root(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
 def resonance_length(
