@@ -10,7 +10,7 @@ coefficient by linear fit).
 
 import numpy as np
 
-from cavitylab import optics, synthlab
+from cavitylab import cqed, optics, synthlab
 
 def main():
     # finesse from an up/down pair of piezo ramps at shot-noise levels
@@ -50,7 +50,7 @@ def main():
           f"+- {alpha_sigma * 1e6:.3f}) x 1e-6 /K (truth 5.100)")
 
     # how badly does mechanical jitter degrade the effective linewidth?
-    implied = synthlab.implied_length_jitter_nm(15.0, 160.0, n_samples=20_000, seed=3)
+    implied = cqed.length_jitter_nm(15.0, 160.0, lambda_nm=618.5, l_eff_um=3.75)
     print(f"\nlength jitter that broadens a 15 GHz line to 160 GHz: "
           f"{implied:.2f} nm rms")
 

@@ -89,9 +89,9 @@ def cmd_dispersion(args) -> int:
     )
     radii = _radii(args)
     l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
-    m_lo = max(1, int(2000.0 * args.l_min / max(args.lambda_det, args.lambda_exc)) - 1)
-    m_hi = int(2000.0 * args.l_max / min(args.lambda_det, args.lambda_exc)) + 1
-    m_values = range(m_lo, m_hi + 1)
+    m_values = optics.mode_indices(
+        (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
+    )
     orders = args.transverse_orders
 
     reports = []
@@ -293,21 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_roc(p_budget)
     p_budget.add_argument("--refractive-index", type=float, default=1.0,
                           dest="refractive_index")
-    p_budget.add_argument("--tau0", type=float, required=True,
+    p_budget.add_argument("--tau0", type=_positive, required=True,
                           help="free-space lifetime (ns)")
-    p_budget.add_argument("--tau-p", type=float, required=True, dest="tau_p",
+    p_budget.add_argument("--tau-p", type=_positive, required=True, dest="tau_p",
                           help="cavity-modified lifetime (ns)")
     p_budget.add_argument("--qe", type=float, required=True, help="quantum efficiency")
     p_budget.add_argument("--dw", type=float, required=True, help="Debye-Waller factor")
     p_budget.add_argument("--branching", type=float, default=1.0)
-    p_budget.add_argument("--lambda-c", type=float, required=True, dest="lambda_c")
-    p_budget.add_argument("--l-eff", type=float, required=True, dest="l_eff")
-    p_budget.add_argument("--q-ideal", type=float, dest="q_ideal")
-    p_budget.add_argument("--finesse", type=float)
+    p_budget.add_argument("--lambda-c", type=_positive, required=True, dest="lambda_c")
+    p_budget.add_argument("--l-eff", type=_positive, required=True, dest="l_eff")
+    p_budget.add_argument("--q-ideal", type=_positive, dest="q_ideal")
+    p_budget.add_argument("--finesse", type=_positive)
     p_budget.add_argument("--m-det", type=int, dest="m_det")
-    p_budget.add_argument("--kappa-exp", type=float, dest="kappa_exp",
+    p_budget.add_argument("--kappa-exp", type=_positive, dest="kappa_exp",
                           help="effective linewidth (GHz)")
-    p_budget.add_argument("--q-exp", type=float, dest="q_exp")
+    p_budget.add_argument("--q-exp", type=_positive, dest="q_exp")
     p_budget.add_argument("--f-fp", type=float, default=0.0, dest="f_fp")
     p_budget.set_defaults(func=cmd_purcell_budget)
     return parser

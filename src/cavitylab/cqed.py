@@ -28,6 +28,7 @@ __all__ = [
     "budget_report",
     "detuned_purcell",
     "epsilon_correction",
+    "length_jitter_nm",
     "purcell_measured",
     "purcell_theoretical",
     "q_from_linewidth",
@@ -143,6 +144,29 @@ def q_from_linewidth(lambda_c_nm: float, kappa_ghz: float) -> float:
     if lambda_c_nm <= 0 or kappa_ghz <= 0:
         raise ValidationError("wavelength and linewidth must be positive")
     return C_NM_GHZ / lambda_c_nm / kappa_ghz
+
+
+def length_jitter_nm(
+    kappa_ghz: float, kappa_eff_ghz: float, lambda_nm: float, l_eff_um: float
+) -> float:
+    """RMS length jitter (nm) that broadens a kappa line to kappa_eff.
+
+    A Gaussian length jitter sigma_L spreads the resonance over
+    sigma_nu = nu * sigma_L / L, which makes the averaged line a Voigt
+    profile. This inverts the Olivero-Longbothum width
+    f_V = 0.5346 f_L + sqrt(0.2166 f_L^2 + f_G^2) (JQSRT 17, 233 (1977);
+    within 2.4e-4 of the exact width) for f_G = 2 sqrt(2 ln 2) sigma_nu.
+    The radicand is clamped at zero: the fit's constants make it slightly
+    negative when kappa_eff is close to kappa.
+    """
+    if not 0 < kappa_ghz < kappa_eff_ghz < math.inf:
+        raise ValidationError("need 0 < kappa < kappa_eff, both finite")
+    if not (0 < lambda_nm < math.inf and 0 < l_eff_um < math.inf):
+        raise ValidationError("wavelength and length must be positive")
+    f_gauss = math.sqrt(max((kappa_eff_ghz - 0.5346 * kappa_ghz) ** 2
+                            - 0.2166 * kappa_ghz**2, 0.0))
+    sigma_nu = f_gauss / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    return sigma_nu * lambda_nm / C_NM_GHZ * l_eff_um * 1000.0
 
 
 def regime_classify(rates: CouplingRates, boundary_band: float = 0.1) -> str:

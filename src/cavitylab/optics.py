@@ -48,10 +48,10 @@ __all__ = [
     "drift_series",
     "effective_length_from_adjacent_modes",
     "finesse_from_scan",
-    "fit_lorentzian_peak",
     "gouy_fraction",
     "gouy_term",
     "mode_frequency",
+    "mode_indices",
     "mode_volume_lambda3",
     "resonance_length",
     "scalar_roc",
@@ -278,10 +278,16 @@ class DoubleResonance:
     mismatch_um: float
 
 
-def _mode_index_range(wavelength_nm, l_range_um) -> range:
-    m_lo = max(1, math.floor(2000.0 * l_range_um[0] / wavelength_nm) - 1)
-    m_hi = math.ceil(2000.0 * l_range_um[1] / wavelength_nm) + 1
-    return range(m_lo, m_hi + 1)
+def mode_indices(l_range_um, lambda_range_nm) -> range:
+    """Longitudinal indices of the fundamental resonances in a length and
+    wavelength window.
+
+    2 L / lambda = m + gouy(L) with 0 <= gouy < 1/2 puts every such m in
+    (2000 l_lo / lambda_hi - 1/2, 2000 l_hi / lambda_lo]; the range holds
+    at least one spare index on either side.
+    """
+    (l_lo, l_hi), (lam_lo, lam_hi) = l_range_um, lambda_range_nm
+    return range(max(1, int(2000.0 * l_lo / lam_hi) - 1), int(2000.0 * l_hi / lam_lo) + 2)
 
 
 def double_resonance_search(
@@ -304,7 +310,7 @@ def double_resonance_search(
 
     def lengths(wavelength):
         out = {}
-        for m in _mode_index_range(wavelength, (lo, hi)):
+        for m in mode_indices((lo, hi), (wavelength, wavelength)):
             try:
                 l_um = resonance_length(wavelength, m, roc_um)
             except SearchError:
@@ -506,15 +512,6 @@ def _peak_problem(x: np.ndarray, y: np.ndarray, index: int, baseline: float):
     half_window = int(max(8.0 * width, 10))
     sl = slice(max(index - half_window, 0), min(index + half_window + 1, x.size))
     return fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl])
-
-
-def fit_lorentzian_peak(x, y, index: int | None = None) -> fitkit.FitResult:
-    """Fit one Lorentzian around the strongest (or the given) local maximum."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if index is None:
-        index = _strongest_peak(y)
-    return fitkit.fit(_peak_problem(x, y, index, float(np.median(y))))
 
 
 def finesse_from_scan(traces) -> tuple[float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 from . import dataio, models
 from .dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
 from .errors import ValidationError
-from .optics import C_NM_GHZ, brent_root, gouy_fraction
+from .optics import C_NM_GHZ, brent_root, dispersion_map, mode_indices
 
 __all__ = [
     "GeneratorSpec",
@@ -31,7 +31,6 @@ __all__ = [
     "generate",
     "generate_scan_pair",
     "generate_drift_map",
-    "implied_length_jitter_nm",
     "oracle_dispersion",
     "oracle_resonance_length",
     "preset",
@@ -323,16 +322,11 @@ def generate_wled_map(
     """Broadband transmission map over a cavity-length sweep (fundamentals)."""
     grid = np.linspace(lambda_range_nm[0], lambda_range_nm[1], n_pixels)
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
-    gouy = np.array([gouy_fraction(l_um, roc_um) for l_um in lengths])
-    # candidate mode numbers m_first + k per frame, k = 0 .. n_m - 1
-    m_first = np.maximum((2000.0 * lengths / lambda_range_nm[1]).astype(int) - 1, 1)
-    m_last = (2000.0 * lengths / lambda_range_nm[0]).astype(int) + 1
-    n_m = int(np.max(m_last - m_first, initial=-1)) + 1
-    m = m_first[:, None] + np.arange(n_m)
-    centers = 2000.0 * lengths[:, None] / (m + gouy[:, None])
-    inside = (
-        (m <= m_last[:, None]) & (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
-    )
+    m_values = mode_indices((min(l_start_um, l_end_um), max(l_start_um, l_end_um)),
+                            lambda_range_nm)
+    n_m = len(m_values)
+    centers = dispersion_map(roc_um, lengths, m_values)[:, 1].reshape(n_frames, n_m)
+    inside = (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
     # peaks are added in ascending m within each frame, the summation order
     # the generated counts are pinned to; peak k is evaluated only on the
     # frames whose window holds it
@@ -505,32 +499,3 @@ def vibration_broadening_sim(
     normals = rng_from_seed(seed).standard_normal(n_samples)
     centers = sigma_nu * normals
     return _averaged_profile_fwhm(kappa_intrinsic_ghz, centers)
-
-
-def implied_length_jitter_nm(
-    kappa_intrinsic_ghz: float,
-    kappa_target_ghz: float,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    lambda_nm: float = 618.5,
-    l_eff_um: float = 3.75,
-) -> float:
-    """RMS length jitter that broadens the line to ``kappa_target_ghz``.
-
-    Scalar root-find over the jitter amplitude with common random numbers.
-    """
-    if kappa_target_ghz <= kappa_intrinsic_ghz:
-        raise ValidationError("target linewidth must exceed the intrinsic one")
-
-    def objective(jitter_nm):
-        return (
-            vibration_broadening_sim(
-                kappa_intrinsic_ghz, jitter_nm, n_samples, seed, lambda_nm, l_eff_um
-            )
-            - kappa_target_ghz
-        )
-
-    hi = 1.0
-    while objective(hi) < 0 and hi < 1e6:
-        hi *= 2.0
-    return brent_root(objective, 1e-6, hi, rtol=1e-6)

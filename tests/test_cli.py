@@ -279,6 +279,32 @@ def test_purcell_budget_finesse_route(tmp_path):
     assert values["f_cav_ideal"] == pytest.approx(200.7, abs=1.0)
 
 
+_BUDGET_ARGS = {
+    "--tau0": "21.7", "--tau-p": "12.2", "--qe": "0.8", "--dw": "0.56",
+    "--lambda-c": "618.5", "--l-eff": "3.75", "--roc": "24",
+    "--q-ideal": "56400", "--kappa-exp": "160",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--tau0", "--tau-p", "--lambda-c", "--l-eff", "--q-ideal", "--finesse",
+     "--kappa-exp", "--q-exp"],
+)
+def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys):
+    args = dict(_BUDGET_ARGS, **{flag: value})
+    if flag == "--finesse":
+        del args["--q-ideal"]
+        args["--m-det"] = "12"
+    if flag == "--q-exp":
+        del args["--kappa-exp"]
+    argv = ["purcell-budget", *(x for item in args.items() for x in item)]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CAVITYLAB_OUTDIR", str(tmp_path / "envout"))
     assert run(_dispersion_args(tmp_path / "envout")[:-2]) == 0

@@ -11,6 +11,7 @@ from cavitylab.cqed import (
     budget_report,
     detuned_purcell,
     epsilon_correction,
+    length_jitter_nm,
     purcell_measured,
     purcell_theoretical,
     q_from_linewidth,
@@ -278,3 +279,49 @@ def test_budget_report_steps_schema():
     assert names.index("f_cav_ideal") < names.index("f_cav_corrected") < names.index("f_vib")
     for step in steps:
         assert set(step) == {"name", "value", "formula_ref", "inputs"}
+
+
+# ---------------------------------------------------------------------------
+# vibration broadening
+# ---------------------------------------------------------------------------
+
+
+def _exact_voigt_fwhm(sigma_ghz, gamma_ghz):
+    from scipy.optimize import brentq
+    from scipy.special import voigt_profile
+
+    half = voigt_profile(0.0, sigma_ghz, gamma_ghz) / 2.0
+    hi = 10.0 * (sigma_ghz + gamma_ghz)
+    return 2.0 * brentq(
+        lambda nu: voigt_profile(nu, sigma_ghz, gamma_ghz) - half, 0.0, hi, xtol=1e-12 * hi
+    )
+
+
+@pytest.mark.parametrize("kappa_ghz", [15.0, 50.0])
+def test_length_jitter_round_trips_through_exact_voigt_width(kappa_ghz):
+    nu_ghz = optics.C_NM_GHZ / 618.5
+    for ratio in np.geomspace(1.03, 70.0, 25):
+        jitter_nm = length_jitter_nm(kappa_ghz, ratio * kappa_ghz, 618.5, 3.75)
+        sigma_ghz = nu_ghz * jitter_nm / 3750.0
+        width = _exact_voigt_fwhm(sigma_ghz, kappa_ghz / 2.0)
+        assert width == pytest.approx(ratio * kappa_ghz, rel=3e-4)
+
+
+def test_vibration_implied_jitter_documents_regime():
+    # the jitter amplitude that turns a 15 GHz line into the observed
+    # 160 GHz effective linewidth: about half a nanometer rms; the
+    # Monte-Carlo line average broadens back to 160 GHz
+    jitter = length_jitter_nm(15.0, 160.0, 618.5, 3.75)
+    assert 0.2 < jitter < 1.5
+    back = synthlab.vibration_broadening_sim(15.0, jitter, n_samples=100_000, seed=3)
+    assert back == pytest.approx(160.0, abs=2.0)
+
+
+@pytest.mark.parametrize(
+    "kappa, kappa_eff",
+    [(15.0, 15.0), (15.0, 10.0), (0.0, 160.0), (-15.0, 160.0), (15.0, math.nan),
+     (15.0, math.inf)],
+)
+def test_length_jitter_refuses_no_broadening_and_bad_linewidths(kappa, kappa_eff):
+    with pytest.raises(ValidationError):
+        length_jitter_nm(kappa, kappa_eff, 618.5, 3.75)

@@ -3,9 +3,14 @@
 Every record constructor, given any arrays, either refuses them with a
 ValidationError subclass or returns a record that meets the dataio
 invariants; every schema loader does the same for any altered file, and
-refuses text that does not parse. Examples are derandomized and bounded so
+refuses text that does not parse. Canonical report JSON reads back as the
+tree it was rendered from, floats rounded to ten significant digits, with
+sorted keys, and refuses NaN and infinity anywhere in the tree. Examples are derandomized and bounded so
 that the suite stays deterministic and fast.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -228,3 +233,85 @@ def test_load_csv(tmp_path, schema, data):
     assert records
     for rec in records:
         _check(rec)
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON
+# ---------------------------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _same(parsed, tree):
+    """``parsed`` equals ``tree`` with each float rounded to ``%.10g``;
+    numbers compare by value, everything else by type and value."""
+    if isinstance(tree, float):
+        rounded = float("%.10g" % tree)
+        return type(parsed) in (int, float) and parsed == rounded
+    if type(parsed) is not type(tree):
+        return False
+    if isinstance(tree, list):
+        return len(parsed) == len(tree) and all(map(_same, parsed, tree))
+    if isinstance(tree, dict):
+        return parsed.keys() == tree.keys() and all(_same(parsed[k], tree[k]) for k in tree)
+    return parsed == tree
+
+
+@PROPERTY
+@given(_TREES)
+def test_canonical_json_round_trip(tree):
+    assert _same(json.loads(dataio.canonical_json(tree)), tree)
+
+
+@PROPERTY
+@given(_TREES)
+def test_canonical_json_keys_sorted_at_every_level(tree):
+    def sorted_pairs(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    json.loads(dataio.canonical_json(tree), object_pairs_hook=sorted_pairs)
+
+
+@st.composite
+def _trees_with_nonfinite(draw):
+    """A tree with one NaN or infinity planted at a drawn depth and place."""
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+
+    def plant(node):
+        if isinstance(node, list):
+            if node and draw(st.booleans()):
+                i = draw(st.integers(0, len(node) - 1))
+                return node[:i] + [plant(node[i])] + node[i + 1:]
+            i = draw(st.integers(0, len(node)))
+            return node[:i] + [bad] + node[i:]
+        if isinstance(node, dict):
+            if node and draw(st.booleans()):
+                key = draw(st.sampled_from(sorted(node)))
+                return {**node, key: plant(node[key])}
+            return {**node, draw(st.text(max_size=6)): bad}
+        return bad
+
+    return plant(draw(_TREES))
+
+
+@PROPERTY
+@given(_trees_with_nonfinite())
+def test_canonical_json_refuses_nonfinite_anywhere(tree):
+    with pytest.raises(ValidationError):
+        dataio.canonical_json(tree)

@@ -156,6 +156,40 @@ def test_double_resonance_tolerance_monotonicity():
     assert {(c.m_exc, c.m_det) for c in narrow} <= wide_pairs
 
 
+def test_double_resonance_search_matches_brute_force_over_indices():
+    # every index from 1 to past the top of the mode-index range, so an
+    # index the range misses shows up as a missing candidate
+    rng = np.random.Generator(np.random.Philox(23))
+    for _ in range(50):
+        lambdas = [float(v) for v in rng.uniform(450.0, 750.0, 2)]
+        roc_um = math.inf if rng.random() < 0.2 else float(rng.uniform(8.0, 60.0))
+        l_lo = float(rng.uniform(0.5, 6.0))
+        l_hi = l_lo + float(rng.uniform(0.2, 2.0))
+        tol = float(rng.uniform(0.005, 0.1))
+        stop = optics.mode_indices((l_lo, l_hi), sorted(lambdas)).stop
+
+        def lengths(wavelength):
+            out = {}
+            for m in range(1, stop + 5):
+                try:
+                    l_um = optics.resonance_length(wavelength, m, roc_um)
+                except SearchError:
+                    continue
+                if l_lo <= l_um <= l_hi:
+                    out[m] = l_um
+            return out
+
+        exc, det = lengths(lambdas[0]), lengths(lambdas[1])
+        expected = sorted(
+            (abs(l_exc - l_det), m_exc, m_det)
+            for m_exc, l_exc in exc.items()
+            for m_det, l_det in det.items()
+            if abs(l_exc - l_det) < tol
+        )
+        found = optics.double_resonance_search(*lambdas, roc_um, (l_lo, l_hi), tol)
+        assert [(c.mismatch_um, c.m_exc, c.m_det) for c in found] == expected
+
+
 def test_dispersion_map_branches():
     l_grid = np.linspace(5.0, 3.7, 60)
     rows = optics.dispersion_map(24.0, l_grid, range(11, 18))

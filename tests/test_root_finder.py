@@ -53,16 +53,6 @@ def test_half_maximum_crossings_match_brentq(monkeypatch, jitter_nm):
         assert brentq(f, a, b, **kwargs) == root
 
 
-def test_implied_jitter_root_matches_brentq(monkeypatch):
-    from scipy.optimize import brentq
-
-    calls = _recorded_calls(monkeypatch, synthlab)
-    synthlab.implied_length_jitter_nm(50.0, 80.0, n_samples=5_000, seed=3)
-    f, a, b, kwargs, root = calls[-1]  # the outer root find, after its crossings
-    assert kwargs == {"rtol": 1e-6}
-    assert brentq(f, a, b, **kwargs) == root
-
-
 def test_same_sign_bracket_and_endpoint_roots_match_brentq():
     from scipy.optimize import brentq
 

@@ -158,17 +158,6 @@ def test_vibration_monotone_in_jitter():
     assert all(b >= a * (1.0 - 1e-6) for a, b in zip(values, values[1:]))
 
 
-def test_vibration_implied_jitter_documents_regime():
-    # the jitter amplitude that turns a 15 GHz line into the observed
-    # 160 GHz effective linewidth: about half a nanometer rms
-    jitter = synthlab.implied_length_jitter_nm(
-        15.0, 160.0, n_samples=20_000, seed=3
-    )
-    assert 0.2 < jitter < 1.5
-    back = synthlab.vibration_broadening_sim(15.0, jitter, n_samples=20_000, seed=3)
-    assert back == pytest.approx(160.0, abs=2.0)
-
-
 # content digests of the map generators' output, recorded from the
 # per-frame generators; any change to the Philox stream or to the order in
 # which peaks are summed changes them
