@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cqed, dataio, fitkit, models, optics, photophysics, synthlab
+from . import cqed, dataio, fitkit, models, optics, synthlab
 from .errors import NumericalError, ValidationError
 
 __all__ = ["cmd_dispersion", "cmd_fit", "cmd_purcell_budget", "entrypoint", "main"]
@@ -55,6 +55,25 @@ def _positive(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
+
+
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _resamples(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) == 1:
+        raise argparse.ArgumentTypeError(f"must be 0 or an integer >= 2, got {text!r}")
+    return int(text)
 
 
 def _orders(text: str) -> list[int]:
@@ -153,7 +172,8 @@ def cmd_fit(args) -> int:
         ds = synthlab.generate(spec)
         x, y = ds.x, ds.y
         model_id = args.model or spec.model_id
-        record = ds.record()
+        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
+        inputs.append(dataio.digest_file(csv_path))
     elif args.input:
         if not args.model:
             raise ValidationError("--model is required with --input")
@@ -173,35 +193,18 @@ def cmd_fit(args) -> int:
     else:
         raise ValidationError("provide --input or --preset")
 
-    if args.bootstrap and model_id == "g2_three_level":
-        raise ValidationError("--bootstrap is not supported for model g2_three_level")
-    if args.preset:
-        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
-        inputs.append(dataio.digest_file(csv_path))
-    steps = []
-    if model_id == "g2_three_level":
-        hist = record if isinstance(record, dataio.TimeHistogram) else dataio.TimeHistogram(
-            bin_centers_ns=x, counts=np.round(y).astype(np.int64)
+    problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
+    result = fitkit.fit(problem)
+    step = result.to_report_step(problem)
+    if args.bootstrap:
+        sigma = fitkit.bootstrap_uncertainty(
+            problem, result, n_resamples=args.bootstrap, seed=args.seed
         )
-        g2 = photophysics.fit_g2_histogram(hist)
-        step = g2.fit.to_report_step()
-        step["outputs"]["g2_at_t0"] = g2.g2_at_t0
-        step["outputs"]["plateau_counts"] = g2.plateau_counts
-        steps.append(step)
-    else:
-        problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
-        result = fitkit.fit(problem)
-        step = result.to_report_step(problem)
-        if args.bootstrap:
-            sigma = fitkit.bootstrap_uncertainty(
-                problem, result, n_resamples=args.bootstrap, seed=args.seed
-            )
-            step["outputs"]["bootstrap_sigmas"] = dict(
-                zip(models.param_names(model_id), sigma.tolist())
-            )
-        steps.append(step)
+        step["outputs"]["bootstrap_sigmas"] = dict(
+            zip(models.param_names(model_id), sigma.tolist())
+        )
 
-    report = dataio.make_report(steps=steps, inputs=inputs)
+    report = dataio.make_report(steps=[step], inputs=inputs)
     report_path = out / "fit_report.json"
     dataio.export_report(report, report_path)
     print(f"wrote {report_path}")
@@ -284,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset", choices=synthlab.preset_names(),
         help="generate and fit a named synthetic preset",
     )
-    p_fit.add_argument("--bootstrap", type=int, default=0,
-                       help="bootstrap resamples for uncertainties")
+    p_fit.add_argument("--bootstrap", type=_resamples, default=0,
+                       help="bootstrap resamples for uncertainties (0: none)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_budget = sub.add_parser("purcell-budget", help="audited enhancement chain")
@@ -304,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.add_argument("--l-eff", type=_positive, required=True, dest="l_eff")
     p_budget.add_argument("--q-ideal", type=_positive, dest="q_ideal")
     p_budget.add_argument("--finesse", type=_positive)
-    p_budget.add_argument("--m-det", type=int, dest="m_det")
+    p_budget.add_argument("--m-det", type=_positive_int, dest="m_det")
     p_budget.add_argument("--kappa-exp", type=_positive, dest="kappa_exp",
                           help="effective linewidth (GHz)")
     p_budget.add_argument("--q-exp", type=_positive, dest="q_exp")
-    p_budget.add_argument("--f-fp", type=float, default=0.0, dest="f_fp")
+    p_budget.add_argument("--f-fp", type=_non_negative, default=0.0, dest="f_fp")
     p_budget.set_defaults(func=cmd_purcell_budget)
     return parser
 

@@ -475,10 +475,11 @@ def _render(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        if not math.isfinite(val):
+        # a float near the top of the range rounds up to infinity at 10 digits
+        text = "%.10g" % obj
+        if not math.isfinite(float(text)):
             raise ValidationError("reports must not contain NaN or infinity")
-        out.append("%.10g" % val)
+        out.append(text)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:

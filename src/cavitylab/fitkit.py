@@ -152,6 +152,9 @@ class FitResult:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
     def to_report_step(self, problem: FitProblem | None = None) -> dict:
+        """The fit as a report step, with the model's derived outputs;
+        raises the model's ``FitQualityError`` for a result it cannot
+        interpret."""
         outputs = {
             "params": dict(zip(models.param_names(self.model_id), self.params.tolist())),
             "sigmas": dict(zip(models.param_names(self.model_id), self.sigmas.tolist())),
@@ -159,6 +162,7 @@ class FitResult:
             "reduced_chi2": self.reduced_chi2,
             "iterations": self.iterations,
             "converged": self.converged,
+            **models.get_model(self.model_id).derived(self.params),
         }
         if problem is not None:
             outputs["data_digest"] = problem.data_digest()
@@ -254,20 +258,24 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     n_params = model.n_params
     x = np.stack([q.x for q in problems])
     y = np.stack([q.y for q in problems])
+    # the given weights; a count model's likelihood sets its own
+    aux = np.stack([q.effective_weights() for q in problems])
     lo, hi = model.bounds or (None, None)
 
     if model.noise == "poisson":
-        aux = y * np.log(np.where(y > 0, y, 1.0))  # y ln y, 0 where y <= 0
 
-        def objective(x, y, ylogy, p):
-            # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance
+        def objective(x, y, _, p):
+            # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance;
+            # each term y ln(y/mu) - (y - mu) is taken through log1p, which
+            # keeps it free of the cancellation of y ln y - y ln mu at high
+            # counts, and is mu where y = 0
             mu = model.fn(x, p)
             w = 1.0 / np.sqrt(mu)
-            cost = 2.0 * np.sum(ylogy - y * np.log(mu) - y + mu, axis=1)
+            d = y - mu
+            cost = 2.0 * np.sum(np.where(y > 0, y * np.log1p(d / mu) - d, mu), axis=1)
             cost[~(mu.min(axis=1) > 0)] = math.nan
-            return w, w * (y - mu), cost
+            return w, w * d, cost
     else:
-        aux = np.stack([q.effective_weights() for q in problems])
 
         def objective(x, y, w, p):
             r = w * (y - model.fn(x, p))
@@ -288,7 +296,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     w, r = w.copy(), r.copy()  # rows are overwritten by each problem's final state
 
     # the problems still iterating, stacked in the upper-case arrays (data,
-    # weights or y ln y, then the state); ``ids`` maps their rows to problems
+    # weights, then the state); ``ids`` maps their rows to problems
     ids = np.nonzero(np.isfinite(cost))[0]
     X, Y, A, P, W, R, C = _take(ids, x, y, aux, p, w, r, cost)
     lam, conv = np.full(ids.size, _DAMPING_INIT), np.zeros(ids.size, dtype=bool)

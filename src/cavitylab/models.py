@@ -16,10 +16,13 @@ Models
 ``lorentzian``        offset + amplitude * (w/2)^2 / ((x-center)^2 + (w/2)^2)
 ``gaussian``          offset + amplitude * exp(-(x-center)^2 / (2 sigma^2))
 ``linear``            slope * x + intercept
-``exponential_decay`` amplitude * exp(-t / tau)
-``g2_three_level``    1 + c*(beta*exp(-g1|t-t0|) + (beta-1)*exp(-g2|t-t0|))
+``exponential_decay`` amplitude * exp(-t / tau)                        (counts)
+``g2_three_level``    plateau * (1 + c*(beta*exp(-g1|t-t0|)
+                                    + (beta-1)*exp(-g2|t-t0|)))         (counts)
 ``saturation``        i_sat * P / (p_sat + P)
 ``detuned_purcell``   peak / (1 + (2 Q (x/x0 - 1))^2) + offset
+
+``(counts)``: Poisson noise, fitted by the likelihood of the raw counts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ __all__ = ["MODELS", "Model", "evaluate", "initial_params", "jacobian_matrix", "
 class Model:
     """A registered model; ``bounds`` is (lo, hi), each with one entry per parameter
     (+-inf: open), ``noise`` is "gaussian" (weighted least squares) or "poisson"
-    (count likelihood)."""
+    (count likelihood). ``derived`` maps fitted parameters to the named outputs
+    computed from them; it raises ``FitQualityError`` for a fit it cannot
+    interpret."""
 
     name: str
     params: tuple[str, ...]
@@ -48,6 +53,7 @@ class Model:
     canonical: Callable = staticmethod(lambda p: p)
     bounds: tuple | None = None
     noise: str = "gaussian"
+    derived: Callable = staticmethod(lambda p: {})
 
     @property
     def n_params(self) -> int:
@@ -205,22 +211,25 @@ def _exponential_decay_init(t, y):
 # -- three-level g2 ----------------------------------------------------------
 
 def _g2_three_level(t, p):
-    c, beta, gamma1, gamma2, t0 = _columns(p)
+    c, beta, gamma1, gamma2, t0, plateau = _columns(p)
     u = np.abs(t - t0)
-    return 1.0 + c * (beta * np.exp(-gamma1 * u) + (beta - 1.0) * np.exp(-gamma2 * u))
+    shape = beta * np.exp(-gamma1 * u) + (beta - 1.0) * np.exp(-gamma2 * u)
+    return plateau * (1.0 + c * shape)
 
 
 def _g2_three_level_jac(t, p):
-    c, beta, gamma1, gamma2, t0 = _columns(p)
+    c, beta, gamma1, gamma2, t0, plateau = _columns(p)
     u = np.abs(t - t0)
     e1 = np.exp(-gamma1 * u)
     e2 = np.exp(-gamma2 * u)
-    J = np.empty(u.shape + (5,))
-    J[..., 0] = beta * e1 + (beta - 1.0) * e2
-    J[..., 1] = c * (e1 + e2)
-    J[..., 2] = -c * beta * u * e1
-    J[..., 3] = -c * (beta - 1.0) * u * e2
-    J[..., 4] = c * (beta * gamma1 * e1 + (beta - 1.0) * gamma2 * e2) * np.sign(t - t0)
+    shape = beta * e1 + (beta - 1.0) * e2
+    J = np.empty(u.shape + (6,))
+    J[..., 0] = plateau * shape
+    J[..., 1] = plateau * c * (e1 + e2)
+    J[..., 2] = -plateau * c * beta * u * e1
+    J[..., 3] = -plateau * c * (beta - 1.0) * u * e2
+    J[..., 4] = plateau * c * (beta * gamma1 * e1 + (beta - 1.0) * gamma2 * e2) * np.sign(t - t0)
+    J[..., 5] = 1.0 + c * shape
     return J
 
 
@@ -236,7 +245,9 @@ def _g2_three_level_init(t, y):
     dip, bump = 1.0 - yn[i_min], yn[i_max] - 1.0
     if dip >= bump:
         t0 = float(t[i_min])
-        fast_amp = max(dip, 1e-3) + max(bump, 0.0)
+        # the start curve bottoms out at 1 - min(dip, 0.99) > 0: an expected
+        # count of zero is off the Poisson model's domain
+        fast_amp = min(max(dip, 1e-3), 0.99) + max(bump, 0.0)
         slow_amp = max(bump, 1e-3 * fast_amp)
         c = -(fast_amp + slow_amp)
         beta = fast_amp / (fast_amp + slow_amp)
@@ -247,7 +258,19 @@ def _g2_three_level_init(t, y):
         c = max(bump, 1e-3) / (2.0 * beta - 1.0)
         width = _half_width(t, yn, i_max, 1.0 + bump / 2.0)
     gamma1 = 1.0 / max(width, 1e-9)
-    return np.array([c, beta, gamma1, gamma1 / 10.0, t0])
+    return np.array([c, beta, gamma1, gamma1 / 10.0, t0, plateau])
+
+
+def _g2_derived(p):
+    # g2 at zero delay, for a fit whose rates are ordered as the canonical
+    # form orders them and whose contrast is not zero
+    c, beta, gamma1, gamma2 = p[:4]
+    if c == 0 or not gamma1 > gamma2 > 0:
+        raise FitQualityError(
+            "fit landed outside the valid parameter region: need contrast != 0 "
+            f"and gamma1 > gamma2 > 0, got contrast {c:.4g}, rates {gamma1:.4g}, {gamma2:.4g}"
+        )
+    return {"g2_at_t0": float(1.0 + c * (2.0 * beta - 1.0))}
 
 
 # -- saturation --------------------------------------------------------------
@@ -317,9 +340,9 @@ def _abs_width(index):
 
 def _g2_canonical(p):
     # relabeling the exponentials maps (c, beta, g1, g2) -> (-c, 1-beta, g2, g1)
-    c, beta, g1, g2, t0 = p
+    c, beta, g1, g2, t0, plateau = p
     if g2 > g1:
-        return np.array([-c, 1.0 - beta, g2, g1, t0])
+        return np.array([-c, 1.0 - beta, g2, g1, t0, plateau])
     return p
 
 
@@ -334,8 +357,9 @@ MODELS: dict[str, Model] = {
         Model("exponential_decay", ("amplitude", "tau"),
               _exponential_decay, _exponential_decay_jac, _exponential_decay_init,
               noise="poisson"),
-        Model("g2_three_level", ("contrast", "beta", "gamma1", "gamma2", "t0"),
-              _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical),
+        Model("g2_three_level", ("contrast", "beta", "gamma1", "gamma2", "t0", "plateau"),
+              _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical,
+              noise="poisson", derived=_g2_derived),
         Model("saturation", ("i_sat", "p_sat"),
               _saturation, _saturation_jac, _saturation_init,
               bounds=((1e-12, 1e-12), (np.inf, np.inf))),

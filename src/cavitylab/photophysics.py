@@ -15,7 +15,6 @@ import numpy as np
 from . import fitkit, models
 from .dataio import Spectrum, TimeHistogram
 from .errors import (
-    FitQualityError,
     InsufficientDataError,
     NonphysicalResultError,
     ValidationError,
@@ -90,14 +89,11 @@ class G2Params:
             [self.contrast, self.beta, self.gamma1_per_ns, self.gamma2_per_ns, self.t0_ns]
         )
 
-    @property
-    def g2_at_t0(self) -> float:
-        return 1.0 + self.contrast * (2.0 * self.beta - 1.0)
-
 
 def g2_model(t, params: G2Params):
-    """Second-order correlation of a three-level emitter at delay ``t`` (ns)."""
-    return models.evaluate("g2_three_level", params.as_vector(), t)
+    """Second-order correlation of a three-level emitter at delay ``t`` (ns),
+    normalised to a plateau of 1."""
+    return models.evaluate("g2_three_level", np.append(params.as_vector(), 1.0), t)
 
 
 @dataclass(frozen=True)
@@ -202,53 +198,26 @@ def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
 class G2FitResult:
     params: G2Params
     g2_at_t0: float
-    plateau_counts: float
     fit: fitkit.FitResult
-
-
-def _normalize_g2(t, counts, t0_est, gamma2_est):
-    """Normalize by the Poissonian plateau: mean over |t - t0| > 5/gamma2."""
-    far = np.abs(t - t0_est) > 5.0 / gamma2_est
-    if np.count_nonzero(far) < 4:
-        n_edge = max(2, t.size // 10)
-        far = np.zeros(t.size, dtype=bool)
-        far[:n_edge] = far[-n_edge:] = True
-    plateau = float(np.mean(counts[far]))
-    if plateau <= 0:
-        raise ValidationError("plateau region has no counts; cannot normalize")
-    return counts / plateau, plateau
 
 
 def fit_g2_histogram(hist: TimeHistogram) -> G2FitResult:
     """Fit a coincidence histogram with the three-level correlation model.
 
-    The histogram is normalized by its long-delay plateau before fitting.
-    Initial rates come from the width of the antibunching dip with the
-    shelving rate started a decade slower; a fit that converges with the
-    rates swapped is canonicalized back to gamma1 > gamma2.
+    The raw counts are fitted by the Poisson likelihood of the registered
+    model, whose sixth parameter is the long-delay plateau in counts per
+    bin; ``params`` describes the curve normalised to that plateau. Initial
+    rates come from the width of the antibunching dip with the shelving rate
+    started a decade slower; a fit that converges with the rates swapped is
+    canonicalized back to gamma1 > gamma2. A fit that lands at zero contrast
+    or outside gamma1 > gamma2 > 0 raises ``FitQualityError``.
     """
-    t = hist.bin_centers_ns
-    counts = hist.counts.astype(float)
-    p0 = models.initial_params("g2_three_level", t, counts / max(counts.max(), 1.0))
-    y, plateau = _normalize_g2(t, counts, p0[4], p0[3])
-    p0 = models.initial_params("g2_three_level", t, y)
-    # sigma of y = sqrt(counts)/plateau, so 1/sigma scales back up by the plateau
-    weights = plateau / np.sqrt(np.maximum(counts, 1.0))
-    problem = fitkit.FitProblem(
-        model_id="g2_three_level", x=t, y=y, weights=weights, initial_params=p0
+    model = models.get_model("g2_three_level")
+    result = fitkit.fit(
+        fitkit.FitProblem(model_id=model.name, x=hist.bin_centers_ns, y=hist.counts)
     )
-    result = fitkit.fit(problem)  # engine canonicalizes to gamma1 > gamma2
-    c, beta, g1, g2, t0 = result.params
-    try:
-        params = G2Params(c, beta, g1, g2, t0)
-    except ValidationError as exc:
-        raise FitQualityError(f"fit landed outside the valid parameter region: {exc}")
-    return G2FitResult(
-        params=params,
-        g2_at_t0=params.g2_at_t0,
-        plateau_counts=plateau,
-        fit=result,
-    )
+    g2_at_t0 = model.derived(result.params)["g2_at_t0"]
+    return G2FitResult(params=G2Params(*result.params[:5]), g2_at_t0=g2_at_t0, fit=result)
 
 
 def fit_saturation(power_mw, rate_kcps, sigmas=None):

@@ -49,10 +49,9 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 class GeneratorSpec:
     """Recipe for one synthetic dataset.
 
-    ``noise`` is one of ``none``, ``poisson`` or ``gaussian``. For Poisson
-    noise, ``exposure`` converts model values to expected counts (counts =
-    Poisson(model * exposure) / exposure), so rate-like observables keep
-    their units. ``noise_sigma`` applies to Gaussian noise only.
+    ``noise`` is one of ``none``, ``poisson`` or ``gaussian``. Poisson noise
+    draws counts with the model values as expected counts. ``noise_sigma``
+    applies to Gaussian noise only.
     """
 
     model_id: str
@@ -60,7 +59,6 @@ class GeneratorSpec:
     grid: tuple[float, ...]
     noise: str = "none"
     noise_sigma: float | None = None
-    exposure: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +69,6 @@ class GeneratorSpec:
             raise ValidationError("gaussian noise requires a positive noise_sigma")
         if not self.grid:
             raise ValidationError("grid must be non-empty")
-        if self.exposure <= 0:
-            raise ValidationError("exposure must be positive")
         object.__setattr__(self, "true_params", tuple(float(p) for p in self.true_params))
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
 
@@ -95,7 +91,6 @@ class SyntheticDataset:
             "grid_size": len(self.spec.grid),
             "noise": self.spec.noise,
             "noise_sigma": self.spec.noise_sigma or 0.0,
-            "exposure": self.spec.exposure,
             "seed": self.spec.seed,
         }
 
@@ -105,7 +100,7 @@ class SyntheticDataset:
         if model_id in ("exponential_decay", "g2_three_level"):
             return TimeHistogram(
                 bin_centers_ns=self.x,
-                counts=np.round(self.y * self.spec.exposure).astype(np.int64),
+                counts=np.round(self.y).astype(np.int64),
             )
         if model_id in ("lorentzian", "gaussian", "detuned_purcell"):
             return Spectrum(wavelength_nm=self.x, counts=np.maximum(self.y, 0.0))
@@ -121,11 +116,10 @@ def generate(spec: GeneratorSpec) -> SyntheticDataset:
     if spec.noise == "none":
         y = y_true.copy()
     elif spec.noise == "poisson":
-        expected = y_true * spec.exposure
-        if np.any(expected < 0):
+        if np.any(y_true < 0):
             raise ValidationError("poisson noise requires non-negative model values")
         rng = rng_from_seed(spec.seed)
-        y = rng.poisson(expected).astype(float) / spec.exposure
+        y = rng.poisson(y_true).astype(float)
     else:
         rng = rng_from_seed(spec.seed)
         y = y_true + rng.normal(0.0, spec.noise_sigma, x.size)
@@ -163,7 +157,7 @@ def _lifetime_preset(tau_ns: float, peak_counts: float) -> GeneratorSpec:
 
 def _g2_preset() -> GeneratorSpec:
     # dip to 0.21 at zero delay recovering over 12.5 ns, 15% bunching
-    # decaying over the 200 ns shelving time:
+    # decaying over the 200 ns shelving time, 1500 plateau counts per bin:
     # g2 = 1 - 1.09 exp(-u/12.5) + 0.15 exp(-u/200) in the (c, beta) form
     bunching = 0.15
     fast_amp = 0.79 + bunching
@@ -172,10 +166,9 @@ def _g2_preset() -> GeneratorSpec:
     grid = tuple(np.arange(-2000.0, 2001.0, 2.0))
     return GeneratorSpec(
         model_id="g2_three_level",
-        true_params=(contrast, beta, 0.08, 0.005, 0.0),
+        true_params=(contrast, beta, 0.08, 0.005, 0.0, 1500.0),
         grid=grid,
         noise="poisson",
-        exposure=1500.0,  # plateau counts per bin
     )
 
 

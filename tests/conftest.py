@@ -63,7 +63,8 @@ def random_params(model_id, rng):
         gamma1 = rng.uniform(0.05, 0.5)
         return np.array(
             [-(fast_amp + bunching), fast_amp / (fast_amp + bunching), gamma1,
-             gamma1 * rng.uniform(0.05, 0.3), rng.uniform(-5.0, 5.0)]
+             gamma1 * rng.uniform(0.05, 0.3), rng.uniform(-5.0, 5.0),
+             rng.uniform(100.0, 2000.0)]
         )
     if model_id == "saturation":
         return np.array([rng.uniform(50.0, 500.0), rng.uniform(0.1, 5.0)])
@@ -80,7 +81,9 @@ def perturb_params(model_id, truth, rng, frac=0.1):
 
     Location parameters (line centers, t0) are perturbed by 10% of the line
     width rather than of their absolute value; 10% of a 620 nm center would
-    land outside any physical scan window.
+    land outside any physical scan window. For a count model the
+    perturbation is halved until the start curve is positive on the model's
+    grid: a negative expected count is off the Poisson model's domain.
     """
     delta = frac * rng.uniform(-1.0, 1.0, truth.size)
     start = truth * (1.0 + delta)
@@ -90,6 +93,9 @@ def perturb_params(model_id, truth, rng, frac=0.1):
         start[2] = truth[2] + delta[2] * (truth[2] / truth[1])
     elif model_id == "g2_three_level":
         start[4] = truth[4] + delta[4] / truth[2]
+    if models.get_model(model_id).noise == "poisson":
+        while np.min(models.evaluate(model_id, start, model_grid(model_id))) <= 0:
+            start = truth + (start - truth) / 2.0
     return start
 
 

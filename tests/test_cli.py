@@ -286,17 +286,23 @@ _BUDGET_ARGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
-    "flag",
-    ["--tau0", "--tau-p", "--lambda-c", "--l-eff", "--q-ideal", "--finesse",
-     "--kappa-exp", "--q-exp"],
+    "flag, value",
+    [
+        (flag, value)
+        for flag in ["--tau0", "--tau-p", "--lambda-c", "--l-eff", "--q-ideal", "--finesse",
+                     "--kappa-exp", "--q-exp", "--f-fp"]
+        for value in ["nan", "inf"]
+    ]
+    + [("--f-fp", "-5"), ("--m-det", "-12"), ("--m-det", "0"), ("--m-det", "1.5")],
 )
 def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys):
+    # a bad value of a budget input, non-finite or out of its domain
     args = dict(_BUDGET_ARGS, **{flag: value})
-    if flag == "--finesse":
+    if flag in ("--finesse", "--m-det"):
+        args.setdefault("--finesse", "4700")
+        args.setdefault("--m-det", "12")
         del args["--q-ideal"]
-        args["--m-det"] = "12"
     if flag == "--q-exp":
         del args["--kappa-exp"]
     argv = ["purcell-budget", *(x for item in args.items() for x in item)]
@@ -352,20 +358,25 @@ def test_module_entry_point(tmp_path):
         ("--l-step-nm", "-5"),
         ("--tol-nm", "0"),
         ("--tol-nm", "-25"),
+        ("--bootstrap", "1"),
+        ("--bootstrap", "-3"),
+        ("--bootstrap", "x"),
     ],
 )
 def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
-    assert run(_dispersion_args(tmp_path, extra=(flag, value))) == 2
+    if flag == "--bootstrap":
+        argv = ["fit", "--preset", "lifetime_4k", "--out", str(tmp_path), flag, value]
+    else:
+        argv = _dispersion_args(tmp_path, extra=(flag, value))
+    assert run(argv) == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-def test_fit_g2_refuses_bootstrap_before_fitting(tmp_path, capsys, monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the fit ran")
-
-    monkeypatch.setattr(cli.photophysics, "fit_g2_histogram", no_fit)
+def test_fit_g2_bootstrap_draws_counts(tmp_path):
     argv = ["fit", "--preset", "g2_dip", "--seed", "7", "--bootstrap", "20"]
-    assert run(argv + ["--out", str(tmp_path)]) == 2
-    assert "--bootstrap" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    outputs = json.loads((tmp_path / "fit_report.json").read_text())["steps"][0]["outputs"]
+    assert set(outputs["bootstrap_sigmas"]) == set(outputs["params"])
+    assert len(outputs["bootstrap_sigmas"]) == 6
+    assert all(s > 0 for s in outputs["bootstrap_sigmas"].values())

@@ -5,12 +5,14 @@ ValidationError subclass or returns a record that meets the dataio
 invariants; every schema loader does the same for any altered file, and
 refuses text that does not parse. Canonical report JSON reads back as the
 tree it was rendered from, floats rounded to ten significant digits, with
-sorted keys, and refuses NaN and infinity anywhere in the tree. Examples are derandomized and bounded so
-that the suite stays deterministic and fast.
+sorted keys, and refuses NaN, infinity and floats whose ten-digit text reads
+back as infinity anywhere in the tree. Examples are derandomized and bounded
+so that the suite stays deterministic and fast.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -239,9 +241,11 @@ def test_load_csv(tmp_path, schema, data):
 # canonical JSON
 # ---------------------------------------------------------------------------
 
+# the largest float whose ten-digit text is finite: 1.797693135e308 overflows
+_REPORTABLE = 1.797693134e308
 _LEAVES = st.one_of(
     st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-_REPORTABLE, max_value=_REPORTABLE),
     st.booleans(),
     st.none(),
     st.text(max_size=8),
@@ -290,8 +294,11 @@ def test_canonical_json_keys_sorted_at_every_level(tree):
 
 @st.composite
 def _trees_with_nonfinite(draw):
-    """A tree with one NaN or infinity planted at a drawn depth and place."""
-    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    """A tree with one NaN, infinity or float that rounds to infinity at ten
+    digits planted at a drawn depth and place."""
+    bad = draw(st.sampled_from(
+        [math.nan, math.inf, -math.inf, sys.float_info.max, -sys.float_info.max]
+    ))
 
     def plant(node):
         if isinstance(node, list):
@@ -312,6 +319,7 @@ def _trees_with_nonfinite(draw):
 
 @PROPERTY
 @given(_trees_with_nonfinite())
+@example({"v": sys.float_info.max})
 def test_canonical_json_refuses_nonfinite_anywhere(tree):
     with pytest.raises(ValidationError):
         dataio.canonical_json(tree)

@@ -33,7 +33,7 @@ _PLANE_WAVE_MAP = "a2341b982fcc3dbe9ce29ea92e3230f7305bea64b539f8927f8237c121901
 _LIFETIME_4K_CSV = {
     "lifetime_4k.csv": "e915f119e4808eb6ef0c4cc115c707dbafec2a6dd9ab539ec5199c12941e9553",
     "lifetime_4k.csv.truth.json":
-        "4fafb2f5f0493dff21387a2792dc423921d3be9c94f5405b7c61d7acdfbaeb68",
+        "42171571ecdb9924df338762ea0601b88f08acfdd02177714bbe961389ab48a3",
 }
 
 GOLDEN = {
@@ -59,21 +59,21 @@ GOLDEN = {
         "purcell_budget.json": "a1a226331bbb6536db9834ad95fc0961fbd6ea93d4bb19da54ab8761897aaca4",
     },
     "fit --preset g2_dip --seed 7": {
-        "fit_report.json": "87fe8c7f52575ce3a3d709774acf2268fe9faae8155ab57ce1c09592af7e320e",
+        "fit_report.json": "51562eab7d6cdd31725fb0da6bfd6fd5bb60fb2cf0c5083b4d65b665d0fb5384",
         "g2_dip.csv": "87bdcae95d96ed0d2b4c331d15cca253b66baf8747f467e77b6d024ecd576cab",
-        "g2_dip.csv.truth.json": "1f92c2bbb3dca0c596289644d7e2e400148c5f76ea4b5179c17fc2da53c7123f",
+        "g2_dip.csv.truth.json": "e8715df6d5781bfe1431a53890159f50eef20b193c7492ffd1f1e2e66ff63f8b",
     },
     "fit --preset lifetime_100k --seed 7": {
         "fit_report.json": "eb6fd305b43b0371a5e4eb0a571efb2a1b51b685ffe4822070b9064c2dac8973",
         "lifetime_100k.csv": "eca883011ddd83d5eda779159c886c31be3122d66ba95f91125c551b6c31aed9",
         "lifetime_100k.csv.truth.json":
-            "1e680d1fe3e10e821e03df660749c80db37418c224a647bd3c91efaa3fc8381e",
+            "32b3bd744327124173b7bd96e6b03e3cf03becd8f30137c9dabc941e622918ce",
     },
     "fit --preset lifetime_40k --seed 7": {
         "fit_report.json": "178252730d3dfe7a2a0f94b8bfbfa3781fcdbfc5410b8dc478100af1bc968128",
         "lifetime_40k.csv": "d5938deb3b41c13f2e334cbad7b4df1a7bb8feb35ed9624215872975ef2ae611",
         "lifetime_40k.csv.truth.json":
-            "09298a2a71d2307701ac671bab7a137980512ffee6dbb42ca1d4db475534ca28",
+            "9b790204ffc7adcd6acb2a5e6e4751e41745ad4054928e1b5623e5649d626aa5",
     },
     "fit --preset lifetime_4k --seed 7": {
         "fit_report.json": "9a1f2266adae075a92e61221e15dc85f8db942055f364749aa9938a7eecf17c3",
@@ -83,19 +83,19 @@ GOLDEN = {
         "fit_report.json": "51ccc6be90878ffd25c9715aa8cca62bf3d437d16d7fb4bed74754ab5a95e933",
         "saturation_100k.csv": "34d9a170ef06453564e4de9813e6e9f49574499b517a82bec98b778b10d6318c",
         "saturation_100k.csv.truth.json":
-            "df0784a3c0cf9cc748ed3fb2915a3174a2fbd2e54b8dcfbcd412844fb6ac08cc",
+            "9c3d87a4da6279f7cb7e23a1a63a7cf9face93e71c5cd95a7d28d8e8a8eb0ea7",
     },
     "fit --preset saturation_10k --seed 7": {
         "fit_report.json": "861648c6938b33e6a7d06e99b0e93a850a79d04482b24bbd47d6088ffc9e86ee",
         "saturation_10k.csv": "7415874a2871a99748969e33f022232dae69cb47906296de5df427ec8ab3378d",
         "saturation_10k.csv.truth.json":
-            "e51afe2eac7e734d1e900900d6cfe88663c559fb71ce2145a0841e03e8a3d9ca",
+            "403b3cc98c6fb3c3e39820e1732eb595ec61ed12a65dffda5e4b2b6530042550",
     },
     "fit --preset saturation_40k --seed 7": {
         "fit_report.json": "dc561629977ef4b8e1704ebe97ae852ce3a7ce99aea6bca3fe8ae4a9c39fea71",
         "saturation_40k.csv": "ea18adf7bce5dabe629cdadfd0fbb0b99f94ac48e8d6d3b288240ee32db40685",
         "saturation_40k.csv.truth.json":
-            "9ee11b4adf67195ed91fd593b3f52add1bc54f8bef1a2059ee149501a24f11f1",
+            "cedccf70ae4fdc49c9dbe6126509d9f465c61bf13a61df0ccbba307c6d5bbf71",
     },
     "fit --preset lifetime_4k --seed 7 --bootstrap 20": {
         "fit_report.json": "ff408b4af9681f94513eedd30de826854e57b2adb971b65782746193ef162359",

@@ -72,9 +72,20 @@ def test_initializer_lands_near_truth(model_id):
 
 def test_g2_initializer_finds_dip():
     x = model_grid("g2_three_level")
-    truth = np.array([-1.09, 0.94 / 1.09, 0.08, 0.005, 10.0])
+    truth = np.array([-1.09, 0.94 / 1.09, 0.08, 0.005, 10.0, 1500.0])
     y = models.evaluate("g2_three_level", truth, x)
     start = models.initial_params("g2_three_level", x, y)
     assert abs(start[4] - 10.0) < 5.0  # t0 near the dip
     assert start[0] < 0  # dip trace: negative contrast
     assert start[2] > start[3]  # gamma1 a decade above gamma2
+    assert start[5] == pytest.approx(1500.0, rel=0.1)  # plateau from the edges
+
+
+def test_g2_start_curve_is_positive_over_an_empty_dip_bin():
+    # an expected count of zero is off the Poisson model's domain
+    x = model_grid("g2_three_level")
+    truth = np.array([-1.09, 0.94 / 1.09, 0.08, 0.005, 10.0, 20.0])
+    y = np.round(models.evaluate("g2_three_level", truth, x))
+    y[np.argmin(y)] = 0.0
+    start = models.initial_params("g2_three_level", x, y)
+    assert np.min(models.evaluate("g2_three_level", start, x)) > 0

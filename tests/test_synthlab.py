@@ -44,9 +44,11 @@ def test_g2_plateau_reaches_unity_at_long_delay():
         noise="none",
     )
     ds = synthlab.generate(noiseless)
+    plateau = spec.true_params[5]
+    assert plateau == 1500.0  # counts per bin at long delay
     edge = np.abs(ds.x) >= 2000.0
-    assert np.allclose(ds.y[edge], 1.0, atol=1e-3)
-    assert ds.y.min() == pytest.approx(0.21, abs=1e-9)
+    assert np.allclose(ds.y[edge] / plateau, 1.0, atol=1e-3)
+    assert ds.y.min() / plateau == pytest.approx(0.21, abs=1e-9)
 
 
 def test_master_roundtrip_every_model():
