@@ -460,7 +460,7 @@ def cavity_figures(
 
 
 def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
-    """Indices of local maxima whose prominence exceeds the noise floor.
+    """Indices of local maxima whose prominence reaches the noise floor.
 
     The floor is five times the median absolute deviation of the signal
     around its median, which tracks the baseline for traces where peaks
@@ -468,22 +468,149 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     drops peaks below that fraction of the strongest prominence, which
     rejects shot-noise spikes on long traces whose resonances are of
     comparable height.
-    """
-    signal = np.asarray(signal, dtype=float)
-    mad = float(np.median(np.abs(signal - np.median(signal))))
-    span = float(np.max(signal) - np.min(signal))
-    if span == 0.0:
-        return np.array([], dtype=int)
-    prominence = max(5.0 * mad, 1e-9 * span)
-    # imported here: scipy.signal costs most of a command's start-up, and
-    # only the finesse, drift and spectrum-length paths detect peaks
-    from scipy.signal import find_peaks
 
-    peaks, props = find_peaks(signal, prominence=prominence)
+    Maxima and prominences follow ``scipy.signal.find_peaks`` exactly, so
+    for a finite signal the result equals ``find_peaks(signal,
+    prominence=floor)`` followed by the relative cut. Prominences are
+    computed only for maxima that can pass: a prominence never exceeds the
+    peak's height above the lowest sample, and under ``rel_prominence``
+    the strongest prominence is at least that of the highest peak that
+    clears the floor.
+    """
+    y = np.asarray(signal, dtype=float)
+    if y.ndim != 1:
+        raise ValidationError(f"signal must be one-dimensional, got shape {y.shape}")
+    if y.size < 3:
+        return np.array([], dtype=int)
+    rows = y[None, :]
+    _, lows, floors = _peak_floors(rows)
+    peaks = _local_maxima(rows, lows, floors)
+    low, floor = lows[0], floors[0]
+    if rel_prominence > 0.0:
+        (top,), (top_prominence,) = _first_prominent(rows, peaks, floors)
+        if top < 0:
+            return np.array([], dtype=int)
+        peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
+    prominences = _prominences(rows, peaks)
+    peaks, prominences = peaks[prominences >= floor], prominences[prominences >= floor]
     if rel_prominence > 0.0 and peaks.size:
-        keep = props["prominences"] >= rel_prominence * props["prominences"].max()
-        peaks = peaks[keep]
+        peaks = peaks[prominences >= rel_prominence * prominences.max()]
     return peaks
+
+
+def _peak_floors(rows: np.ndarray):
+    """Median, lowest sample and peak floor of each row of a (K, n) array:
+    the floor is 5 MAD around the median, and at least 1e-9 of the span."""
+    medians = np.median(rows, axis=1)
+    deviations = rows - medians[:, None]
+    mads = np.median(np.abs(deviations, out=deviations), axis=1, overwrite_input=True)
+    lows = rows.min(axis=1)
+    return medians, lows, np.maximum(5.0 * mads, 1e-9 * (rows.max(axis=1) - lows))
+
+
+def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Flat indices of the local maxima of each row of a (K, n) array that
+    stand at least ``steps`` above the row's lowest sample ``lows``, in
+    scipy's sense: the middle sample (rounded down) of a run of equal
+    samples whose neighbours are both lower; a row's first and last samples
+    are never maxima.
+
+    Only samples that reach the step are looked at, so the scan costs one
+    pass over ``rows``. The threshold is lowered by a few ulps of the
+    numbers that made it, so it keeps every sample whose height above the
+    lowest one, as a float difference, reaches the step.
+    """
+    n = rows.shape[1]
+    slack = 8 * np.finfo(float).eps * (np.abs(lows) + steps)
+    at = np.flatnonzero(rows >= (lows + steps - slack)[:, None])
+    y = rows.ravel()
+    col, v = at % n, y[at]
+    # equal neighbours both reach the level, so a run's samples are adjacent in ``at``
+    left, right = y[np.maximum(at - 1, 0)], y[np.minimum(at + 1, y.size - 1)]
+    starts = (col == 0) | (left != v)
+    ends = (col == n - 1) | (right != v)
+    first, last = at[starts], at[ends]
+    peak = (
+        (col[starts] > 0) & (left[starts] < v[starts])
+        & (col[ends] < n - 1) & (right[ends] < v[ends])
+    )
+    return (first[peak] + last[peak]) // 2
+
+
+def _prominences(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """scipy's prominence of each peak (flat indices into a (K, n) array):
+    the peak's height above the higher of its two bases, each the lowest
+    sample on its side, within its row, before the first sample higher
+    than the peak.
+
+    Every sample higher than a peak is among the samples ``at`` that reach
+    the lowest peak. Maxima of ``at``'s values over spans of 1, 2, 4, ...
+    samples let every peak find its nearest higher sample on each side in
+    log2(len(at)) vectorized steps, and the bases are minima over the
+    samples between.
+    """
+    if not peaks.size:
+        return np.empty(0)
+    n = rows.shape[1]
+    y = rows.ravel()
+    heights = y[peaks]
+    at = np.flatnonzero(y >= heights.min())
+    spans = [y[at]]  # spans[k][i]: the highest of the 2**k samples at[i:i + 2**k]
+    while 2 ** len(spans) <= at.size:
+        half = 2 ** (len(spans) - 1)
+        spans.append(np.maximum(spans[-1][:-half], spans[-1][half:]))
+    # grow [lo, hi) around each peak's place in ``at`` while nothing in it is higher
+    m = at.size
+    lo = np.searchsorted(at, peaks)
+    hi = lo + 1
+    for k in reversed(range(len(spans))):
+        w = 2**k
+        lo = np.where((lo >= w) & (spans[k][np.maximum(lo - w, 0)] <= heights), lo - w, lo)
+        hi = np.where((hi + w <= m) & (spans[k][np.minimum(hi, m - w)] <= heights), hi + w, hi)
+    row_start = peaks - peaks % n
+    start = np.maximum(np.where(lo > 0, at[lo - 1] + 1, 0), row_start)
+    stop = np.minimum(np.where(hi < m, at[np.minimum(hi, m - 1)], y.size), row_start + n)
+    return heights - np.maximum(_range_minima(y, start, peaks + 1), _range_minima(y, peaks, stop))
+
+
+def _range_minima(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``y[lo:hi].min()`` for each pair of bounds, with lo < hi <= y.size."""
+    last = hi == y.size  # reduceat takes no bound past the end: end one short, then fold in y[-1]
+    minima = np.minimum.reduceat(y, np.column_stack([lo, np.where(last, y.size - 1, hi)]).ravel())
+    return np.where(last, np.minimum(minima[::2], y[-1]), minima[::2])
+
+
+def _first_prominent(rows: np.ndarray, peaks: np.ndarray, floors: np.ndarray):
+    """Per row of a (K, n) array, the column of the highest of ``peaks``
+    (flat indices) whose prominence reaches the row's floor, or -1, and
+    that prominence. Candidates are tried in descending height, ties in
+    sample order, so the answer is ``argmax`` over the peaks that pass.
+    Each round tries the next 1, 2, 4, ... candidates of every open row."""
+    n = rows.shape[1]
+    peaks = peaks[np.lexsort((-rows.ravel()[peaks], peaks // n))]
+    row = peaks // n
+    rank = np.arange(peaks.size) - np.searchsorted(row, row)  # place in its row, highest first
+    best = np.full(rows.shape[0], -1)
+    prominence = np.zeros(rows.shape[0])
+    tried = 0
+    while (tries := np.flatnonzero((rank >= tried) & (rank <= 2 * tried) & (best[row] < 0))).size:
+        trial = _prominences(rows, peaks[tries])
+        passed = trial >= floors[row[tries]]
+        tries, trial = tries[passed], trial[passed]
+        first = np.diff(row[tries], prepend=-1) != 0  # each row's highest that passed
+        best[row[tries[first]]] = peaks[tries[first]] % n
+        prominence[row[tries[first]]] = trial[first]
+        tried = 2 * tried + 1
+    return best, prominence
+
+
+def _strongest_peaks(rows: np.ndarray):
+    """Column of each row's highest peak that clears its noise floor (-1 for
+    a row with none) and each row's median, for a (K, n) array: the batched
+    form of ``detect_peaks(row)[argmax]`` over the rows."""
+    medians, lows, floors = _peak_floors(rows)
+    best, _ = _first_prominent(rows, _local_maxima(rows, lows, floors), floors)
+    return best, medians
 
 
 def _fwhm_in_samples(y: np.ndarray, i_peak: int, baseline: float) -> float:
@@ -495,13 +622,6 @@ def _fwhm_in_samples(y: np.ndarray, i_peak: int, baseline: float) -> float:
     while right < y.size - 1 and y[right] > half:
         right += 1
     return max(right - left, 3.0)
-
-
-def _strongest_peak(y: np.ndarray) -> int:
-    peaks = detect_peaks(y)
-    if peaks.size == 0:
-        raise InsufficientDataError("no peak found to fit")
-    return int(peaks[np.argmax(y[peaks])])
 
 
 def _peak_problem(x: np.ndarray, y: np.ndarray, index: int, baseline: float):
@@ -606,7 +726,12 @@ def effective_length_from_adjacent_modes(
 
 
 def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = None) -> float:
-    """Length from the two most prominent resonances of a broadband spectrum."""
+    """Length from the two most prominent resonances of a broadband spectrum.
+
+    As in :func:`finesse_from_scan`, two peaks whose fitted centers lie
+    within one fitted FWHM are one resonance (a noisy top can hold two
+    maxima), which leaves too few for a spacing.
+    """
     peaks = detect_peaks(spectrum.counts)
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
@@ -616,7 +741,12 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
         _peak_problem(spectrum.wavelength_nm, spectrum.counts, int(idx), baseline)
         for idx in strongest
     ])
-    lo, hi = sorted(float(f.params[1]) for f in fits)
+    (lo, lo_width), (hi, _) = sorted((float(f.params[1]), abs(float(f.params[2]))) for f in fits)
+    if hi - lo <= lo_width:
+        raise InsufficientDataError(
+            f"the two strongest peaks ({lo:.6g} and {hi:.6g} nm) are one resonance, "
+            "need two"
+        )
     return effective_length_from_adjacent_modes(hi, lo, roc_um)
 
 
@@ -644,12 +774,15 @@ def drift_series(
         lam0 = float(wl[np.argmax(counts[0])])
         max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
-    # every frame's fit runs in one batch; the first frame in order that
-    # fails (no peak, failed fit or jump) is the one reported
+    # every frame's peak search and fit runs in one batch; the first frame in
+    # order that fails (no peak, failed fit or jump) is the one reported
+    peaks, medians = _strongest_peaks(counts)
     problems, failure = [], None
-    for i, row in enumerate(counts):
+    for i, (row, peak, median) in enumerate(zip(counts, peaks, medians)):
         try:
-            problems.append(_peak_problem(wl, row, _strongest_peak(row), float(np.median(row))))
+            if peak < 0:
+                raise InsufficientDataError("no peak found to fit")
+            problems.append(_peak_problem(wl, row, int(peak), float(median)))
         except CavityLabError as exc:
             failure = (i, exc)
             break

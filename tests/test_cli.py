@@ -361,16 +361,26 @@ def test_module_entry_point(tmp_path):
         ("--bootstrap", "1"),
         ("--bootstrap", "-3"),
         ("--bootstrap", "x"),
+        ("--bootstrap", "1001"),
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
     ],
 )
 def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
-    if flag == "--bootstrap":
+    if flag in ("--bootstrap", "--seed"):
         argv = ["fit", "--preset", "lifetime_4k", "--out", str(tmp_path), flag, value]
     else:
         argv = _dispersion_args(tmp_path, extra=(flag, value))
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_fit_seed_and_bootstrap_domains_end_inclusive():
+    args = cli.build_parser().parse_args(
+        ["fit", "--preset", "g2_dip", "--seed", "0", "--bootstrap", str(cli.MAX_RESAMPLES)]
+    )
+    assert (args.seed, args.bootstrap) == (0, 1000)
 
 
 def test_fit_g2_bootstrap_draws_counts(tmp_path):

@@ -1,11 +1,13 @@
-"""The command line never loads scipy; peak detection loads it on first use.
+"""cavitylab never loads scipy: not on the command line, not in the peak
+detection behind the finesse and drift pipelines.
 
-Each check runs in a fresh interpreter, because the test process itself has
-long since imported scipy.
+Each run check uses a fresh interpreter, because the test process itself has
+long since imported scipy for its oracle tests.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,14 +37,14 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
-_DETECT_PEAKS = """
+# prints whether the finesse is in band, the number of drift frames tracked
+# and the scipy modules loaded
+_PEAK_PIPELINES = """
 import sys
-import numpy as np
-from cavitylab import optics
-before = "scipy.signal" in sys.modules
-x = np.linspace(-10.0, 10.0, 2001)
-peaks = optics.detect_peaks(1.0 / (1.0 + (x - 2.5) ** 2))
-print(before, "scipy.signal" in sys.modules, peaks.tolist())
+from cavitylab import optics, synthlab
+finesse, _ = optics.finesse_from_scan(synthlab.generate_scan_pair(seed=41))
+series = optics.drift_series(synthlab.generate_drift_map(seed=41)[0])
+print(abs(finesse - 4600.0) < 500.0, len(series), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -69,5 +71,9 @@ def test_readme_commands_load_no_scipy(tmp_path):
     assert seen == [[0, []]] * len(argvs)
 
 
-def test_detect_peaks_imports_find_peaks_when_first_called():
-    assert _python(_DETECT_PEAKS) == ["False True [1250]"]
+def test_package_never_imports_scipy():
+    sources = sorted(Path(cli.__file__).parent.rglob("*.py"))
+    assert len(sources) >= 10
+    for source in sources:
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", source.read_text(), re.M), source
+    assert _python(_PEAK_PIPELINES) == ["True 120 []"]

@@ -417,6 +417,23 @@ def test_effective_length_from_synthetic_spectrum():
     assert recovered == pytest.approx(4.2, rel=0.005)
 
 
+def test_two_maxima_of_one_resonance_give_no_length():
+    # the first frame of seed 300 has two maxima on its one resonance; taken
+    # as adjacent modes they gave L = 5e7 um and a half FSR of 1.9e-6 nm
+    drift_map, _ = synthlab.generate_drift_map(seed=300)
+    first = Spectrum(wavelength_nm=drift_map.wavelength_nm, counts=drift_map.counts_matrix()[0])
+    with pytest.raises(InsufficientDataError, match="one resonance"):
+        optics.effective_length_from_spectrum(first)
+
+
+def test_drift_series_without_length_tracks_every_seed():
+    # seeds 300, 311, 321, 326, 329 and 335 broke at frame 1 on a length
+    # estimated from two maxima of one resonance
+    for seed in range(300, 340):
+        drift_map, _ = synthlab.generate_drift_map(seed=seed)
+        assert len(optics.drift_series(drift_map)) == len(drift_map), seed
+
+
 def _drift_frames(shifts_nm, lambda0=618.5, fwhm=0.3, height=2000.0):
     grid = np.linspace(612.0, 634.0, 1200)
     h = (fwhm / 2.0) ** 2
