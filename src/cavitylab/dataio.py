@@ -31,7 +31,11 @@ powers in mW, intensities in kC/s.
 Numbers are written one rule for every schema: an integral value below 1e16
 in magnitude as an integer, any other value as the shortest ``repr`` that
 round-trips. In a ``spectral_map`` file each row is one pixel and each
-``frame_NNNN`` column one frame.
+``frame_NNNN`` column one frame. The writer builds integer fields as bytes
+in numpy, a chunk of rows at a time: digit words gathered from a table by
+base-1000 limb, keep masks gathered the same way, one ``np.compress`` per
+chunk. Only the other fields become Python objects, one ``repr`` or ``str``
+each.
 
 JSON reports are canonical (sorted keys, floats rendered with ``%.10g``) so
 identical inputs always produce byte-identical files.
@@ -386,55 +390,134 @@ def save_csv(record, path) -> Path:
     return path
 
 
-# fields formatted at once: one row of an acquisition-sized map, or a few
-# thousand rows of a narrow file; a whole map at once would hold millions
-# of field objects in memory
-_CHUNK_FIELDS = 8192
+# fields encoded at once: a few rows of an acquisition-sized map, or
+# thousands of rows of a narrow file. A field takes a few dozen bytes of
+# work arrays, so a chunk needs a few megabytes whatever the file size.
+_CHUNK_FIELDS = 65536
+
+# one 4-byte word per base-1000 limb, "000," to "999,": three digits and
+# the separator, which only a field's lowest limb keeps
+_DIGITS = np.frombuffer("".join(f"{i:03d}," for i in range(1000)).encode(), np.uint32)
+_LIMB_POWERS = [1000**k for k in range(7)]
 
 
-def _fields(values: np.ndarray) -> np.ndarray:
-    """The values to write for ``values``, each formatted by ``str``.
+def _keep_words(lowest: bool) -> np.ndarray:
+    """Keep masks of a limb's word, one word of 0/1 bytes per table row.
 
-    An integral value below 1e16 in magnitude is written as an integer, any
-    other number as the shortest round-trip ``repr`` of its float; text
-    (object arrays) passes through. Returns int64 when every value is
-    written as an integer, else an object array of Python ints and floats.
+    Rows 0-999 serve a limb with no nonzero limb above it, by its value:
+    they drop its leading zeros, and a zero limb keeps one "0" if it is the
+    ``lowest`` limb, else nothing. Rows 1000-1999 serve a limb below a
+    nonzero one and keep all three digits. Only the lowest limb keeps the
+    separator.
     """
+    keep = np.ones((2000, 4), dtype=np.uint8)
+    keep[:100, 0] = keep[:10, 1] = 0
+    keep[0, 2] = keep[:, 3] = lowest
+    return keep.view(np.uint32).ravel()
+
+
+_KEEP_LOWEST, _KEEP_HIGHER = _keep_words(True), _keep_words(False)
+# a sign word, kept where its index is 1
+_SIGN = np.frombuffer(b"----", np.uint32)
+_KEEP_SIGN = np.frombuffer(bytes([0, 0, 0, 0, 1, 0, 0, 0]), np.uint32)
+
+
+def _integer_bytes(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of integers below 1e16 in magnitude, each followed by ",",
+    and a mask of the bytes to keep; both ``(*ints.shape, n_bytes)``.
+
+    Each integer is one 4-byte word per base-1000 limb, gathered from
+    ``_DIGITS``, after a sign word when any of them is negative. Its keep
+    mask is gathered word by word from tables of the same layout, so that
+    leading zeros, inner separators and unused signs are dropped.
+    """
+    size = np.abs(ints).ravel()
+    top = size.max()
+    n_limbs = 1
+    while top >= _LIMB_POWERS[n_limbs]:
+        n_limbs += 1
+    negative = ints.ravel() < 0
+    sign = int(negative.any())
+    words = np.empty((size.size, sign + n_limbs), np.uint32)
+    keep = np.empty_like(words)
+    if sign:
+        words[:, 0] = _SIGN
+        keep[:, 0] = _KEEP_SIGN.take(negative)
+    for k in range(n_limbs):
+        power = _LIMB_POWERS[n_limbs - 1 - k]
+        limb = size // power if power > 1 else size
+        if k:  # below the leading limb: all digits once a higher one is nonzero
+            limb = limb % 1000
+            index = limb + 1000 * (size >= 1000 * power)
+        else:
+            index = limb
+        words[:, sign + k] = _DIGITS.take(limb)
+        keep[:, sign + k] = (_KEEP_LOWEST if power == 1 else _KEEP_HIGHER).take(index)
+    return (words.view(np.uint8).reshape(*ints.shape, -1),
+            keep.view(bool).reshape(*ints.shape, -1))
+
+
+def _fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of a block of CSV fields, each followed by ",", and a mask
+    of the bytes to keep; both ``(n_rows, n_bytes)``.
+
+    An integral value below 1e16 in magnitude is written as an integer, by
+    :func:`_integer_bytes`. Any other number is written as the shortest
+    round-trip ``repr`` of its float, and text (object arrays, ASCII) as
+    ``str``. When a block has such fields, every field of it starts with a
+    slot as wide as the longest text, NUL-padded, and keeps the text in it.
+    """
+    shape = values.shape
     if values.dtype == object:
-        return values
-    f = values.astype(np.float64)
-    # a value at or above 1e16 in magnitude maps to 0 and fails the test
-    # below; for int64 input the test is exact, so a count above 2**53 with
-    # no exact float is written as its nearest float, as float(x) == int(x)
-    # decides in the per-value rule
-    ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
-    as_int = ints == values
-    if as_int.all():
-        return ints
-    return np.where(as_int, ints.astype(object), f.astype(object))
+        as_text = np.ones(shape, bool)
+    else:
+        f = np.ascontiguousarray(values, dtype=np.float64)
+        # a value at or above 1e16 in magnitude maps to 0 and fails the
+        # test below; for int64 input the test is exact, so a count above
+        # 2**53 with no exact float is written as its nearest float, as
+        # float(x) == int(x) decides in the per-value rule
+        ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
+        as_text = ints != values
+    if not as_text.any():
+        data, keep = _integer_bytes(ints)
+        return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+    if as_text.all():
+        data, keep = np.full((*shape, 1), ord(","), np.uint8), np.ones((*shape, 1), bool)
+    else:
+        data, keep = _integer_bytes(np.where(as_text, 0, ints))
+        keep[as_text, :-1] = False  # a text field keeps only the separator
+    if values.dtype == object:
+        # numpy's bytes type renders by str, encodes ASCII and pads with NUL
+        text = np.array(values[as_text], dtype=np.bytes_)
+    else:
+        # no float's repr is longer than 24 characters
+        text = np.array(list(map(repr, f[as_text].tolist())), dtype="S24")
+    slot = np.zeros((*shape, text.itemsize), np.uint8)
+    slot[as_text] = text.view(np.uint8).reshape(text.size, -1)
+    data = np.concatenate([slot, data], axis=-1)
+    keep = np.concatenate([slot != 0, keep], axis=-1)
+    return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
 
 
 def _write_csv(path: Path, header: str, blocks):
     """Write CSV rows made of the rows of ``blocks`` side by side.
 
     Each block is a 1-D array (one column) or a 2-D array (one column per
-    array column); all have the same number of rows. Rows are formatted a
-    chunk at a time, so only one chunk's fields exist as Python objects.
+    array column); all have the same number of rows. A chunk of rows at a
+    time is encoded to bytes by :func:`_fields`, block by block, and packed
+    by one ``np.compress``, so work arrays stay bounded by ``_CHUNK_FIELDS``
+    whatever the file size.
     """
     blocks = [b.reshape(len(b), -1) for b in blocks]
-    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
-    n_rows, n_fields = len(blocks[0]), int(edges[-1])
+    n_rows, n_fields = len(blocks[0]), sum(b.shape[1] for b in blocks)
     step = max(1, _CHUNK_FIELDS // n_fields)
-    # "%s" formats as str() does, and one format call per chunk is faster
-    # than joining field by field
-    line = ",".join(["%s"] * n_fields) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, n_rows, step):
-            chunk = np.empty((min(step, n_rows - lo), n_fields), dtype=object)
-            for block, a, z in zip(blocks, edges, edges[1:]):
-                chunk[:, a:z] = _fields(block[lo:lo + step])
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            data, keep = zip(*(_fields(b[lo:lo + step]) for b in blocks))
+            data, keep = np.concatenate(data, axis=1), np.concatenate(keep, axis=1)
+            data[:, -1] = ord("\n")
+            fh.write(np.compress(keep.ravel(), data.ravel()))
 
 
 # ---------------------------------------------------------------------------

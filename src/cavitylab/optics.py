@@ -477,25 +477,31 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     the strongest prominence is at least that of the highest peak that
     clears the floor.
     """
+    return _peaks_and_median(signal, rel_prominence)[0]
+
+
+def _peaks_and_median(signal, rel_prominence: float):
+    """:func:`detect_peaks` and the median of the signal that set its floor
+    (NaN for a signal of fewer than 3 samples, which has no peaks)."""
     y = np.asarray(signal, dtype=float)
     if y.ndim != 1:
         raise ValidationError(f"signal must be one-dimensional, got shape {y.shape}")
     if y.size < 3:
-        return np.array([], dtype=int)
+        return np.array([], dtype=int), math.nan
     rows = y[None, :]
-    _, lows, floors = _peak_floors(rows)
+    (median,), lows, floors = _peak_floors(rows)
     peaks = _local_maxima(rows, lows, floors)
     low, floor = lows[0], floors[0]
     if rel_prominence > 0.0:
         (top,), (top_prominence,) = _first_prominent(rows, peaks, floors)
         if top < 0:
-            return np.array([], dtype=int)
+            return np.array([], dtype=int), float(median)
         peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
     prominences = _prominences(rows, peaks)
     peaks, prominences = peaks[prominences >= floor], prominences[prominences >= floor]
     if rel_prominence > 0.0 and peaks.size:
         peaks = peaks[prominences >= rel_prominence * prominences.max()]
-    return peaks
+    return peaks, float(median)
 
 
 def _peak_floors(rows: np.ndarray):
@@ -658,12 +664,12 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         raise InsufficientDataError("no scan traces given")
     estimates = []
     for i, trace in enumerate(traces):
-        peaks = detect_peaks(trace.signal, rel_prominence=0.2)
+        # the median that set the noise floor is the fits' baseline
+        peaks, baseline = _peaks_and_median(trace.signal, rel_prominence=0.2)
         if peaks.size < 2:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        baseline = float(np.median(trace.signal))
         fits = fitkit.fit_many(
             [_peak_problem(trace.axis, trace.signal, int(p), baseline) for p in peaks]
         )
@@ -732,11 +738,10 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     within one fitted FWHM are one resonance (a noisy top can hold two
     maxima), which leaves too few for a spacing.
     """
-    peaks = detect_peaks(spectrum.counts)
+    peaks, baseline = _peaks_and_median(spectrum.counts, rel_prominence=0.0)
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    baseline = float(np.median(spectrum.counts))
     fits = fitkit.fit_many([
         _peak_problem(spectrum.wavelength_nm, spectrum.counts, int(idx), baseline)
         for idx in strongest
@@ -761,7 +766,8 @@ def drift_series(
     times of the map. A failed fit, or a frame-to-frame jump larger than
     half a free spectral range (available when ``l_eff_um`` is known or
     estimable from the first frame), raises TrackingBreakError carrying the
-    frame index.
+    frame index. Without ``l_eff_um`` the half-FSR jump guard runs only when
+    frame 0 shows two resonances; otherwise no jump is checked.
     """
     wl, counts = spectral_map.wavelength_nm, spectral_map.counts_matrix()
     if l_eff_um is None:

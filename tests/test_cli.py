@@ -358,6 +358,11 @@ def test_module_entry_point(tmp_path):
         ("--l-step-nm", "-5"),
         ("--tol-nm", "0"),
         ("--tol-nm", "-25"),
+        ("--lambda-exc", "nan"),
+        ("--lambda-exc", "0"),
+        ("--lambda-exc", "-533"),
+        ("--lambda-exc", "inf"),
+        ("--l-max", "inf"),
         ("--bootstrap", "1"),
         ("--bootstrap", "-3"),
         ("--bootstrap", "x"),
@@ -373,6 +378,15 @@ def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
         argv = _dispersion_args(tmp_path, extra=(flag, value))
     assert run(argv) == 2
     assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extra", [("--l-max", "1e6"), ("--l-max", "1e308"),
+                                   ("--l-step-nm", "1e-9")])
+def test_dispersion_map_over_the_row_cap_exit_2(extra, tmp_path, capsys):
+    # refused from the flags alone, before the map or the output exists
+    assert run(_dispersion_args(tmp_path, extra=extra)) == 2
+    assert "--l-step-nm" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

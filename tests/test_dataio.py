@@ -190,17 +190,21 @@ def test_export_empty_report():
 
 
 def test_spectral_map_throughput(tmp_path):
-    # a two-hour WLED acquisition (7200 frames) must load in under 5 s
+    # a two-hour WLED acquisition (7200 frames) must save and load in under
+    # 5 s each
     import time
 
     from cavitylab import synthlab
 
     m = synthlab.generate_wled_map(n_frames=7200, n_pixels=200, seed=0)
+    start = time.perf_counter()
     path = dataio.save_csv(m, tmp_path / "wled.csv")
+    saved = time.perf_counter() - start
     start = time.perf_counter()
     loaded = dataio.load_csv(path, "spectral_map")
     elapsed = time.perf_counter() - start
     assert len(loaded) == 7200
+    assert saved < 5.0
     assert elapsed < 5.0
 
 
@@ -258,8 +262,9 @@ def _golden_case(name):
         return (TemperatureLog(time_s=t, temperature_k=_EDGE), "temperature_log",
                 "time_s,temperature_k", [t, _EDGE])
     if name == "long_temperature_log":
-        # more rows than the writer formats in one chunk
-        t, temp = np.arange(5000) * 0.5, np.resize(_EDGE, 5000)
+        # more rows than the writer encodes in one chunk
+        n = dataio._CHUNK_FIELDS // 2 + 1000
+        t, temp = np.arange(n) * 0.5, np.resize(_EDGE, n)
         return (TemperatureLog(time_s=t, temperature_k=temp), "temperature_log",
                 "time_s,temperature_k", [t, temp])
     if name == "histogram":

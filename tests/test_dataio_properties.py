@@ -3,7 +3,9 @@
 Every record constructor, given any arrays, either refuses them with a
 ValidationError subclass or returns a record that meets the dataio
 invariants; every schema loader does the same for any altered file, and
-refuses text that does not parse. Canonical report JSON reads back as the
+refuses text that does not parse. ``save_csv`` writes every schema byte for
+byte as the per-value oracle of ``test_dataio`` does, and the file reads
+back to the record's values. Canonical report JSON reads back as the
 tree it was rendered from, floats rounded to ten significant digits, with
 sorted keys, and refuses NaN, infinity and floats whose ten-digit text reads
 back as infinity anywhere in the tree. Examples are derandomized and bounded
@@ -16,12 +18,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavitylab import dataio
 from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
 from cavitylab.errors import ValidationError
+from test_dataio import _arrays, _reference_csv
 
 PROPERTY = settings(
     derandomize=True,
@@ -235,6 +238,93 @@ def test_load_csv(tmp_path, schema, data):
     assert records
     for rec in records:
         _check(rec)
+
+
+# ---------------------------------------------------------------------------
+# CSV writer against the per-value rule
+# ---------------------------------------------------------------------------
+
+# whole numbers on both sides of every power of ten up to 1e18, so below,
+# inside and above the writer's digit table, and their negatives
+_WHOLE = [s * (10**p + d) for p in range(19) for d in (-1, 0, 1) for s in (1, -1)]
+_FLOAT_EDGES = [-0.0, 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+                2.0**53 + 2.0, 2.0**60, 5e-324, -2.2250738585072014e-308, 1e-05, 0.1, 2.5,
+                -7.25, 1e300]
+_FLOATS = st.one_of(
+    st.sampled_from(_FLOAT_EDGES),
+    st.sampled_from(_WHOLE).map(float),
+    st.integers(-(10**17), 10**17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# non-negative values, -0.0 included
+_COUNTS = st.one_of(st.just(-0.0), _FLOATS.map(abs))
+# int64 counts, with those above 2**53 that have no exact float
+_INT64_COUNTS = st.one_of(
+    st.sampled_from([w for w in _WHOLE if w >= 0] + [2**53 + 1, 2**53 + 2, 2**60, 2**62]),
+    st.integers(0, 2**62),
+)
+
+
+def _values(draw, strategy, n):
+    return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+
+
+@st.composite
+def _written(draw, schema):
+    """(record, header, columns as the reference writer sees them)."""
+    if schema == "histogram":
+        n = draw(st.integers(2, 12))
+        counts = _values(draw, _INT64_COUNTS, n).astype(np.int64)
+        centers = draw(st.sampled_from([0.0, 0.125, -2.5, 1e3])) + draw(
+            st.sampled_from([0.1, 0.25, 1.0])) * np.arange(n)
+        return (TimeHistogram(bin_centers_ns=centers, counts=counts), "t_ns,counts",
+                [centers, counts])
+    axis = np.unique(draw(st.lists(_FLOATS, min_size=2, max_size=12)))
+    assume(axis.size >= 2)
+    n = axis.size
+    if schema == "spectrum":
+        counts = _values(draw, _COUNTS, n)
+        return Spectrum(wavelength_nm=axis, counts=counts), "wavelength_nm,counts", [axis, counts]
+    if schema == "temperature_log":
+        temp = _values(draw, _FLOATS, n)
+        return (TemperatureLog(time_s=axis, temperature_k=temp), "time_s,temperature_k",
+                [axis, temp])
+    if schema == "scan":
+        ramps = [ScanTrace(axis=axis, signal=_values(draw, _FLOATS, n))]
+        if draw(st.booleans()):
+            ramps.append(ScanTrace(axis=axis[::-1], signal=_values(draw, _FLOATS, n),
+                                   sweep_direction="down"))
+        columns = [np.concatenate([r.axis for r in ramps]),
+                   np.concatenate([r.signal for r in ramps]),
+                   [r.sweep_direction for r in ramps for _ in range(n)]]
+        return ramps, "axis,signal,direction", columns
+    n_frames = draw(st.integers(1, 4))
+    counts = _values(draw, _COUNTS, n_frames * n).reshape(n_frames, n)
+    header = ",".join(["wavelength_nm"] + [f"frame_{i:04d}" for i in range(n_frames)])
+    return SpectralMap(wavelength_nm=axis, counts=counts), header, [axis, *counts]
+
+
+@pytest.mark.parametrize(
+    "schema", ["spectrum", "scan", "histogram", "spectral_map", "temperature_log"]
+)
+@PROPERTY
+@given(data=st.data())
+def test_save_csv_writes_the_per_value_rule(tmp_path, schema, data):
+    # every field byte for byte as the one-value-at-a-time oracle writes it,
+    # one row or a few per chunk as well as the whole file in one chunk
+    record, header, columns = data.draw(_written(schema))
+    chunk = data.draw(st.sampled_from([1, 5, dataio._CHUNK_FIELDS]))
+    path = tmp_path / "written.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_CHUNK_FIELDS", chunk)
+        dataio.save_csv(record, path)
+    assert path.read_bytes() == _reference_csv(header, columns)
+    # an int64 count with no exact float reads back as its nearest float
+    for got, want in zip(_arrays(dataio.load_csv(path, schema)), _arrays(record), strict=True):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(np.asarray(got, float), np.asarray(want, float))
 
 
 # ---------------------------------------------------------------------------
