@@ -64,6 +64,20 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
+def _refractive_index(text: str) -> float:
+    value = float(text)
+    if not 1 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -214,10 +228,8 @@ def cmd_fit(args) -> int:
             x, y = record.wavelength_nm, record.counts
         elif isinstance(record, dataio.TimeHistogram):
             x, y = record.bin_centers_ns, record.counts.astype(float)
-        elif isinstance(record, list):  # scan ramps
+        else:  # scan ramps, the one other --schema choice
             x, y = record[0].axis, record[0].signal
-        else:
-            raise ValidationError(f"schema {args.schema!r} not fittable")
     else:
         raise ValidationError("provide --input or --preset")
 
@@ -281,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: $CAVITYLAB_OUTDIR)")
 
     def add_roc(p):
-        p.add_argument("--roc", type=float, help="mirror radius of curvature (um)")
-        p.add_argument("--roc-x", type=float, dest="roc_x")
-        p.add_argument("--roc-y", type=float, dest="roc_y")
+        # finite: the flat-mirror limit is dispersion's --gouy off
+        p.add_argument("--roc", type=_positive, help="mirror radius of curvature (um)")
+        p.add_argument("--roc-x", type=_positive, dest="roc_x")
+        p.add_argument("--roc-y", type=_positive, dest="roc_y")
 
     p_disp = sub.add_parser("dispersion", help="mode map and double-resonance search")
     add_out(p_disp)
@@ -324,15 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget = sub.add_parser("purcell-budget", help="audited enhancement chain")
     add_out(p_budget)
     add_roc(p_budget)
-    p_budget.add_argument("--refractive-index", type=float, default=1.0,
+    p_budget.add_argument("--refractive-index", type=_refractive_index, default=1.0,
                           dest="refractive_index")
     p_budget.add_argument("--tau0", type=_positive, required=True,
                           help="free-space lifetime (ns)")
     p_budget.add_argument("--tau-p", type=_positive, required=True, dest="tau_p",
                           help="cavity-modified lifetime (ns)")
-    p_budget.add_argument("--qe", type=float, required=True, help="quantum efficiency")
-    p_budget.add_argument("--dw", type=float, required=True, help="Debye-Waller factor")
-    p_budget.add_argument("--branching", type=float, default=1.0)
+    p_budget.add_argument("--qe", type=_fraction, required=True, help="quantum efficiency")
+    p_budget.add_argument("--dw", type=_fraction, required=True, help="Debye-Waller factor")
+    p_budget.add_argument("--branching", type=_fraction, default=1.0)
     p_budget.add_argument("--lambda-c", type=_positive, required=True, dest="lambda_c")
     p_budget.add_argument("--l-eff", type=_positive, required=True, dest="l_eff")
     p_budget.add_argument("--q-ideal", type=_positive, dest="q_ideal")

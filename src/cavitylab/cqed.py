@@ -169,11 +169,11 @@ def length_jitter_nm(
     return sigma_nu * lambda_nm / C_NM_GHZ * l_eff_um * 1000.0
 
 
-def regime_classify(rates: CouplingRates, boundary_band: float = 0.1) -> str:
+def regime_classify(rates: CouplingRates) -> str:
     """Coupling-regime label from the rate ordering.
 
     ``strong`` when g exceeds both decay rates; otherwise ``boundary`` when
-    kappa and gamma agree within ``boundary_band`` (relative to the larger),
+    kappa and gamma agree within 10% of the larger,
     else ``bad_emitter`` (gamma > kappa) or ``bad_cavity`` (kappa > gamma).
     The label depends only on rate ratios.
     """
@@ -183,7 +183,7 @@ def regime_classify(rates: CouplingRates, boundary_band: float = 0.1) -> str:
     if g > kappa and g > gamma:
         return "strong"
     scale = max(kappa, gamma)
-    if scale == 0 or abs(kappa - gamma) <= boundary_band * scale:
+    if scale == 0 or abs(kappa - gamma) <= 0.1 * scale:
         return "boundary"
     return "bad_emitter" if gamma > kappa else "bad_cavity"
 

@@ -47,7 +47,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -163,11 +163,11 @@ class ScanTrace:
 
 @dataclass(frozen=True)
 class TimeHistogram:
-    """Uniformly binned time-delay histogram with integer counts."""
+    """Uniformly binned time-delay histogram with integer counts (bin width derived)."""
 
     bin_centers_ns: np.ndarray
     counts: np.ndarray
-    bin_width_ns: float = 0.0
+    bin_width_ns: float = field(init=False)
 
     def __post_init__(self):
         centers = _freeze(self, "bin_centers_ns", self.bin_centers_ns)
@@ -188,11 +188,6 @@ class TimeHistogram:
         # written so that a NaN or infinite width fails
         if not np.all(np.abs(widths - width) <= 1e-9 * width):
             raise ValidationError("bin width not uniform within 1e-9 relative")
-        declared = float(self.bin_width_ns) if self.bin_width_ns else width
-        if not abs(declared - width) <= 1e-9 * width:
-            raise ValidationError(
-                f"declared bin_width_ns {declared} inconsistent with grid ({width})"
-            )
         object.__setattr__(self, "bin_width_ns", width)
 
     def __len__(self):

@@ -126,10 +126,6 @@ class FitProblem:
                 raise ValidationError("initial_params must lie within bounds")
         object.__setattr__(self, "initial_params", p0)
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return models.param_names(self.model_id)
-
     def effective_weights(self) -> np.ndarray:
         return self.weights if self.weights is not None else np.ones_like(self.y)
 

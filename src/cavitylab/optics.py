@@ -755,30 +755,19 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     return effective_length_from_adjacent_modes(hi, lo, roc_um)
 
 
-def drift_series(
-    spectral_map: SpectralMap,
-    l_eff_um: float | None = None,
-) -> list[tuple[float, float]]:
+def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float, float]]:
     """Effective-length drift from tracking one resonance across a map.
 
     Each frame's fundamental peak is fitted with a Lorentzian; the drift is
     delta_L(t) = (lambda_res(t) - lambda_res(0)) / 2 in nm at the frame
     times of the map. A failed fit, or a frame-to-frame jump larger than
-    half a free spectral range (available when ``l_eff_um`` is known or
-    estimable from the first frame), raises TrackingBreakError carrying the
-    frame index. Without ``l_eff_um`` the half-FSR jump guard runs only when
-    frame 0 shows two resonances; otherwise no jump is checked.
+    half the free spectral range of a cavity of length ``l_eff_um`` at frame
+    0's strongest pixel, raises TrackingBreakError carrying the frame index.
+    The jump guard always runs.
     """
     wl, counts = spectral_map.wavelength_nm, spectral_map.counts_matrix()
-    if l_eff_um is None:
-        try:
-            l_eff_um = effective_length_from_spectrum(Spectrum(wavelength_nm=wl, counts=counts[0]))
-        except ValidationError:
-            l_eff_um = None
-    max_jump_nm = None
-    if l_eff_um is not None:
-        lam0 = float(wl[np.argmax(counts[0])])
-        max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
+    lam0 = float(wl[np.argmax(counts[0])])
+    max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
     # every frame's peak search and fit runs in one batch; the first frame in
     # order that fails (no peak, failed fit or jump) is the one reported
@@ -799,7 +788,7 @@ def drift_series(
     centers = []
     for i, result in enumerate(results):
         center = float(result.params[1])
-        if centers and max_jump_nm is not None and abs(center - centers[-1]) > max_jump_nm:
+        if centers and abs(center - centers[-1]) > max_jump_nm:
             raise TrackingBreakError(
                 f"peak jumped {abs(center - centers[-1]):.4g} nm at frame {i} "
                 f"(> half FSR {max_jump_nm:.4g} nm)",

@@ -225,25 +225,25 @@ def _handed_over(*arrays):
 def generate_scan_pair(
     finesse: float = 4600.0,
     fsr_volts: float = 1.0,
-    first_peak_volts: float = 0.9,
     n_samples: int = 120_000,
-    span_volts: float = 3.0,
-    peak_height: float = 1000.0,
-    baseline: float = 5.0,
     noise: str = "poisson",
     seed: int = 0,
 ) -> list[ScanTrace]:
-    """An up/down pair of piezo ramps with two resonances each.
+    """An up/down pair of 0-3 V piezo ramps with two resonances each.
 
-    The generator truth is ``finesse`` = fsr_volts / fwhm_volts exactly.
+    Fixed scenario: Lorentzians 1000 counts high at 0.9 V and ``fsr_volts``
+    above, over a baseline of 5. ``noise`` is ``poisson`` or ``none``. The
+    generator truth is ``finesse`` = fsr_volts / fwhm_volts exactly.
     """
     if finesse <= 0 or fsr_volts <= 0:
         raise ValidationError("finesse and fsr must be positive")
+    if noise not in ("none", "poisson"):
+        raise ValidationError(f"unknown noise kind {noise!r}")
     fwhm = fsr_volts / finesse
-    axis = np.linspace(0.0, span_volts, n_samples)
-    signal = np.full(n_samples, baseline)
-    for center in (first_peak_volts, first_peak_volts + fsr_volts):
-        signal = signal + models.evaluate("lorentzian", [peak_height, center, fwhm, 0.0], axis)
+    axis = np.linspace(0.0, 3.0, n_samples)
+    signal = np.full(n_samples, 5.0)
+    for center in (0.9, 0.9 + fsr_volts):
+        signal = signal + models.evaluate("lorentzian", [1000.0, center, fwhm, 0.0], axis)
     rng = rng_from_seed(seed)
     traces = []
     for direction in ("up", "down"):
@@ -255,47 +255,33 @@ def generate_scan_pair(
 
 def generate_drift_map(
     n_frames: int = 120,
-    lambda0_nm: float = 618.5,
     alpha_per_k: float = 5.1e-6,
     reference_length_um: float = 3.7,
-    t_start_k: float = 285.0,
-    t_end_k: float = 295.0,
-    peak_fwhm_nm: float = 0.3,
-    peak_height: float = 800.0,
-    baseline: float = 20.0,
-    wavelength_span_nm: float = 8.0,
     n_pixels: int = 400,
-    frame_period_s: float = 60.0,
-    noise: str = "poisson",
     seed: int = 0,
 ) -> tuple[SpectralMap, TemperatureLog]:
     """Spectral map whose resonance drifts linearly with temperature.
 
-    The tracked wavelength shifts by 2 * alpha * L_ref * (T - T0), so the
+    Fixed scenario: one frame a minute from 285 to 295 K; a Lorentzian at
+    618.5 nm (FWHM 0.3 nm, 800 counts over a baseline of 20, Poisson counts)
+    in a window from 614.5 nm to 4 nm past the last frame's center. The
+    tracked wavelength shifts by 2 * alpha * L_ref * (T - T0), so the
     drift pipeline recovers delta_L = alpha * L_ref * delta_T and a linear
     fit against temperature returns ``alpha_per_k`` for the given reference
     length.
     """
-    temps = np.linspace(t_start_k, t_end_k, n_frames)
+    temps = np.linspace(285.0, 295.0, n_frames)
     shift_nm = 2.0 * alpha_per_k * reference_length_um * 1000.0 * (temps - temps[0])
-    grid = np.linspace(
-        lambda0_nm - wavelength_span_nm / 2.0,
-        lambda0_nm + wavelength_span_nm / 2.0 + shift_nm.max(),
-        n_pixels,
-    )
-    centers = lambda0_nm + shift_nm
+    grid = np.linspace(614.5, 622.5 + shift_nm.max(), n_pixels)
+    centers = 618.5 + shift_nm
     # the line shape at the detuning from each frame's center
-    expected = models.evaluate(
-        "lorentzian", [peak_height, 0.0, peak_fwhm_nm, baseline], grid - centers[:, None]
-    )
-    counts = expected
-    if noise == "poisson":
-        # one draw over the matrix gives the counts of one draw per frame
-        counts = rng_from_seed(seed).poisson(expected).astype(float)
-    times = np.arange(n_frames) * frame_period_s
+    expected = models.evaluate("lorentzian", [800.0, 0.0, 0.3, 20.0], grid - centers[:, None])
+    # one draw over the matrix gives the counts of one draw per frame
+    counts = rng_from_seed(seed).poisson(expected).astype(float)
+    times = np.arange(n_frames) * 60.0
     _handed_over(grid, counts, times, temps)
     return (
-        SpectralMap(wavelength_nm=grid, counts=counts, frame_period_s=frame_period_s),
+        SpectralMap(wavelength_nm=grid, counts=counts, frame_period_s=60.0),
         TemperatureLog(time_s=times, temperature_k=temps),
     )
 
@@ -304,30 +290,29 @@ def generate_wled_map(
     n_frames: int,
     l_start_um: float = 5.0,
     l_end_um: float = 3.7,
-    roc_um: float = 24.0,
-    lambda_range_nm: tuple[float, float] = (550.0, 680.0),
     n_pixels: int = 200,
-    peak_fwhm_nm: float = 0.8,
-    peak_height: float = 500.0,
-    baseline: float = 10.0,
     seed: int = 0,
 ) -> SpectralMap:
-    """Broadband transmission map over a cavity-length sweep (fundamentals)."""
-    grid = np.linspace(lambda_range_nm[0], lambda_range_nm[1], n_pixels)
+    """Broadband transmission map over a cavity-length sweep (fundamentals).
+
+    Fixed scenario: ROC 24 um, a 550-680 nm window, Lorentzians of FWHM
+    0.8 nm, 500 counts high over a baseline of 10, Poisson counts.
+    """
+    window = (550.0, 680.0)
+    grid = np.linspace(*window, n_pixels)
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
-    m_values = mode_indices((min(l_start_um, l_end_um), max(l_start_um, l_end_um)),
-                            lambda_range_nm)
+    m_values = mode_indices((min(l_start_um, l_end_um), max(l_start_um, l_end_um)), window)
     n_m = len(m_values)
-    centers = dispersion_map(roc_um, lengths, m_values)[:, 1].reshape(n_frames, n_m)
-    inside = (lambda_range_nm[0] < centers) & (centers < lambda_range_nm[1])
+    centers = dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, n_m)
+    inside = (window[0] < centers) & (centers < window[1])
     # peaks are added in ascending m within each frame, the summation order
     # the generated counts are pinned to; peak k is evaluated only on the
     # frames whose window holds it
-    expected = np.full((n_frames, n_pixels), baseline)
+    expected = np.full((n_frames, n_pixels), 10.0)
     for k in range(n_m):
         rows = inside[:, k]
         expected[rows] += models.evaluate(
-            "lorentzian", [peak_height, 0.0, peak_fwhm_nm, 0.0], grid - centers[rows, k, None]
+            "lorentzian", [500.0, 0.0, 0.8, 0.0], grid - centers[rows, k, None]
         )
     counts = rng_from_seed(seed).poisson(expected)
     del expected
@@ -378,22 +363,15 @@ def abcd_gouy_fraction(l_eff_um: float, roc_um: float, n_steps: int = 20_000) ->
     return zeta / math.pi
 
 
-def oracle_resonance_length(
-    wavelength_nm: float, m: int, roc_um: float, step_nm: float = 0.01
-) -> float:
-    """Grid-scan inversion of the resonance condition (0.01 nm default grid)."""
-    lengths = np.arange(step_nm, roc_um * 1000.0 - step_nm, step_nm) / 1000.0
+def oracle_resonance_length(wavelength_nm: float, m: int, roc_um: float) -> float:
+    """Grid-scan inversion of the resonance condition on a 0.01 nm length grid."""
+    lengths = np.arange(0.01, roc_um * 1000.0 - 0.01, 0.01) / 1000.0
     gouy = np.arccos(np.sqrt(1.0 - lengths / roc_um)) / math.pi
     residual = np.abs(2000.0 * lengths / wavelength_nm - gouy - m)
     return float(lengths[np.argmin(residual)])
 
 
-def oracle_dispersion(
-    roc_um: float,
-    l_grid_um,
-    lambda_grid_nm,
-    m_values=None,
-) -> set[tuple[int, int, int]]:
+def oracle_dispersion(roc_um: float, l_grid_um, lambda_grid_nm) -> set[tuple[int, int, int]]:
     """Cells (i_l, i_lambda, m) where the round-trip phase closes to 2 pi m.
 
     The Gouy phase per pass comes from the ABCD eigenmode, making this an
@@ -470,10 +448,9 @@ def vibration_broadening_sim(
     length_jitter_rms_nm: float,
     n_samples: int = 100_000,
     seed: int = 0,
-    lambda_nm: float = 618.5,
-    l_eff_um: float = 3.75,
 ) -> float:
-    """Effective linewidth of a resonance jittering during acquisition.
+    """Effective linewidth of a 618.5 nm resonance of a 3.75 um cavity
+    jittering during acquisition.
 
     Monte-Carlo average of Lorentzian lines whose centers follow the
     frequency shift of a Gaussian length jitter (sigma_nu = nu * sigma_L/L);
@@ -487,8 +464,8 @@ def vibration_broadening_sim(
         raise ValidationError("jitter must be non-negative")
     if length_jitter_rms_nm == 0.0:
         return kappa_intrinsic_ghz
-    nu_ghz = C_NM_GHZ / lambda_nm
-    sigma_nu = nu_ghz * length_jitter_rms_nm / (l_eff_um * 1000.0)
+    nu_ghz = C_NM_GHZ / 618.5
+    sigma_nu = nu_ghz * length_jitter_rms_nm / (3.75 * 1000.0)
     normals = rng_from_seed(seed).standard_normal(n_samples)
     centers = sigma_nu * normals
     return _averaged_profile_fwhm(kappa_intrinsic_ghz, centers)

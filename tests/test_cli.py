@@ -294,7 +294,10 @@ _BUDGET_ARGS = {
                      "--kappa-exp", "--q-exp", "--f-fp"]
         for value in ["nan", "inf"]
     ]
-    + [("--f-fp", "-5"), ("--m-det", "-12"), ("--m-det", "0"), ("--m-det", "1.5")],
+    + [("--f-fp", "-5"), ("--m-det", "-12"), ("--m-det", "0"), ("--m-det", "1.5")]
+    + [("--roc", "inf"), ("--roc-x", "nan"), ("--roc-y", "0"), ("--qe", "1.5"), ("--qe", "nan"),
+       ("--dw", "0"), ("--branching", "2"), ("--refractive-index", "nan"),
+       ("--refractive-index", "0.9"), ("--refractive-index", "inf")],
 )
 def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys):
     # a bad value of a budget input, non-finite or out of its domain
@@ -363,6 +366,11 @@ def test_module_entry_point(tmp_path):
         ("--lambda-exc", "-533"),
         ("--lambda-exc", "inf"),
         ("--l-max", "inf"),
+        ("--roc", "nan"),
+        ("--roc", "0"),
+        ("--roc", "-24"),
+        ("--roc", "inf"),
+        ("--roc-x", "nan"),
         ("--bootstrap", "1"),
         ("--bootstrap", "-3"),
         ("--bootstrap", "x"),

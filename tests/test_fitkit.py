@@ -186,6 +186,38 @@ def test_fit_many_matches_each_problem_fitted_alone(model_id):
     assert err.value.problem_index == 3
 
 
+def test_singular_system_in_a_stack_leaves_the_other_rows_solved():
+    # one singular system makes the stacked solve raise; the per-row
+    # fallback must still solve every other system as it would alone
+    rng = np.random.Generator(np.random.Philox(5))
+    A, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3))
+    A[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
+    out, singular = fitkit._solve_rows(A, b)
+    assert singular.tolist() == [False, False, True, False, False]
+    assert np.all(np.isnan(out[2]))
+    for k in (0, 1, 3, 4):
+        assert np.array_equal(out[k], np.linalg.solve(A[k], b[k])), k
+
+
+def test_g2_fit_from_relabelled_start_reports_ordered_rates():
+    # (c, beta, g1, g2) and (-c, 1-beta, g2, g1) are the same curve; the
+    # result is relabelled to gamma1 > gamma2 and keeps the same g2(0)
+    ds = synthlab.generate(synthlab.preset("g2_dip", seed=7))
+    default = fitkit.FitProblem(model_id="g2_three_level", x=ds.x, y=ds.y)
+    c, beta, g1, g2, t0, plateau = default.initial_params
+    relabelled = fitkit.FitProblem(
+        model_id="g2_three_level", x=ds.x, y=ds.y,
+        initial_params=[-c, 1.0 - beta, g2, g1, t0, plateau],
+    )
+    expected, result = fitkit.fit(default), fitkit.fit(relabelled)
+    assert result.converged
+    assert result.params[2] > result.params[3]
+    derived = models.get_model("g2_three_level").derived
+    assert derived(result.params)["g2_at_t0"] == pytest.approx(
+        derived(expected.params)["g2_at_t0"], rel=1e-9
+    )
+
+
 def test_rank_deficiency_names_parameters():
     x = np.full(10, 2.0)
     y = np.linspace(0.0, 1.0, 10)

@@ -43,7 +43,7 @@ _PEAK_PIPELINES = """
 import sys
 from cavitylab import optics, synthlab
 finesse, _ = optics.finesse_from_scan(synthlab.generate_scan_pair(seed=41))
-series = optics.drift_series(synthlab.generate_drift_map(seed=41)[0])
+series = optics.drift_series(synthlab.generate_drift_map(seed=41)[0], l_eff_um=3.7)
 print(abs(finesse - 4600.0) < 500.0, len(series), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

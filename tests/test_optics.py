@@ -426,12 +426,13 @@ def test_two_maxima_of_one_resonance_give_no_length():
         optics.effective_length_from_spectrum(first)
 
 
-def test_drift_series_without_length_tracks_every_seed():
-    # seeds 300, 311, 321, 326, 329 and 335 broke at frame 1 on a length
-    # estimated from two maxima of one resonance
+def test_drift_series_tracks_every_seed_under_the_jump_guard():
+    # the length is required, so the half-FSR guard runs on every map
     for seed in range(300, 340):
         drift_map, _ = synthlab.generate_drift_map(seed=seed)
-        assert len(optics.drift_series(drift_map)) == len(drift_map), seed
+        assert len(optics.drift_series(drift_map, l_eff_um=3.7)) == len(drift_map), seed
+    with pytest.raises(TypeError):
+        optics.drift_series(drift_map)
 
 
 def _drift_frames(shifts_nm, lambda0=618.5, fwhm=0.3, height=2000.0):

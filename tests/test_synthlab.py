@@ -35,6 +35,8 @@ def test_generator_validation():
         )
     with pytest.raises(ValidationError):
         GeneratorSpec(model_id="linear", true_params=(1.0, 0.0), grid=())
+    with pytest.raises(ValidationError, match="'Poisson'"):
+        synthlab.generate_scan_pair(noise="Poisson")
 
 
 def test_g2_plateau_reaches_unity_at_long_delay():
