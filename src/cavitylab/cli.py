@@ -7,9 +7,10 @@ Three subcommands wire the library end to end::
     cavitylab purcell-budget  # audited enhancement chain as JSON
 
 Commands are idempotent: identical inputs produce byte-identical reports.
-Exit codes: 0 success, 2 input validation error, 3 numerical failure. The
-default output directory comes from ``--out`` or the ``CAVITYLAB_OUTDIR``
-environment variable.
+Exit codes: 0 success, 2 input validation error, 3 numerical failure; a fit
+that stops for any reason but its step tolerance is a numerical failure and
+writes no report. The default output directory comes from ``--out`` or the
+``CAVITYLAB_OUTDIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -235,6 +236,10 @@ def cmd_fit(args) -> int:
 
     problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
     result = fitkit.fit(problem)
+    if not result.converged:
+        raise NumericalError(
+            f"fit did not converge: {result.termination} after {result.iterations} iterations"
+        )
     step = result.to_report_step(problem)
     if args.bootstrap:
         sigma = fitkit.bootstrap_uncertainty(

@@ -13,8 +13,9 @@ other result.
 The model registry is the engine's only configuration:
 :mod:`cavitylab.models` gives each model its analytic Jacobian, start
 values, bounds and noise policy. The engine has no options: at most 200
-iterations, convergence at a relative parameter step below 1e-10, and a
-multiplicative damping schedule starting at 1e-3. A model's bounds are kept
+iterations, convergence at a scaled parameter step below 1e-10 of the
+scaled parameter norm (Moré 1978), and a multiplicative damping schedule
+starting at 1e-3. A model's bounds are kept
 by projected steps (step clamped into the box, then re-damped if the cost
 did not drop). A ``gaussian`` model minimises the weighted squared residual;
 a ``poisson`` model minimises the deviance (Cash 1979) by Fisher scoring in
@@ -49,7 +50,7 @@ from .errors import (
 __all__ = ["FitProblem", "FitResult", "bootstrap_uncertainty", "fit", "fit_many"]
 
 _MAX_ITER = 200
-_PARAM_TOL = 1e-10
+_STEP_TOL = 1e-10  # bound on the scaled step norm over the scaled parameter norm
 _DAMPING_INIT = 1e-3
 _COST_SLACK = 1e-12  # relative slack: fp-equal costs count as accepted
 
@@ -135,13 +136,22 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted problem. ``termination`` says why the LM loop stopped:
+    ``step_tolerance`` (the scaled step fell below ``_STEP_TOL``),
+    ``max_iter`` (``_MAX_ITER`` iterations without that) or ``no_descent``
+    (every damping try of an iteration was rejected)."""
+
     model_id: str
     params: np.ndarray
     covariance: np.ndarray
     reduced_chi2: float
     iterations: int
-    converged: bool
+    termination: str
     cost_trace: tuple[float, ...] = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "step_tolerance"
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -287,7 +297,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         idx = int(np.argmin(np.isfinite(r[k])))
         outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
     traces = [[c] for c in cost.tolist()]
-    converged = np.zeros(len(problems), dtype=bool)
+    termination = np.empty(len(problems), dtype=object)
     iterations = np.zeros(len(problems), dtype=int)
     w, r = w.copy(), r.copy()  # rows are overwritten by each problem's final state
 
@@ -308,8 +318,11 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             keep = np.array([e is None for e in errors], dtype=bool)
             ids, X, Y, A, P, W, R, C, lam, conv, H, g = _take(
                 keep, ids, X, Y, A, P, W, R, C, lam, conv, H, g)
+        # D^2 = diag(H): Moré's scaling, the squared column norms of the
+        # weighted Jacobian, for the damping and for the step test
+        scale = np.diagonal(H, axis1=1, axis2=2)
         damping = np.zeros_like(H)
-        damping[diagonal] = np.maximum(np.diagonal(H, axis1=1, axis2=2), 1e-300)
+        damping[diagonal] = np.maximum(scale, 1e-300)
 
         # each try solves the damped system of every row not yet accepted;
         # a singular system is a NaN step, rejected, with a larger damping
@@ -324,13 +337,17 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
             tried = np.arange(ids.size)[rows]
             acc, rej = tried[ok], tried[~ok]
-            rel_step = np.max(np.abs(p_new[ok] - P[acc]) / (np.abs(P[acc]) + 1e-300), axis=1)
+            # Moré's scaled step test ||D dp|| < tol ||D p||, free of the
+            # parameters' units and of a parameter whose value is 0
+            d = np.sqrt(scale[acc])
+            step_norm = np.sqrt(_row_dots(d * (p_new[ok] - P[acc])))
+            size = np.sqrt(_row_dots(d * P[acc]))
             P[acc], W[acc], R[acc] = p_new[ok], w_new[ok], r_new[ok]
             C[acc] = np.minimum(cost_new[ok], C[acc])
             for k, c in zip(ids[acc], C[acc].tolist()):
                 traces[k].append(c)
             lam[acc] = np.maximum(lam[acc] * 0.25, 1e-14)
-            conv[acc] = rel_step < _PARAM_TOL
+            conv[acc] = step_norm < _STEP_TOL * size
             accepted[acc] = True
             lam[rej] *= np.where(singular[~ok], 10.0, 8.0)
             rows = rej
@@ -341,7 +358,9 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         if stop.any():
             done = ids[stop]
             p[done], w[done], r[done] = P[stop], W[stop], R[stop]
-            iterations[done], converged[done] = it, conv[stop]
+            iterations[done] = it
+            termination[done] = np.where(
+                conv, "step_tolerance", np.where(accepted, "max_iter", "no_descent"))[stop]
             ids, X, Y, A, P, W, R, C, lam, conv = _take(
                 ~stop, ids, X, Y, A, P, W, R, C, lam, conv)
 
@@ -363,7 +382,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             covariance=covariance[j],
             reduced_chi2=float(reduced_chi2[j]),
             iterations=int(iterations[k]),
-            converged=bool(converged[k]),
+            termination=str(termination[k]),
             cost_trace=tuple(traces[k]),
         )
     return outcome
@@ -374,9 +393,11 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
 
     Problems of one model and one length advance in lockstep, each with its
     own damping, step acceptance, iteration count and convergence; a result
-    is bit for bit what the problem gives fitted alone. Converged means the
-    relative parameter step of the last accepted iteration fell below
-    ``_PARAM_TOL`` within ``_MAX_ITER`` iterations.
+    is bit for bit what the problem gives fitted alone. Converged means that
+    within ``_MAX_ITER`` iterations an accepted step dp fell below the scaled
+    test ||D dp|| < ``_STEP_TOL`` ||D p|| (Moré 1978, MINPACK's ``xtol``),
+    D = sqrt(diag(H)) of the normal matrix H at the step's start point p;
+    ``FitResult.termination`` names the reason the loop stopped.
 
     A problem that fails (non-finite start, singular normal matrix) changes
     no other problem's result. If any fails, the error of the first failing

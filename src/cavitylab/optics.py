@@ -81,8 +81,10 @@ class CavityGeometry:
                 f"stability requires 0 < l_eff ({self.l_eff_um} um) < "
                 f"min(roc_x, roc_y) ({min(self.roc_x_um, self.roc_y_um)} um)"
             )
-        if not self.refractive_index >= 1.0:
-            raise GeometryError("refractive_index must be >= 1")
+        if not 1.0 <= self.refractive_index < math.inf:
+            raise GeometryError(
+                f"refractive_index must be finite and >= 1, got {self.refractive_index}"
+            )
 
     def with_length(self, l_eff_um: float) -> "CavityGeometry":
         return CavityGeometry(self.roc_x_um, self.roc_y_um, l_eff_um, self.refractive_index)
@@ -763,8 +765,10 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     times of the map. A failed fit, or a frame-to-frame jump larger than
     half the free spectral range of a cavity of length ``l_eff_um`` at frame
     0's strongest pixel, raises TrackingBreakError carrying the frame index.
-    The jump guard always runs.
+    The jump guard always runs, so ``l_eff_um`` must be positive and finite.
     """
+    if not 0 < l_eff_um < math.inf:
+        raise ValidationError(f"l_eff_um must be a positive finite length, got {l_eff_um}")
     wl, counts = spectral_map.wavelength_nm, spectral_map.counts_matrix()
     lam0 = float(wl[np.argmax(counts[0])])
     max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitylab import cli, dataio
+from cavitylab import cli, dataio, fitkit
 
 
 def run(argv):
@@ -202,6 +202,38 @@ def test_fit_rising_histogram_is_refused_exit_3(tmp_path, capsys):
     assert code == 3
     assert "not decaying" in capsys.readouterr().err
     assert not (out / "fit_report.json").exists()
+
+
+def test_fit_that_reaches_the_iteration_cap_exits_3_without_a_report(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fitkit, "_MAX_ITER", 2)
+    code = run(["fit", "--preset", "g2_dip", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 3
+    assert "did not converge: max_iter after 2 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+def test_fit_with_no_descent_exits_3_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fitkit, "_COST_SLACK", -1.0)  # every trial point rejected
+    code = run(["fit", "--preset", "saturation_10k", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 3
+    assert "did not converge: no_descent after 1 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+def test_preset_fits_converge_through_the_cli(tmp_path):
+    # g2_dip, whose t0 = 0 defeats a relative step test, runs at every seed
+    # of 0-299 and the other presets at 50 seeds drawn from that range, to
+    # keep the test to a few seconds
+    from cavitylab import synthlab
+
+    rng = np.random.Generator(np.random.Philox(15))
+    for name in synthlab.preset_names():
+        seeds = range(300) if name == "g2_dip" else rng.choice(300, 50, replace=False)
+        for seed in seeds:
+            code = run(["fit", "--preset", name, "--seed", str(seed), "--out", str(tmp_path)])
+            outputs = json.loads((tmp_path / "fit_report.json").read_text())["steps"][0]
+            assert code == 0 and outputs["outputs"]["converged"], (name, seed)
 
 
 def test_fit_saturation_flat_data_stays_in_model_bounds(tmp_path):

@@ -134,7 +134,7 @@ def _bits(result):
         np.ascontiguousarray(result.covariance).tobytes(),
         np.float64(result.reduced_chi2).tobytes(),
         result.iterations,
-        result.converged,
+        result.termination,
         np.array(result.cost_trace).tobytes(),
     )
 
@@ -309,12 +309,42 @@ def test_bootstrap_draws_counts_for_a_poisson_model():
     assert abs(boot[1] - result.sigmas[1]) <= 0.3 * result.sigmas[1]
 
 
+def test_termination_names_why_the_loop_stopped(monkeypatch):
+    x, y = _lorentzian_data(noise_sigma=5.0, seed=3)
+    problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y)
+    result = fitkit.fit(problem)
+    assert (result.termination, result.converged) == ("step_tolerance", True)
+
+    monkeypatch.setattr(fitkit, "_MAX_ITER", 2)
+    capped = fitkit.fit(problem)
+    assert (capped.termination, capped.converged, capped.iterations) == ("max_iter", False, 2)
+    monkeypatch.undo()
+
+    # no trial point passes the accept test, not even a step that the
+    # damping has rounded to zero: all 60 tries of iteration 1 are rejected
+    monkeypatch.setattr(fitkit, "_COST_SLACK", -1.0)
+    stuck = fitkit.fit(problem)
+    assert (stuck.termination, stuck.converged, stuck.iterations) == ("no_descent", False, 1)
+    assert np.array_equal(stuck.params, problem.initial_params)
+    assert stuck.cost_trace == capped.cost_trace[:1]
+
+
+def test_scaled_step_test_stops_a_parameter_at_zero():
+    # g2_dip's true t0 is 0, so a relative step test never passes on these
+    # seeds; the scaled test weighs each step by its parameter's effect on
+    # the cost
+    for seed in (8, 9, 14, 40):
+        ds = synthlab.generate(synthlab.preset("g2_dip", seed=seed))
+        result = fitkit.fit(fitkit.FitProblem(model_id="g2_three_level", x=ds.x, y=ds.y))
+        assert result.converged and result.iterations < 60, seed
+
+
 def test_bootstrap_requires_convergence():
     x, y = _lorentzian_data()
     problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y)
     bad = fitkit.FitResult(
         model_id="lorentzian", params=np.zeros(4), covariance=np.eye(4),
-        reduced_chi2=1.0, iterations=1, converged=False,
+        reduced_chi2=1.0, iterations=1, termination="max_iter",
     )
     with pytest.raises(ValidationError):
         fitkit.bootstrap_uncertainty(problem, bad, n_resamples=10)

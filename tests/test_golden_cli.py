@@ -59,7 +59,7 @@ GOLDEN = {
         "purcell_budget.json": "a1a226331bbb6536db9834ad95fc0961fbd6ea93d4bb19da54ab8761897aaca4",
     },
     "fit --preset g2_dip --seed 7": {
-        "fit_report.json": "51562eab7d6cdd31725fb0da6bfd6fd5bb60fb2cf0c5083b4d65b665d0fb5384",
+        "fit_report.json": "9676e37d571fce3ce529cef9ef0e6e65735556dfb55ba08b24113a52ec378de3",
         "g2_dip.csv": "87bdcae95d96ed0d2b4c331d15cca253b66baf8747f467e77b6d024ecd576cab",
         "g2_dip.csv.truth.json": "e8715df6d5781bfe1431a53890159f50eef20b193c7492ffd1f1e2e66ff63f8b",
     },

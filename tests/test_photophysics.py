@@ -298,6 +298,15 @@ def test_fit_g2_recovers_zero_delay_value():
     assert result.params.gamma1_per_ns > result.params.gamma2_per_ns
 
 
+def test_fit_g2_converges_on_99_of_100_seeds():
+    converged = sum(
+        fit_g2_histogram(synthlab.generate(synthlab.preset("g2_dip", seed=seed)).record())
+        .fit.converged
+        for seed in range(100)
+    )
+    assert converged >= 99
+
+
 def test_fit_g2_noiseless_exact():
     spec = synthlab.preset("g2_dip", seed=0)
     ds = synthlab.generate(
