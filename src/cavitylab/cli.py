@@ -16,6 +16,7 @@ writes no report. The default output directory comes from ``--out`` or the
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -115,18 +116,6 @@ def _orders(text: str) -> list[int]:
     return [int(q) for q in parts]
 
 
-_MAP_CHUNK_ROWS = 2048  # rows formatted by one % call
-
-
-def _write_map_csv(path: Path, rows: np.ndarray):
-    line = "%.9g,%.9g,%d,%d\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("l_eff_um,wavelength_nm,mode_m,transverse_order\n")
-        for lo in range(0, len(rows), _MAP_CHUNK_ROWS):
-            chunk = rows[lo:lo + _MAP_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
 # the dispersion map is built whole, about 70 bytes a row at its peak
 MAX_MAP_ROWS = 1_000_000
 
@@ -168,7 +157,9 @@ def cmd_dispersion(args) -> int:
             )
         rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
         map_path = out / f"dispersion_map{suffix}.csv"
-        _write_map_csv(map_path, rows)
+        # lengths and wavelengths as %.9g, the integral m and q as integers
+        dataio._write_csv(map_path, "l_eff_um,wavelength_nm,mode_m,transverse_order",
+                          [rows[:, :2], rows[:, 2:]], fixed=(0,))
 
         candidates = optics.double_resonance_search(
             args.lambda_exc, args.lambda_det, roc_um,
@@ -287,6 +278,9 @@ def cmd_purcell_budget(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parsing leaves the parser as it was, and the one
+# string default (--transverse-orders) is converted afresh by each parse
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavitylab",

@@ -35,7 +35,11 @@ round-trips. In a ``spectral_map`` file each row is one pixel and each
 in numpy, a chunk of rows at a time: digit words gathered from a table by
 base-1000 limb, keep masks gathered the same way, one ``np.compress`` per
 chunk. Only the other fields become Python objects, one ``repr`` or ``str``
-each.
+each. One file that is no schema, the dispersion map of
+``cavitylab dispersion``, writes its lengths and wavelengths by a second,
+fixed-precision rule, ``"%.9g" % v``, built as bytes the same way (see
+:func:`_fixed_bytes`); a value the byte kernel cannot settle exactly takes
+``%`` itself.
 
 JSON reports are canonical (sorted keys, floats rendered with ``%.10g``) so
 identical inputs always produce byte-identical files.
@@ -43,6 +47,7 @@ identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -452,41 +457,165 @@ def _integer_bytes(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             keep.view(bool).reshape(*ints.shape, -1))
 
 
-def _fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_POW10 = np.array([float(10**k) for k in range(13)])  # exact as floats
+_G9_PREFIX = np.frombuffer(b"-0.000\0\0", np.uint64)
+# clears the point slot after the last digit and writes the separator
+_G9_COMMA = np.uint64(ord(".") << 40 | ord(",") << 56)
+
+
+@functools.cache
+def _g9_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The %.9g rule's tables, built on first use.
+
+    Its field is a prefix word, "-0.000", then q's nine digits by base-1000
+    limb, one 8-byte word each with a point slot after every digit, and the
+    separator as the last word's last byte. Returned: the limb words by
+    value; the digits of q through a limb's last nonzero one, by value, for
+    its top, middle and low limb (0 for a zero limb); and the keep masks,
+    one row of four words per (exponent e in [-4, 9), sign, significant
+    digits n in 0-9), where n = 0 keeps only the separator, for the
+    fallback. Kept: the sign; "0." and -1 - e zeros for e < 0; the digits
+    through the n-th, and at least e + 1 of them; the point after digit
+    e + 1 when digits follow it.
+    """
+    digits = _DIGITS.view(np.uint8).reshape(1000, 4)[:, :3]
+    limbs = np.zeros((1000, 8), np.uint8)
+    limbs[:, 0:6:2], limbs[:, 1:6:2] = digits, ord(".")
+    nonzero = digits != ord("0")
+    last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    significant = np.where(last > 0, last + np.array([[0], [3], [6]]), 0).astype(np.int8)
+
+    e = np.arange(-4, 9)[:, None, None]
+    sign = np.arange(2)[None, :, None]
+    n = np.arange(10)[None, None, :]
+    keep = np.zeros((13, 2, 10, 4, 8), bool)
+    keep[..., 0, 0] = sign
+    keep[..., 0, 1] = keep[..., 0, 2] = e < 0
+    for k in range(3, 6):
+        keep[..., 0, k] = e < 2 - k
+    for i in range(1, 10):
+        word, byte = 1 + (i - 1) // 3, 2 * ((i - 1) % 3)
+        keep[..., word, byte] = i <= np.maximum(n, e + 1)
+        keep[..., word, byte + 1] = (i == e + 1) & (n > i)
+    keep[:, :, 0] = False
+    keep[..., 3, 7] = True
+    tables = limbs.view(np.uint64).ravel(), significant, keep.reshape(-1, 32).view(np.uint64)
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _fixed_bytes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes of floats written as ``"%.9g" % v``, each followed by ",",
+    a mask of the bytes to keep, both ``(*f.shape, n_bytes)``, and a mask
+    of the values left to the fallback, which keep only the ",".
+
+    A value of decimal exponent e in [-4, 9), where ``%g`` writes no
+    exponent, has the nine significant digits q = rint(|v| 10**(8 - e)):
+    the power of ten is exact, so the product is rounded once, and its rint
+    is the exact one unless the product lies within a few ulps of a tie.
+    Every field is the same template of q's digits with a point slot after
+    each; a keep mask looked up by (e, sign, digits through the last
+    nonzero one) picks the text. Left to the fallback: near-ties, exponents
+    outside the range, 0 and -0.0 (``%g`` writes "-0"), NaN and infinities.
+    """
+    # in place where numpy allows: a fresh array costs more in page faults
+    # than the pass that fills it
+    a = np.abs(f).ravel()
+    ok = (a >= 1e-4) & (a < 1e9)
+    np.copyto(a, 1.0, where=~ok)
+    # a in [2**k, 2**(k + 1)) puts e at floor(k log10(2)) or one above it:
+    # the scaled value says which
+    s, e = np.frexp(a)
+    e = np.maximum(np.floor((e - 1) * math.log10(2), out=s), -4, out=s).astype(np.int64)
+    np.multiply(a, _POW10.take(8 - e), out=s)
+    e += s >= 1e9
+    np.multiply(a, _POW10.take(8 - e), out=s)
+    q = np.rint(s, out=a)
+    # the product is within half an ulp (6e-8 below 2**30) of |v| 10**(8 - e)
+    ok &= np.abs(np.subtract(s, q, out=s), out=s) < 0.5 - 1e-6
+    # a value that rounds up to the next power of ten: 99.9999999996 is 100
+    carry = q == 1e9
+    e += carry
+    ok &= e < 9
+    np.copyto(q, 1e8, where=carry)
+    q = q.astype(np.int64)
+    top = q // 1000000
+    mid = q // 1000
+    low = np.multiply(mid, -1000)
+    low += q
+    mid -= 1000 * top
+    # digits through the last nonzero one
+    limb_words, significant, keep_rows = _g9_tables()
+    n = np.maximum(significant[0].take(top), significant[1].take(mid))
+    np.maximum(n, significant[2].take(low), out=n)
+    negative = f.ravel() < 0
+    # the prefix word only where some field needs a sign or a leading "0."
+    first = int(not (negative.any() or ((e < 0) & ok).any()))
+    # each field's keep row, built in e's array; row 0 for the fallback
+    row = e
+    row += 4
+    row *= 2
+    row += negative
+    row *= 10
+    row += n
+    row *= ok
+    words = np.empty((a.size, 4 - first), np.uint64)
+    if not first:
+        words[:, 0] = _G9_PREFIX
+    for k, limb in enumerate((top, mid, low)):
+        words[:, k + 1 - first] = limb_words.take(limb)
+    words[:, -1] ^= _G9_COMMA
+    keep = keep_rows[:, first:].take(row, axis=0)
+    return (words.view(np.uint8).reshape(*f.shape, -1),
+            keep.view(bool).reshape(*f.shape, -1), ~ok.reshape(f.shape))
+
+
+def _fields(values: np.ndarray, fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The bytes of a block of CSV fields, each followed by ",", and a mask
     of the bytes to keep; both ``(n_rows, n_bytes)``.
 
-    An integral value below 1e16 in magnitude is written as an integer, by
-    :func:`_integer_bytes`. Any other number is written as the shortest
-    round-trip ``repr`` of its float, and text (object arrays, ASCII) as
-    ``str``. When a block has such fields, every field of it starts with a
-    slot as wide as the longest text, NUL-padded, and keeps the text in it.
+    By the per-value rule, an integral value below 1e16 in magnitude is
+    written as an integer, by :func:`_integer_bytes`. Any other number is
+    written as the shortest round-trip ``repr`` of its float, and text
+    (object arrays, ASCII) as ``str``. A ``fixed`` block is written as
+    ``"%.9g" % v`` by :func:`_fixed_bytes`, with ``%`` for the values it
+    leaves. When a block has such text fields, every field of it starts
+    with a slot as wide as the longest text, NUL-padded, and keeps the text
+    in it.
     """
     shape = values.shape
-    if values.dtype == object:
-        as_text = np.ones(shape, bool)
-    else:
+    if fixed:
         f = np.ascontiguousarray(values, dtype=np.float64)
-        # a value at or above 1e16 in magnitude maps to 0 and fails the
-        # test below; for int64 input the test is exact, so a count above
-        # 2**53 with no exact float is written as its nearest float, as
-        # float(x) == int(x) decides in the per-value rule
-        ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
-        as_text = ints != values
-    if not as_text.any():
-        data, keep = _integer_bytes(ints)
-        return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
-    if as_text.all():
-        data, keep = np.full((*shape, 1), ord(","), np.uint8), np.ones((*shape, 1), bool)
+        data, keep, as_text = _fixed_bytes(f)
+        if not as_text.any():
+            return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+        text = np.array(["%.9g" % v for v in f[as_text].tolist()], dtype=np.bytes_)
     else:
-        data, keep = _integer_bytes(np.where(as_text, 0, ints))
-        keep[as_text, :-1] = False  # a text field keeps only the separator
-    if values.dtype == object:
-        # numpy's bytes type renders by str, encodes ASCII and pads with NUL
-        text = np.array(values[as_text], dtype=np.bytes_)
-    else:
-        # no float's repr is longer than 24 characters
-        text = np.array(list(map(repr, f[as_text].tolist())), dtype="S24")
+        if values.dtype == object:
+            as_text = np.ones(shape, bool)
+        else:
+            f = np.ascontiguousarray(values, dtype=np.float64)
+            # a value at or above 1e16 in magnitude maps to 0 and fails the
+            # test below; for int64 input the test is exact, so a count above
+            # 2**53 with no exact float is written as its nearest float, as
+            # float(x) == int(x) decides in the per-value rule
+            ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
+            as_text = ints != values
+        if not as_text.any():
+            data, keep = _integer_bytes(ints)
+            return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+        if as_text.all():
+            data, keep = np.full((*shape, 1), ord(","), np.uint8), np.ones((*shape, 1), bool)
+        else:
+            data, keep = _integer_bytes(np.where(as_text, 0, ints))
+            keep[as_text, :-1] = False  # a text field keeps only the separator
+        if values.dtype == object:
+            # numpy's bytes type renders by str, encodes ASCII and pads with NUL
+            text = np.array(values[as_text], dtype=np.bytes_)
+        else:
+            # no float's repr is longer than 24 characters
+            text = np.array(list(map(repr, f[as_text].tolist())), dtype="S24")
     slot = np.zeros((*shape, text.itemsize), np.uint8)
     slot[as_text] = text.view(np.uint8).reshape(text.size, -1)
     data = np.concatenate([slot, data], axis=-1)
@@ -494,14 +623,15 @@ def _fields(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
 
 
-def _write_csv(path: Path, header: str, blocks):
+def _write_csv(path: Path, header: str, blocks, fixed=()):
     """Write CSV rows made of the rows of ``blocks`` side by side.
 
     Each block is a 1-D array (one column) or a 2-D array (one column per
-    array column); all have the same number of rows. A chunk of rows at a
-    time is encoded to bytes by :func:`_fields`, block by block, and packed
-    by one ``np.compress``, so work arrays stay bounded by ``_CHUNK_FIELDS``
-    whatever the file size.
+    array column); all have the same number of rows. The blocks whose index
+    is in ``fixed`` are written by the ``%.9g`` rule, the others by the
+    per-value rule. A chunk of rows at a time is encoded to bytes by
+    :func:`_fields`, block by block, and packed by one ``np.compress``, so
+    work arrays stay bounded by ``_CHUNK_FIELDS`` whatever the file size.
     """
     blocks = [b.reshape(len(b), -1) for b in blocks]
     n_rows, n_fields = len(blocks[0]), sum(b.shape[1] for b in blocks)
@@ -509,7 +639,8 @@ def _write_csv(path: Path, header: str, blocks):
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n_rows, step):
-            data, keep = zip(*(_fields(b[lo:lo + step]) for b in blocks))
+            data, keep = zip(*(_fields(b[lo:lo + step], i in fixed)
+                               for i, b in enumerate(blocks)))
             data, keep = np.concatenate(data, axis=1), np.concatenate(keep, axis=1)
             data[:, -1] = ord("\n")
             fh.write(np.compress(keep.ravel(), data.ravel()))

@@ -139,7 +139,8 @@ class FitResult:
     """A fitted problem. ``termination`` says why the LM loop stopped:
     ``step_tolerance`` (the scaled step fell below ``_STEP_TOL``),
     ``max_iter`` (``_MAX_ITER`` iterations without that) or ``no_descent``
-    (every damping try of an iteration was rejected)."""
+    (every damping try of an iteration was rejected, or the damping shrank
+    the step after a rejected try to exactly zero)."""
 
     model_id: str
     params: np.ndarray
@@ -328,13 +329,19 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         # a singular system is a NaN step, rejected, with a larger damping
         accepted = np.zeros(ids.size, dtype=bool)
         rows = slice(None)
-        for _ in range(60):
+        for attempt in range(60):
             step, singular = _solve_rows(H[rows] + lam[rows, None, None] * damping[rows], g[rows])
             p_new = P[rows] + step
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
             w_new, r_new, cost_new = objective(X[rows], Y[rows], A[rows], p_new)
             ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
+            if attempt:
+                # a row tried again had a trial rejected: once the damping
+                # has shrunk its step to exactly zero it found no descent,
+                # and it stops unaccepted
+                stuck = np.all(p_new == P[rows], axis=1)
+                ok &= ~stuck
             tried = np.arange(ids.size)[rows]
             acc, rej = tried[ok], tried[~ok]
             # Moré's scaled step test ||D dp|| < tol ||D p||, free of the
@@ -350,7 +357,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             conv[acc] = step_norm < _STEP_TOL * size
             accepted[acc] = True
             lam[rej] *= np.where(singular[~ok], 10.0, 8.0)
-            rows = rej
+            rows = rej[~stuck[~ok]] if attempt else rej
             if not rows.size:
                 break
 

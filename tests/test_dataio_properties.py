@@ -12,19 +12,22 @@ back as infinity anywhere in the tree. Examples are derandomized and bounded
 so that the suite stays deterministic and fast.
 """
 
+import hashlib
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from cavitylab import dataio
+from cavitylab import cli, dataio, optics
 from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
 from cavitylab.errors import ValidationError
 from test_dataio import _arrays, _reference_csv
+from test_golden_cli import _README_DISPERSION, _THREE_ORDERS, GOLDEN
 
 PROPERTY = settings(
     derandomize=True,
@@ -325,6 +328,91 @@ def test_save_csv_writes_the_per_value_rule(tmp_path, schema, data):
             assert got == want
         else:
             assert np.array_equal(np.asarray(got, float), np.asarray(want, float))
+
+
+# ---------------------------------------------------------------------------
+# The fixed-precision rule against "%.9g"
+# ---------------------------------------------------------------------------
+
+# each power of ten from 1e-5 to 1e10, 1 ulp either side of it, and values
+# just below it that round up to it at nine digits (99.9999999996 is 100)
+_G9_EDGES = sorted({
+    w for p in range(-5, 11)
+    for v in [10.0**p] for w in (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf),
+                                 v * (1 - 4e-12), v * (1 - 4e-10), v * (1 - 6e-10))
+} | {99.9999999996, 999999999.5, 999999999.4999999, 12345678.25, 0.5, 0.0001, 0.00010000001,
+     0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, sys.float_info.max,
+     np.nextafter(sys.float_info.max, 0.0), np.inf, -np.inf, np.nan})
+
+
+@st.composite
+def _g9_ties(draw):
+    """An exact tie of the ninth digit, or 1 ulp either side of it: j / 2**(d + 1)
+    for odd j has d decimals and a 5 after them, and d = 8 - e at exponent e."""
+    d = draw(st.integers(1, 12))
+    scale = 2 ** (d + 1)
+    lo = math.ceil(Fraction(10) ** (8 - d) * scale)
+    hi = math.ceil(Fraction(10) ** (9 - d) * scale) - 1
+    tie = (2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1) / scale
+    return draw(st.sampled_from([tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf)]))
+
+
+@st.composite
+def _g9_decimal_ties(draw):
+    """Ten significant digits ending in 5 at an exponent in [-4, 9): the
+    nearest float lies on either side of the tie, and the scaled product
+    may round onto it."""
+    digits = draw(st.integers(10**8, 10**9 - 1))
+    return float(f"{digits}5e{draw(st.integers(-4, 8)) - 9}")
+
+
+_G9_VALUES = st.one_of(
+    st.sampled_from(_G9_EDGES),
+    _g9_ties(),
+    _g9_decimal_ties(),
+    st.floats(1e-5, 1e10),
+    st.floats(),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@PROPERTY
+@given(st.lists(_G9_VALUES, min_size=1, max_size=30),
+       st.sampled_from([1, 5, dataio._CHUNK_FIELDS]))
+@example([0.5, 0.0001, 0.00012, 1.5, 100.0], dataio._CHUNK_FIELDS)
+def test_fixed_rule_writes_percent_9g(tmp_path, values, chunk):
+    # trailing zeros go whatever their count: 0.5, not 0.50; 0.0001, not
+    # 0.00010; a whole number has no point
+    path = tmp_path / "fixed.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_CHUNK_FIELDS", chunk)
+        dataio._write_csv(path, "v", [np.array(values)], fixed=(0,))
+    assert path.read_bytes() == "".join(["v\n"] + ["%.9g\n" % v for v in values]).encode()
+
+
+@pytest.mark.parametrize("command", [_README_DISPERSION, _THREE_ORDERS])
+def test_dispersion_map_is_the_same_in_any_chunks(tmp_path, command):
+    # the whole map in the default chunks and in chunks of 997 rows writes
+    # the golden bytes; one-row chunks (_CHUNK_FIELDS 1 and 5 for its four
+    # fields) on every 25th row write what one chunk does
+    args = cli.build_parser().parse_args(command.split())
+    l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
+    m = optics.mode_indices((args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det)))
+    rows = optics.dispersion_map(args.roc, l_grid, m, args.transverse_orders)
+    header = "l_eff_um,wavelength_nm,mode_m,transverse_order"
+
+    def written(rows, chunk):
+        path = tmp_path / f"map{chunk}.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_CHUNK_FIELDS", chunk)
+            dataio._write_csv(path, header, [rows[:, :2], rows[:, 2:]], fixed=(0,))
+        return path.read_bytes()
+
+    golden = GOLDEN[command]["dispersion_map.csv"]
+    for chunk in (dataio._CHUNK_FIELDS, 4 * 997):
+        assert hashlib.sha256(written(rows, chunk)).hexdigest() == golden
+    every_25th = rows[::25]
+    whole = written(every_25th, dataio._CHUNK_FIELDS)
+    assert all(written(every_25th, chunk) == whole for chunk in (1, 5))
 
 
 # ---------------------------------------------------------------------------

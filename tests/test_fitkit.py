@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,14 @@ def _lorentzian_data(center=618.6, fwhm_nm=0.268, amplitude=1000.0, offset=20.0,
 
 
 def test_noiseless_exact_start_converges_immediately():
+    # the gradient is zero at the truth: the first try's step is exactly
+    # zero, accepted with no rejection, and the fit converges there
+    truth = [1000.0, 618.6, 0.268, 20.0]
     x, y = _lorentzian_data()
-    problem = fitkit.FitProblem(
-        model_id="lorentzian", x=x, y=y, initial_params=[1000.0, 618.6, 0.268, 20.0]
-    )
+    problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y, initial_params=truth)
     result = fitkit.fit(problem)
-    assert result.converged
-    assert result.iterations <= 2
+    assert (result.termination, result.iterations) == ("step_tolerance", 1)
+    assert np.array_equal(result.params, truth)
     assert result.reduced_chi2 < 1e-18
 
 
@@ -327,6 +330,26 @@ def test_termination_names_why_the_loop_stopped(monkeypatch):
     assert (stuck.termination, stuck.converged, stuck.iterations) == ("no_descent", False, 1)
     assert np.array_equal(stuck.params, problem.initial_params)
     assert stuck.cost_trace == capped.cost_trace[:1]
+
+
+def test_a_step_damped_to_zero_after_rejections_is_no_descent(monkeypatch):
+    # the model is NaN off its start point, so every trial point is
+    # rejected until the damping rounds the step to zero; that zero step
+    # passes the step test but found no descent
+    x, y = _lorentzian_data(noise_sigma=5.0, seed=3)
+    start = fitkit.FitProblem(model_id="lorentzian", x=x, y=y).initial_params
+    base = models.get_model("lorentzian")
+
+    def fn(x, p):
+        at_start = np.all(np.asarray(p) == start, axis=-1)
+        return np.where(np.expand_dims(at_start, -1), base.fn(x, p), np.nan)
+
+    monkeypatch.setitem(models.MODELS, "lorentzian", dataclasses.replace(base, fn=fn))
+    problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y)
+    stuck = fitkit.fit(problem)
+    assert (stuck.termination, stuck.converged, stuck.iterations) == ("no_descent", False, 1)
+    assert np.array_equal(stuck.params, start)
+    assert len(stuck.cost_trace) == 1
 
 
 def test_scaled_step_test_stops_a_parameter_at_zero():
