@@ -13,11 +13,12 @@ from cavitylab import photophysics, synthlab
 def main():
     # second-order correlation: dip depth certifies a single emitter
     ds = synthlab.generate(synthlab.preset("g2_dip", seed=1))
-    g2 = photophysics.fit_g2_histogram(ds.record())
+    g2, derived = photophysics.fit_g2_histogram(ds.record())
+    gamma1, gamma2 = g2.params[2:4]
     print("three-level g2 fit:")
-    print(f"  g2(t0)   = {g2.g2_at_t0:.3f} (truth 0.210; < 0.5 means single photons)")
-    print(f"  1/gamma1 = {1.0 / g2.params.gamma1_per_ns:.1f} ns recovery")
-    print(f"  1/gamma2 = {1.0 / g2.params.gamma2_per_ns:.0f} ns shelving")
+    print(f"  g2(t0)   = {derived['g2_at_t0']:.3f} (truth 0.210; < 0.5 means single photons)")
+    print(f"  1/gamma1 = {1.0 / gamma1:.1f} ns recovery")
+    print(f"  1/gamma2 = {1.0 / gamma2:.0f} ns shelving")
 
     # saturation curves at three temperatures
     print("\nsaturation fits (I = i_sat * P / (p_sat + P)):")
@@ -27,11 +28,11 @@ def main():
         ("saturation_100k", 162.0, 2.2),
     ]:
         sat = synthlab.generate(synthlab.preset(name, seed=2))
-        params, fit = photophysics.fit_saturation(
+        i_sat, p_sat = photophysics.fit_saturation(
             sat.x, sat.y, sigmas=np.full(sat.x.size, sat.spec.noise_sigma)
-        )
-        print(f"  {name:16s} i_sat = {params.i_sat_kcps:6.1f} kC/s "
-              f"(truth {i_true:5.1f}), p_sat = {params.p_sat_mw:5.2f} mW "
+        ).params
+        print(f"  {name:16s} i_sat = {i_sat:6.1f} kC/s "
+              f"(truth {i_true:5.1f}), p_sat = {p_sat:5.2f} mW "
               f"(truth {p_true:4.2f})")
 
     # pulsed lifetimes at three temperatures
@@ -58,14 +59,6 @@ def main():
     # level bookkeeping
     split = photophysics.gs_splitting_ghz(618.54, 620.22)
     print(f"\nground-state splitting of the C/D lines: {split:.0f} GHz")
-
-    spec = photophysics.EmitterSpec(
-        zpl_c_nm=618.54, zpl_d_nm=620.22, linewidth_c_ghz=210.0,
-        linewidth_d_ghz=410.0, free_space_lifetime_ns=21.7,
-        quantum_efficiency=0.8, debye_waller=0.56, branching_c=0.8,
-    )
-    print(f"emitter record: ZPL fraction {spec.debye_waller:.0%}, "
-          f"branching into C {spec.branching_c:.0%}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Submodules
 ----------
 optics        Gaussian-beam cavity mode math: dispersion, finesse, figures of merit.
-photophysics  Emitter-side models: g2(t), saturation, lifetimes, level bookkeeping.
+photophysics  Emitter-side fits: g2(t), saturation, lifetimes, level bookkeeping.
 cqed          Purcell-enhancement budget and coupling-regime classification.
 fitkit        Levenberg-Marquardt least-squares engine with registered models.
 dataio        CSV/JSON ingestion, validation and byte-reproducible reports.
@@ -18,21 +18,17 @@ from .cqed import CouplingRates, PurcellBudget
 from .dataio import ScanTrace, SpectralMap, Spectrum, TimeHistogram
 from .fitkit import FitProblem, FitResult
 from .optics import CavityFigures, CavityGeometry, ModeResonance
-from .photophysics import EmitterSpec, G2Params, SaturationParams
 from .synthlab import GeneratorSpec
 
 __all__ = [
     "CavityFigures",
     "CavityGeometry",
     "CouplingRates",
-    "EmitterSpec",
     "FitProblem",
     "FitResult",
-    "G2Params",
     "GeneratorSpec",
     "ModeResonance",
     "PurcellBudget",
-    "SaturationParams",
     "ScanTrace",
     "SpectralMap",
     "Spectrum",

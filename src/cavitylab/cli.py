@@ -208,7 +208,7 @@ def cmd_fit(args) -> int:
         model_id = args.model or spec.model_id
         csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
         inputs.append(dataio.digest_file(csv_path))
-    elif args.input:
+    else:
         if not args.model:
             raise ValidationError("--model is required with --input")
         if not args.schema:
@@ -221,9 +221,10 @@ def cmd_fit(args) -> int:
         elif isinstance(record, dataio.TimeHistogram):
             x, y = record.bin_centers_ns, record.counts.astype(float)
         else:  # scan ramps, the one other --schema choice
+            if len(record) > 1:
+                raise ValidationError(
+                    f"--input holds {len(record)} scan ramps; fit takes one ramp")
             x, y = record[0].axis, record[0].signal
-    else:
-        raise ValidationError("provide --input or --preset")
 
     problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
     result = fitkit.fit(problem)
@@ -319,15 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p_fit)
     p_fit.add_argument("--seed", type=_non_negative_int, default=0,
                        help="random seed, an integer >= 0")
-    p_fit.add_argument("--input", help="input CSV path")
+    source = p_fit.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="input CSV path")
+    source.add_argument(
+        "--preset", choices=synthlab.preset_names(),
+        help="generate and fit a named synthetic preset",
+    )
     p_fit.add_argument(
         "--schema", choices=["spectrum", "scan", "histogram"], help="input CSV schema"
     )
     p_fit.add_argument("--model", choices=sorted(models.MODELS), help="model id")
-    p_fit.add_argument(
-        "--preset", choices=synthlab.preset_names(),
-        help="generate and fit a named synthetic preset",
-    )
     p_fit.add_argument("--bootstrap", type=_resamples, default=0,
                        help=f"bootstrap resamples for uncertainties, 0 (none) or 2 "
                        f"to {MAX_RESAMPLES}")

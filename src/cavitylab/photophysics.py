@@ -1,14 +1,15 @@
-"""Emitter-side models and fitting pipelines.
+"""Emitter-side fitting pipelines.
 
-Covers the second-order correlation function of a three-level emitter,
-saturation curves, pulsed-lifetime decays, the power dependence of the
-fitted decay rate, and level-structure bookkeeping (line splitting and the
-zero-phonon-line emission fraction).
+Fits the second-order correlation of a three-level emitter, saturation
+curves and pulsed-lifetime decays, extrapolates the fitted decay rate to
+zero excitation power, and keeps the level-structure bookkeeping (line
+splitting and the zero-phonon-line emission fraction). The model shapes,
+start values, bounds and derived outputs (g2 at zero delay) live in the
+``models`` registry; the g2 and saturation pipelines return the engine's
+``FitResult`` as it is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,100 +23,13 @@ from .errors import (
 from .optics import C_NM_GHZ
 
 __all__ = [
-    "EmitterSpec",
-    "G2FitResult",
-    "G2Params",
-    "SaturationParams",
     "debye_waller_estimate",
     "decay_rate_extrapolation",
     "fit_g2_histogram",
     "fit_saturation",
-    "g2_model",
     "gs_splitting_ghz",
     "pulsed_lifetime_fit",
-    "saturation_model",
 ]
-
-
-@dataclass(frozen=True)
-class EmitterSpec:
-    """Free-space optical properties of one emitter."""
-
-    zpl_c_nm: float
-    zpl_d_nm: float
-    linewidth_c_ghz: float
-    linewidth_d_ghz: float
-    free_space_lifetime_ns: float
-    quantum_efficiency: float
-    debye_waller: float
-    branching_c: float
-
-    def __post_init__(self):
-        for name in ("quantum_efficiency", "debye_waller", "branching_c"):
-            value = getattr(self, name)
-            if not 0 < value <= 1:
-                raise ValidationError(f"{name} must lie in (0, 1], got {value}")
-        if self.free_space_lifetime_ns <= 0:
-            raise ValidationError("free_space_lifetime_ns must be positive")
-        if not self.zpl_d_nm > self.zpl_c_nm:
-            raise ValidationError("the D line must be red of the C line")
-
-
-@dataclass(frozen=True)
-class G2Params:
-    """Three-level correlation parameters.
-
-    The model is 1 + c*(beta*exp(-gamma1*|t-t0|) + (beta-1)*exp(-gamma2*|t-t0|))
-    with the antibunching rate faster than the shelving rate (gamma1 > gamma2).
-    In this sign convention a trace with an antibunching dip recovering at
-    gamma1 carries a negative contrast (and, with bunching, beta in (0, 1));
-    a positive contrast with beta > 1 describes pure bunching.
-    """
-
-    contrast: float
-    beta: float
-    gamma1_per_ns: float
-    gamma2_per_ns: float
-    t0_ns: float = 0.0
-
-    def __post_init__(self):
-        if self.contrast == 0:
-            raise ValidationError("contrast must be non-zero")
-        if not self.gamma1_per_ns > self.gamma2_per_ns > 0:
-            raise ValidationError("rates must satisfy gamma1 > gamma2 > 0")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.contrast, self.beta, self.gamma1_per_ns, self.gamma2_per_ns, self.t0_ns]
-        )
-
-
-def g2_model(t, params: G2Params):
-    """Second-order correlation of a three-level emitter at delay ``t`` (ns),
-    normalised to a plateau of 1."""
-    return models.evaluate("g2_three_level", np.append(params.as_vector(), 1.0), t)
-
-
-@dataclass(frozen=True)
-class SaturationParams:
-    """Saturation curve parameters: I = i_sat * P / (p_sat + P)."""
-
-    i_sat_kcps: float
-    p_sat_mw: float
-
-    def __post_init__(self):
-        if not (self.i_sat_kcps > 0 and self.p_sat_mw > 0):
-            raise ValidationError("saturation parameters must be positive")
-
-
-def saturation_model(power_mw, params: SaturationParams):
-    """Detected rate (kC/s) at excitation power ``power_mw`` (mW)."""
-    power = np.asarray(power_mw, dtype=float)
-    if np.any(power < 0):
-        raise ValidationError("power must be non-negative")
-    return models.evaluate(
-        "saturation", [params.i_sat_kcps, params.p_sat_mw], power
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +108,38 @@ def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class G2FitResult:
-    params: G2Params
-    g2_at_t0: float
-    fit: fitkit.FitResult
-
-
-def fit_g2_histogram(hist: TimeHistogram) -> G2FitResult:
+def fit_g2_histogram(hist: TimeHistogram) -> tuple[fitkit.FitResult, dict]:
     """Fit a coincidence histogram with the three-level correlation model.
 
     The raw counts are fitted by the Poisson likelihood of the registered
-    model, whose sixth parameter is the long-delay plateau in counts per
-    bin; ``params`` describes the curve normalised to that plateau. Initial
-    rates come from the width of the antibunching dip with the shelving rate
-    started a decade slower; a fit that converges with the rates swapped is
-    canonicalized back to gamma1 > gamma2. A fit that lands at zero contrast
-    or outside gamma1 > gamma2 > 0 raises ``FitQualityError``.
+    ``g2_three_level`` model. Its sixth parameter, ``params[5]``, is the
+    long-delay plateau in counts per bin; ``params[:5]`` (contrast, beta,
+    gamma1, gamma2, t0) describe the curve normalised to that plateau,
+    1 + c*(beta*exp(-gamma1*|t-t0|) + (beta-1)*exp(-gamma2*|t-t0|)), with
+    the antibunching rate faster than the shelving rate (gamma1 > gamma2).
+    In this sign convention a trace with an antibunching dip recovering at
+    gamma1 carries a negative contrast (and, with bunching, beta in (0, 1));
+    a positive contrast with beta > 1 describes pure bunching.
+
+    Initial rates come from the width of the antibunching dip with the
+    shelving rate started a decade slower; a fit that converges with the
+    rates swapped is canonicalized back to gamma1 > gamma2. Returns the
+    ``FitResult`` and the model's derived outputs (``g2_at_t0``), the dict
+    a report step carries; a fit that lands at zero contrast or outside
+    gamma1 > gamma2 > 0 raises ``FitQualityError``.
     """
     model = models.get_model("g2_three_level")
-    result = fitkit.fit(
-        fitkit.FitProblem(model_id=model.name, x=hist.bin_centers_ns, y=hist.counts)
-    )
-    g2_at_t0 = model.derived(result.params)["g2_at_t0"]
-    return G2FitResult(params=G2Params(*result.params[:5]), g2_at_t0=g2_at_t0, fit=result)
-
-
-def fit_saturation(power_mw, rate_kcps, sigmas=None):
-    """Fit a saturation curve; returns (SaturationParams, FitResult)."""
-    weights = None if sigmas is None else 1.0 / np.asarray(sigmas, dtype=float)
-    problem = fitkit.FitProblem(
-        model_id="saturation",
-        x=np.asarray(power_mw, dtype=float),
-        y=np.asarray(rate_kcps, dtype=float),
-        weights=weights,
-    )
+    problem = fitkit.FitProblem(model_id=model.name, x=hist.bin_centers_ns, y=hist.counts)
     result = fitkit.fit(problem)
-    return SaturationParams(float(result.params[0]), float(result.params[1])), result
+    return result, model.derived(result.params)
+
+
+def fit_saturation(power_mw, rate_kcps, sigmas=None) -> fitkit.FitResult:
+    """Fit the registered ``saturation`` model, I = i_sat * P / (p_sat + P),
+    to rates (kC/s) at excitation powers (mW); ``params`` is (i_sat, p_sat)."""
+    weights = None if sigmas is None else 1.0 / np.asarray(sigmas, dtype=float)
+    problem = fitkit.FitProblem(model_id="saturation", x=power_mw, y=rate_kcps, weights=weights)
+    return fitkit.fit(problem)
 
 
 # ---------------------------------------------------------------------------

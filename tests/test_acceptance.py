@@ -215,20 +215,20 @@ def test_criterion_6_fit_roundtrips_at_paper_statistics():
         hits = 0
         for seed in range(100):
             ds = synthlab.generate(synthlab.preset(name, seed=seed))
-            params, _ = photophysics.fit_saturation(
+            result = photophysics.fit_saturation(
                 ds.x, ds.y, sigmas=np.full(ds.x.size, ds.spec.noise_sigma)
             )
             hits += (
-                abs(params.i_sat_kcps - i_sat) <= 2.0 * sig_i
-                and abs(params.p_sat_mw - p_sat) <= 2.0 * sig_p
+                abs(result.params[0] - i_sat) <= 2.0 * sig_i
+                and abs(result.params[1] - p_sat) <= 2.0 * sig_p
             )
         saturation_hits[name] = hits
 
     g2_hits = 0
     for seed in range(100):
         ds = synthlab.generate(synthlab.preset("g2_dip", seed=seed))
-        result = photophysics.fit_g2_histogram(ds.record())
-        g2_hits += abs(result.g2_at_t0 - 0.21) <= 0.03
+        _, derived = photophysics.fit_g2_histogram(ds.record())
+        g2_hits += abs(derived["g2_at_t0"] - 0.21) <= 0.03
 
     elapsed = time.perf_counter() - start
     ok = (

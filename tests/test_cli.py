@@ -194,6 +194,18 @@ def test_fit_negative_counts_with_a_poisson_model_exit_2(tmp_path, capsys):
     assert not (out / "fit_report.json").exists()
 
 
+def test_fit_scan_of_two_ramps_exit_2_without_a_report(tmp_path, capsys):
+    # an up/down pair: one Lorentzian over the up ramp's two resonances would
+    # fit badly, and the down ramp would be dropped without a word
+    from cavitylab import synthlab
+
+    ramps = synthlab.generate_scan_pair(n_samples=20_000, seed=3)
+    code, out = _fit_csv(tmp_path, ramps, "scan", "lorentzian")
+    assert code == 2
+    assert "--input holds 2 scan ramps; fit takes one ramp" in capsys.readouterr().err
+    assert not (out / "fit_report.json").exists()
+
+
 def test_fit_rising_histogram_is_refused_exit_3(tmp_path, capsys):
     rising = dataio.TimeHistogram(
         bin_centers_ns=np.arange(0.5, 30.5, 1.0), counts=np.arange(30) * 10 + 5
@@ -271,6 +283,17 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path):
 
 def test_fit_requires_input_or_preset(tmp_path):
     assert run(["fit", "--out", str(tmp_path)]) == 2
+
+
+def test_fit_refuses_input_with_preset(tmp_path, capsys):
+    code = run([
+        "fit", "--preset", "lifetime_4k", "--input", str(tmp_path / "nowhere.csv"),
+        "--schema", "spectrum", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--preset" in err and "--input" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_purcell_budget_paper_inputs(tmp_path):

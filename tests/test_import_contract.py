@@ -1,10 +1,12 @@
 """cavitylab never loads scipy: not on the command line, not in the peak
-detection behind the finesse and drift pipelines.
+detection behind the finesse and drift pipelines. Every name the package and
+its layers export in ``__all__`` exists.
 
 Each run check uses a fresh interpreter, because the test process itself has
 long since imported scipy for its oracle tests.
 """
 
+import importlib
 import json
 import os
 import re
@@ -12,7 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cavitylab import cli, synthlab
+
+# the layers whose exports the benchmark's tracer wraps by name
+_LAYERS = ("cli", "optics", "photophysics", "cqed", "fitkit", "models", "dataio", "synthlab")
 
 _SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -77,3 +84,11 @@ def test_package_never_imports_scipy():
     for source in sources:
         assert not re.search(r"^\s*(import|from)\s+scipy\b", source.read_text(), re.M), source
     assert _python(_PEAK_PIPELINES) == ["True 120 []"]
+
+
+@pytest.mark.parametrize("name", ["cavitylab", *(f"cavitylab.{m}" for m in _LAYERS)])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert module.__all__
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == [], f"{name}.__all__ names {missing}"
