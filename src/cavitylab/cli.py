@@ -199,6 +199,8 @@ def cmd_dispersion(args) -> int:
 
 def cmd_fit(args) -> int:
     """Fit one dataset (CSV file or named preset) and write the result JSON."""
+    if args.preset and args.schema:
+        raise ValidationError("--schema describes an --input file; a --preset takes none")
     out = _out_dir(args)
     inputs = []
     if args.preset:

@@ -9,7 +9,10 @@ Each ``fn`` and ``jac`` also takes a batch: ``x`` of shape (K, n) with ``p``
 of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
 ``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
 equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
-``x.shape + (P,)``. Start values (``init``) are taken one problem at a time.
+``x.shape + (P,)``. Start values (``init``) of ``lorentzian``, ``gaussian``
+and ``detuned_purcell`` take a batch too: ``x`` and ``y`` of shape (K, n) give
+(K, P) start values, row k bit for bit the start of row k alone. The other
+models take theirs one problem at a time.
 
 Models
 ------
@@ -99,32 +102,50 @@ def _lorentzian_jac(x, p):
     return J
 
 
-def _half_width(x, y, i_peak, level) -> float:
-    """Full width of y around index i_peak at the given level, by interpolation."""
-    left = right = None
-    for j in range(i_peak, 0, -1):
-        if y[j - 1] <= level <= y[j] or y[j - 1] >= level >= y[j]:
-            frac = (level - y[j - 1]) / (y[j] - y[j - 1]) if y[j] != y[j - 1] else 0.5
-            left = x[j - 1] + frac * (x[j] - x[j - 1])
-            break
-    for j in range(i_peak, len(y) - 1):
-        if y[j + 1] <= level <= y[j] or y[j + 1] >= level >= y[j]:
-            frac = (level - y[j]) / (y[j + 1] - y[j]) if y[j + 1] != y[j] else 0.5
-            right = x[j] + frac * (x[j + 1] - x[j])
-            break
-    if left is None or right is None:
-        span = abs(x[-1] - x[0])
-        return span / 10.0 if span else 1.0
-    return abs(right - left)
+def _half_width(x, y, i_peak, level):
+    """Full width of y around index i_peak at the given level, by linear
+    interpolation in the nearest pair of samples on each side that brackets
+    the level; a tenth of the x span (1 for a zero span) where a side has
+    none. x and y of shape (n,) give one width, x and y of shape (K, n)
+    with K peak indices and levels give one per row."""
+    x2, y2 = np.atleast_2d(x, y)
+    i_peak, level = np.reshape(i_peak, (-1, 1)), np.reshape(level, (-1, 1))
+    span = np.abs(x2[:, -1] - x2[:, 0])
+    width = np.where(span != 0.0, span / 10.0, 1.0)
+    if y2.shape[1] > 1:
+        # pair j, samples j and j + 1, brackets the level
+        below, above = y2 <= level, y2 >= level
+        brackets = (below[:, :-1] & above[:, 1:]) | (above[:, :-1] & below[:, 1:])
+        after = np.arange(y2.shape[1] - 1) >= i_peak
+        left, right = brackets & ~after, brackets & after
+        pairs = np.stack([left.shape[1] - 1 - np.argmax(left[:, ::-1], axis=1),
+                          np.argmax(right, axis=1)])
+        rows = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
+        j = pairs[:, rows]
+        y0, y1, x0, x1 = y2[rows, j], y2[rows, j + 1], x2[rows, j], x2[rows, j + 1]
+        frac = np.divide(level[rows, 0] - y0, y1 - y0, out=np.full(j.shape, 0.5), where=y1 != y0)
+        crossings = x0 + frac * (x1 - x0)
+        width[rows] = np.abs(crossings[1] - crossings[0])
+    return width if np.ndim(y) > 1 else width[0]
+
+
+def _peak_shape(x, y):
+    """The highest sample of y, or of each row of a (K, n) y, as (height
+    above the lowest sample, its x, the full width at half that height, the
+    lowest sample)."""
+    x2, y2 = np.atleast_2d(x, y)
+    rows = np.arange(len(y2))
+    offset, i = y2.min(axis=1), y2.argmax(axis=1)
+    height = y2[rows, i] - offset
+    width = _half_width(x2, y2, i, offset + height / 2.0)
+    shape = np.stack([height, x2[rows, i], width, offset], axis=-1)
+    return shape if np.ndim(y) > 1 else shape[0]
 
 
 def _lorentzian_init(x, y):
-    offset = float(np.min(y))
-    i = int(np.argmax(y))
-    amplitude = float(y[i] - offset)
-    center = float(x[i])
-    fwhm = _half_width(x, y, i, offset + amplitude / 2.0)
-    return np.array([amplitude, center, max(fwhm, 1e-12), offset])
+    p = _peak_shape(x, y)
+    p[..., 2] = np.maximum(p[..., 2], 1e-12)
+    return p
 
 
 # -- gaussian ----------------------------------------------------------------
@@ -149,7 +170,8 @@ def _gaussian_jac(x, p):
 
 def _gaussian_init(x, y):
     p = _lorentzian_init(x, y)
-    return np.array([p[0], p[1], max(p[2] / 2.3548, 1e-12), p[3]])
+    p[..., 2] = np.maximum(p[..., 2] / 2.3548, 1e-12)
+    return p
 
 
 # -- linear ------------------------------------------------------------------
@@ -319,13 +341,9 @@ def _detuned_purcell_jac(x, p):
 
 
 def _detuned_purcell_init(x, y):
-    offset = float(np.min(y))
-    i = int(np.argmax(y))
-    peak = float(y[i] - offset)
-    x0 = float(x[i])
-    fwhm = _half_width(x, y, i, offset + peak / 2.0)
-    q = x0 / fwhm if fwhm > 0 else 10.0
-    return np.array([peak, max(q, 1.0), x0, offset])
+    peak, x0, fwhm, offset = _peak_shape(x, y).T
+    q = np.divide(x0, fwhm, out=np.full(np.shape(fwhm), 10.0), where=fwhm > 0)
+    return np.stack([peak, np.maximum(q, 1.0), x0, offset], axis=-1)
 
 
 def _abs_width(index):
@@ -402,7 +420,8 @@ def jacobian_matrix(model_id: str, params, x) -> np.ndarray:
 
 
 def initial_params(model_id: str, x, y) -> np.ndarray:
-    """Heuristic start values so batch pipelines can run unattended."""
+    """Heuristic start values so batch pipelines can run unattended; (K, n)
+    ``x`` and ``y`` give (K, P) for a model whose ``init`` takes a batch."""
     model = get_model(model_id)
     return model.init(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 

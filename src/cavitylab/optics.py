@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fitkit
+from . import fitkit, models
 from .dataio import ScanTrace, SpectralMap, Spectrum
 from .errors import (
     CavityLabError,
@@ -508,12 +508,66 @@ def _peaks_and_median(signal, rel_prominence: float):
 
 def _peak_floors(rows: np.ndarray):
     """Median, lowest sample and peak floor of each row of a (K, n) array:
-    the floor is 5 MAD around the median, and at least 1e-9 of the span."""
-    medians = np.median(rows, axis=1)
-    deviations = rows - medians[:, None]
-    mads = np.median(np.abs(deviations, out=deviations), axis=1, overwrite_input=True)
-    lows = rows.min(axis=1)
-    return medians, lows, np.maximum(5.0 * mads, 1e-9 * (rows.max(axis=1) - lows))
+    the floor is 5 MAD around the median, and at least 1e-9 of the span.
+
+    Median and MAD are ``np.median``'s, bit for bit, taken in one of two
+    ways. A row of whole numbers below 2**52 in magnitude whose span is at
+    most its length, as a ramp of counts is, is counted: its two middle
+    values (one twice for an odd length) from a histogram of the row and
+    its cumulative sum, the MAD's from the histogram of the whole numbers
+    2|y - median|, and every mean and half of them is exact. Every other
+    row (NaN, +-inf, fractions, large or wide spans) is partitioned by
+    ``np.median``, and so is a row whose counted median is zero: which of a
+    -0.0 and a 0.0 that returns depends on its partition.
+    """
+    lows, highs = rows.min(axis=1), rows.max(axis=1)
+    spans = highs - lows
+    medians, mads = np.empty(len(rows)), np.empty(len(rows))
+    counted = np.zeros(len(rows), dtype=bool)
+    # False for NaN and inf; below 2**52 the mean of two whole floats is exact
+    narrow = np.flatnonzero((spans <= rows.shape[1]) & (-(2.0**52) < lows) & (highs < 2.0**52))
+    if narrow.size:
+        counted[narrow], medians[narrow], mads[narrow] = _counted_medians(
+            rows if narrow.size == len(rows) else rows[narrow], lows[narrow],
+            int(np.max(spans[narrow])) + 2)
+    rest = np.flatnonzero(~counted)
+    if rest.size:
+        deviations = rows[rest]
+        medians[rest] = np.median(deviations, axis=1, overwrite_input=True)
+        deviations -= medians[rest, None]
+        mads[rest] = np.median(np.abs(deviations, out=deviations), axis=1, overwrite_input=True)
+    return medians, lows, np.maximum(5.0 * mads, 1e-9 * spans)
+
+
+def _counted_medians(rows: np.ndarray, lows: np.ndarray, m: int):
+    """Which rows of a (K, n) array are counted (see :func:`_peak_floors`),
+    and the median and MAD of each row, valid where it is counted. Every
+    sample lies within m - 2 of its row's lowest, ``lows``, and below 2**52
+    in magnitude."""
+    n_rows, n = rows.shape
+    k = rows.astype(np.intp)
+    whole = (k == rows).all(axis=1)
+    # a sample's bin: its distance from the row's lowest, after the bins of
+    # the rows before; a row that is not whole may reach its spare last bin
+    k -= (lows.astype(np.intp) - np.arange(n_rows) * m)[:, None]
+    histograms = np.bincount(k.ravel(), minlength=n_rows * m).reshape(n_rows, m)
+    low, high = _middle_bins(histograms, n)
+    # every bin's distance from the median, doubled to a whole number, and
+    # binned the same way
+    m2 = 2 * m - 1
+    doubled = np.abs(2 * np.arange(m) - (low + high)[:, None]) + (np.arange(n_rows) * m2)[:, None]
+    low2, high2 = _middle_bins(
+        np.bincount(doubled.ravel(), histograms.ravel(), n_rows * m2).reshape(n_rows, m2), n)
+    medians = lows + (low + high) / 2.0
+    return whole & (medians != 0.0), medians, (low2 + high2) / 4.0
+
+
+def _middle_bins(histograms: np.ndarray, n: int):
+    """The bins of the ((n - 1) // 2)-th and (n // 2)-th smallest of the n
+    values counted in each row of ``histograms``: the two middle values of
+    an even count, the middle one twice of an odd count."""
+    cumulative = histograms.cumsum(axis=1)
+    return np.argmax(cumulative > (n - 1) // 2, axis=1), np.argmax(cumulative > n // 2, axis=1)
 
 
 def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -621,25 +675,59 @@ def _strongest_peaks(rows: np.ndarray):
     return best, medians
 
 
-def _fwhm_in_samples(y: np.ndarray, i_peak: int, baseline: float) -> float:
-    half = baseline + (y[i_peak] - baseline) / 2.0
-    left = i_peak
-    while left > 0 and y[left] > half:
-        left -= 1
-    right = i_peak
-    while right < y.size - 1 and y[right] > half:
-        right += 1
-    return max(right - left, 3.0)
+def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray) -> np.ndarray:
+    """Full width at half maximum, in samples and at least 3, of the peak at
+    column ``peaks[k]`` of each row of a (K, n) array, above ``baselines[k]``:
+    the distance between the nearest samples on either side, the peak
+    included, that are not above half maximum, or the row's ends."""
+    half = baselines + (rows[np.arange(len(rows)), peaks] - baselines) / 2.0
+    left = _nearest_not_above(rows, peaks, half, -1)
+    return np.maximum(_nearest_not_above(rows, peaks, half, 1) - left, 3.0)
 
 
-def _peak_problem(x: np.ndarray, y: np.ndarray, index: int, baseline: float):
-    """Lorentzian fit problem on the samples within eight half-maximum widths
-    (at least 10 samples) of sample ``index``; the width is measured above
-    ``baseline``, the median of ``y``."""
-    width = _fwhm_in_samples(y, index, baseline)
-    half_window = int(max(8.0 * width, 10))
-    sl = slice(max(index - half_window, 0), min(index + half_window + 1, x.size))
-    return fitkit.FitProblem(model_id="lorentzian", x=x[sl], y=y[sl])
+def _nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, step: int):
+    """Column of the first sample of each row, from ``peaks[k]`` on in
+    direction ``step`` (-1 or 1), that is not above ``levels[k]``, or of
+    the row's last sample in that direction. Each round looks 4 times as
+    far as the last, so the work follows the widths, not the row length."""
+    n = rows.shape[1]
+    end = 0 if step < 0 else n - 1
+    found = np.empty(len(rows), dtype=int)
+    todo, reach = np.arange(len(rows)), 16
+    while todo.size:
+        columns = np.minimum(np.maximum(peaks[todo, None] + step * np.arange(reach), 0), n - 1)
+        stop = ~(rows[todo[:, None], columns] > levels[todo, None]) | (columns == end)
+        hit = stop.any(axis=1)
+        found[todo[hit]] = columns[hit, np.argmax(stop[hit], axis=1)]
+        todo, reach = todo[~hit], 4 * reach
+    return found
+
+
+def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines):
+    """Lorentzian fit problems, one per peak: on the samples of row k of
+    ``rows`` (a (K, n) array, or one row shared by every peak) within eight
+    half-maximum widths (at least 10 samples) of column ``peaks[k]``, the
+    width measured above ``baselines[k]`` (or one baseline for all), the
+    median of the row. The start values of each group of equal-length
+    windows are taken in one call; the problems are built one at a time,
+    so a caller sees how many were built before one failed."""
+    rows = np.broadcast_to(rows, (peaks.size, x.size))
+    baselines = np.broadcast_to(baselines, peaks.shape)
+    half_windows = np.maximum(8.0 * _fwhm_in_samples(rows, peaks, baselines), 10).astype(int)
+    starts = np.maximum(peaks - half_windows, 0)
+    stops = np.minimum(peaks + half_windows + 1, x.size)
+    initial = np.empty((len(rows), 4))
+    for length in np.unique(stops - starts):
+        group = np.flatnonzero(stops - starts == length)
+        columns = starts[group, None] + np.arange(length)
+        initial[group] = models.initial_params(
+            "lorentzian", x[columns], rows[group[:, None], columns])
+    # a start that is not finite is left to the problem, whose fit then
+    # fails as it fails from its own start
+    finite = np.isfinite(initial).all(axis=1).tolist()
+    for row, start, stop, p0, ok in zip(rows, starts, stops, initial, finite):
+        yield fitkit.FitProblem(model_id="lorentzian", x=x[start:stop], y=row[start:stop],
+                                initial_params=p0 if ok else None)
 
 
 def finesse_from_scan(traces) -> tuple[float, float]:
@@ -672,9 +760,7 @@ def finesse_from_scan(traces) -> tuple[float, float]:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        fits = fitkit.fit_many(
-            [_peak_problem(trace.axis, trace.signal, int(p), baseline) for p in peaks]
-        )
+        fits = fitkit.fit_many(list(_peak_problems(trace.axis, trace.signal, peaks, baseline)))
         centers = np.array([f.params[1] for f in fits])
         widths = np.abs(np.array([f.params[2] for f in fits]))
         order = np.argsort(centers)
@@ -744,10 +830,8 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    fits = fitkit.fit_many([
-        _peak_problem(spectrum.wavelength_nm, spectrum.counts, int(idx), baseline)
-        for idx in strongest
-    ])
+    fits = fitkit.fit_many(
+        list(_peak_problems(spectrum.wavelength_nm, spectrum.counts, strongest, baseline)))
     (lo, lo_width), (hi, _) = sorted((float(f.params[1]), abs(float(f.params[2]))) for f in fits)
     if hi - lo <= lo_width:
         raise InsufficientDataError(
@@ -776,15 +860,16 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     # every frame's peak search and fit runs in one batch; the first frame in
     # order that fails (no peak, failed fit or jump) is the one reported
     peaks, medians = _strongest_peaks(counts)
+    # the frames before the first one without a peak
+    n_peaks = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
     problems, failure = [], None
-    for i, (row, peak, median) in enumerate(zip(counts, peaks, medians)):
-        try:
-            if peak < 0:
-                raise InsufficientDataError("no peak found to fit")
-            problems.append(_peak_problem(wl, row, int(peak), float(median)))
-        except CavityLabError as exc:
-            failure = (i, exc)
-            break
+    try:
+        for problem in _peak_problems(wl, counts[:n_peaks], peaks[:n_peaks], medians[:n_peaks]):
+            problems.append(problem)
+        if n_peaks < peaks.size:
+            raise InsufficientDataError("no peak found to fit")
+    except CavityLabError as exc:
+        failure = (len(problems), exc)
     try:
         results = fitkit.fit_many(problems)
     except CavityLabError as exc:

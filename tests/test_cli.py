@@ -296,6 +296,15 @@ def test_fit_refuses_input_with_preset(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_fit_refuses_schema_with_preset(tmp_path, capsys):
+    # a preset is generated, not read: a schema for it is a flag fit does not read
+    out = tmp_path / "out"
+    code = run(["fit", "--preset", "lifetime_4k", "--schema", "spectrum", "--out", str(out)])
+    assert code == 2
+    assert "--schema" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_purcell_budget_paper_inputs(tmp_path):
     code = run(
         [

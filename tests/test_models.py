@@ -89,3 +89,71 @@ def test_g2_start_curve_is_positive_over_an_empty_dip_bin():
     y[np.argmin(y)] = 0.0
     start = models.initial_params("g2_three_level", x, y)
     assert np.min(models.evaluate("g2_three_level", start, x)) > 0
+
+
+def _half_width_loop(x, y, i_peak, level):
+    # the one-problem loop that the batched models._half_width replaced: the reference
+    left = right = None
+    for j in range(i_peak, 0, -1):
+        if y[j - 1] <= level <= y[j] or y[j - 1] >= level >= y[j]:
+            frac = (level - y[j - 1]) / (y[j] - y[j - 1]) if y[j] != y[j - 1] else 0.5
+            left = x[j - 1] + frac * (x[j] - x[j - 1])
+            break
+    for j in range(i_peak, len(y) - 1):
+        if y[j + 1] <= level <= y[j] or y[j + 1] >= level >= y[j]:
+            frac = (level - y[j]) / (y[j + 1] - y[j]) if y[j + 1] != y[j] else 0.5
+            right = x[j] + frac * (x[j + 1] - x[j])
+            break
+    if left is None or right is None:
+        span = abs(x[-1] - x[0])
+        return span / 10.0 if span else 1.0
+    return abs(right - left)
+
+
+def _start_rows(n):
+    """(x, y) stacks of n samples: seeded peaks on noise and the edge cases of
+    the start values (flat rows, a peak at either end, no half-maximum
+    crossing on a side, a zero x span, signed zeros, ties)."""
+    rng = np.random.Generator(np.random.Philox(23))
+    x = np.sort(rng.uniform(-3.0, 3.0, (60, n)), axis=1)
+    centers, widths = rng.uniform(-3.0, 3.0, (60, 1)), rng.uniform(0.05, 4.0, (60, 1))
+    y = 50.0 / (1.0 + ((x - centers) / widths) ** 2) + rng.poisson(3.0, x.shape)
+    line = np.linspace(1.0, 2.0, n)
+    special = [
+        np.full(n, 4.0),                             # flat
+        line[::-1], line,                            # peak at the first, the last sample
+        np.where(np.arange(n) < n // 2, 9.0, 1.0),   # a step: no crossing on the right
+        rng.choice([-0.0, 0.0, 1.0], n),             # signed zeros and ties
+        rng.integers(0, 3, n).astype(float),         # ties
+    ]
+    y = np.concatenate([y, special, rng.poisson(1.0, (6, n)).astype(float)])
+    x = np.concatenate([x, np.sort(rng.uniform(-1.0, 1.0, (len(y) - len(x), n)), axis=1)])
+    x[-1] = 2.5  # a zero span
+    return x, y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 41])
+@pytest.mark.parametrize("model_id", ["lorentzian", "gaussian", "detuned_purcell"])
+def test_batch_start_values_equal_single_starts(model_id, n):
+    x, y = _start_rows(n)
+    batch = models.initial_params(model_id, x, y)
+    assert batch.shape == (len(y), 4)
+    for k in range(len(y)):
+        assert batch[k].tobytes() == models.initial_params(model_id, x[k], y[k]).tobytes(), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 41])
+def test_half_width_equals_its_loop(n):
+    x, y = _start_rows(n)
+    peaks, lows = np.argmax(y, axis=1), y.min(axis=1)
+    fallbacks = 0
+    # half maximum; levels between samples; none crossed; a flat top's level,
+    # which an equal pair of samples brackets
+    for level in (lows + (y.max(axis=1) - lows) / 2.0, y.mean(axis=1), lows - 1.0, y.max(axis=1)):
+        widths = models._half_width(x, y, peaks, level)
+        for k in range(len(y)):
+            expected = _half_width_loop(x[k], y[k], int(peaks[k]), level[k])
+            assert np.float64(expected).tobytes() == widths[k].tobytes(), (k, level[k])
+            assert models._half_width(x[k], y[k], peaks[k], level[k]) == widths[k]
+            fallbacks += expected == (abs(x[k, -1] - x[k, 0]) / 10.0 or 1.0)
+    assert fallbacks  # the span/10 fallback is among the cases

@@ -499,6 +499,68 @@ def test_drift_series_reports_the_first_bad_frame():
     assert err.value.index == 3
 
 
+def test_drift_series_reports_a_window_too_short_to_fit():
+    # a 3-pixel frame's window holds 3 samples for 4 parameters: the problem
+    # refuses it while the frames' problems are being built
+    counts = np.array([[1.0, 9.0, 1.0]] * 3)
+    spectral_map = SpectralMap(wavelength_nm=np.array([617.0, 618.0, 619.0]), counts=counts)
+    with pytest.raises(TrackingBreakError, match="frame 0: 3 points cannot constrain") as err:
+        optics.drift_series(spectral_map, l_eff_um=3.7)
+    assert err.value.index == 0
+
+
+def test_drift_series_leaves_a_start_that_is_not_finite_to_the_fit():
+    # no half-maximum crossing right of the peak, and a wavelength span
+    # beyond the largest float: the start width is inf, and the fit fails
+    # from it as it does from a start the problem takes itself
+    wl = np.array([-1.7e308, -1.6e308, -1.5e308, -1.4e308, -1e308, 1.0, 1e308, 1.5e308, 1.7e308])
+    counts = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 20.0, 12.0, 12.0, 12.0]] * 2)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrackingBreakError, match="frame 0: non-finite residual") as err:
+        optics.drift_series(SpectralMap(wavelength_nm=wl, counts=counts), l_eff_um=3.7)
+    assert err.value.index == 0
+
+
+def _fwhm_in_samples_loop(y, i_peak, baseline):
+    # the one-peak loop that the batched optics._fwhm_in_samples replaced: the reference
+    half = baseline + (y[i_peak] - baseline) / 2.0
+    left = i_peak
+    while left > 0 and y[left] > half:
+        left -= 1
+    right = i_peak
+    while right < y.size - 1 and y[right] > half:
+        right += 1
+    return max(right - left, 3.0)
+
+
+def test_fwhm_in_samples_equals_its_loop():
+    rng = np.random.Generator(np.random.Philox(31))
+    counts = synthlab.generate_drift_map(seed=300)[0].counts_matrix()
+    peaks, medians = optics._strongest_peaks(counts)
+    n = counts.shape[1]
+    # seeded rows of peaks of any width, with random columns and baselines:
+    # peaks below their baseline (the 3-sample floor), at the row's ends,
+    # and wider than each round of the search
+    columns = np.arange(n)
+    centers, widths = rng.uniform(0, n, (80, 1)), rng.uniform(0.3, 600.0, (80, 1))
+    rows = 100.0 / (1.0 + ((columns - centers) / widths) ** 2) + rng.poisson(2.0, (80, n))
+    rows = np.concatenate([counts, rows, np.full((1, n), 5.0)])
+    peaks = np.concatenate([peaks, np.argmax(rows[len(counts):-1], axis=1), [n // 2]])
+    peaks[-12:-1] = rng.choice([0, n - 1, 1, n - 2], 11)
+    k = len(counts)  # a NaN 3 samples right of a peak, where the loop stops
+    rows[k, min(peaks[k] + 3, n - 1)] = np.nan
+    baselines = np.concatenate([medians, rng.uniform(-50.0, 150.0, len(rows) - len(counts))])
+    widths = optics._fwhm_in_samples(rows, peaks, baselines)
+    expected = [_fwhm_in_samples_loop(*args) for args in zip(rows, peaks, baselines)]
+    assert widths.tolist() == expected
+    assert 3.0 in expected and max(expected) > 256  # the floor, and widths past 2 rounds
+    # one row for every peak, as a ramp's peaks share their row
+    ramp = rows[-2]
+    shared = optics._fwhm_in_samples(np.broadcast_to(ramp, (4, n)), peaks[-5:-1], baselines[-5:-1])
+    assert shared.tolist() == [_fwhm_in_samples_loop(ramp, int(p), b)
+                               for p, b in zip(peaks[-5:-1], baselines[-5:-1])]
+
+
 def test_cte_fit_recovers_alpha():
     alpha, l_ref = 5.1e-6, 3.7
     temps = np.linspace(285.0, 295.0, 40)

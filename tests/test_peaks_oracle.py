@@ -86,3 +86,74 @@ def test_strongest_peak_of_each_row_is_detect_peaks_argmax():
             assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1)
             assert median == np.median(row)
     assert optics._strongest_peaks(rows)[0].tolist() == [10, -1, 21]
+
+
+def _median_formula(rows):
+    """Median and peak floor of each row by ``np.median``, one row at a time:
+    the oracle of the counting path in ``optics._peak_floors``."""
+    with np.errstate(invalid="ignore"):  # inf - inf in an inf row's deviations and span
+        medians = np.array([np.median(row) for row in rows])
+        mads = np.array([np.median(np.abs(row - m)) for row, m in zip(rows, medians)])
+        return medians, np.maximum(5.0 * mads, 1e-9 * (rows.max(axis=1) - rows.min(axis=1)))
+
+
+def _count_batches():
+    """Seeded (name, (K, n) batch, counted): ``counted`` says whether every
+    row takes the counting path (True), none does (False), or the data
+    decide (None)."""
+    rng = np.random.Generator(np.random.Philox(29))
+    out = [("ramp", synthlab.generate_scan_pair(seed=43)[0].signal[None, :], True)]
+    for n in (1, 2, 3, 4, 7, 8, 51, 400, 401):
+        for k in (1, 6):
+            # up to about 40 counts above 1: spans within the length from 51 on
+            out.append((f"poisson {n}", rng.poisson(rng.uniform(1, 40), (k, n)) + 1.0,
+                        True if n > 50 else None))
+            out.append((f"ties {n}", rng.integers(1, 4, (k, n)).astype(float), True))
+            out.append((f"signed {n}", rng.integers(-9, 9, (k, n)) + 0.0, None))
+            out.append((f"equal {n}", np.full((k, n), 7.0), True))
+            out.append((f"zero {n}", np.zeros((k, n)), False))
+            signed_zeros = rng.choice([-0.0, 0.0, 1.0, 2.0], (k, n), p=[0.4, 0.3, 0.2, 0.1])
+            out.append((f"-0.0 {n}", signed_zeros, None))
+            # rows that must be partitioned
+            out.append((f"fraction {n}", rng.poisson(5.0, (k, n)) + 0.5, False))
+            if n > 1:
+                wide = rng.poisson(5.0, (k, n)).astype(float)
+                wide[:, -1] = 10.0 * n + 100.0
+                out.append((f"wide {n}", wide, False))
+            for bad in (np.nan, np.inf, -np.inf):
+                rows = rng.poisson(5.0, (k, n)).astype(float)
+                rows[:, rng.integers(0, n)] = bad
+                out.append((f"{bad} {n}", rows, False))
+    # whole numbers from 2**52 on, where the sum of the two middle values rounds
+    big = [[9007199254740966.0, 9007199254740967.0, 9007199254740971.0,
+            9007199254740965.0, 9007199254740965.0, 9007199254740969.0]]
+    out.append(("2**53 - 26", np.array(big), False))
+    out.append(("2**52 + 1", 2.0**52 + np.array([[-1.0, 0.0, 1.0, -2.0]]), False))
+    out.append(("2**52 - 1", 2.0**52 - np.array([[5.0, 1.0, 2.0, 4.0]]), True))
+    # one batch of every kind: each row takes its own path
+    mixed = np.concatenate([rows for name, rows, _ in out if rows.shape[1] == 51])
+    out.append(("mixed 51", rng.permutation(mixed), None))
+    return out
+
+
+def test_counted_medians_are_np_median_bits(monkeypatch):
+    counted_rows = []  # how many rows of each batch took the counting path
+
+    def counting(rows, lows, m, count=optics._counted_medians):
+        counted, medians, mads = count(rows, lows, m)
+        counted_rows[-1] += int(counted.sum())
+        return counted, medians, mads
+
+    monkeypatch.setattr(optics, "_counted_medians", counting)
+    for name, rows, counted in _count_batches():
+        counted_rows.append(0)
+        with np.errstate(invalid="ignore"):
+            medians, lows, floors = optics._peak_floors(rows)
+        expected_medians, expected_floors = _median_formula(rows)
+        for got, want in ((medians, expected_medians), (floors, expected_floors)):
+            assert np.array_equal(got, want, equal_nan=True), (name, got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name, got, want)
+        assert np.array_equal(lows, rows.min(axis=1), equal_nan=True)
+        if counted is not None:  # the path taken, so that neither path goes untested
+            assert counted_rows[-1] == (len(rows) if counted else 0), (name, counted_rows[-1])
+    assert sum(counted_rows) > 100
