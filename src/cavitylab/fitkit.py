@@ -6,9 +6,14 @@ problems are grouped by model and length, never padded; each group's
 Jacobians, normal matrices, damped solves, rank checks and covariance
 inverses are stacked (K, n, p) and (K, p, p) calls whose rows are the
 per-problem calls, so every result is bit for bit the one the problem gives
-fitted alone. Each problem keeps its own damping, step acceptance,
-iteration count and convergence, and one problem's failure changes no
-other result.
+fitted alone. A stack holds at most 2**15 points (``_MAX_STACK_POINTS``; a
+single longer problem is a stack of its own): a larger group is fitted in
+balanced stacks within that bound, so the engine's memory does not grow
+with the number of problems. Each problem keeps its own damping, step
+acceptance, iteration count and convergence, and one problem's failure
+changes no other result. :meth:`FitProblem.stack` builds the problems of
+one model and one length from stacked arrays, checked with whole-array
+operations.
 
 The model registry is the engine's only configuration:
 :mod:`cavitylab.models` gives each model its analytic Jacobian, start
@@ -32,6 +37,7 @@ for a Gaussian model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,6 +59,7 @@ _MAX_ITER = 200
 _STEP_TOL = 1e-10  # bound on the scaled step norm over the scaled parameter norm
 _DAMPING_INIT = 1e-3
 _COST_SLACK = 1e-12  # relative slack: fp-equal costs count as accepted
+_TERMINATIONS = ("step_tolerance", "max_iter", "no_descent")
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,7 @@ class FitProblem:
     takes none, as its likelihood sets them, and refuses negative counts.
     Bounds come from the registered model only: a heuristic start is clipped
     into them; explicit ``initial_params`` must lie within them.
+    :meth:`stack` builds many problems of one model and one length at once.
     """
 
     model_id: str
@@ -72,66 +80,131 @@ class FitProblem:
     initial_params: np.ndarray | None = None
 
     def __post_init__(self):
-        model = models.get_model(self.model_id)
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-            raise ValidationError("x and y must be 1-D arrays of equal length")
-        if x.size < model.n_params:
-            raise InsufficientDataError(
-                f"{x.size} points cannot constrain {model.n_params} parameters"
-            )
-        for name, arr in (("x", x), ("y", y)):
-            bad = np.nonzero(~np.isfinite(arr))[0]
-            if bad.size:
-                raise DataError(f"non-finite {name} at index {int(bad[0])}", index=int(bad[0]))
-        if model.noise == "poisson":
-            if self.weights is not None:
-                raise ValidationError(f"model {self.model_id} has Poisson noise and takes no weights")
-            bad = np.nonzero(y < 0)[0]
-            if bad.size:
-                raise DataError(
-                    f"negative count at index {int(bad[0])}: model {self.model_id} "
-                    "has Poisson noise", index=int(bad[0]),
-                )
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != x.shape:
-                raise ValidationError("weights must match data length")
-            bad = np.nonzero(~(w > 0) | ~np.isfinite(w))[0]
-            if bad.size:
-                raise DataError(
-                    f"weights must be positive and finite (index {int(bad[0])})",
-                    index=int(bad[0]),
-                )
-            object.__setattr__(self, "weights", w)
-        p0 = (
-            models.initial_params(self.model_id, x, y)
-            if self.initial_params is None
-            else np.asarray(self.initial_params, dtype=float)
+        # the checks of a stack, on a stack of one
+        x, y, w, p0 = _validated(
+            models.get_model(self.model_id),
+            np.asarray(self.x, dtype=float)[None],
+            np.asarray(self.y, dtype=float)[None],
+            None if self.weights is None else np.asarray(self.weights, dtype=float)[None],
+            None if self.initial_params is None
+            else np.asarray(self.initial_params, dtype=float).reshape(1, -1),
         )
-        if p0.size != model.n_params:
-            raise ValidationError(
-                f"initial_params must have {model.n_params} entries, got {p0.size}"
-            )
-        if self.initial_params is not None and not np.all(np.isfinite(p0)):
-            i = int(np.argmin(np.isfinite(p0)))
-            raise ValidationError(f"initial value of {model.params[i]} must be finite, got {p0[i]}")
-        if model.bounds is not None:
-            lo, hi = model.bounds
-            if self.initial_params is None:
-                p0 = np.clip(p0, lo, hi)
-            elif np.any(p0 < lo) or np.any(p0 > hi):
-                raise ValidationError("initial_params must lie within bounds")
-        object.__setattr__(self, "initial_params", p0)
+        for name, value in zip(_FIELDS, (x[0], y[0], None if w is None else w[0], p0[0])):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def stack(cls, model_id: str, x, y, weights=None, initial_params=None) -> list[FitProblem]:
+        """The K problems of one model and one length given as stacks: ``x``,
+        ``y`` and ``weights`` of shape (K, n), ``initial_params`` (K, P) or
+        None for the heuristic start of every row. Row k is the problem
+        ``FitProblem(model_id, x[k], y[k], weights[k], initial_params[k])``,
+        checked with whole-array operations: the first row that fails raises
+        what that problem raises, with ``problem_index`` set to its row. (A
+        model's heuristic start rule that refuses a row, such as a
+        non-decaying window, raises as it does for that row alone, without
+        ``problem_index``.)
+        """
+        model = models.get_model(model_id)
+        x, y, w, p0 = _validated(model, *(
+            None if a is None else np.asarray(a, dtype=float)
+            for a in (x, y, weights, initial_params)))
+        if not len(y):
+            return []
+        problems = []
+        for row in zip(x, y, itertools.repeat(None) if w is None else w, p0):
+            problem = object.__new__(cls)
+            problem.__dict__.update(zip(_FIELDS, row), model_id=model_id)
+            problems.append(problem)
+        return problems
 
     def effective_weights(self) -> np.ndarray:
         return self.weights if self.weights is not None else np.ones_like(self.y)
 
     def data_digest(self) -> str:
         return digest_arrays(self.x, self.y, self.effective_weights())
+
+
+_FIELDS = ("x", "y", "weights", "initial_params")
+
+
+def _first_flagged(n_rows: int, checks) -> tuple:
+    """The first row that any of ``checks`` flags, and the refusal of the
+    first check in order that flags that row. A check is a pair (flags,
+    refuse): flags a mask over the points of each row, or a bool for every
+    row; ``refuse(k, i)`` the refusal of row k at its first flagged point i.
+    Returns (n_rows, None) when nothing is flagged."""
+    row, refusal = n_rows, None
+    for flags, refuse in checks:
+        if np.ndim(flags) == 0:
+            if flags:
+                return (0, refuse(0, 0)) if row else (row, refusal)
+            continue
+        hit = np.flatnonzero(flags[:row].any(axis=1))
+        if hit.size:
+            row = int(hit[0])
+            refusal = refuse(row, int(flags[row].argmax()))
+    return row, refusal
+
+
+def _data_refusal(model, x, y, w) -> tuple:
+    """The first row of a (K, n) stack whose data FitProblem refuses, and
+    the refusal that row alone meets; (K, None) when every row passes."""
+    n = y.shape[1]
+    checks = [
+        (n < model.n_params, lambda k, i: InsufficientDataError(
+            f"{n} points cannot constrain {model.n_params} parameters")),
+        (~np.isfinite(x), lambda k, i: DataError(f"non-finite x at index {i}", index=i)),
+        (~np.isfinite(y), lambda k, i: DataError(f"non-finite y at index {i}", index=i)),
+    ]
+    if model.noise == "poisson":
+        checks += [
+            (w is not None, lambda k, i: ValidationError(
+                f"model {model.name} has Poisson noise and takes no weights")),
+            (y < 0, lambda k, i: DataError(
+                f"negative count at index {i}: model {model.name} has Poisson noise", index=i)),
+        ]
+    if w is not None and w.shape != y.shape:
+        checks.append((True, lambda k, i: ValidationError("weights must match data length")))
+    elif w is not None:
+        checks.append((~(w > 0) | ~np.isfinite(w), lambda k, i: DataError(
+            f"weights must be positive and finite (index {i})", index=i)))
+    return _first_flagged(len(y), checks)
+
+
+def _validated(model, x, y, w, p0) -> tuple:
+    """FitProblem's checks over a stack of K problems of one length: ``x``,
+    ``y`` and ``w`` (or None) of shape (K, n), ``p0`` of shape (K, P) or None
+    for the model's heuristic starts. Returns (x, y, w, p0), a heuristic
+    start clipped into the model's bounds. The first row in order that a
+    problem built from it alone would refuse raises that refusal, with
+    ``problem_index`` set to the row."""
+    if y.ndim != 2 or x.shape != y.shape:
+        raise ValidationError("x and y must be 1-D arrays of equal length")
+    row, refusal = _data_refusal(model, x, y, w)
+    if row:
+        # the start values of the rows before it, each checked as its row's
+        given = p0 is not None
+        p0 = p0[:row] if given else models.initial_params(model.name, x[:row], y[:row])
+        lo, hi = model.bounds or (None, None)
+        checks = []
+        if p0.shape != (row, model.n_params):
+            checks.append((True, lambda k, i: ValidationError(
+                f"initial_params must have {model.n_params} entries, got {p0[0].size}")))
+        elif given:
+            checks.append((~np.isfinite(p0), lambda k, i: ValidationError(
+                f"initial value of {model.params[i]} must be finite, got {p0[k, i]}")))
+            if lo is not None:
+                checks.append(((p0 < lo) | (p0 > hi), lambda k, i: ValidationError(
+                    "initial_params must lie within bounds")))
+        elif lo is not None:
+            p0 = np.clip(p0, lo, hi)
+        start_row, start_refusal = _first_flagged(row, checks)
+        if start_refusal is not None:
+            row, refusal = start_row, start_refusal
+    if refusal is not None:
+        refusal.problem_index = row
+        raise refusal
+    return x, y, w, p0
 
 
 @dataclass(frozen=True)
@@ -176,16 +249,16 @@ class FitResult:
         return {"name": "fit", "params": {"model_id": self.model_id}, "outputs": outputs}
 
 
-def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> list:
-    """The rank check of each normal matrix of a (K, p, p) stack: None where
-    it passes, else the RankDeficiencyError of that problem."""
+def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> dict:
+    """The rank check of each normal matrix of a (K, p, p) stack: the
+    RankDeficiencyError of each row that fails it, by row."""
     # catch genuine singularity (dead or exactly dependent columns) on the
     # scale-free correlation form; near-singular but healthy systems are the
     # damping schedule's job
     d = np.sqrt(np.diagonal(H, axis1=1, axis2=2))
     alive = np.all((d != 0.0) & np.isfinite(d), axis=1)
-    errors = [None] * len(H)
-    for k in np.nonzero(~alive)[0]:
+    errors = {}
+    for k in np.flatnonzero(~alive).tolist():
         dead = [n for n, v in zip(names, d[k]) if v == 0.0 or not np.isfinite(v)]
         errors[k] = RankDeficiencyError(
             "singular normal matrix: parameters "
@@ -193,13 +266,13 @@ def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> list:
             + " have no effect on the residual (zero Jacobian column)",
             parameters=dead,
         )
-    live = np.nonzero(alive)[0]
+    live = _rows(alive)
     C = H[live] / (d[live, :, None] * d[live, None, :])
     vals, vecs = np.linalg.eigh(C)
-    for j in np.nonzero(vals[:, 0] <= vals[:, -1] * 1e-12)[0]:
+    for j in np.flatnonzero(vals[:, 0] <= vals[:, -1] * 1e-12).tolist():
         v = np.abs(vecs[j, :, 0])
         involved = [n for n, c in zip(names, v) if c >= 0.4 * np.max(v)]
-        errors[live[j]] = RankDeficiencyError(
+        errors[int(np.flatnonzero(alive)[j])] = RankDeficiencyError(
             "singular normal matrix: parameters "
             + ", ".join(involved)
             + " are not independently identifiable",
@@ -209,9 +282,11 @@ def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> list:
 
 
 def _normal_equations(model, x, w, p, r):
-    """Stacked Gauss-Newton (for counts, Fisher) normal matrix and gradient."""
+    """Stacked Gauss-Newton (for counts, Fisher) normal matrix and gradient;
+    ``w`` None for unit weights."""
     J = model.jac(x, p)
-    J *= w[:, :, None]
+    if w is not None:
+        J *= w[:, :, None]
     Jt = J.transpose(0, 2, 1)
     return Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
 
@@ -249,8 +324,20 @@ def _inverse_rows(H: np.ndarray) -> np.ndarray:
         return out
 
 
-def _take(keep, *arrays):
-    return tuple(a[keep] for a in arrays)
+def _rows(mask: np.ndarray, among=slice(None)):
+    """The rows of a stack where ``mask`` holds, as an index: with ``among``
+    (the index that picked the rows the mask covers) the rows of the
+    stack behind it. When the mask holds everywhere the index is ``among``
+    itself, a slice while every row is in, so taking the rows is a view and
+    writing them one block copy."""
+    if mask.all():
+        return among
+    picked = np.flatnonzero(mask)
+    return picked if isinstance(among, slice) else among[picked]
+
+
+def _take(index, *arrays):
+    return tuple(None if a is None else a[index] for a in arrays)
 
 
 @np.errstate(all="ignore")
@@ -260,16 +347,21 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     Returns one entry per problem, its FitResult or the error it failed
     with. Every step is a stacked call whose rows are the per-problem calls,
     and a problem that fails or stops leaves the stack, so no problem's
-    result depends on the others.
+    result depends on the others. A damping try covers the rows not yet
+    accepted: every row on the first try, the rejected ones after it.
     """
-    n_params = model.n_params
+    n_params, fisher = model.n_params, model.noise == "poisson"
     x = np.stack([q.x for q in problems])
     y = np.stack([q.y for q in problems])
-    # the given weights; a count model's likelihood sets its own
-    aux = np.stack([q.effective_weights() for q in problems])
+    # the weights of the Jacobian rows: the given ones (None for unit
+    # weights, as a factor of 1 changes no bit) or, for a count model, the
+    # Fisher weights at each problem's current point
+    w = None
+    if not fisher and any(q.weights is not None for q in problems):
+        w = np.stack([q.effective_weights() for q in problems])
     lo, hi = model.bounds or (None, None)
 
-    if model.noise == "poisson":
+    if fisher:
 
         def objective(x, y, _, p):
             # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance;
@@ -285,45 +377,57 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     else:
 
         def objective(x, y, w, p):
-            r = w * (y - model.fn(x, p))
+            r = y - model.fn(x, p)
+            if w is not None:
+                r *= w
             return w, r, _row_dots(r)
 
     # a trial point off the model's domain has a non-finite cost and is
     # rejected like any uphill step, without a warning (see the errstate);
     # only a bad start point is a data error
     outcome: list = [None] * len(problems)
+    failed = np.zeros(len(problems), dtype=bool)
     p = np.stack([q.initial_params for q in problems])
-    w, r, cost = objective(x, y, aux, p)
-    for k in np.nonzero(~np.isfinite(cost))[0]:
-        idx = int(np.argmin(np.isfinite(r[k])))
+    W, R, cost = objective(x, y, w, p)
+    for k in np.flatnonzero(~np.isfinite(cost)).tolist():
+        idx = int(np.argmin(np.isfinite(R[k])))
         outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
-    traces = [[c] for c in cost.tolist()]
-    termination = np.empty(len(problems), dtype=object)
+        failed[k] = True
+    # each problem's final point, residuals and weights, written as it stops
+    r = np.empty_like(y)
+    if fisher:
+        w = np.empty_like(y)
+    # why each problem stopped, as an index into _TERMINATIONS
+    termination = np.zeros(len(problems), dtype=int)
     iterations = np.zeros(len(problems), dtype=int)
-    w, r = w.copy(), r.copy()  # rows are overwritten by each problem's final state
+    # the objective after each iteration, by problem: a problem's cost
+    # trace is its start and one entry per accepted step
+    history = [cost.copy()]
 
     # the problems still iterating, stacked in the upper-case arrays (data,
     # weights, then the state); ``ids`` maps their rows to problems
-    ids = np.nonzero(np.isfinite(cost))[0]
-    X, Y, A, P, W, R, C = _take(ids, x, y, aux, p, w, r, cost)
+    ids = np.flatnonzero(~failed)
+    X, Y, W, P, R, C = _take(_rows(~failed), x, y, W, p, R, cost)
+    P = P.copy()  # rows are overwritten as the problems step
     lam, conv = np.full(ids.size, _DAMPING_INIT), np.zeros(ids.size, dtype=bool)
-    diagonal = (slice(None),) + np.diag_indices(n_params)
     for it in range(1, _MAX_ITER + 1):
         if not ids.size:
             break
         H, g = _normal_equations(model, X, W, P, R)
         if it == 1:
             errors = _rank_deficiency(H, model.params)
-            for k, e in zip(ids, errors):
-                outcome[k] = e
-            keep = np.array([e is None for e in errors], dtype=bool)
-            ids, X, Y, A, P, W, R, C, lam, conv, H, g = _take(
-                keep, ids, X, Y, A, P, W, R, C, lam, conv, H, g)
+            for j, e in errors.items():
+                outcome[ids[j]] = e
+            keep = np.ones(ids.size, dtype=bool)
+            keep[list(errors)] = False
+            failed[ids[~keep]] = True
+            ids, X, Y, W, P, R, C, lam, conv, H, g = _take(
+                _rows(keep), ids, X, Y, W, P, R, C, lam, conv, H, g)
         # D^2 = diag(H): Moré's scaling, the squared column norms of the
         # weighted Jacobian, for the damping and for the step test
         scale = np.diagonal(H, axis1=1, axis2=2)
         damping = np.zeros_like(H)
-        damping[diagonal] = np.maximum(scale, 1e-300)
+        damping.reshape(-1, n_params * n_params)[:, ::n_params + 1] = np.maximum(scale, 1e-300)
 
         # each try solves the damped system of every row not yet accepted;
         # a singular system is a NaN step, rejected, with a larger damping
@@ -334,7 +438,8 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             p_new = P[rows] + step
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
-            w_new, r_new, cost_new = objective(X[rows], Y[rows], A[rows], p_new)
+            w_new, r_new, cost_new = objective(
+                X[rows], Y[rows], None if W is None else W[rows], p_new)
             ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
             if attempt:
                 # a row tried again had a trial rejected: once the damping
@@ -342,57 +447,79 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
                 # and it stops unaccepted
                 stuck = np.all(p_new == P[rows], axis=1)
                 ok &= ~stuck
-            tried = np.arange(ids.size)[rows]
-            acc, rej = tried[ok], tried[~ok]
+            new, acc = _rows(ok), _rows(ok, rows)
             # Moré's scaled step test ||D dp|| < tol ||D p||, free of the
             # parameters' units and of a parameter whose value is 0
             d = np.sqrt(scale[acc])
-            step_norm = np.sqrt(_row_dots(d * (p_new[ok] - P[acc])))
+            step_norm = np.sqrt(_row_dots(d * (p_new[new] - P[acc])))
             size = np.sqrt(_row_dots(d * P[acc]))
-            P[acc], W[acc], R[acc] = p_new[ok], w_new[ok], r_new[ok]
-            C[acc] = np.minimum(cost_new[ok], C[acc])
-            for k, c in zip(ids[acc], C[acc].tolist()):
-                traces[k].append(c)
+            P[acc], R[acc] = p_new[new], r_new[new]
+            if fisher:
+                W[acc] = w_new[new]
+            C[acc] = np.minimum(cost_new[new], C[acc])
             lam[acc] = np.maximum(lam[acc] * 0.25, 1e-14)
             conv[acc] = step_norm < _STEP_TOL * size
             accepted[acc] = True
-            lam[rej] *= np.where(singular[~ok], 10.0, 8.0)
-            rows = rej[~stuck[~ok]] if attempt else rej
-            if not rows.size:
+            if ok.all():
                 break
+            lam[_rows(~ok, rows)] *= np.where(singular[~ok], 10.0, 8.0)
+            again = ~ok & ~stuck if attempt else ~ok
+            if not again.any():
+                break
+            rows = _rows(again, rows)
 
+        history.append(history[-1].copy())
+        history[-1][ids] = C
         stop = ~accepted | conv | (it == _MAX_ITER)
         if stop.any():
-            done = ids[stop]
-            p[done], w[done], r[done] = P[stop], W[stop], R[stop]
+            out = _rows(stop)
+            done = ids[out]
+            p[done], r[done] = P[out], R[out]
+            if fisher:
+                w[done] = W[out]
             iterations[done] = it
-            termination[done] = np.where(
-                conv, "step_tolerance", np.where(accepted, "max_iter", "no_descent"))[stop]
-            ids, X, Y, A, P, W, R, C, lam, conv = _take(
-                ~stop, ids, X, Y, A, P, W, R, C, lam, conv)
+            termination[done] = np.where(conv, 0, np.where(accepted, 1, 2))[out]
+            if stop.all():
+                break
+            ids, X, Y, W, P, R, C, lam, conv = _take(
+                np.flatnonzero(~stop), ids, X, Y, W, P, R, C, lam, conv)
 
-    fitted = np.array([o is None for o in outcome], dtype=bool)
-    # canonical representation (positive widths, ordered rates); same curve
-    for k in np.nonzero(fitted)[0]:
-        p_canon = np.asarray(model.canonical(p[k].copy()), dtype=float)
-        if lo is None or (np.all(p_canon >= lo) and np.all(p_canon <= hi)):
-            p[k] = p_canon
+    fit = _rows(~failed)
+    # canonical representation (positive widths, ordered rates) where it
+    # lies within the bounds; the same curve
+    p_fit = p[fit]
+    p_canon = model.canonical(p_fit)
+    inside = True if lo is None else np.all((p_canon >= lo) & (p_canon <= hi), axis=1)[:, None]
+    p_fit = np.where(inside, p_canon, p_fit)
 
     # covariance: reduced (Pearson) chi-square times the inverse normal matrix
-    H, _ = _normal_equations(model, x[fitted], w[fitted], p[fitted], r[fitted])
-    reduced_chi2 = _row_dots(r[fitted]) / max(x.shape[1] - n_params, 1)
+    H, _ = _normal_equations(model, x[fit], None if w is None else w[fit], p_fit, r[fit])
+    reduced_chi2 = _row_dots(r[fit]) / max(x.shape[1] - n_params, 1)
     covariance = reduced_chi2[:, None, None] * _inverse_rows(H)
-    for j, k in enumerate(np.nonzero(fitted)[0]):
+    fitted = np.flatnonzero(~failed)
+    ends = [_TERMINATIONS[t] for t in termination[fitted].tolist()]
+    counts = iterations[fitted].tolist()
+    traces = np.array(history)[:, fitted].T.tolist()
+    for j, (k, chi2, n, end, trace) in enumerate(
+            zip(fitted.tolist(), reduced_chi2.tolist(), counts, ends, traces)):
         outcome[k] = FitResult(
             model_id=model.name,
-            params=p[k],
+            params=p_fit[j],
             covariance=covariance[j],
-            reduced_chi2=float(reduced_chi2[j]),
-            iterations=int(iterations[k]),
-            termination=str(termination[k]),
-            cost_trace=tuple(traces[k]),
+            reduced_chi2=chi2,
+            iterations=n,
+            termination=end,
+            # the start, one entry per iteration, less the last when it
+            # accepted nothing
+            cost_trace=tuple(trace[:n + (end != "no_descent")]),
         )
     return outcome
+
+
+# the points of one lockstep stack: a larger group of problems of one model
+# and one length is fitted in balanced stacks within it, so a stack's memory
+# does not grow with the number of problems
+_MAX_STACK_POINTS = 2**15
 
 
 def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
@@ -416,10 +543,13 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     for i, q in enumerate(problems):
         groups.setdefault((q.model_id, q.x.size), []).append(i)
     outcome: list = [None] * len(problems)
-    for (model_id, _), idx in groups.items():
-        found = _fit_group(models.get_model(model_id), [problems[i] for i in idx])
-        for i, o in zip(idx, found):
-            outcome[i] = o
+    for (model_id, n), idx in groups.items():
+        stacks = -(-len(idx) // max(_MAX_STACK_POINTS // n, 1))
+        for stack in np.array_split(np.array(idx), stacks):
+            stack = stack.tolist()
+            found = _fit_group(models.get_model(model_id), [problems[i] for i in stack])
+            for i, o in zip(stack, found):
+                outcome[i] = o
     failed = [i for i, o in enumerate(outcome) if isinstance(o, Exception)]
     if failed:
         error = outcome[failed[0]]
@@ -434,12 +564,6 @@ def fit(problem: FitProblem) -> FitResult:
     return fit_many([problem])[0]
 
 
-# resamples refitted per fit_many batch: memory stays that of one batch
-# whatever the count; the draws keep their order and a fit_many result does
-# not depend on its batch, so the sigmas do not depend on this size
-_RESAMPLE_BATCH = 200
-
-
 def bootstrap_uncertainty(
     problem: FitProblem, result: FitResult, n_resamples: int = 200, seed: int = 0
 ) -> np.ndarray:
@@ -447,10 +571,13 @@ def bootstrap_uncertainty(
 
     Each resample is drawn from the model's noise around the fitted curve:
     Poisson counts for a ``poisson`` model, the fitted curve plus residuals
-    resampled with replacement for a ``gaussian`` one. They are refitted from
-    the converged parameters in batches of ``_RESAMPLE_BATCH``; the result is
-    the sample standard deviation of the refitted parameters. Agrees with the
-    covariance-based sigma within ~30% on well-conditioned problems.
+    resampled with replacement for a ``gaussian`` one. All resamples are
+    drawn in one generator call, in the order of one draw per resample, and
+    refitted from the converged parameters by :func:`fit_many`, whose stack
+    bound keeps the memory of the refits that of about 2**15 points; the
+    result is the sample standard deviation of the refitted parameters.
+    Agrees with the covariance-based sigma within ~30% on well-conditioned
+    problems.
     """
     if not result.converged:
         raise ValidationError("bootstrap requires a converged fit result")
@@ -458,26 +585,15 @@ def bootstrap_uncertainty(
         raise ValidationError("n_resamples must be at least 2")
     model = models.get_model(problem.model_id)
     y_hat = model.fn(problem.x, result.params)
-    residuals = problem.y - y_hat
     rng = np.random.Generator(np.random.Philox(seed))
-    n = problem.x.size
-
-    def resample():
-        if model.noise == "poisson":
-            return rng.poisson(y_hat).astype(float)
-        return y_hat + residuals[rng.integers(0, n, n)]
-
-    samples = []
-    for start in range(0, n_resamples, _RESAMPLE_BATCH):
-        batch = [
-            FitProblem(
-                model_id=problem.model_id,
-                x=problem.x,
-                y=resample(),
-                weights=problem.weights,
-                initial_params=result.params,
-            )
-            for _ in range(min(_RESAMPLE_BATCH, n_resamples - start))
-        ]
-        samples.extend(r.params for r in fit_many(batch))
-    return np.array(samples).std(axis=0, ddof=1)
+    shape = (n_resamples, problem.x.size)
+    if model.noise == "poisson":
+        y = rng.poisson(np.broadcast_to(y_hat, shape)).astype(float)
+    else:
+        y = y_hat + (problem.y - y_hat)[rng.integers(0, shape[1], shape)]
+    resamples = FitProblem.stack(
+        problem.model_id, np.broadcast_to(problem.x, shape), y,
+        weights=None if problem.weights is None else np.broadcast_to(problem.weights, shape),
+        initial_params=np.broadcast_to(result.params, (n_resamples, result.params.size)),
+    )
+    return np.array([r.params for r in fit_many(resamples)]).std(axis=0, ddof=1)

@@ -9,10 +9,11 @@ Each ``fn`` and ``jac`` also takes a batch: ``x`` of shape (K, n) with ``p``
 of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
 ``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
 equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
-``x.shape + (P,)``. Start values (``init``) of ``lorentzian``, ``gaussian``
-and ``detuned_purcell`` take a batch too: ``x`` and ``y`` of shape (K, n) give
-(K, P) start values, row k bit for bit the start of row k alone. The other
-models take theirs one problem at a time.
+``x.shape + (P,)``. Start values (``init``) take a batch too: ``x`` and ``y``
+of shape (K, n) give (K, P) start values, row k bit for bit the start of row
+k alone; those of ``lorentzian``, ``gaussian`` and ``detuned_purcell`` are
+whole-array operations, the others are taken row by row. ``canonical`` maps
+one parameter vector, or each row of a (K, P) batch, to its canonical form.
 
 Models
 ------
@@ -346,11 +347,21 @@ def _detuned_purcell_init(x, y):
     return np.stack([peak, np.maximum(q, 1.0), x0, offset], axis=-1)
 
 
+def _row_by_row(init):
+    # a start rule written for one problem, taken row by row over a batch
+    def batch_init(x, y):
+        if np.ndim(y) == 1:
+            return init(x, y)
+        return np.array([init(xk, yk) for xk, yk in zip(x, y)])
+
+    return batch_init
+
+
 def _abs_width(index):
     # the model depends on the width only through its square
     def canonical(p):
         q = p.copy()
-        q[index] = abs(q[index])
+        q[..., index] = np.abs(q[..., index])
         return q
 
     return canonical
@@ -358,10 +369,10 @@ def _abs_width(index):
 
 def _g2_canonical(p):
     # relabeling the exponentials maps (c, beta, g1, g2) -> (-c, 1-beta, g2, g1)
-    c, beta, g1, g2, t0, plateau = p
-    if g2 > g1:
-        return np.array([-c, 1.0 - beta, g2, g1, t0, plateau])
-    return p
+    c, beta, g1, g2, t0, plateau = np.moveaxis(p, -1, 0)
+    swap = g2 > g1
+    relabelled = np.stack([-c, 1.0 - beta, g2, g1, t0, plateau], axis=-1)
+    return np.where(swap[..., None], relabelled, p)
 
 
 MODELS: dict[str, Model] = {
@@ -371,15 +382,16 @@ MODELS: dict[str, Model] = {
               _lorentzian, _lorentzian_jac, _lorentzian_init, _abs_width(2)),
         Model("gaussian", ("amplitude", "center", "sigma", "offset"),
               _gaussian, _gaussian_jac, _gaussian_init, _abs_width(2)),
-        Model("linear", ("slope", "intercept"), _linear, _linear_jac, _linear_init),
+        Model("linear", ("slope", "intercept"),
+              _linear, _linear_jac, _row_by_row(_linear_init)),
         Model("exponential_decay", ("amplitude", "tau"),
-              _exponential_decay, _exponential_decay_jac, _exponential_decay_init,
+              _exponential_decay, _exponential_decay_jac, _row_by_row(_exponential_decay_init),
               noise="poisson"),
         Model("g2_three_level", ("contrast", "beta", "gamma1", "gamma2", "t0", "plateau"),
-              _g2_three_level, _g2_three_level_jac, _g2_three_level_init, _g2_canonical,
-              noise="poisson", derived=_g2_derived),
+              _g2_three_level, _g2_three_level_jac, _row_by_row(_g2_three_level_init),
+              _g2_canonical, noise="poisson", derived=_g2_derived),
         Model("saturation", ("i_sat", "p_sat"),
-              _saturation, _saturation_jac, _saturation_init,
+              _saturation, _saturation_jac, _row_by_row(_saturation_init),
               bounds=((1e-12, 1e-12), (np.inf, np.inf))),
         Model("detuned_purcell", ("peak", "q", "center", "offset"),
               _detuned_purcell, _detuned_purcell_jac, _detuned_purcell_init,
@@ -421,7 +433,7 @@ def jacobian_matrix(model_id: str, params, x) -> np.ndarray:
 
 def initial_params(model_id: str, x, y) -> np.ndarray:
     """Heuristic start values so batch pipelines can run unattended; (K, n)
-    ``x`` and ``y`` give (K, P) for a model whose ``init`` takes a batch."""
+    ``x`` and ``y`` give (K, P), row k the start of row k alone."""
     model = get_model(model_id)
     return model.init(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fitkit, models
+from . import fitkit
 from .dataio import ScanTrace, SpectralMap, Spectrum
 from .errors import (
     CavityLabError,
@@ -708,26 +708,31 @@ def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines
     ``rows`` (a (K, n) array, or one row shared by every peak) within eight
     half-maximum widths (at least 10 samples) of column ``peaks[k]``, the
     width measured above ``baselines[k]`` (or one baseline for all), the
-    median of the row. The start values of each group of equal-length
-    windows are taken in one call; the problems are built one at a time,
-    so a caller sees how many were built before one failed."""
+    median of the row. The problems of each group of equal-length windows
+    are built as one stack. Returns the problems in order up to the first
+    one refused, and that refusal (None when every problem is built)."""
     rows = np.broadcast_to(rows, (peaks.size, x.size))
     baselines = np.broadcast_to(baselines, peaks.shape)
     half_windows = np.maximum(8.0 * _fwhm_in_samples(rows, peaks, baselines), 10).astype(int)
     starts = np.maximum(peaks - half_windows, 0)
     stops = np.minimum(peaks + half_windows + 1, x.size)
-    initial = np.empty((len(rows), 4))
+    problems, (first, refusal) = [None] * len(rows), (len(rows), None)
     for length in np.unique(stops - starts):
         group = np.flatnonzero(stops - starts == length)
         columns = starts[group, None] + np.arange(length)
-        initial[group] = models.initial_params(
-            "lorentzian", x[columns], rows[group[:, None], columns])
-    # a start that is not finite is left to the problem, whose fit then
-    # fails as it fails from its own start
-    finite = np.isfinite(initial).all(axis=1).tolist()
-    for row, start, stop, p0, ok in zip(rows, starts, stops, initial, finite):
-        yield fitkit.FitProblem(model_id="lorentzian", x=x[start:stop], y=row[start:stop],
-                                initial_params=p0 if ok else None)
+        windows = x[columns], rows[group[:, None], columns]
+        try:
+            stack = fitkit.FitProblem.stack("lorentzian", *windows)
+        except CavityLabError as exc:
+            # the rows before the refused one are built; the first refused
+            # row of all the groups is the one reported
+            j = exc.problem_index
+            stack = fitkit.FitProblem.stack("lorentzian", *(w[:j] for w in windows))
+            if group[j] < first:
+                first, refusal = int(group[j]), exc
+        for k, problem in zip(group.tolist(), stack):
+            problems[k] = problem
+    return problems[:first], refusal
 
 
 def finesse_from_scan(traces) -> tuple[float, float]:
@@ -760,7 +765,10 @@ def finesse_from_scan(traces) -> tuple[float, float]:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        fits = fitkit.fit_many(list(_peak_problems(trace.axis, trace.signal, peaks, baseline)))
+        problems, refusal = _peak_problems(trace.axis, trace.signal, peaks, baseline)
+        if refusal is not None:
+            raise refusal
+        fits = fitkit.fit_many(problems)
         centers = np.array([f.params[1] for f in fits])
         widths = np.abs(np.array([f.params[2] for f in fits]))
         order = np.argsort(centers)
@@ -830,8 +838,11 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    fits = fitkit.fit_many(
-        list(_peak_problems(spectrum.wavelength_nm, spectrum.counts, strongest, baseline)))
+    problems, refusal = _peak_problems(
+        spectrum.wavelength_nm, spectrum.counts, strongest, baseline)
+    if refusal is not None:
+        raise refusal
+    fits = fitkit.fit_many(problems)
     (lo, lo_width), (hi, _) = sorted((float(f.params[1]), abs(float(f.params[2]))) for f in fits)
     if hi - lo <= lo_width:
         raise InsufficientDataError(
@@ -862,14 +873,10 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     peaks, medians = _strongest_peaks(counts)
     # the frames before the first one without a peak
     n_peaks = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
-    problems, failure = [], None
-    try:
-        for problem in _peak_problems(wl, counts[:n_peaks], peaks[:n_peaks], medians[:n_peaks]):
-            problems.append(problem)
-        if n_peaks < peaks.size:
-            raise InsufficientDataError("no peak found to fit")
-    except CavityLabError as exc:
-        failure = (len(problems), exc)
+    problems, refusal = _peak_problems(wl, counts[:n_peaks], peaks[:n_peaks], medians[:n_peaks])
+    if refusal is None and n_peaks < peaks.size:
+        refusal = InsufficientDataError("no peak found to fit")
+    failure = None if refusal is None else (len(problems), refusal)
     try:
         results = fitkit.fit_many(problems)
     except CavityLabError as exc:

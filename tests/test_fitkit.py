@@ -189,6 +189,57 @@ def test_fit_many_matches_each_problem_fitted_alone(model_id):
     assert err.value.problem_index == 3
 
 
+def test_fit_many_bookkeeping_matches_each_problem_fitted_alone(monkeypatch):
+    # one batch of a weighted lorentzian group of 40 040 points, above the
+    # stack bound, and a Poisson g2 group, from starts far enough off that
+    # in some iterations rows accepted on the first try sit beside rows
+    # rejected and retried, and the rows stop at different iterations
+    rng = np.random.Generator(np.random.Philox(41))
+    problems = []
+    x = np.linspace(-8.0, 8.0, 1001)
+    for k in range(40):
+        truth = random_params("lorentzian", rng)
+        y = models.evaluate("lorentzian", truth, x) + rng.normal(0.0, 0.5, x.size)
+        weights = rng.uniform(0.5, 2.0, x.size) if k % 4 else None
+        start = perturb_params("lorentzian", truth, rng, frac=0.5)
+        problems.append(fitkit.FitProblem("lorentzian", x, y, weights, start))
+    t = model_grid("g2_three_level")
+    for _ in range(12):
+        truth = random_params("g2_three_level", rng)
+        y = rng.poisson(models.evaluate("g2_three_level", truth, t)).astype(float)
+        start = perturb_params("g2_three_level", truth, rng, frac=0.3)
+        problems.append(fitkit.FitProblem("g2_three_level", t, y, initial_params=start))
+    alone = [_bits(fitkit.fit(q)) for q in problems]
+
+    # the rows each damping try solves, per iteration of each stack
+    stacks, tries = [], []
+    fit_group, normal_equations, solve_rows = (
+        fitkit._fit_group, fitkit._normal_equations, fitkit._solve_rows)
+
+    def probe_group(model, group):
+        stacks.append((model.name, len(group)))
+        return fit_group(model, group)
+
+    def probe_iteration(*args):
+        tries.append((stacks[-1][0], []))
+        return normal_equations(*args)
+
+    def probe_try(A, b):
+        tries[-1][1].append(len(A))
+        return solve_rows(A, b)
+
+    monkeypatch.setattr(fitkit, "_fit_group", probe_group)
+    monkeypatch.setattr(fitkit, "_normal_equations", probe_iteration)
+    monkeypatch.setattr(fitkit, "_solve_rows", probe_try)
+    assert [_bits(r) for r in fitkit.fit_many(problems)] == alone
+    assert stacks == [("lorentzian", 20), ("lorentzian", 20), ("g2_three_level", 12)]
+    for name in ("lorentzian", "g2_three_level"):
+        mixed = [n for model, n in tries if model == name and len(n) > 1 and 0 < n[1] < n[0]]
+        assert mixed, name
+    for group in (alone[:40], alone[40:]):
+        assert len({iterations for *_, iterations, _, _ in group}) > 1
+
+
 def test_singular_system_in_a_stack_leaves_the_other_rows_solved():
     # one singular system makes the stacked solve raise; the per-row
     # fallback must still solve every other system as it would alone
@@ -265,6 +316,113 @@ def test_problem_validation():
             model_id="exponential_decay", x=[0.0, 1.0, 2.0], y=[9.0, 4.0, -2.0]
         )
     assert err.value.index == 2
+
+
+def _stack_rows(model_id, n=12, rows=5):
+    # (x, y, weights, starts) of a stack of good rows, the starts given
+    rng = np.random.Generator(np.random.Philox(3))
+    grid = model_grid(model_id)[:n]
+    x, y, starts = np.tile(grid, (rows, 1)), [], []
+    for _ in range(rows):
+        truth = random_params(model_id, rng)
+        y.append(models.evaluate(model_id, truth, grid))
+        starts.append(perturb_params(model_id, truth, rng))
+    return x, np.array(y), rng.uniform(0.5, 2.0, x.shape), np.array(starts)
+
+
+def _spoil(kind, j):
+    """(model_id, x, y, weights, starts) of a stack whose row j has the
+    fault ``kind``, or every row for a fault of the whole stack."""
+    model_id = {"negative count": "exponential_decay", "weights on a Poisson model":
+                "exponential_decay", "start out of bounds": "saturation"}.get(kind, "lorentzian")
+    x, y, w, p0 = _stack_rows(model_id, n=3 if kind == "too few points" else 12)
+    if kind not in ("weights on a Poisson model", "bad weights", "weights of another length"):
+        w = None
+    if kind == "non-finite x":
+        x[j, 7] = np.nan
+    elif kind == "non-finite y":
+        y[j, 4] = -np.inf
+    elif kind == "negative count":
+        y[j, 9] = -1.0
+    elif kind == "bad weights":
+        w[j, 5] = 0.0
+    elif kind == "weights of another length":
+        w = w[:, :-1]
+    elif kind == "wrong start size":
+        p0 = p0[:, :-1]
+    elif kind == "non-finite start":
+        p0[j, 2] = np.inf
+    elif kind == "start out of bounds":
+        p0[j, 1] = -1.0
+    elif kind == "non-finite y, heuristic starts":
+        y[j, 0] = np.nan
+        p0 = None
+    return model_id, x, y, w, p0
+
+
+def _refusal(build):
+    # what a build raises: class, message, point index and row
+    with pytest.raises(ValidationError) as err:
+        build()
+    error = err.value
+    return type(error), str(error), getattr(error, "index", None), error.problem_index
+
+
+@pytest.mark.parametrize("j", [0, 2, 4])
+@pytest.mark.parametrize("kind", [
+    "too few points", "non-finite x", "non-finite y", "negative count",
+    "weights on a Poisson model", "bad weights", "weights of another length",
+    "wrong start size", "non-finite start", "start out of bounds",
+    "non-finite y, heuristic starts"])
+def test_stacked_build_refuses_as_its_first_bad_row_alone(kind, j):
+    # a fault of the whole stack is a fault of its row 0
+    model_id, x, y, w, p0 = _spoil(kind, j)
+    whole = kind in ("too few points", "weights on a Poisson model",
+                     "weights of another length", "wrong start size")
+    row = 0 if whole else j
+    *alone, _ = _refusal(lambda: fitkit.FitProblem(
+        model_id, x[row], y[row], None if w is None else w[row],
+        None if p0 is None else p0[row]))
+    assert _refusal(lambda: fitkit.FitProblem.stack(model_id, x, y, w, p0)) == (*alone, row)
+
+
+def test_stacked_build_reports_the_first_row_in_order():
+    # a start fault in row 1 comes before a data fault in row 3; within
+    # row 2 a data fault comes before its start fault, as alone
+    x, y, _, p0 = _stack_rows("saturation")
+    y[3, 2], p0[1, 0] = np.nan, -1.0
+    with pytest.raises(ValidationError, match="within bounds") as err:
+        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+    assert err.value.problem_index == 1
+    p0[1, 0], y[2, 6], p0[2, 1] = 1.0, np.inf, np.nan
+    with pytest.raises(DataError, match="non-finite y at index 6") as err:
+        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+    assert (err.value.problem_index, err.value.index) == (2, 6)
+    # the x check flags row 1 before the y check flags rows 2 and 3
+    x[1, 4] = np.nan
+    with pytest.raises(DataError, match="non-finite x at index 4") as err:
+        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+    assert (err.value.problem_index, err.value.index) == (1, 4)
+
+
+@pytest.mark.parametrize("model_id", sorted(models.MODELS))
+def test_stacked_build_equals_each_problem_built_alone(model_id):
+    # given starts, and heuristic ones (for saturation clipped into the
+    # bounds: the first rows' i_sat start is negative)
+    x, y, w, p0 = _stack_rows(model_id)
+    if model_id == "saturation":
+        y[:2] *= -1.0
+    w = None if models.get_model(model_id).noise == "poisson" else w
+    for starts in (p0, None):
+        stack = fitkit.FitProblem.stack(model_id, x, y, w, starts)
+        for k, problem in enumerate(stack):
+            alone = fitkit.FitProblem(model_id, x[k], y[k], None if w is None else w[k],
+                                      None if starts is None else starts[k])
+            for name in ("x", "y", "weights", "initial_params"):
+                a, b = getattr(problem, name), getattr(alone, name)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), (k, name)
+    if model_id == "saturation":
+        assert stack[0].initial_params[0] == 1e-12
 
 
 def test_bootstrap_noiseless_sigma_is_zero():

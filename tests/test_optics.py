@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavitylab import optics, synthlab
+from cavitylab import fitkit, models, optics, synthlab
 from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum
 from cavitylab.errors import (
     GeometryError,
@@ -519,6 +519,29 @@ def test_drift_series_leaves_a_start_that_is_not_finite_to_the_fit():
             TrackingBreakError, match="frame 0: non-finite residual") as err:
         optics.drift_series(SpectralMap(wavelength_nm=wl, counts=counts), l_eff_um=3.7)
     assert err.value.index == 0
+
+
+def test_peak_problems_report_the_first_refused_window_of_all_groups():
+    # windows of 81, 145 and 209 samples, built in that order: row 2 of the
+    # group of 81 is refused first and row 4 of the group of 209 last, but
+    # row 1 of the group of 145 is the first refused row
+    x = np.linspace(0.0, 100.0, 400)
+    rows = np.array([models.evaluate("lorentzian", [100.0, c, w, 5.0], x) for c, w in
+                     zip([50.0, 40.0, 60.0, 45.0, 55.0], [1.0, 2.0, 1.0, 2.0, 3.0])])
+    peaks, baselines = rows.argmax(axis=1), np.median(rows, axis=1)
+    rows[2, peaks[2] - 30], rows[1, peaks[1] + 50] = np.inf, np.nan
+    rows[4, peaks[4] + 60] = -np.inf
+    problems, refusal = optics._peak_problems(x, rows, peaks, baselines)
+    start, stop = peaks[1] - 72, peaks[1] + 73
+    with pytest.raises(ValidationError) as alone:
+        fitkit.FitProblem("lorentzian", x[start:stop], rows[1, start:stop])
+    assert (type(refusal), str(refusal)) == (type(alone.value), str(alone.value))
+    assert str(refusal) == "non-finite y at index 122"
+    assert len(problems) == 1
+    start, stop = peaks[0] - 40, peaks[0] + 41
+    built = fitkit.FitProblem("lorentzian", x[start:stop], rows[0, start:stop])
+    assert problems[0].initial_params.tobytes() == built.initial_params.tobytes()
+    assert problems[0].y.tobytes() == built.y.tobytes()
 
 
 def _fwhm_in_samples_loop(y, i_peak, baseline):
