@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import models
 from .errors import NonphysicalResultError, ValidationError
-from .optics import C_NM_GHZ, CavityGeometry, beam_waist_um, mirror_spot_um, mode_volume_lambda3
+from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth, scalar_roc
 
 __all__ = [
     "CouplingRates",
@@ -92,13 +92,11 @@ def purcell_theoretical(
 def spatial_correction(geom: CavityGeometry, lambda_nm: float) -> float:
     """Coupling reduction (w0/w(L))^2 for an emitter on the curved mirror.
 
-    For the plano-concave Gaussian mode this equals 1 - L/ROC; it is computed
-    from the waist and mirror-spot expressions so it stays consistent with
-    the beam geometry route.
+    For the plano-concave Gaussian mode the ratio of the waist and
+    mirror-spot expressions is 1 - L/ROC at any wavelength, so that closed
+    form is returned; ``lambda_nm`` does not change it.
     """
-    w0 = beam_waist_um(geom, lambda_nm)
-    w_l = mirror_spot_um(geom, lambda_nm)
-    return (w0 / w_l) ** 2
+    return 1.0 - geom.l_eff_um / scalar_roc(geom)
 
 
 def detuned_purcell(
@@ -137,13 +135,6 @@ def epsilon_correction(
         if not 0 < value <= 1:
             raise ValidationError(f"{name} must lie in (0, 1], got {value}")
     return quantum_efficiency * debye_waller * branching
-
-
-def q_from_linewidth(lambda_c_nm: float, kappa_ghz: float) -> float:
-    """Quality factor nu_c / kappa for an effective linewidth in GHz."""
-    if lambda_c_nm <= 0 or kappa_ghz <= 0:
-        raise ValidationError("wavelength and linewidth must be positive")
-    return C_NM_GHZ / lambda_c_nm / kappa_ghz
 
 
 def length_jitter_nm(

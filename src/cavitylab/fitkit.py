@@ -281,14 +281,14 @@ def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> dict:
     return errors
 
 
-def _normal_equations(model, x, w, p, r):
-    """Stacked Gauss-Newton (for counts, Fisher) normal matrix and gradient;
-    ``w`` None for unit weights."""
+def _normal_equations(model, x, w, p, r=None):
+    """Stacked Gauss-Newton (for counts, Fisher) normal matrix and, given the
+    residuals ``r``, the gradient with it; ``w`` None for unit weights."""
     J = model.jac(x, p)
     if w is not None:
         J *= w[:, :, None]
     Jt = J.transpose(0, 2, 1)
-    return Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+    return Jt @ J if r is None else (Jt @ J, (Jt @ r[:, :, None])[:, :, 0])
 
 
 def _row_dots(r: np.ndarray) -> np.ndarray:
@@ -493,7 +493,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     p_fit = np.where(inside, p_canon, p_fit)
 
     # covariance: reduced (Pearson) chi-square times the inverse normal matrix
-    H, _ = _normal_equations(model, x[fit], None if w is None else w[fit], p_fit, r[fit])
+    H = _normal_equations(model, x[fit], None if w is None else w[fit], p_fit)
     reduced_chi2 = _row_dots(r[fit]) / max(x.shape[1] - n_params, 1)
     covariance = reduced_chi2[:, None, None] * _inverse_rows(H)
     fitted = np.flatnonzero(~failed)

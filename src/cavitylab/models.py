@@ -9,10 +9,12 @@ Each ``fn`` and ``jac`` also takes a batch: ``x`` of shape (K, n) with ``p``
 of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
 ``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
 equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
-``x.shape + (P,)``. Start values (``init``) take a batch too: ``x`` and ``y``
-of shape (K, n) give (K, P) start values, row k bit for bit the start of row
-k alone; those of ``lorentzian``, ``gaussian`` and ``detuned_purcell`` are
-whole-array operations, the others are taken row by row. ``canonical`` maps
+``x.shape + (P,)``; powers of parameters are products (``s * s``) in both.
+Start values (``init``) take stacks only, and :func:`initial_params` lifts
+a 1-D problem to a stack of one: ``x`` and ``y`` of shape (K, n) give (K, P)
+start values, row k bit for bit the start of row k alone; those of
+``lorentzian``, ``gaussian`` and ``detuned_purcell`` are whole-array
+operations, the others are taken row by row. ``canonical`` maps
 one parameter vector, or each row of a (K, P) batch, to its canonical form.
 
 Models
@@ -71,28 +73,18 @@ def _columns(p):
     return p if p.ndim == 1 else p.T[..., None]
 
 
-def _pow(a, k):
-    # a float64 scalar's ``**`` calls the C library's pow, which differs from
-    # the array power (a*a for k = 2) in the last bit of about 1e-3 of
-    # values; a batch column is raised entry by entry as such scalars, so
-    # each batch row equals its single-vector evaluation bit for bit
-    if np.ndim(a) == 0:
-        return a**k
-    return np.fromiter((v**k for v in a.ravel()), float, a.size).reshape(a.shape)
-
-
 # -- lorentzian --------------------------------------------------------------
 
 def _lorentzian(x, p):
     amplitude, center, fwhm, offset = _columns(p)
-    h = _pow(fwhm / 2.0, 2)
+    h = (fwhm / 2.0) * (fwhm / 2.0)
     return offset + amplitude * h / ((x - center) ** 2 + h)
 
 
 def _lorentzian_jac(x, p):
     amplitude, center, fwhm, _ = _columns(p)
     d = x - center
-    h = _pow(fwhm / 2.0, 2)
+    h = (fwhm / 2.0) * (fwhm / 2.0)
     denom = d * d + h
     denom2 = denom**2
     J = np.empty(d.shape + (4,))
@@ -103,49 +95,65 @@ def _lorentzian_jac(x, p):
     return J
 
 
+def nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, step: int):
+    """Column of the first sample of each row of a (K, n) array, from
+    ``peaks[k]`` on in direction ``step`` (-1 or 1), that is not above
+    ``levels[k]`` (NaN is not), or of the row's last sample in that
+    direction: the one half-maximum crossing search, of the start widths and
+    of the fit windows. Each round looks 4 times as far as the last."""
+    n = rows.shape[1]
+    end = 0 if step < 0 else n - 1
+    found = np.empty(len(rows), dtype=int)
+    todo, reach = np.arange(len(rows)), 16
+    while todo.size:
+        columns = np.minimum(np.maximum(peaks[todo, None] + step * np.arange(reach), 0), n - 1)
+        stop = ~(rows[todo[:, None], columns] > levels[todo, None]) | (columns == end)
+        hit = stop.any(axis=1)
+        found[todo[hit]] = columns[hit, np.argmax(stop[hit], axis=1)]
+        todo, reach = todo[~hit], 4 * reach
+    return found
+
+
 def _half_width(x, y, i_peak, level):
-    """Full width of y around index i_peak at the given level, by linear
-    interpolation in the nearest pair of samples on each side that brackets
-    the level; a tenth of the x span (1 for a zero span) where a side has
-    none. x and y of shape (n,) give one width, x and y of shape (K, n)
-    with K peak indices and levels give one per row."""
-    x2, y2 = np.atleast_2d(x, y)
-    i_peak, level = np.reshape(i_peak, (-1, 1)), np.reshape(level, (-1, 1))
-    span = np.abs(x2[:, -1] - x2[:, 0])
+    """Full width of each row of a (K, n) y around its highest sample
+    ``i_peak[k]`` at ``level[k]``, by linear interpolation in the pair of
+    samples on each side nearest the peak that brackets the level; a tenth
+    of the row's x span (1 for a zero span) where a side has none."""
+    n = y.shape[1]
+    span = np.abs(x[:, -1] - x[:, 0])
     width = np.where(span != 0.0, span / 10.0, 1.0)
-    if y2.shape[1] > 1:
-        # pair j, samples j and j + 1, brackets the level
-        below, above = y2 <= level, y2 >= level
-        brackets = (below[:, :-1] & above[:, 1:]) | (above[:, :-1] & below[:, 1:])
-        after = np.arange(y2.shape[1] - 1) >= i_peak
-        left, right = brackets & ~after, brackets & after
-        pairs = np.stack([left.shape[1] - 1 - np.argmax(left[:, ::-1], axis=1),
-                          np.argmax(right, axis=1)])
-        rows = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
-        j = pairs[:, rows]
-        y0, y1, x0, x1 = y2[rows, j], y2[rows, j + 1], x2[rows, j], x2[rows, j + 1]
-        frac = np.divide(level[rows, 0] - y0, y1 - y0, out=np.full(j.shape, 0.5), where=y1 != y0)
+    if n > 1:
+        # pair j is samples j and j + 1: on each side, the pair that ends at
+        # the first sample out from the peak not above the level, or the
+        # peak's own pair if the peak is not above it; none nearer brackets it
+        j = np.stack([np.minimum(nearest_not_above(y, i_peak, level, -1), i_peak - 1),
+                      np.maximum(nearest_not_above(y, i_peak, level, 1) - 1, i_peak)])
+        k, pairs = np.arange(len(y)), np.clip(j, 0, n - 2)
+        y0, y1 = y[k, pairs], y[k, pairs + 1]
+        brackets = ((y0 <= level) & (level <= y1)) | ((y0 >= level) & (level >= y1))
+        rows = np.flatnonzero((brackets & (pairs == j)).all(axis=0))
+        j, y0, y1, level = j[:, rows], y0[:, rows], y1[:, rows], level[rows]
+        x0, x1 = x[rows, j], x[rows, j + 1]
+        frac = np.divide(level - y0, y1 - y0, out=np.full(j.shape, 0.5), where=y1 != y0)
         crossings = x0 + frac * (x1 - x0)
         width[rows] = np.abs(crossings[1] - crossings[0])
-    return width if np.ndim(y) > 1 else width[0]
+    return width
 
 
 def _peak_shape(x, y):
-    """The highest sample of y, or of each row of a (K, n) y, as (height
-    above the lowest sample, its x, the full width at half that height, the
-    lowest sample)."""
-    x2, y2 = np.atleast_2d(x, y)
-    rows = np.arange(len(y2))
-    offset, i = y2.min(axis=1), y2.argmax(axis=1)
-    height = y2[rows, i] - offset
-    width = _half_width(x2, y2, i, offset + height / 2.0)
-    shape = np.stack([height, x2[rows, i], width, offset], axis=-1)
-    return shape if np.ndim(y) > 1 else shape[0]
+    """The highest sample of each row of a (K, n) y, as (height above the
+    lowest sample, its x, the full width at half that height, the lowest
+    sample)."""
+    rows = np.arange(len(y))
+    offset, i = y.min(axis=1), y.argmax(axis=1)
+    height = y[rows, i] - offset
+    width = _half_width(x, y, i, offset + height / 2.0)
+    return np.stack([height, x[rows, i], width, offset], axis=-1)
 
 
 def _lorentzian_init(x, y):
     p = _peak_shape(x, y)
-    p[..., 2] = np.maximum(p[..., 2], 1e-12)
+    p[:, 2] = np.maximum(p[:, 2], 1e-12)
     return p
 
 
@@ -153,25 +161,25 @@ def _lorentzian_init(x, y):
 
 def _gaussian(x, p):
     amplitude, center, sigma, offset = _columns(p)
-    return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * _pow(sigma, 2)))
+    return offset + amplitude * np.exp(-((x - center) ** 2) / (2.0 * (sigma * sigma)))
 
 
 def _gaussian_jac(x, p):
     amplitude, center, sigma, _ = _columns(p)
     d = x - center
-    sigma2 = _pow(sigma, 2)
+    sigma2 = sigma * sigma
     e = np.exp(-(d * d) / (2.0 * sigma2))
     J = np.empty(d.shape + (4,))
     J[..., 0] = e
     J[..., 1] = amplitude * e * d / sigma2
-    J[..., 2] = amplitude * e * d * d / _pow(sigma, 3)
+    J[..., 2] = amplitude * e * d * d / (sigma2 * sigma)
     J[..., 3] = 1.0
     return J
 
 
 def _gaussian_init(x, y):
     p = _lorentzian_init(x, y)
-    p[..., 2] = np.maximum(p[..., 2] / 2.3548, 1e-12)
+    p[:, 2] = np.maximum(p[:, 2] / 2.3548, 1e-12)
     return p
 
 
@@ -208,7 +216,7 @@ def _exponential_decay_jac(t, p):
     e = np.exp(-t / tau)
     J = np.empty(e.shape + (2,))
     J[..., 0] = e
-    J[..., 1] = amplitude * t / _pow(tau, 2) * e
+    J[..., 1] = amplitude * t / (tau * tau) * e
     return J
 
 
@@ -274,12 +282,14 @@ def _g2_three_level_init(t, y):
         slow_amp = max(bump, 1e-3 * fast_amp)
         c = -(fast_amp + slow_amp)
         beta = fast_amp / (fast_amp + slow_amp)
-        width = _half_width(t, yn, i_min, 1.0 - dip / 2.0)
+        # the dip as the peak of -yn: negation is exact, so are its crossings
+        i, peak, level = i_min, -yn, dip / 2.0 - 1.0
     else:
         t0 = float(t[i_max])
         beta = 2.0
         c = max(bump, 1e-3) / (2.0 * beta - 1.0)
-        width = _half_width(t, yn, i_max, 1.0 + bump / 2.0)
+        i, peak, level = i_max, yn, 1.0 + bump / 2.0
+    (width,) = _half_width(t[None], peak[None], np.array([i]), np.array([level]))
     gamma1 = 1.0 / max(width, 1e-9)
     return np.array([c, beta, gamma1, gamma1 / 10.0, t0, plateau])
 
@@ -336,7 +346,7 @@ def _detuned_purcell_jac(x, p):
     J = np.empty(z.shape + (4,))
     J[..., 0] = 1.0 / (1.0 + z * z)
     J[..., 1] = -peak * 2.0 * z * (2.0 * rel) / denom
-    J[..., 2] = peak * 4.0 * q * z * x / (_pow(x0, 2) * denom)
+    J[..., 2] = peak * 4.0 * q * z * x / (x0 * x0 * denom)
     J[..., 3] = 1.0
     return J
 
@@ -348,13 +358,8 @@ def _detuned_purcell_init(x, y):
 
 
 def _row_by_row(init):
-    # a start rule written for one problem, taken row by row over a batch
-    def batch_init(x, y):
-        if np.ndim(y) == 1:
-            return init(x, y)
-        return np.array([init(xk, yk) for xk, yk in zip(x, y)])
-
-    return batch_init
+    # a start rule written for one problem, taken row by row over a stack
+    return lambda x, y: np.array([init(xk, yk) for xk, yk in zip(x, y)])
 
 
 def _abs_width(index):
@@ -409,33 +414,35 @@ def get_model(model_id: str) -> Model:
         ) from None
 
 
-def evaluate(model_id: str, params, x) -> np.ndarray:
-    """Evaluate a registered model at abscissa ``x``."""
+def _model_and_params(model_id: str, params):
     model = get_model(model_id)
     params = np.asarray(params, dtype=float)
     if params.size != model.n_params:
         raise ValidationError(
             f"{model_id} expects {model.n_params} parameters, got {params.size}"
         )
+    return model, params
+
+
+def evaluate(model_id: str, params, x) -> np.ndarray:
+    """Evaluate a registered model at abscissa ``x``."""
+    model, params = _model_and_params(model_id, params)
     return model.fn(np.asarray(x, dtype=float), params)
 
 
 def jacobian_matrix(model_id: str, params, x) -> np.ndarray:
     """Analytic partial derivatives, shape (len(x), n_params)."""
-    model = get_model(model_id)
-    params = np.asarray(params, dtype=float)
-    if params.size != model.n_params:
-        raise ValidationError(
-            f"{model_id} expects {model.n_params} parameters, got {params.size}"
-        )
+    model, params = _model_and_params(model_id, params)
     return model.jac(np.asarray(x, dtype=float), params)
 
 
 def initial_params(model_id: str, x, y) -> np.ndarray:
     """Heuristic start values so batch pipelines can run unattended; (K, n)
-    ``x`` and ``y`` give (K, P), row k the start of row k alone."""
+    ``x`` and ``y`` give (K, P), row k the start of row k alone, and 1-D
+    ``x`` and ``y`` give one start, taken as a stack of one."""
     model = get_model(model_id)
-    return model.init(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return model.init(x[None], y[None])[0] if y.ndim == 1 else model.init(x, y)
 
 
 def param_names(model_id: str) -> tuple[str, ...]:

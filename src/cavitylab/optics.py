@@ -11,9 +11,14 @@ radius of curvature, the geometric mean sqrt(roc_x * roc_y), by
 :func:`scalar_roc`. ROC = inf is the flat-mirror (plane-wave) limit: the
 Gouy term vanishes and 2 L / lambda = m.
 
-Wavelengths are the in-gap values c/(n * nu); with a vacuum or air gap
-(n = 1) they equal vacuum wavelengths. Internal units: um for lengths,
-nm for wavelengths, THz for mode frequencies, GHz for linewidths.
+Resonance wavelengths are the in-gap values c/(n * nu); with a vacuum or
+air gap (n = 1) they equal vacuum wavelengths. The figures of merit
+(:func:`cavity_figures`, :func:`q_from_linewidth`, the beam sizes and the
+mode volume) take the vacuum wavelength lambda: nu = c / lambda, the beam
+sizes use lambda / n in the gap, and the mode volume is in units of the
+vacuum lambda^3, as :func:`cavitylab.cqed.purcell_theoretical` expects.
+Internal units: um for lengths, nm for wavelengths, THz for mode
+frequencies, GHz for linewidths.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fitkit
+from . import fitkit, models
 from .dataio import ScanTrace, SpectralMap, Spectrum
 from .errors import (
     CavityLabError,
@@ -429,6 +434,14 @@ def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
     return math.pi * w0**2 * geom.l_eff_um / 4.0 / (lambda_nm / 1000.0) ** 3
 
 
+def q_from_linewidth(lambda_c_nm: float, kappa_ghz: float) -> float:
+    """Quality factor nu_c / kappa for an effective linewidth in GHz, with
+    nu_c = c / lambda_c of the vacuum wavelength."""
+    if lambda_c_nm <= 0 or kappa_ghz <= 0:
+        raise ValidationError("wavelength and linewidth must be positive")
+    return C_NM_GHZ / lambda_c_nm / kappa_ghz
+
+
 def cavity_figures(
     geom: CavityGeometry,
     finesse: float,
@@ -440,16 +453,14 @@ def cavity_figures(
         raise ValidationError("finesse must be positive")
     if m_det < 1:
         raise ValidationError("m_det must be >= 1")
-    n = geom.refractive_index
-    fsr_thz = C_UM_THZ / (2.0 * n * geom.l_eff_um)
+    fsr_thz = C_UM_THZ / (2.0 * geom.refractive_index * geom.l_eff_um)
     kappa_ghz = fsr_thz * 1000.0 / finesse
-    nu_ghz = C_NM_GHZ / (n * lambda_c_nm)
     return CavityFigures(
         fsr_thz=fsr_thz,
         finesse=finesse,
         kappa_ghz=kappa_ghz,
         quality_factor=m_det * finesse,
-        quality_factor_linewidth=nu_ghz / kappa_ghz,
+        quality_factor_linewidth=q_from_linewidth(lambda_c_nm, kappa_ghz),
         beam_waist_um=beam_waist_um(geom, lambda_c_nm),
         mirror_spot_um=mirror_spot_um(geom, lambda_c_nm),
         mode_volume_lambda3=mode_volume_lambda3(geom, lambda_c_nm),
@@ -681,26 +692,8 @@ def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray)
     the distance between the nearest samples on either side, the peak
     included, that are not above half maximum, or the row's ends."""
     half = baselines + (rows[np.arange(len(rows)), peaks] - baselines) / 2.0
-    left = _nearest_not_above(rows, peaks, half, -1)
-    return np.maximum(_nearest_not_above(rows, peaks, half, 1) - left, 3.0)
-
-
-def _nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, step: int):
-    """Column of the first sample of each row, from ``peaks[k]`` on in
-    direction ``step`` (-1 or 1), that is not above ``levels[k]``, or of
-    the row's last sample in that direction. Each round looks 4 times as
-    far as the last, so the work follows the widths, not the row length."""
-    n = rows.shape[1]
-    end = 0 if step < 0 else n - 1
-    found = np.empty(len(rows), dtype=int)
-    todo, reach = np.arange(len(rows)), 16
-    while todo.size:
-        columns = np.minimum(np.maximum(peaks[todo, None] + step * np.arange(reach), 0), n - 1)
-        stop = ~(rows[todo[:, None], columns] > levels[todo, None]) | (columns == end)
-        hit = stop.any(axis=1)
-        found[todo[hit]] = columns[hit, np.argmax(stop[hit], axis=1)]
-        todo, reach = todo[~hit], 4 * reach
-    return found
+    left = models.nearest_not_above(rows, peaks, half, -1)
+    return np.maximum(models.nearest_not_above(rows, peaks, half, 1) - left, 3.0)
 
 
 def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines):
@@ -735,11 +728,23 @@ def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines
     return problems[:first], refusal
 
 
+def _resonances(fits) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending centers of Lorentzian fits and their |FWHM|, less each
+    center within the FWHM of the one below it: the two are one resonance
+    (a noisy top can hold two equal maxima)."""
+    centers = np.array([f.params[1] for f in fits])
+    widths = np.abs(np.array([f.params[2] for f in fits]))
+    order = np.argsort(centers)
+    centers, widths = centers[order], widths[order]
+    distinct = np.concatenate([[True], np.diff(centers) > widths[:-1]])
+    return centers[distinct], widths[distinct]
+
+
 def finesse_from_scan(traces) -> tuple[float, float]:
     """Finesse as resonance spacing over linewidth, pooled over piezo ramps.
 
     Peaks whose fitted centers lie within one fitted FWHM of each other are
-    one resonance (a noisy top can hold two equal maxima).
+    one resonance (see :func:`_resonances`).
 
     Parameters
     ----------
@@ -768,14 +773,7 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         problems, refusal = _peak_problems(trace.axis, trace.signal, peaks, baseline)
         if refusal is not None:
             raise refusal
-        fits = fitkit.fit_many(problems)
-        centers = np.array([f.params[1] for f in fits])
-        widths = np.abs(np.array([f.params[2] for f in fits]))
-        order = np.argsort(centers)
-        centers, widths = centers[order], widths[order]
-        distinct = np.diff(centers) > widths[:-1]
-        centers = np.concatenate([centers[:1], centers[1:][distinct]])
-        widths = np.concatenate([widths[:1], widths[1:][distinct]])
+        centers, widths = _resonances(fitkit.fit_many(problems))
         if centers.size < 2:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): {peaks.size} peaks merge into "
@@ -831,8 +829,8 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     """Length from the two most prominent resonances of a broadband spectrum.
 
     As in :func:`finesse_from_scan`, two peaks whose fitted centers lie
-    within one fitted FWHM are one resonance (a noisy top can hold two
-    maxima), which leaves too few for a spacing.
+    within one fitted FWHM are one resonance (see :func:`_resonances`),
+    which leaves too few for a spacing.
     """
     peaks, baseline = _peaks_and_median(spectrum.counts, rel_prominence=0.0)
     if peaks.size < 2:
@@ -843,12 +841,14 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if refusal is not None:
         raise refusal
     fits = fitkit.fit_many(problems)
-    (lo, lo_width), (hi, _) = sorted((float(f.params[1]), abs(float(f.params[2]))) for f in fits)
-    if hi - lo <= lo_width:
+    centers, _ = _resonances(fits)
+    if centers.size < 2:
+        lo, hi = sorted(float(f.params[1]) for f in fits)
         raise InsufficientDataError(
             f"the two strongest peaks ({lo:.6g} and {hi:.6g} nm) are one resonance, "
             "need two"
         )
+    lo, hi = centers.tolist()
     return effective_length_from_adjacent_modes(hi, lo, roc_um)
 
 

@@ -64,6 +64,30 @@ def test_spatial_correction_value_and_oracle():
     assert spatial_correction(half, 618.5) == pytest.approx((w0 / w_l) ** 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("geom", [GEOM, CavityGeometry(20.0, 30.0, 0.5, 1.5),
+                                  CavityGeometry(24.0, 24.0, 19.0, 2.4)])
+def test_spatial_correction_is_the_waist_over_the_mirror_spot(geom):
+    # the closed form 1 - L/ROC is the squared ratio of the waist and
+    # mirror-spot expressions at any wavelength and gap index
+    for lam in (533.3, 618.5, 737.0):
+        ratio = optics.beam_waist_um(geom, lam) / optics.mirror_spot_um(geom, lam)
+        assert spatial_correction(geom, lam) == pytest.approx(ratio**2, rel=1e-14)
+
+
+def test_q_from_linewidth_is_the_figures_route_in_a_dielectric_gap():
+    # nu_c = c / lambda of the vacuum wavelength in both: a gap of index 1.5
+    # changes the linewidth through the FSR, not the frequency it divides
+    geom = CavityGeometry(24.0, 24.0, 3.75, 1.5)
+    fig = optics.cavity_figures(geom, finesse=4600.0, m_det=12, lambda_c_nm=618.5)
+    assert cqed.q_from_linewidth is optics.q_from_linewidth
+    assert fig.quality_factor_linewidth == q_from_linewidth(618.5, fig.kappa_ghz)
+    assert fig.quality_factor_linewidth == pytest.approx(83670.0, rel=1e-4)
+    vacuum = optics.cavity_figures(GEOM, finesse=4600.0, m_det=12, lambda_c_nm=618.5)
+    assert fig.kappa_ghz * 1.5 == pytest.approx(vacuum.kappa_ghz, rel=1e-15)
+    assert fig.quality_factor_linewidth == pytest.approx(1.5 * vacuum.quality_factor_linewidth,
+                                                         rel=1e-15)
+
+
 def test_spatial_correction_short_cavity_limit():
     tight = CavityGeometry(24.0, 24.0, 0.005)
     assert spatial_correction(tight, 618.5) == pytest.approx(1.0, abs=1e-3)

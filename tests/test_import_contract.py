@@ -1,11 +1,13 @@
 """cavitylab never loads scipy: not on the command line, not in the peak
 detection behind the finesse and drift pipelines. Every name the package and
-its layers export in ``__all__`` exists.
+its layers export in ``__all__`` exists, every module-level private name is
+read somewhere in the package, and the model layer imports no other layer.
 
 Each run check uses a fresh interpreter, because the test process itself has
 long since imported scipy for its oracle tests.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -92,3 +94,46 @@ def test_every_exported_name_resolves(name):
     assert module.__all__
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names {missing}"
+
+
+def _module_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+
+
+def test_every_private_module_name_is_used():
+    # a module-level private function, class or constant that nothing in the
+    # package reads is dead code
+    trees = _module_trees()
+    used = {node.id for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+    assert len(defined) > 20
+    assert sorted(d for d in defined if d[1] not in used) == []
+
+
+def test_models_imports_only_errors():
+    # the model layer sits under everything else: it imports no other layer
+    tree = _module_trees()["models"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("cavitylab"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("cavitylab")}
+    assert imported == {"errors"}

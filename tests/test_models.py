@@ -22,8 +22,9 @@ def test_jacobian_matches_finite_differences(model_id):
 def test_batch_rows_equal_single_evaluations(model_id):
     # row k of a (K, n) batch with row k of a (K, P) parameter stack is the
     # 1-D evaluation bit for bit, overflowing rows included (the last row's
-    # parameters are scaled to 1e200); powers of parameters round differently
-    # as arrays in about 1e-3 of values, so the batch is 2000 rows deep
+    # parameters are scaled to 1e200); 2000 random rows, so that an
+    # operation that rounds differently over a (K, 1) column than over a
+    # scalar, in a small share of values, shows
     rng = np.random.Generator(np.random.Philox(7))
     x = model_grid(model_id)[::25]
     p = np.array([random_params(model_id, rng) for _ in range(2000)])
@@ -145,15 +146,22 @@ def test_batch_start_values_equal_single_starts(model_id, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 41])
 def test_half_width_equals_its_loop(n):
     x, y = _start_rows(n)
-    peaks, lows = np.argmax(y, axis=1), y.min(axis=1)
-    fallbacks = 0
-    # half maximum; levels between samples; none crossed; a flat top's level,
-    # which an equal pair of samples brackets
-    for level in (lows + (y.max(axis=1) - lows) / 2.0, y.mean(axis=1), lows - 1.0, y.max(axis=1)):
-        widths = models._half_width(x, y, peaks, level)
-        for k in range(len(y)):
-            expected = _half_width_loop(x[k], y[k], int(peaks[k]), level[k])
-            assert np.float64(expected).tobytes() == widths[k].tobytes(), (k, level[k])
-            assert models._half_width(x[k], y[k], peaks[k], level[k]) == widths[k]
-            fallbacks += expected == (abs(x[k, -1] - x[k, 0]) / 10.0 or 1.0)
+    # dips: the rows and their mirror images, each searched as the peak of
+    # -y at the negated level, as the g2 start takes them
+    xd, yd = np.concatenate([x, x]), np.concatenate([y, -y])
+    fallbacks = crossings = 0
+    for xs, ys, i_peak, sign in [(x, y, np.argmax(y, axis=1), 1.0),
+                                 (xd, yd, np.argmin(yd, axis=1), -1.0)]:
+        searched = sign * ys
+        top, bottom = searched.max(axis=1), searched.min(axis=1)
+        # half height; levels between samples; none crossed; a flat top's
+        # level, which an equal pair of samples brackets
+        for level in (bottom + (top - bottom) / 2.0, searched.mean(axis=1), bottom - 1.0, top):
+            widths = models._half_width(xs, searched, i_peak, level)
+            for k in range(len(ys)):
+                expected = _half_width_loop(xs[k], ys[k], int(i_peak[k]), sign * level[k])
+                assert np.float64(expected).tobytes() == widths[k].tobytes(), (k, sign, level[k])
+                fallback = expected == (abs(xs[k, -1] - xs[k, 0]) / 10.0 or 1.0)
+                fallbacks, crossings = fallbacks + fallback, crossings + (not fallback)
     assert fallbacks  # the span/10 fallback is among the cases
+    assert crossings or n <= 2  # two samples put every peak at an end

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -388,6 +389,17 @@ def test_finesse_split_top_of_one_resonance_is_too_few():
     trace = ScanTrace(axis=axis, signal=signal, sweep_direction="up")
     with pytest.raises(InsufficientDataError, match="merge into one resonance"):
         optics.finesse_from_scan(trace)
+
+
+def test_resonances_merge_a_center_within_the_width_of_the_one_below():
+    # the one merge rule of the finesse and the length pipelines: a center
+    # within the |FWHM| of the center below it, at one width included, is
+    # that resonance; the width that counts is the lower one's
+    fits = [SimpleNamespace(params=np.array([1.0, center, width, 0.0])) for center, width in
+            [(20.0, 1.0), (10.5, 0.2), (10.0, -1.0), (30.0, 0.5), (31.0, 1.0), (30.5, 0.1)]]
+    centers, widths = optics._resonances(fits)
+    assert centers.tolist() == [10.0, 20.0, 30.0, 31.0]
+    assert widths.tolist() == [1.0, 1.0, 0.5, 1.0]
 
 
 # ---------------------------------------------------------------------------
