@@ -89,12 +89,12 @@ def purcell_theoretical(
     )
 
 
-def spatial_correction(geom: CavityGeometry, lambda_nm: float) -> float:
+def spatial_correction(geom: CavityGeometry) -> float:
     """Coupling reduction (w0/w(L))^2 for an emitter on the curved mirror.
 
     For the plano-concave Gaussian mode the ratio of the waist and
     mirror-spot expressions is 1 - L/ROC at any wavelength, so that closed
-    form is returned; ``lambda_nm`` does not change it.
+    form is returned.
     """
     return 1.0 - geom.l_eff_um / scalar_roc(geom)
 
@@ -303,8 +303,9 @@ def budget_report(
 
     The ideal quality factor comes from ``q_ideal`` directly or from
     ``m_det * finesse``; the vibration-degraded one from ``q_exp`` directly
-    or from the effective linewidth ``kappa_exp_ghz``. Mode volume and the
-    spatial factor are derived from the geometry at ``lambda_c_nm``.
+    or from the effective linewidth ``kappa_exp_ghz``. The mode volume is
+    derived from the geometry at ``lambda_c_nm``, the spatial factor from the
+    geometry alone.
     """
     if q_ideal is None:
         if finesse is None or m_det is None:
@@ -318,7 +319,7 @@ def budget_report(
     n = geom.refractive_index
 
     f_cav_ideal = purcell_theoretical(lambda_c_nm, n, q_ideal, volume)
-    spatial = spatial_correction(geom, lambda_c_nm)
+    spatial = spatial_correction(geom)
     f_cav_corrected = f_cav_ideal * spatial
     f_vib = purcell_theoretical(lambda_c_nm, n, q_exp, volume) * spatial
     f_measured = purcell_measured(tau0_ns, tau_p_ns)

@@ -125,8 +125,11 @@ def _values(name: str, values: np.ndarray, axis: np.ndarray, counts: bool = Fals
     raise DataError(f"{name} contains {kind} value at row {row}", index=row)
 
 
-def _frame_column(i: int) -> str:
-    return f"frame_{i:04d}"
+_frame_column = "frame_{:04d}".format
+
+
+def _map_header(n_frames: int) -> str:
+    return ",".join(["wavelength_nm", *map(_frame_column, range(n_frames))])
 
 
 @dataclass(frozen=True)
@@ -351,11 +354,12 @@ def _load_spectral_map(path: Path, header: str) -> SpectralMap:
         raise SchemaError(
             f"spectral_map header must start with 'wavelength_nm,frame_0000', got {header!r}"
         )
-    for i, name in enumerate(columns[1:]):
-        if name != _frame_column(i):
-            raise SchemaError(
-                f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {name!r}"
-            )
+    if header != _map_header(len(columns) - 1):
+        for i, name in enumerate(columns[1:]):
+            if name != _frame_column(i):
+                raise SchemaError(
+                    f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {name!r}"
+                )
     data = _loadtxt(path)
     if data.shape[1] != len(columns):
         raise SchemaError(f"column count mismatch: header {len(columns)}, data {data.shape[1]}")
@@ -375,9 +379,7 @@ def save_csv(record, path) -> Path:
     elif isinstance(record, ScanTrace):
         save_csv([record], path)
     elif isinstance(record, SpectralMap):
-        names = [_frame_column(i) for i in range(len(record))]
-        _write_csv(path, ",".join(["wavelength_nm"] + names),
-                   [record.wavelength_nm, record.counts.T])
+        _write_csv(path, _map_header(len(record)), [record.wavelength_nm, record.counts.T])
     elif isinstance(record, Sequence) and record and isinstance(record[0], ScanTrace):
         directions = np.array([t.sweep_direction for t in record], dtype=object)
         _write_csv(path, "axis,signal,direction", [

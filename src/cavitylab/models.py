@@ -10,6 +10,10 @@ of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
 ``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
 equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
 ``x.shape + (P,)``; powers of parameters are products (``s * s``) in both.
+The Lorentzian's ``fn`` and ``jac``, which the map generators and the drift
+and finesse fits evaluate, build their output in one array: ``fn`` takes
+every step of the plain expression in it, ``jac`` writes each column into
+its slot once; both in the plain expression's order, to the same bits.
 Start values (``init``) take stacks only, and :func:`initial_params` lifts
 a 1-D problem to a stack of one: ``x`` and ``y`` of shape (K, n) give (K, P)
 start values, row k bit for bit the start of row k alone; those of
@@ -78,19 +82,31 @@ def _columns(p):
 def _lorentzian(x, p):
     amplitude, center, fwhm, offset = _columns(p)
     h = (fwhm / 2.0) * (fwhm / 2.0)
-    return offset + amplitude * h / ((x - center) ** 2 + h)
+    # offset + amplitude * h / ((x - center)^2 + h), every step in y
+    y = np.asarray(x - center)
+    y *= y
+    y += h
+    np.divide(amplitude * h, y, out=y)
+    np.add(offset, y, out=y)
+    return y if y.ndim else y[()]
 
 
 def _lorentzian_jac(x, p):
     amplitude, center, fwhm, _ = _columns(p)
-    d = x - center
     h = (fwhm / 2.0) * (fwhm / 2.0)
-    denom = d * d + h
-    denom2 = denom**2
-    J = np.empty(d.shape + (4,))
-    J[..., 0] = h / denom
-    J[..., 1] = amplitude * h * 2.0 * d / denom2
-    J[..., 2] = amplitude * (fwhm / 2.0) * d * d / denom2
+    d = x - center
+    denom = d * d
+    denom += h
+    J = np.empty(np.shape(d) + (4,))
+    # the strided slots are written once each: arithmetic in them is slower
+    # than in the contiguous d, denom and t
+    np.divide(h, denom, out=J[..., 0])
+    denom *= denom
+    t = amplitude * h * 2.0 * d
+    np.divide(t, denom, out=J[..., 1])
+    t = amplitude * (fwhm / 2.0) * d
+    t *= d
+    np.divide(t, denom, out=J[..., 2])
     J[..., 3] = 1.0
     return J
 

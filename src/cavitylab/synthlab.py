@@ -307,12 +307,14 @@ def generate_wled_map(
     inside = (window[0] < centers) & (centers < window[1])
     # peaks are added in ascending m within each frame, the summation order
     # the generated counts are pinned to; peak k is evaluated only on the
-    # frames whose window holds it
+    # frames whose window holds it, one contiguous run of frames because a
+    # resonance moves monotonically with length
     expected = np.full((n_frames, n_pixels), 10.0)
     for k in range(n_m):
-        rows = inside[:, k]
-        expected[rows] += models.evaluate(
-            "lorentzian", [500.0, 0.0, 0.8, 0.0], grid - centers[rows, k, None]
+        lo = inside[:, k].argmax()
+        hi = lo + np.count_nonzero(inside[:, k])
+        expected[lo:hi] += models.evaluate(
+            "lorentzian", [500.0, 0.0, 0.8, 0.0], grid - centers[lo:hi, k, None]
         )
     counts = rng_from_seed(seed).poisson(expected)
     del expected

@@ -36,7 +36,7 @@ def test_criterion_1_purcell_chain():
     n_calls = 1000
     for _ in range(n_calls):
         f_cav = cqed.purcell_theoretical(618.5, 1.0, 56400.0, 21.0)
-        corrected = f_cav * cqed.spatial_correction(GEOM, 618.5)
+        corrected = f_cav * cqed.spatial_correction(GEOM)
     per_call_ms = (time.perf_counter() - start) / n_calls * 1000.0
     ok = (
         abs(f_cav - 205.0) <= 2.0

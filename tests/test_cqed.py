@@ -52,7 +52,7 @@ def test_vibration_limited_value():
 
 
 def test_spatial_correction_value_and_oracle():
-    s = spatial_correction(GEOM, 618.5)
+    s = spatial_correction(GEOM)
     assert s == pytest.approx(0.846, abs=0.01)
     assert s == pytest.approx(1.0 - 3.75 / 24.0, rel=1e-12)
     # maps the ideal 204 onto the position-corrected 173
@@ -61,7 +61,7 @@ def test_spatial_correction_value_and_oracle():
     # ABCD beam-propagation oracle at L = ROC/2
     half = CavityGeometry(24.0, 24.0, 12.0)
     w0, w_l = synthlab.abcd_waist_um(12.0, 24.0, 618.5)
-    assert spatial_correction(half, 618.5) == pytest.approx((w0 / w_l) ** 2, rel=1e-9)
+    assert spatial_correction(half) == pytest.approx((w0 / w_l) ** 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("geom", [GEOM, CavityGeometry(20.0, 30.0, 0.5, 1.5),
@@ -71,7 +71,7 @@ def test_spatial_correction_is_the_waist_over_the_mirror_spot(geom):
     # mirror-spot expressions at any wavelength and gap index
     for lam in (533.3, 618.5, 737.0):
         ratio = optics.beam_waist_um(geom, lam) / optics.mirror_spot_um(geom, lam)
-        assert spatial_correction(geom, lam) == pytest.approx(ratio**2, rel=1e-14)
+        assert spatial_correction(geom) == pytest.approx(ratio**2, rel=1e-14)
 
 
 def test_q_from_linewidth_is_the_figures_route_in_a_dielectric_gap():
@@ -90,7 +90,7 @@ def test_q_from_linewidth_is_the_figures_route_in_a_dielectric_gap():
 
 def test_spatial_correction_short_cavity_limit():
     tight = CavityGeometry(24.0, 24.0, 0.005)
-    assert spatial_correction(tight, 618.5) == pytest.approx(1.0, abs=1e-3)
+    assert spatial_correction(tight) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_detuned_purcell_zero_detuning_and_half_width():

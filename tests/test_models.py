@@ -165,3 +165,67 @@ def test_half_width_equals_its_loop(n):
                 fallbacks, crossings = fallbacks + fallback, crossings + (not fallback)
     assert fallbacks  # the span/10 fallback is among the cases
     assert crossings or n <= 2  # two samples put every peak at an end
+
+
+def _lorentzian_oracle(x, p):
+    # the registry's Lorentzian as plain expressions, one temporary per step
+    amplitude, center, fwhm, offset = models._columns(p)
+    h = (fwhm / 2.0) * (fwhm / 2.0)
+    return offset + amplitude * h / ((x - center) ** 2 + h)
+
+
+def _lorentzian_jac_oracle(x, p):
+    amplitude, center, fwhm, _ = models._columns(p)
+    d = x - center
+    h = (fwhm / 2.0) * (fwhm / 2.0)
+    denom = d * d + h
+    denom2 = denom**2
+    J = np.empty(d.shape + (4,))
+    J[..., 0] = h / denom
+    J[..., 1] = amplitude * h * 2.0 * d / denom2
+    J[..., 2] = amplitude * (fwhm / 2.0) * d * d / denom2
+    J[..., 3] = 1.0
+    return J
+
+
+def _lorentzian_cases():
+    rng = np.random.Generator(np.random.Philox(23))
+    row = rng.uniform(-3.0, 3.0, 64)
+    rows = rng.uniform(-3.0, 3.0, (5, 64))
+    stack = rng.uniform(-2.0, 2.0, (5, 4))
+    cases = [(row, stack[0]), (rows, stack), (rows, stack[1]), (row, stack)]
+    # zero and negative widths, a sample on the center of a zero width
+    for fwhm in (0.0, -0.7):
+        cases += [(np.append(row, 0.25), np.array([1.5, 0.25, fwhm, 0.1])),
+                  (rows, np.column_stack([stack[:, :2], np.full(5, fwhm), stack[:, 3]]))]
+    # a NaN or an infinity in each parameter, of a vector and of one row
+    for value in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            p = np.array([1.5, 0.25, 0.7, 0.1])
+            p[i] = value
+            batch = stack.copy()
+            batch[2, i] = value
+            cases += [(row, p), (rows, batch)]
+    # 0-d abscissae, on and off the center
+    cases += [(np.float64(v), np.array([1.5, 0.25, 0.7, 0.1])) for v in (0.25, -1.3, rng.normal())]
+    return cases
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def test_lorentzian_equals_its_plain_expressions_bit_for_bit():
+    # fn works in its output array and jac writes each column once; the
+    # values, their types and the NaN bits are those of the plain
+    # expressions, and x is only read
+    model = models.MODELS["lorentzian"]
+    with np.errstate(all="ignore"):
+        for x, p in _lorentzian_cases():
+            x = np.array(x)
+            x.flags.writeable = False
+            before = x.tobytes()
+            assert _same_bits(model.fn(x, p), _lorentzian_oracle(x, p)), (x, p)
+            assert _same_bits(model.jac(x, p), _lorentzian_jac_oracle(x, p)), (x, p)
+            assert x.tobytes() == before

@@ -603,3 +603,16 @@ def test_cte_fit_recovers_alpha():
     est, sigma, result = optics.cte_fit(temps, dl_nm, reference_length_um=l_ref)
     assert est == pytest.approx(alpha, rel=1e-9)
     assert result.converged
+
+
+def test_dispersion_map_names_the_first_length_out_of_range():
+    # a descending grid with two bad lengths: the error is the one
+    # gouy_fraction raises for the first of them
+    lengths = np.linspace(5.0, 3.0, 9)
+    lengths[4], lengths[6] = 24.5, -1.0
+    with pytest.raises(GeometryError) as err:
+        optics.dispersion_map(24.0, lengths, [10, 11])
+    assert str(err.value) == "stability violated: need 0 <= L (24.5 um) < ROC (24.0 um)"
+    with pytest.raises(GeometryError) as err:
+        optics.dispersion_map(-24.0, lengths, [10, 11])
+    assert str(err.value) == "radius of curvature must be positive"

@@ -175,12 +175,41 @@ _DRIFT_DIGESTS = {
 }
 
 
+# the acquisition-sized map (7200 frames x 200 px) for seed 0, recorded
+# from the boolean-mask generator
+_WLED_FULL_DIGEST = "c424cd9d0660d69947d182671dcd569ff6a9c8e1e7f2f829178dfa830aaf7253"
+
+
 @pytest.mark.parametrize("seed", sorted(_WLED_DIGESTS))
 def test_map_generators_bit_identical(seed):
     wled = synthlab.generate_wled_map(72, seed=seed)
     assert dataio.digest_arrays(wled.wavelength_nm, wled.counts_matrix()) == _WLED_DIGESTS[seed]
     drift, _ = synthlab.generate_drift_map(seed=seed)
     assert dataio.digest_arrays(drift.wavelength_nm, drift.counts_matrix()) == _DRIFT_DIGESTS[seed]
+
+
+def test_full_size_wled_map_bit_identical():
+    wled = synthlab.generate_wled_map(7200, seed=0)
+    assert dataio.digest_arrays(wled.wavelength_nm, wled.counts_matrix()) == _WLED_FULL_DIGEST
+
+
+@pytest.mark.parametrize("n_frames", [72, 7200])
+def test_wled_modes_lie_in_the_window_over_one_run_of_frames(n_frames):
+    # a resonance moves monotonically with length, so the frames whose
+    # window holds a mode are one contiguous run: the generator adds each
+    # peak over a slice of frames
+    window = (550.0, 680.0)
+    lengths = np.linspace(5.0, 3.7, n_frames)
+    m_values = optics.mode_indices((3.7, 5.0), window)
+    centers = optics.dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, -1)
+    inside = (window[0] < centers) & (centers < window[1])
+    runs = 0
+    for column in inside.T:
+        frames = np.flatnonzero(column)
+        if frames.size:
+            assert frames[-1] - frames[0] + 1 == frames.size
+            runs += 1
+    assert runs >= 2
 
 
 _SCAN_PAIR_DIGESTS = {
