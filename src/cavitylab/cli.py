@@ -19,6 +19,7 @@ import argparse
 import functools
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -146,6 +147,8 @@ def cmd_dispersion(args) -> int:
     )
     orders = args.transverse_orders
 
+    # an axis that repeats an earlier (radius, orders) reuses that map and its candidates
+    built = {}
     reports = []
     for roc_mode, suffix in roc_modes:
         roc_um = optics.scalar_roc(radii, roc_mode)
@@ -156,16 +159,21 @@ def cmd_dispersion(args) -> int:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
-        rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
         map_path = out / f"dispersion_map{suffix}.csv"
-        # lengths and wavelengths as %.9g, the integral m and q as integers
-        dataio._write_csv(map_path, "l_eff_um,wavelength_nm,mode_m,transverse_order",
-                          [rows[:, :2], rows[:, 2:]], fixed=(0,))
-
-        candidates = optics.double_resonance_search(
-            args.lambda_exc, args.lambda_det, roc_um,
-            (args.l_min, args.l_max), args.tol_nm / 1000.0,
-        )
+        key = (roc_um, tuple(orders))
+        if key in built:
+            first_path, candidates = built[key]
+            shutil.copyfile(first_path, map_path)
+        else:
+            rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
+            # lengths and wavelengths as %.9g, the integral m and q as integers
+            dataio._write_csv(map_path, "l_eff_um,wavelength_nm,mode_m,transverse_order",
+                              [rows[:, :2], rows[:, 2:]], fixed=(0,))
+            candidates = optics.double_resonance_search(
+                args.lambda_exc, args.lambda_det, roc_um,
+                (args.l_min, args.l_max), args.tol_nm / 1000.0,
+            )
+            built[key] = map_path, candidates
 
         reports.append(
             {

@@ -24,9 +24,11 @@ starting at 1e-3. A model's bounds are kept
 by projected steps (step clamped into the box, then re-damped if the cost
 did not drop). A ``gaussian`` model minimises the weighted squared residual;
 a ``poisson`` model minimises the deviance (Cash 1979) by Fisher scoring in
-the same loop, with weights 1/sqrt(mu) at the current point. A trial point
-whose cost is not finite is a rejected step. The objective never increases
-across accepted steps; ``FitResult.cost_trace`` records it for inspection.
+the same loop, with weights 1/sqrt(mu) at the current point, computing the
+weights, deviance terms and Pearson residuals in place, to the bits of their
+plain expressions. A trial point whose cost is not finite is a rejected
+step. The objective never increases across accepted steps;
+``FitResult.cost_trace`` records it for inspection.
 
 Covariance is the inverse of the Gauss-Newton (for counts, Fisher) normal
 matrix scaled by the reduced Pearson chi-square, matching the convention of
@@ -367,13 +369,20 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             # Fisher weights 1/sqrt(mu), Pearson residuals and the deviance;
             # each term y ln(y/mu) - (y - mu) is taken through log1p, which
             # keeps it free of the cancellation of y ln y - y ln mu at high
-            # counts, and is mu where y = 0
+            # counts, and is mu where y = 0; every step in w, d or t
             mu = model.fn(x, p)
-            w = 1.0 / np.sqrt(mu)
+            w = np.sqrt(mu)
+            np.divide(1.0, w, out=w)
             d = y - mu
-            cost = 2.0 * np.sum(np.where(y > 0, y * np.log1p(d / mu) - d, mu), axis=1)
+            t = d / mu
+            np.log1p(t, out=t)
+            t *= y
+            t -= d
+            np.copyto(t, mu, where=~(y > 0))
+            cost = 2.0 * np.sum(t, axis=1)
             cost[~(mu.min(axis=1) > 0)] = math.nan
-            return w, w * d, cost
+            d *= w
+            return w, d, cost
     else:
 
         def objective(x, y, w, p):

@@ -10,10 +10,11 @@ of shape (K, P) evaluates K problems at once, row k of ``x`` with row k of
 ``p``. A 1-D ``p`` broadcasts over ``x`` of any shape. Every row of a batch
 equals the 1-D evaluation of that row bit for bit. ``jac`` returns shape
 ``x.shape + (P,)``; powers of parameters are products (``s * s``) in both.
-The Lorentzian's ``fn`` and ``jac``, which the map generators and the drift
-and finesse fits evaluate, build their output in one array: ``fn`` takes
-every step of the plain expression in it, ``jac`` writes each column into
-its slot once; both in the plain expression's order, to the same bits.
+The Lorentzian's ``fn`` and ``jac`` (map generators, drift and finesse fits)
+and the exponential decay's (lifetime fits and their bootstrap refits) build
+their output in one array: ``fn`` takes every step of the plain expression
+in it, ``jac`` writes each column into its slot once; both in the plain
+expression's order, to the same bits.
 Start values (``init``) take stacks only, and :func:`initial_params` lifts
 a 1-D problem to a stack of one: ``x`` and ``y`` of shape (K, n) give (K, P)
 start values, row k bit for bit the start of row k alone; those of
@@ -224,15 +225,22 @@ def _linear_init(x, y):
 
 def _exponential_decay(t, p):
     amplitude, tau = _columns(p)
-    return amplitude * np.exp(-t / tau)
+    # amplitude * exp(-t / tau), every step from the division on in y
+    y = np.asarray(-t / tau)
+    np.exp(y, out=y)
+    np.multiply(amplitude, y, out=y)
+    return y if y.ndim else y[()]
 
 
 def _exponential_decay_jac(t, p):
     amplitude, tau = _columns(p)
-    e = np.exp(-t / tau)
+    e = np.asarray(-t / tau)
+    np.exp(e, out=e)
+    s = amplitude * t
+    s /= tau * tau
     J = np.empty(e.shape + (2,))
     J[..., 0] = e
-    J[..., 1] = amplitude * t / (tau * tau) * e
+    np.multiply(s, e, out=J[..., 1])
     return J
 
 

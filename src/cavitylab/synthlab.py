@@ -308,14 +308,14 @@ def generate_wled_map(
     # peaks are added in ascending m within each frame, the summation order
     # the generated counts are pinned to; peak k is evaluated only on the
     # frames whose window holds it, one contiguous run of frames because a
-    # resonance moves monotonically with length
+    # resonance moves monotonically with length, one parameter row a frame
     expected = np.full((n_frames, n_pixels), 10.0)
     for k in range(n_m):
         lo = inside[:, k].argmax()
         hi = lo + np.count_nonzero(inside[:, k])
-        expected[lo:hi] += models.evaluate(
-            "lorentzian", [500.0, 0.0, 0.8, 0.0], grid - centers[lo:hi, k, None]
-        )
+        peaks = np.tile([500.0, 0.0, 0.8, 0.0], (hi - lo, 1))
+        peaks[:, 1] = centers[lo:hi, k]
+        expected[lo:hi] += models.get_model("lorentzian").fn(grid, peaks)
     counts = rng_from_seed(seed).poisson(expected)
     del expected
     return SpectralMap(*_handed_over(grid, counts.astype(float)), frame_period_s=1.0)

@@ -81,6 +81,36 @@ def test_dispersion_per_axis_writes_two_maps(tmp_path):
     assert (tmp_path / "dispersion_map_y.csv").exists()
 
 
+
+@pytest.mark.parametrize("roc_x, roc_y, gouy, maps", [
+    ("22", "26", "off", 1),  # plane waves do not depend on the radius
+    ("24", "24", "on", 1),
+    ("22", "26", "on", 2),
+])
+def test_dispersion_per_axis_builds_each_distinct_map_once(
+        roc_x, roc_y, gouy, maps, tmp_path, monkeypatch):
+    calls = []
+    dispersion_map = cli.optics.dispersion_map
+
+    def counted(*args):
+        calls.append(args[0])
+        return dispersion_map(*args)
+
+    monkeypatch.setattr(cli.optics, "dispersion_map", counted)
+    args = _dispersion_args(tmp_path, extra=("--roc-mode", "per-axis", "--gouy", gouy))
+    i = args.index("--roc")
+    args[i : i + 2] = ["--roc-x", roc_x, "--roc-y", roc_y]
+    assert run(args) == 0
+    assert len(calls) == maps
+    x, y = ((tmp_path / f"dispersion_map_{axis}.csv").read_bytes() for axis in "xy")
+    assert (x == y) == (maps == 1)
+    steps = json.loads((tmp_path / "dispersion_report.json").read_text())["steps"]
+    assert [(s["params"]["roc_mode"], s["outputs"]["map_csv"]) for s in steps] == [
+        ("x", "dispersion_map_x.csv"), ("y", "dispersion_map_y.csv")]
+    assert steps[0]["outputs"]["candidates"]
+    if maps == 1:
+        assert steps[0]["outputs"]["candidates"] == steps[1]["outputs"]["candidates"]
+
 def test_dispersion_idempotent(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

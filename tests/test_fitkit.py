@@ -470,6 +470,108 @@ def test_bootstrap_draws_counts_for_a_poisson_model():
     assert abs(boot[1] - result.sigmas[1]) <= 0.3 * result.sigmas[1]
 
 
+# The Poisson refits at the benchmark's size, as float.hex: the bootstrap
+# sigmas of lifetime_4k seed 7 over 200 resamples, then the g2_dip seed 7
+# fit's params, its covariance row by row and its cost trace. OpenBLAS's
+# kernels sum the normal matrices and invert them in different orders, so
+# each kernel family has its own last bits: AVX-512 (SkylakeX), AVX2
+# (Haswell, Zen), AVX (Sandybridge), SSE4 (Nehalem, Barcelona, Atom) and
+# SSE3 (Prescott, Core2).
+_REFIT_PINS = {
+    "SkylakeX": """
+        0x1.39c9ddd896d12p+2 0x1.4c773dd10e4bap-4 -0x1.1938bef1881fdp+0 0x1.b6bbfc02dbc94p-1
+        0x1.4765231c03cd7p-4 0x1.47c60315c6a94p-8 0x1.59142cec425bfp-5 0x1.766419565ea16p+10
+        0x1.916d4dc6388b6p-13 0x1.11ad63f2a1d3cp-15 0x1.039c19e99a74bp-18 -0x1.1069fdaec6a87p-19
+        -0x1.114b970a77aedp-12 -0x1.b7be97643cf5ep-10 0x1.11ad63f2a1d39p-15 0x1.47f2e8e253b81p-16
+        0x1.b07f720296e2fp-18 -0x1.b46a9f465b5b3p-21 0x1.4cd976042e6e1p-14 -0x1.631a8d58d24d1p-11
+        0x1.039c19e99a73fp-18 0x1.b07f720296e2fp-18 0x1.f90f789400f51p-19 -0x1.f339be7df7fcdp-23
+        0x1.8170d1f49748bp-15 -0x1.58a7e3284c454p-12 -0x1.1069fdaec6a87p-19 -0x1.b46a9f465b5b1p-21
+        -0x1.f339be7df7fcdp-23 0x1.071d36f1f839ep-24 -0x1.8104a0d881156p-20 0x1.2c17b71166e07p-13
+        -0x1.114b970a77aeep-12 0x1.4cd976042e6e6p-14 0x1.8170d1f49748fp-15 -0x1.8104a0d88115ap-20
+        0x1.3ca179f35a456p-7 -0x1.f74c322f5bcc9p-10 -0x1.b7be97643cf43p-10 -0x1.631a8d58d24c4p-11
+        -0x1.58a7e3284c452p-12 0x1.2c17b71166e05p-13 -0x1.f74c322f5bccdp-10 0x1.4e77771b35c2bp+0
+        0x1.139dc5462f5fdp+11 0x1.fa13e989a26e2p+10 0x1.f4499daf3c830p+10 0x1.f43b8b0354f1ep+10
+        0x1.f43b85c91d167p+10 0x1.f43b85c65e4bep+10 0x1.f43b85c65cc5fp+10 0x1.f43b85c65cc52p+10
+        0x1.f43b85c65cc52p+10 0x1.f43b85c65cc4fp+10
+    """,
+    "Haswell": """
+        0x1.39c9ddd896d12p+2 0x1.4c773dd10e4bap-4 -0x1.1938bef1881fdp+0 0x1.b6bbfc02dbc94p-1
+        0x1.4765231c03cd7p-4 0x1.47c60315c6a94p-8 0x1.59142cec425c1p-5 0x1.766419565ea16p+10
+        0x1.916d4dc6388b8p-13 0x1.11ad63f2a1d32p-15 0x1.039c19e99a71fp-18 -0x1.1069fdaec6a75p-19
+        -0x1.114b970a77afap-12 -0x1.b7be97643cf08p-10 0x1.11ad63f2a1d2fp-15 0x1.47f2e8e253b75p-16
+        0x1.b07f720296e1fp-18 -0x1.b46a9f465b594p-21 0x1.4cd976042e6cbp-14 -0x1.631a8d58d24a5p-11
+        0x1.039c19e99a727p-18 0x1.b07f720296e21p-18 0x1.f90f789400f47p-19 -0x1.f339be7df7facp-23
+        0x1.8170d1f49747cp-15 -0x1.58a7e3284c446p-12 -0x1.1069fdaec6a7dp-19 -0x1.b46a9f465b597p-21
+        -0x1.f339be7df7faap-23 0x1.071d36f1f838fp-24 -0x1.8104a0d881108p-20 0x1.2c17b71166dfep-13
+        -0x1.114b970a77af8p-12 0x1.4cd976042e6d1p-14 0x1.8170d1f497481p-15 -0x1.8104a0d88111bp-20
+        0x1.3ca179f35a455p-7 -0x1.f74c322f5bcc6p-10 -0x1.b7be97643cf29p-10 -0x1.631a8d58d24a5p-11
+        -0x1.58a7e3284c43fp-12 0x1.2c17b71166dffp-13 -0x1.f74c322f5bc86p-10 0x1.4e77771b35c2bp+0
+        0x1.139dc5462f5fdp+11 0x1.fa13e989a26e2p+10 0x1.f4499daf3c830p+10 0x1.f43b8b0354f1ep+10
+        0x1.f43b85c91d167p+10 0x1.f43b85c65e4bep+10 0x1.f43b85c65cc5fp+10 0x1.f43b85c65cc52p+10
+        0x1.f43b85c65cc52p+10 0x1.f43b85c65cc4fp+10
+    """,
+    "Sandybridge": """
+        0x1.39c9ddd896d11p+2 0x1.4c773dd10e4bap-4 -0x1.1938bef1881fdp+0 0x1.b6bbfc02dbc94p-1
+        0x1.4765231c03cd7p-4 0x1.47c60315c6a93p-8 0x1.59142cec42606p-5 0x1.766419565ea16p+10
+        0x1.916d4dc6388c0p-13 0x1.11ad63f2a1d48p-15 0x1.039c19e99a756p-18 -0x1.1069fdaec6a87p-19
+        -0x1.114b970a77ae9p-12 -0x1.b7be97643cf5ap-10 0x1.11ad63f2a1d42p-15 0x1.47f2e8e253b86p-16
+        0x1.b07f720296e32p-18 -0x1.b46a9f465b5b2p-21 0x1.4cd976042e6d4p-14 -0x1.631a8d58d24d2p-11
+        0x1.039c19e99a750p-18 0x1.b07f720296e35p-18 0x1.f90f789400f52p-19 -0x1.f339be7df7fccp-23
+        0x1.8170d1f49747fp-15 -0x1.58a7e3284c45fp-12 -0x1.1069fdaec6a8cp-19 -0x1.b46a9f465b5b3p-21
+        -0x1.f339be7df7fcap-23 0x1.071d36f1f839bp-24 -0x1.8104a0d881130p-20 0x1.2c17b71166e07p-13
+        -0x1.114b970a77aebp-12 0x1.4cd976042e6d3p-14 0x1.8170d1f49747cp-15 -0x1.8104a0d88112cp-20
+        0x1.3ca179f35a453p-7 -0x1.f74c322f5bcc3p-10 -0x1.b7be97643cf4ep-10 -0x1.631a8d58d24c2p-11
+        -0x1.58a7e3284c450p-12 0x1.2c17b71166e04p-13 -0x1.f74c322f5bca4p-10 0x1.4e77771b35c2cp+0
+        0x1.139dc5462f5fdp+11 0x1.fa13e989a26dbp+10 0x1.f4499daf3c830p+10 0x1.f43b8b0354f1ep+10
+        0x1.f43b85c91d167p+10 0x1.f43b85c65e4bep+10 0x1.f43b85c65cc60p+10 0x1.f43b85c65cc52p+10
+        0x1.f43b85c65cc52p+10 0x1.f43b85c65cc4fp+10
+    """,
+    "Nehalem": """
+        0x1.39c9ddd896d12p+2 0x1.4c773dd10e4bap-4 -0x1.1938bef1881fdp+0 0x1.b6bbfc02dbc94p-1
+        0x1.4765231c03cd6p-4 0x1.47c60315c6a94p-8 0x1.59142cec425dcp-5 0x1.766419565ea16p+10
+        0x1.916d4dc6388b8p-13 0x1.11ad63f2a1d44p-15 0x1.039c19e99a768p-18 -0x1.1069fdaec6a8bp-19
+        -0x1.114b970a77aecp-12 -0x1.b7be97643cf4ap-10 0x1.11ad63f2a1d42p-15 0x1.47f2e8e253b89p-16
+        0x1.b07f720296e35p-18 -0x1.b46a9f465b5b5p-21 0x1.4cd976042e6d8p-14 -0x1.631a8d58d24c4p-11
+        0x1.039c19e99a759p-18 0x1.b07f720296e3ap-18 0x1.f90f789400f54p-19 -0x1.f339be7df7fd2p-23
+        0x1.8170d1f497481p-15 -0x1.58a7e3284c453p-12 -0x1.1069fdaec6a89p-19 -0x1.b46a9f465b5b4p-21
+        -0x1.f339be7df7fcbp-23 0x1.071d36f1f839ap-24 -0x1.8104a0d88113ap-20 0x1.2c17b71166e02p-13
+        -0x1.114b970a77ae9p-12 0x1.4cd976042e6dcp-14 0x1.8170d1f497483p-15 -0x1.8104a0d881144p-20
+        0x1.3ca179f35a454p-7 -0x1.f74c322f5bc8ep-10 -0x1.b7be97643cf39p-10 -0x1.631a8d58d24bdp-11
+        -0x1.58a7e3284c44dp-12 0x1.2c17b71166e00p-13 -0x1.f74c322f5bcc0p-10 0x1.4e77771b35c28p+0
+        0x1.139dc5462f5fdp+11 0x1.fa13e989a26e4p+10 0x1.f4499daf3c82fp+10 0x1.f43b8b0354f1ep+10
+        0x1.f43b85c91d167p+10 0x1.f43b85c65e4bep+10 0x1.f43b85c65cc5fp+10 0x1.f43b85c65cc51p+10
+        0x1.f43b85c65cc51p+10 0x1.f43b85c65cc4fp+10
+    """,
+    "Prescott": """
+        0x1.39c9ddd896d11p+2 0x1.4c773dd10e4bap-4 -0x1.1938bef1881fdp+0 0x1.b6bbfc02dbc94p-1
+        0x1.4765231c03cd7p-4 0x1.47c60315c6a93p-8 0x1.59142cec42609p-5 0x1.766419565ea16p+10
+        0x1.916d4dc6388bdp-13 0x1.11ad63f2a1d35p-15 0x1.039c19e99a747p-18 -0x1.1069fdaec6a87p-19
+        -0x1.114b970a77aefp-12 -0x1.b7be97643cf90p-10 0x1.11ad63f2a1d39p-15 0x1.47f2e8e253b7cp-16
+        0x1.b07f720296e28p-18 -0x1.b46a9f465b5a7p-21 0x1.4cd976042e6cap-14 -0x1.631a8d58d24e3p-11
+        0x1.039c19e99a73ap-18 0x1.b07f720296e28p-18 0x1.f90f789400f4ep-19 -0x1.f339be7df7fbfp-23
+        0x1.8170d1f49747bp-15 -0x1.58a7e3284c467p-12 -0x1.1069fdaec6a89p-19 -0x1.b46a9f465b5a7p-21
+        -0x1.f339be7df7fc0p-23 0x1.071d36f1f8399p-24 -0x1.8104a0d881114p-20 0x1.2c17b71166e0ep-13
+        -0x1.114b970a77aefp-12 0x1.4cd976042e6ccp-14 0x1.8170d1f49747ap-15 -0x1.8104a0d881118p-20
+        0x1.3ca179f35a451p-7 -0x1.f74c322f5bca7p-10 -0x1.b7be97643cf6ep-10 -0x1.631a8d58d24d8p-11
+        -0x1.58a7e3284c45fp-12 0x1.2c17b71166e0bp-13 -0x1.f74c322f5bca2p-10 0x1.4e77771b35c2fp+0
+        0x1.139dc5462f5fdp+11 0x1.fa13e989a26d8p+10 0x1.f4499daf3c830p+10 0x1.f43b8b0354f1ep+10
+        0x1.f43b85c91d166p+10 0x1.f43b85c65e4bep+10 0x1.f43b85c65cc60p+10 0x1.f43b85c65cc52p+10
+        0x1.f43b85c65cc52p+10 0x1.f43b85c65cc4fp+10
+    """,
+}
+
+
+def test_poisson_refits_keep_their_bits():
+    ds = synthlab.generate(synthlab.preset("lifetime_4k", seed=7))
+    problem = fitkit.FitProblem(model_id="exponential_decay", x=ds.x, y=ds.y)
+    sigma = fitkit.bootstrap_uncertainty(problem, fitkit.fit(problem), n_resamples=200, seed=7)
+    ds = synthlab.generate(synthlab.preset("g2_dip", seed=7))
+    g2 = fitkit.fit(fitkit.FitProblem(model_id="g2_three_level", x=ds.x, y=ds.y))
+    values = [*sigma.tolist(), *g2.params.tolist(), *g2.covariance.ravel().tolist(),
+              *g2.cost_trace]
+    assert [v.hex() for v in values] in [pins.split() for pins in _REFIT_PINS.values()]
+
+
 def test_termination_names_why_the_loop_stopped(monkeypatch):
     x, y = _lorentzian_data(noise_sigma=5.0, seed=3)
     problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y)

@@ -229,3 +229,49 @@ def test_lorentzian_equals_its_plain_expressions_bit_for_bit():
             assert _same_bits(model.fn(x, p), _lorentzian_oracle(x, p)), (x, p)
             assert _same_bits(model.jac(x, p), _lorentzian_jac_oracle(x, p)), (x, p)
             assert x.tobytes() == before
+
+
+def _decay_oracle(t, p):
+    # the registry's exponential decay as plain expressions
+    amplitude, tau = models._columns(p)
+    return amplitude * np.exp(-t / tau)
+
+
+def _decay_jac_oracle(t, p):
+    amplitude, tau = models._columns(p)
+    e = np.exp(-t / tau)
+    J = np.empty(e.shape + (2,))
+    J[..., 0] = e
+    J[..., 1] = amplitude * t / (tau * tau) * e
+    return J
+
+
+def test_exponential_decay_equals_its_plain_expressions_bit_for_bit():
+    # fn works in one output array and jac writes each column once; the
+    # values, their types (a 0-d t gives a numpy scalar) and the NaN bits
+    # are those of the plain expressions, and t is only read (that a batch's
+    # rows are the 1-D evaluations is test_batch_rows_equal_single_evaluations)
+    model = models.MODELS["exponential_decay"]
+    rng = np.random.Generator(np.random.Philox(29))
+    row = rng.uniform(0.0, 100.0, 64)
+    rows = rng.uniform(0.0, 100.0, (5, 64))
+    stack = np.column_stack([rng.uniform(10.0, 1000.0, 5), rng.uniform(2.0, 40.0, 5)])
+    cases = [(row, stack[0]), (rows, stack), (rows, stack[1]), (row, stack)]
+    # a zero, negative or non-finite value in each parameter, of a vector
+    # and of one row
+    for value in (0.0, -3.0, np.nan, np.inf, -np.inf):
+        for i in range(2):
+            p = stack[0].copy()
+            p[i] = value
+            batch = stack.copy()
+            batch[2, i] = value
+            cases += [(row, p), (rows, batch)]
+    cases += [(np.float64(v), stack[0]) for v in (0.0, 7.5, -1.0, rng.uniform(0.0, 100.0))]
+    with np.errstate(all="ignore"):
+        for t, p in cases:
+            t = np.array(t)
+            t.flags.writeable = False
+            before = t.tobytes()
+            assert _same_bits(model.fn(t, p), _decay_oracle(t, p)), (t, p)
+            assert _same_bits(model.jac(t, p), _decay_jac_oracle(t, p)), (t, p)
+            assert t.tobytes() == before
