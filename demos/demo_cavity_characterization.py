@@ -24,7 +24,7 @@ def main():
         finesse=finesse, m_det=12, lambda_c_nm=618.5,
     )
     print("derived figures of merit:")
-    for key, value in figures.as_dict().items():
+    for key, value in figures.items():
         print(f"  {key:26s} {value:12.4g}")
     print("  (both quality-factor routes reported; they differ whenever the\n"
           "   finesse and the linewidth were measured independently)")

@@ -19,7 +19,7 @@ from cavitylab.optics import CavityGeometry
 def main():
     geom = CavityGeometry(roc_x_um=24.0, roc_y_um=24.0, l_eff_um=3.75)
 
-    budget = cqed.budget_report(
+    steps = cqed.budget_report(
         tau0_ns=21.7,          # free-space lifetime
         tau_p_ns=12.2,         # cavity-modified lifetime at base temperature
         quantum_efficiency=0.8,
@@ -30,19 +30,20 @@ def main():
         q_ideal=56400.0,       # m_det * finesse route
         kappa_exp_ghz=160.0,   # vibration-broadened effective linewidth
     )
+    budget = {step["name"]: step["value"] for step in steps}
     print("Purcell budget (C line):")
-    for step in budget.steps():
+    for step in steps:
         print(f"  {step['name']:18s} {step['value']:10.4g}   {step['formula_ref']}")
-    print(f"\n  the {budget.f_cav_ideal:.0f}x ideal enhancement degrades to "
-          f"{budget.f_vib:.1f}x under vibrations; the measured "
-          f"{budget.f_measured:.2f}x becomes {budget.f_zpl:.2f}x once "
+    print(f"\n  the {budget['f_cav_ideal']:.0f}x ideal enhancement degrades to "
+          f"{budget['f_vib']:.1f}x under vibrations; the measured "
+          f"{budget['f_measured']:.2f}x becomes {budget['f_zpl']:.2f}x once "
           "restricted to the zero-phonon channel, leaving a dipole "
-          f"alignment ratio of {budget.alignment:.2f}")
+          f"alignment ratio of {budget['alignment']:.2f}")
 
     out = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "purcell_budget.json"
-    dataio.export_report(dataio.make_report(steps=budget.steps()), report_path)
+    dataio.export_report(dataio.make_report(steps=steps), report_path)
     print(f"  full chain written to {report_path}\n")
 
     print("coupling regimes as the emitter line narrows with temperature:")
@@ -62,7 +63,7 @@ def main():
     q_exp = cqed.q_from_linewidth(618.5, 160.0)
     for lam in (617.5, 618.2, 618.5, 618.8, 619.5):
         f = cqed.detuned_purcell(
-            lam, 618.5, q_exp, budget.f_vib, alignment_sq=budget.alignment
+            lam, 618.5, q_exp, budget["f_vib"], alignment_sq=budget["alignment"]
         )
         print(f"  lambda = {lam:6.1f} nm -> enhancement {f:5.2f}")
 

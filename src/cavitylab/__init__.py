@@ -14,21 +14,19 @@ cli           Batch command-line pipelines (dispersion, fit, purcell-budget).
 __version__ = "0.1.0"
 
 from . import cqed, dataio, fitkit, models, optics, photophysics, synthlab
-from .cqed import CouplingRates, PurcellBudget
+from .cqed import CouplingRates
 from .dataio import ScanTrace, SpectralMap, Spectrum, TimeHistogram
 from .fitkit import FitProblem, FitResult
-from .optics import CavityFigures, CavityGeometry, ModeResonance
+from .optics import CavityGeometry, ModeResonance
 from .synthlab import GeneratorSpec
 
 __all__ = [
-    "CavityFigures",
     "CavityGeometry",
     "CouplingRates",
     "FitProblem",
     "FitResult",
     "GeneratorSpec",
     "ModeResonance",
-    "PurcellBudget",
     "ScanTrace",
     "SpectralMap",
     "Spectrum",

@@ -261,11 +261,10 @@ def cmd_fit(args) -> int:
 
 def cmd_purcell_budget(args) -> int:
     """Write the Purcell budget JSON for the given emitter/cavity inputs."""
-    out = _out_dir(args)
     geom = optics.CavityGeometry(
         *_radii(args), l_eff_um=args.l_eff, refractive_index=args.refractive_index
     )
-    budget = cqed.budget_report(
+    steps = cqed.budget_report(
         tau0_ns=args.tau0,
         tau_p_ns=args.tau_p,
         quantum_efficiency=args.qe,
@@ -280,12 +279,8 @@ def cmd_purcell_budget(args) -> int:
         q_exp=args.q_exp,
         f_fp=args.f_fp,
     )
-    report = dataio.make_report(
-        steps=budget.steps(),
-        inputs=[],
-    )
-    report_path = out / "purcell_budget.json"
-    dataio.export_report(report, report_path)
+    report_path = _out_dir(args) / "purcell_budget.json"
+    dataio.export_report(dataio.make_report(steps=steps), report_path)
     print(f"wrote {report_path}")
     return EXIT_OK
 

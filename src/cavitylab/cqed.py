@@ -6,6 +6,9 @@ properties from :mod:`cavitylab.photophysics` into one audited chain:
     f_cav_ideal -> spatially corrected -> vibration limited
     f_measured  -> epsilon corrected  -> alignment factor
 
+:func:`budget_report` returns that chain as the report's step list, each
+step with its value, formula and inputs.
+
 Conventions: the vibration-limited ceiling uses the quality factor implied
 by the effective (vibration-broadened) linewidth, q_vib = nu_c / kappa_exp,
 and includes the spatial penalty of the emitter position, so the residual
@@ -18,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 from . import models
-from .errors import NonphysicalResultError, ValidationError
+from .errors import ValidationError
 from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth, scalar_roc
 
 __all__ = [
     "CouplingRates",
-    "PurcellBudget",
     "bad_emitter_purcell",
     "budget_report",
     "detuned_purcell",
@@ -197,91 +199,21 @@ def bad_emitter_purcell(rates: CouplingRates) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PurcellBudget:
-    """Audited enhancement chain with every intermediate value.
-
-    Invariants: f_cav_corrected = f_cav_ideal * spatial_factor,
-    f_zpl = f_measured / epsilon, alignment = f_zpl / f_vib, all entries
-    positive. ``alignment_dipole`` is the square-root projection of the
-    alignment ratio, reported as a secondary quantity.
-    """
-
-    f_cav_ideal: float
-    spatial_factor: float
-    f_cav_corrected: float
-    q_used: float
-    q_vib: float
-    f_vib: float
-    f_measured: float
-    epsilon: float
-    f_zpl: float
-    alignment: float
-    alignment_dipole: float
-    f_fp: float = 0.0
-    inhibited: bool = False
-
-    def __post_init__(self):
-        entries = {
-            "f_cav_ideal": self.f_cav_ideal,
-            "spatial_factor": self.spatial_factor,
-            "f_cav_corrected": self.f_cav_corrected,
-            "q_used": self.q_used,
-            "q_vib": self.q_vib,
-            "f_vib": self.f_vib,
-            "f_measured": self.f_measured,
-            "epsilon": self.epsilon,
-            "f_zpl": self.f_zpl,
-            "alignment": self.alignment,
-        }
-        for name, value in entries.items():
-            if not value > 0:
-                raise NonphysicalResultError(f"budget entry {name} must be positive")
-        checks = [
-            ("f_cav_corrected", self.f_cav_corrected, self.f_cav_ideal * self.spatial_factor),
-            ("f_zpl", self.f_zpl, self.f_measured / self.epsilon),
-            ("alignment", self.alignment, self.f_zpl / self.f_vib),
-        ]
-        for name, value, expected in checks:
-            if abs(value - expected) > 1e-9 * abs(expected):
-                raise NonphysicalResultError(
-                    f"budget invariant violated at step {name}: "
-                    f"{value!r} != {expected!r}"
-                )
-
-    def steps(self) -> list[dict]:
-        """Chain steps for the JSON report: {name, value, formula_ref, inputs}."""
-        return [
-            {"name": "f_cav_ideal", "value": self.f_cav_ideal,
-             "formula_ref": "3/(4*pi^2) * (lambda/n)^3 * Q/V",
-             "inputs": {"q_used": self.q_used}},
-            {"name": "spatial_factor", "value": self.spatial_factor,
-             "formula_ref": "(w0/w_L)^2", "inputs": {}},
-            {"name": "f_cav_corrected", "value": self.f_cav_corrected,
-             "formula_ref": "f_cav_ideal * spatial_factor",
-             "inputs": {"f_cav_ideal": self.f_cav_ideal,
-                        "spatial_factor": self.spatial_factor}},
-            {"name": "f_vib", "value": self.f_vib,
-             "formula_ref": "3/(4*pi^2) * (lambda/n)^3 * q_vib/V * spatial_factor",
-             "inputs": {"q_vib": self.q_vib, "spatial_factor": self.spatial_factor}},
-            {"name": "f_measured", "value": self.f_measured,
-             "formula_ref": "tau0 / tau_p", "inputs": {"inhibited": self.inhibited}},
-            {"name": "epsilon", "value": self.epsilon,
-             "formula_ref": "quantum_efficiency * debye_waller * branching",
-             "inputs": {}},
-            {"name": "f_zpl", "value": self.f_zpl,
-             "formula_ref": "f_measured / epsilon",
-             "inputs": {"f_measured": self.f_measured, "epsilon": self.epsilon}},
-            {"name": "alignment", "value": self.alignment,
-             "formula_ref": "f_zpl / f_vib",
-             "inputs": {"f_zpl": self.f_zpl, "f_vib": self.f_vib}},
-            {"name": "alignment_dipole", "value": self.alignment_dipole,
-             "formula_ref": "sqrt(f_zpl / f_vib)",
-             "inputs": {"alignment": self.alignment}},
-            {"name": "f_fp", "value": self.f_fp,
-             "formula_ref": "background term (0 unless fitted from detuning data)",
-             "inputs": {}},
-        ]
+# (name, formula_ref, names of the values the step lists as inputs), in
+# report order; every name is a key of the value map ``budget_report`` builds
+_BUDGET_STEPS = (
+    ("f_cav_ideal", "3/(4*pi^2) * (lambda/n)^3 * Q/V", ("q_used",)),
+    ("spatial_factor", "1 - L/ROC", ()),
+    ("f_cav_corrected", "f_cav_ideal * spatial_factor", ("f_cav_ideal", "spatial_factor")),
+    ("f_vib", "3/(4*pi^2) * (lambda/n)^3 * q_vib/V * spatial_factor",
+     ("q_vib", "spatial_factor")),
+    ("f_measured", "tau0 / tau_p", ("inhibited",)),
+    ("epsilon", "quantum_efficiency * debye_waller * branching", ()),
+    ("f_zpl", "f_measured / epsilon", ("f_measured", "epsilon")),
+    ("alignment", "f_zpl / f_vib", ("f_zpl", "f_vib")),
+    ("alignment_dipole", "sqrt(f_zpl / f_vib)", ("alignment",)),
+    ("f_fp", "background term (0 unless fitted from detuning data)", ()),
+)
 
 
 def budget_report(
@@ -298,46 +230,43 @@ def budget_report(
     kappa_exp_ghz: float | None = None,
     q_exp: float | None = None,
     f_fp: float = 0.0,
-) -> PurcellBudget:
-    """Assemble the full enhancement budget from raw inputs.
+) -> list[dict]:
+    """The enhancement chain as report steps {name, value, formula_ref, inputs}.
 
-    The ideal quality factor comes from ``q_ideal`` directly or from
-    ``m_det * finesse``; the vibration-degraded one from ``q_exp`` directly
-    or from the effective linewidth ``kappa_exp_ghz``. The mode volume is
-    derived from the geometry at ``lambda_c_nm``, the spatial factor from the
-    geometry alone.
+    The ideal quality factor comes from ``q_ideal`` or ``m_det * finesse``,
+    the vibration-degraded one from ``q_exp`` or the effective linewidth
+    ``kappa_exp_ghz``: exactly one source each. The mode volume comes from
+    the geometry at ``lambda_c_nm``, the spatial factor from the geometry
+    alone. ``alignment_dipole``, the square root of the alignment ratio, is
+    a secondary quantity.
     """
     if q_ideal is None:
         if finesse is None or m_det is None:
             raise ValidationError("provide q_ideal or both finesse and m_det")
         q_ideal = m_det * finesse
+    elif finesse is not None or m_det is not None:
+        raise ValidationError("q_ideal and finesse/m_det both give the ideal Q: provide one")
     if q_exp is None:
         if kappa_exp_ghz is None:
             raise ValidationError("provide q_exp or kappa_exp_ghz")
         q_exp = q_from_linewidth(lambda_c_nm, kappa_exp_ghz)
+    elif kappa_exp_ghz is not None:
+        raise ValidationError("q_exp and kappa_exp_ghz both give the degraded Q: provide one")
     volume = mode_volume_lambda3(geom, lambda_c_nm)
     n = geom.refractive_index
-
-    f_cav_ideal = purcell_theoretical(lambda_c_nm, n, q_ideal, volume)
-    spatial = spatial_correction(geom)
-    f_cav_corrected = f_cav_ideal * spatial
-    f_vib = purcell_theoretical(lambda_c_nm, n, q_exp, volume) * spatial
-    f_measured = purcell_measured(tau0_ns, tau_p_ns)
-    epsilon = epsilon_correction(quantum_efficiency, debye_waller, branching)
-    f_zpl = f_measured / epsilon
-    alignment = f_zpl / f_vib
-    return PurcellBudget(
-        f_cav_ideal=f_cav_ideal,
-        spatial_factor=spatial,
-        f_cav_corrected=f_cav_corrected,
-        q_used=q_ideal,
-        q_vib=q_exp,
-        f_vib=f_vib,
-        f_measured=f_measured,
-        epsilon=epsilon,
-        f_zpl=f_zpl,
-        alignment=alignment,
-        alignment_dipole=math.sqrt(alignment),
-        f_fp=f_fp,
-        inhibited=f_measured < 1.0,
-    )
+    v = {"q_used": q_ideal, "q_vib": q_exp, "f_fp": f_fp}
+    v["f_cav_ideal"] = purcell_theoretical(lambda_c_nm, n, q_ideal, volume)
+    v["spatial_factor"] = spatial = spatial_correction(geom)
+    v["f_cav_corrected"] = v["f_cav_ideal"] * spatial
+    v["f_vib"] = purcell_theoretical(lambda_c_nm, n, q_exp, volume) * spatial
+    v["f_measured"] = purcell_measured(tau0_ns, tau_p_ns)
+    v["inhibited"] = v["f_measured"] < 1.0
+    v["epsilon"] = epsilon_correction(quantum_efficiency, debye_waller, branching)
+    v["f_zpl"] = v["f_measured"] / v["epsilon"]
+    v["alignment"] = v["f_zpl"] / v["f_vib"]
+    v["alignment_dipole"] = math.sqrt(v["alignment"])
+    return [
+        {"name": name, "value": v[name], "formula_ref": ref,
+         "inputs": {key: v[key] for key in inputs}}
+        for name, ref, inputs in _BUDGET_STEPS
+    ]

@@ -17,6 +17,7 @@ air gap (n = 1) they equal vacuum wavelengths. The figures of merit
 mode volume) take the vacuum wavelength lambda: nu = c / lambda, the beam
 sizes use lambda / n in the gap, and the mode volume is in units of the
 vacuum lambda^3, as :func:`cavitylab.cqed.purcell_theoretical` expects.
+:func:`cavity_figures` returns them all as one dict keyed by name.
 Internal units: um for lengths, nm for wavelengths, THz for mode
 frequencies, GHz for linewidths.
 """
@@ -41,7 +42,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CavityFigures",
     "CavityGeometry",
     "DoubleResonance",
     "ModeResonance",
@@ -372,45 +372,6 @@ def dispersion_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CavityFigures:
-    """Derived cavity quantities for one (geometry, finesse, mode) setting.
-
-    ``quality_factor`` follows the mode-number route m_det * finesse;
-    ``quality_factor_linewidth`` is the alternative nu/kappa route. The two
-    disagree whenever finesse and linewidth were measured independently, so
-    both are reported and never silently mixed.
-    """
-
-    fsr_thz: float
-    finesse: float
-    kappa_ghz: float
-    quality_factor: float
-    quality_factor_linewidth: float
-    beam_waist_um: float
-    mirror_spot_um: float
-    mode_volume_lambda3: float
-
-    def __post_init__(self):
-        if self.quality_factor <= 0:
-            raise ValidationError("quality factor must be positive")
-        if self.mirror_spot_um < self.beam_waist_um:
-            raise ValidationError("mirror spot cannot be smaller than the waist")
-
-    def as_dict(self) -> dict:
-        return {
-            "fsr_thz": self.fsr_thz,
-            "finesse": self.finesse,
-            "kappa_ghz": self.kappa_ghz,
-            "quality_factor": self.quality_factor,
-            "quality_factor_linewidth": self.quality_factor_linewidth,
-            "quality_factor_ratio": self.quality_factor / self.quality_factor_linewidth,
-            "beam_waist_um": self.beam_waist_um,
-            "mirror_spot_um": self.mirror_spot_um,
-            "mode_volume_lambda3": self.mode_volume_lambda3,
-        }
-
-
 def beam_waist_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """1/e^2 intensity waist radius at the flat mirror (um)."""
     roc_um = scalar_roc(geom)
@@ -448,24 +409,33 @@ def cavity_figures(
     finesse: float,
     m_det: int,
     lambda_c_nm: float,
-) -> CavityFigures:
-    """FSR, linewidth, quality factors, beam sizes and mode volume."""
+) -> dict:
+    """FSR, linewidth, quality factors, beam sizes and mode volume by name.
+
+    ``quality_factor`` follows the mode-number route m_det * finesse;
+    ``quality_factor_linewidth`` is the alternative nu/kappa route. The two
+    disagree whenever finesse and linewidth were measured independently, so
+    both are reported, with their ratio, and never silently mixed.
+    """
     if finesse <= 0:
         raise ValidationError("finesse must be positive")
     if m_det < 1:
         raise ValidationError("m_det must be >= 1")
     fsr_thz = C_UM_THZ / (2.0 * geom.refractive_index * geom.l_eff_um)
     kappa_ghz = fsr_thz * 1000.0 / finesse
-    return CavityFigures(
-        fsr_thz=fsr_thz,
-        finesse=finesse,
-        kappa_ghz=kappa_ghz,
-        quality_factor=m_det * finesse,
-        quality_factor_linewidth=q_from_linewidth(lambda_c_nm, kappa_ghz),
-        beam_waist_um=beam_waist_um(geom, lambda_c_nm),
-        mirror_spot_um=mirror_spot_um(geom, lambda_c_nm),
-        mode_volume_lambda3=mode_volume_lambda3(geom, lambda_c_nm),
-    )
+    q = m_det * finesse
+    q_linewidth = q_from_linewidth(lambda_c_nm, kappa_ghz)
+    return {
+        "fsr_thz": fsr_thz,
+        "finesse": finesse,
+        "kappa_ghz": kappa_ghz,
+        "quality_factor": q,
+        "quality_factor_linewidth": q_linewidth,
+        "quality_factor_ratio": q / q_linewidth,
+        "beam_waist_um": beam_waist_um(geom, lambda_c_nm),
+        "mirror_spot_um": mirror_spot_um(geom, lambda_c_nm),
+        "mode_volume_lambda3": mode_volume_lambda3(geom, lambda_c_nm),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,12 @@ def model_grid(model_id):
     if model_id == "detuned_purcell":
         return np.linspace(610.0, 630.0, 801)
     raise ValueError(model_id)
+
+
+def budget_values(steps):
+    """Every value a budget's report steps name: each step's value and inputs."""
+    values = {}
+    for step in steps:
+        values.update(step["inputs"])
+        values[step["name"]] = step["value"]
+    return values

@@ -408,6 +408,23 @@ def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "extra, names",
+    [
+        (["--finesse", "4600", "--m-det", "12"], ("q_ideal", "finesse")),
+        (["--q-exp", "3000"], ("q_exp", "kappa_exp_ghz")),
+    ],
+)
+def test_purcell_budget_refuses_two_sources_of_one_quality_factor(
+    extra, names, tmp_path, capsys
+):
+    argv = ["purcell-budget", *(x for item in _BUDGET_ARGS.items() for x in item), *extra]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+    assert not (tmp_path / "out" / "purcell_budget.json").exists()
+
+
 def test_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CAVITYLAB_OUTDIR", str(tmp_path / "envout"))
     assert run(_dispersion_args(tmp_path / "envout")[:-2]) == 0

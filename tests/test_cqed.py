@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import conftest
 from cavitylab import cqed, fitkit, models, optics, synthlab
 from cavitylab.cqed import (
     CouplingRates,
-    PurcellBudget,
     bad_emitter_purcell,
     budget_report,
     detuned_purcell,
@@ -18,7 +18,7 @@ from cavitylab.cqed import (
     regime_classify,
     spatial_correction,
 )
-from cavitylab.errors import NonphysicalResultError, ValidationError
+from cavitylab.errors import ValidationError
 from cavitylab.optics import CavityGeometry
 
 GEOM = CavityGeometry(24.0, 24.0, 3.75)
@@ -80,12 +80,12 @@ def test_q_from_linewidth_is_the_figures_route_in_a_dielectric_gap():
     geom = CavityGeometry(24.0, 24.0, 3.75, 1.5)
     fig = optics.cavity_figures(geom, finesse=4600.0, m_det=12, lambda_c_nm=618.5)
     assert cqed.q_from_linewidth is optics.q_from_linewidth
-    assert fig.quality_factor_linewidth == q_from_linewidth(618.5, fig.kappa_ghz)
-    assert fig.quality_factor_linewidth == pytest.approx(83670.0, rel=1e-4)
+    assert fig["quality_factor_linewidth"] == q_from_linewidth(618.5, fig["kappa_ghz"])
+    assert fig["quality_factor_linewidth"] == pytest.approx(83670.0, rel=1e-4)
     vacuum = optics.cavity_figures(GEOM, finesse=4600.0, m_det=12, lambda_c_nm=618.5)
-    assert fig.kappa_ghz * 1.5 == pytest.approx(vacuum.kappa_ghz, rel=1e-15)
-    assert fig.quality_factor_linewidth == pytest.approx(1.5 * vacuum.quality_factor_linewidth,
-                                                         rel=1e-15)
+    assert fig["kappa_ghz"] * 1.5 == pytest.approx(vacuum["kappa_ghz"], rel=1e-15)
+    assert fig["quality_factor_linewidth"] == pytest.approx(
+        1.5 * vacuum["quality_factor_linewidth"], rel=1e-15)
 
 
 def test_spatial_correction_short_cavity_limit():
@@ -187,7 +187,7 @@ def test_bad_emitter_bound_property():
 # ---------------------------------------------------------------------------
 
 
-def _paper_budget(**overrides):
+def _paper_steps(**overrides):
     kwargs = dict(
         tau0_ns=21.7,
         tau_p_ns=12.2,
@@ -203,28 +203,32 @@ def _paper_budget(**overrides):
     return budget_report(**kwargs)
 
 
+def _paper_budget(**overrides):
+    return conftest.budget_values(_paper_steps(**overrides))
+
+
 def test_budget_chain_values():
     b = _paper_budget()
-    assert b.f_cav_ideal == pytest.approx(200.7, abs=1.0)
-    assert b.spatial_factor == pytest.approx(0.84375, rel=1e-9)
-    assert b.f_cav_corrected == pytest.approx(b.f_cav_ideal * b.spatial_factor)
-    assert b.f_measured == pytest.approx(1.7787, abs=1e-3)
-    assert b.epsilon == pytest.approx(0.3584, rel=1e-9)
-    assert b.f_zpl == pytest.approx(4.963, abs=0.01)
-    assert 8.0 < b.f_vib < 12.0
-    assert b.alignment == pytest.approx(b.f_zpl / b.f_vib, rel=1e-12)
-    assert b.alignment_dipole == pytest.approx(math.sqrt(b.alignment), rel=1e-12)
-    assert not b.inhibited
+    assert b["f_cav_ideal"] == pytest.approx(200.7, abs=1.0)
+    assert b["spatial_factor"] == pytest.approx(0.84375, rel=1e-9)
+    assert b["f_cav_corrected"] == pytest.approx(b["f_cav_ideal"] * b["spatial_factor"])
+    assert b["f_measured"] == pytest.approx(1.7787, abs=1e-3)
+    assert b["epsilon"] == pytest.approx(0.3584, rel=1e-9)
+    assert b["f_zpl"] == pytest.approx(4.963, abs=0.01)
+    assert 8.0 < b["f_vib"] < 12.0
+    assert b["alignment"] == pytest.approx(b["f_zpl"] / b["f_vib"], rel=1e-12)
+    assert b["alignment_dipole"] == pytest.approx(math.sqrt(b["alignment"]), rel=1e-12)
+    assert not b["inhibited"]
 
 
 def test_budget_d_transition_chain():
     b = _paper_budget(
         tau_p_ns=13.1, branching=1.0, lambda_c_nm=620.22, kappa_exp_ghz=120.0
     )
-    assert b.epsilon == pytest.approx(0.448, rel=1e-9)
-    assert b.f_zpl == pytest.approx(3.70, abs=0.03)
-    assert b.f_vib == pytest.approx(12.2, abs=0.5)  # the quoted ceiling of 12
-    assert b.alignment == pytest.approx(0.31, abs=0.02)  # quoted 31%
+    assert b["epsilon"] == pytest.approx(0.448, rel=1e-9)
+    assert b["f_zpl"] == pytest.approx(3.70, abs=0.03)
+    assert b["f_vib"] == pytest.approx(12.2, abs=0.5)  # the quoted ceiling of 12
+    assert b["alignment"] == pytest.approx(0.31, abs=0.02)  # quoted 31%
 
 
 def test_budget_identity_inputs():
@@ -234,7 +238,7 @@ def test_budget_identity_inputs():
     w0 = optics.beam_waist_um(geom, 618.5)
     volume = math.pi * w0**2 * geom.l_eff_um / 4.0 / (0.6185**3)
     q_unit = 4.0 * math.pi**2 * volume / 3.0
-    b = budget_report(
+    b = conftest.budget_values(budget_report(
         tau0_ns=10.0,
         tau_p_ns=10.0,
         quantum_efficiency=1.0,
@@ -243,12 +247,12 @@ def test_budget_identity_inputs():
         lambda_c_nm=618.5,
         q_ideal=q_unit,
         q_exp=q_unit,
-    )
-    for value in (
-        b.f_cav_ideal, b.spatial_factor, b.f_cav_corrected, b.f_vib,
-        b.f_measured, b.epsilon, b.f_zpl, b.alignment,
+    ))
+    for name in (
+        "f_cav_ideal", "spatial_factor", "f_cav_corrected", "f_vib",
+        "f_measured", "epsilon", "f_zpl", "alignment",
     ):
-        assert value == pytest.approx(1.0, abs=2e-3)
+        assert b[name] == pytest.approx(1.0, abs=2e-3)
 
 
 def test_budget_invariants_on_random_inputs():
@@ -256,7 +260,7 @@ def test_budget_invariants_on_random_inputs():
     for _ in range(100):
         roc = rng.uniform(15.0, 40.0)
         geom = CavityGeometry(roc, roc, rng.uniform(1.0, 0.6 * roc))
-        b = budget_report(
+        b = conftest.budget_values(budget_report(
             tau0_ns=rng.uniform(5.0, 40.0),
             tau_p_ns=rng.uniform(5.0, 40.0),
             quantum_efficiency=rng.uniform(0.2, 1.0),
@@ -266,11 +270,12 @@ def test_budget_invariants_on_random_inputs():
             lambda_c_nm=rng.uniform(550.0, 700.0),
             q_ideal=rng.uniform(1e3, 1e5),
             kappa_exp_ghz=rng.uniform(20.0, 500.0),
-        )
-        assert b.f_cav_corrected == pytest.approx(b.f_cav_ideal * b.spatial_factor)
-        assert b.f_zpl == pytest.approx(b.f_measured / b.epsilon)
-        assert b.alignment == pytest.approx(b.f_zpl / b.f_vib)
-        assert b.inhibited == (b.f_measured < 1.0)
+        ))
+        # each step is that very operation, so the identities hold exactly
+        assert b["f_cav_corrected"] == b["f_cav_ideal"] * b["spatial_factor"]
+        assert b["f_zpl"] == b["f_measured"] / b["epsilon"]
+        assert b["alignment"] == b["f_zpl"] / b["f_vib"]
+        assert b["inhibited"] == (b["f_measured"] < 1.0)
 
 
 def test_budget_requires_q_sources():
@@ -286,21 +291,27 @@ def test_budget_requires_q_sources():
         )
 
 
-def test_budget_invariant_violation_names_step():
-    with pytest.raises(NonphysicalResultError) as err:
-        PurcellBudget(
-            f_cav_ideal=100.0, spatial_factor=0.8, f_cav_corrected=90.0,  # wrong
-            q_used=56400.0, q_vib=3000.0, f_vib=9.0, f_measured=1.78,
-            epsilon=0.36, f_zpl=1.78 / 0.36, alignment=(1.78 / 0.36) / 9.0,
-            alignment_dipole=math.sqrt((1.78 / 0.36) / 9.0),
-        )
-    assert "f_cav_corrected" in str(err.value)
+@pytest.mark.parametrize(
+    "extra, names",
+    [
+        (dict(finesse=4700.0), ("q_ideal", "finesse")),
+        (dict(m_det=12), ("q_ideal", "m_det")),
+        (dict(q_exp=3000.0), ("q_exp", "kappa_exp_ghz")),
+    ],
+)
+def test_budget_refuses_two_sources_of_one_quality_factor(extra, names):
+    # the paper inputs already give q_ideal and kappa_exp_ghz
+    with pytest.raises(ValidationError) as err:
+        _paper_steps(**extra)
+    assert all(name in str(err.value) for name in names)
 
 
 def test_budget_report_steps_schema():
-    steps = _paper_budget().steps()
-    names = [s["name"] for s in steps]
-    assert names.index("f_cav_ideal") < names.index("f_cav_corrected") < names.index("f_vib")
+    steps = _paper_steps()
+    assert [s["name"] for s in steps] == [
+        "f_cav_ideal", "spatial_factor", "f_cav_corrected", "f_vib", "f_measured",
+        "epsilon", "f_zpl", "alignment", "alignment_dipole", "f_fp",
+    ]
     for step in steps:
         assert set(step) == {"name", "value", "formula_ref", "inputs"}
 

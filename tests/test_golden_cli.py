@@ -56,7 +56,7 @@ GOLDEN = {
             "25db2ace5fd01fa9f305e27aef928e1cb2ae3bd835c30352f0211eb19c853a5b",
     },
     _README_BUDGET: {
-        "purcell_budget.json": "a1a226331bbb6536db9834ad95fc0961fbd6ea93d4bb19da54ab8761897aaca4",
+        "purcell_budget.json": "4191087aee9843b256078d2cce0d58f91696a97f21342853b5fa56629d2bc3a4",
     },
     "fit --preset g2_dip --seed 7": {
         "fit_report.json": "9676e37d571fce3ce529cef9ef0e6e65735556dfb55ba08b24113a52ec378de3",

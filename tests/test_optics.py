@@ -215,19 +215,33 @@ def test_dispersion_map_branches():
 
 def test_cavity_figures_summary_values():
     fig = optics.cavity_figures(GEOM, finesse=4700.0, m_det=12, lambda_c_nm=618.5)
-    assert fig.beam_waist_um == pytest.approx(1.31, abs=0.02)
-    assert fig.mode_volume_lambda3 == pytest.approx(21.0, rel=0.05)
-    assert fig.quality_factor == pytest.approx(56400.0)
-    assert fig.mirror_spot_um >= fig.beam_waist_um
-    assert fig.kappa_ghz * fig.finesse == pytest.approx(fig.fsr_thz * 1000.0, rel=1e-12)
+    assert fig["beam_waist_um"] == pytest.approx(1.31, abs=0.02)
+    assert fig["mode_volume_lambda3"] == pytest.approx(21.0, rel=0.05)
+    assert fig["quality_factor"] == pytest.approx(56400.0)
+    assert fig["mirror_spot_um"] >= fig["beam_waist_um"]
+    assert fig["kappa_ghz"] * fig["finesse"] == pytest.approx(fig["fsr_thz"] * 1000.0, rel=1e-12)
 
 
 def test_quality_factor_routes_disagree_and_both_reported():
     fig = optics.cavity_figures(GEOM, finesse=4700.0, m_det=12, lambda_c_nm=618.5)
-    assert fig.quality_factor != pytest.approx(fig.quality_factor_linewidth, rel=0.01)
-    report = fig.as_dict()
-    assert "quality_factor_linewidth" in report
-    assert report["quality_factor_ratio"] > 0
+    assert fig["quality_factor"] != pytest.approx(fig["quality_factor_linewidth"], rel=0.01)
+    assert fig["quality_factor_ratio"] > 0
+
+
+def test_cavity_figures_values_are_pinned_bit_for_bit():
+    # the values of `CavityFigures.as_dict()` at 1e6490e, the record this dict replaced
+    fig = optics.cavity_figures(GEOM, finesse=4700.0, m_det=12, lambda_c_nm=618.5)
+    assert {key: value.hex() for key, value in fig.items()} == {
+        "fsr_thz": "0x1.3fc753c33d48bp+5",
+        "finesse": "0x1.25c0000000000p+12",
+        "kappa_ghz": "0x1.1026eab10e077p+3",
+        "quality_factor": "0x1.b8a0000000000p+15",
+        "quality_factor_linewidth": "0x1.bd4172dbc8895p+15",
+        "quality_factor_ratio": "0x1.faacd9e83e428p-1",
+        "beam_waist_um": "0x1.4f4fd8154e6d3p+0",
+        "mirror_spot_um": "0x1.6d0a95e96b091p+0",
+        "mode_volume_lambda3": "0x1.55b2326a1f446p+4",
+    }
 
 
 def test_waists_match_abcd_oracle():
