@@ -41,7 +41,8 @@ def main():
         ("lifetime_4k", 12.2), ("lifetime_40k", 15.8), ("lifetime_100k", 21.0),
     ]:
         decay = synthlab.generate(synthlab.preset(name, seed=3))
-        tau, sigma = photophysics.pulsed_lifetime_fit(decay.record())
+        lifetime = photophysics.pulsed_lifetime_fit(decay.record())
+        tau, sigma = lifetime.params[1], lifetime.sigmas[1]
         print(f"  {name:14s} tau = ({tau:5.2f} +- {sigma:4.2f}) ns "
               f"(truth {tau_true})")
 

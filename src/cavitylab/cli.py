@@ -39,9 +39,7 @@ def _out_dir(args) -> Path:
     out = args.out or os.environ.get("CAVITYLAB_OUTDIR")
     if not out:
         raise ValidationError("no output directory: pass --out or set CAVITYLAB_OUTDIR")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 def _radii(args) -> tuple[float, float]:
@@ -141,17 +139,10 @@ def cmd_dispersion(args) -> int:
         [("geometric", "")] if args.roc_mode == "geometric" else [("x", "_x"), ("y", "_y")]
     )
     radii = _radii(args)
-    l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
-    m_values = optics.mode_indices(
-        (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
-    )
-    orders = args.transverse_orders
-
-    # an axis that repeats an earlier (radius, orders) reuses that map and its candidates
-    built = {}
-    reports = []
-    for roc_mode, suffix in roc_modes:
-        roc_um = optics.scalar_roc(radii, roc_mode)
+    # every axis's (radius, orders), checked before anything is built or written
+    keys = []
+    for roc_mode, _ in roc_modes:
+        roc_um, orders = optics.scalar_roc(radii, roc_mode), tuple(args.transverse_orders)
         if args.gouy == "off":
             # plane-wave resonances are the flat-mirror limit, fundamental only
             roc_um, orders = math.inf, (0,)
@@ -159,13 +150,24 @@ def cmd_dispersion(args) -> int:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
+        keys.append((roc_um, orders))
+    l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
+    m_values = optics.mode_indices(
+        (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
+    )
+
+    # an axis that repeats an earlier (radius, orders) reuses that map and its candidates
+    built = {}
+    reports = []
+    for (roc_mode, suffix), key in zip(roc_modes, keys):
+        roc_um, orders = key
         map_path = out / f"dispersion_map{suffix}.csv"
-        key = (roc_um, tuple(orders))
         if key in built:
             first_path, candidates = built[key]
             shutil.copyfile(first_path, map_path)
         else:
             rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
+            out.mkdir(parents=True, exist_ok=True)
             # lengths and wavelengths as %.9g, the integral m and q as integers
             dataio._write_csv(map_path, "l_eff_um,wavelength_nm,mode_m,transverse_order",
                               [rows[:, :2], rows[:, 2:]], fixed=(0,))
@@ -217,8 +219,6 @@ def cmd_fit(args) -> int:
         ds = synthlab.generate(spec)
         x, y = ds.x, ds.y
         model_id = args.model or spec.model_id
-        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
-        inputs.append(dataio.digest_file(csv_path))
     else:
         if not args.model:
             raise ValidationError("--model is required with --input")
@@ -238,6 +238,9 @@ def cmd_fit(args) -> int:
             x, y = record[0].axis, record[0].signal
 
     problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
+    if args.preset:  # written once the problem is accepted
+        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
+        inputs.append(dataio.digest_file(csv_path))
     result = fitkit.fit(problem)
     if not result.converged:
         raise NumericalError(

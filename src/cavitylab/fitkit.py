@@ -294,8 +294,9 @@ def _normal_equations(model, x, w, p, r=None):
 
 
 def _row_dots(r: np.ndarray) -> np.ndarray:
-    # each row's r @ r, by the same dot product as the 1-D call
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    # each row's r @ r, summed by numpy over that row alone: a stacked BLAS
+    # product's bits can depend on the rows beside it (batch = solo)
+    return np.add.reduce(r * r, axis=1)
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray):

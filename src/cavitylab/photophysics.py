@@ -5,8 +5,8 @@ curves and pulsed-lifetime decays, extrapolates the fitted decay rate to
 zero excitation power, and keeps the level-structure bookkeeping (line
 splitting and the zero-phonon-line emission fraction). The model shapes,
 start values, bounds and derived outputs (g2 at zero delay) live in the
-``models`` registry; the g2 and saturation pipelines return the engine's
-``FitResult`` as it is.
+``models`` registry; the g2, saturation and lifetime pipelines return the
+engine's ``FitResult`` as it is.
 """
 
 from __future__ import annotations
@@ -72,35 +72,23 @@ def decay_rate_extrapolation(points, sigmas=None):
     return float(tau), float(tau_sigma), float(slope), result.covariance
 
 
-def pulsed_lifetime_fit(hist: TimeHistogram, window=None):
+def pulsed_lifetime_fit(hist: TimeHistogram) -> fitkit.FitResult:
     """Single-exponential lifetime from a pulsed-decay histogram.
 
-    Fits ``exponential_decay`` to the bins in the window by the Poisson
-    likelihood of the registered model. The default window starts one bin
-    after the histogram maximum (the pulse edge) and ends at the last bin
-    with at least 5 counts. The model's start refuses a window that is not
-    decaying (``FitQualityError``).
-
-    Returns
-    -------
-    (tau_ns, tau_sigma_ns)
+    Fits the registered ``exponential_decay`` model to every bin by its
+    Poisson likelihood (Cash 1979), zero- and low-count tail bins included:
+    the problem that ``cavitylab fit --schema histogram --model
+    exponential_decay`` builds, with the same bits. ``result.params[1]`` and
+    ``result.sigmas[1]`` are tau and its sigma in ns; ``termination`` says
+    whether the fit converged. The caller cuts a histogram with an
+    instrument-response rise to its decaying tail; the model's start refuses
+    counts that do not decay (``FitQualityError``).
     """
-    t = hist.bin_centers_ns
-    counts = hist.counts.astype(float)
-    if window is None:
-        start = int(np.argmax(counts)) + 1
-        bright = np.nonzero(counts >= 5)[0]
-        end = int(bright[-1]) if bright.size else t.size - 1
-        window = (t[min(start, t.size - 1)], t[max(end, min(start, t.size - 1))])
-    lo, hi = float(window[0]), float(window[1])
-    if lo < t[0] - hist.bin_width_ns / 2 or hi > t[-1] + hist.bin_width_ns / 2:
-        raise ValidationError("window must lie within the histogram support")
-    mask = (t >= lo) & (t <= hi)
-    tt, cc = t[mask], counts[mask]
-    if np.count_nonzero(cc) < 10:
-        raise InsufficientDataError("need at least 10 bins with counts in the window")
-    result = fitkit.fit(fitkit.FitProblem(model_id="exponential_decay", x=tt, y=cc))
-    return float(result.params[1]), float(result.sigmas[1])
+    if np.count_nonzero(hist.counts) < 10:
+        raise InsufficientDataError("need at least 10 bins with counts")
+    return fitkit.fit(
+        fitkit.FitProblem(model_id="exponential_decay", x=hist.bin_centers_ns, y=hist.counts)
+    )
 
 
 # ---------------------------------------------------------------------------

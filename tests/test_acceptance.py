@@ -201,7 +201,7 @@ def test_criterion_6_fit_roundtrips_at_paper_statistics():
         hits = 0
         for seed in range(100):
             ds = synthlab.generate(synthlab.preset(name, seed=seed))
-            est, _ = photophysics.pulsed_lifetime_fit(ds.record())
+            est = photophysics.pulsed_lifetime_fit(ds.record()).params[1]
             hits += abs(est - tau) <= band
         lifetime_hits[name] = hits
 

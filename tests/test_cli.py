@@ -335,6 +335,30 @@ def test_fit_refuses_schema_with_preset(tmp_path, capsys):
     assert not out.exists()
 
 
+_DISPERSION = ["dispersion", "--lambda-exc", "533.3", "--lambda-det", "618.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_DISPERSION + ["--roc", "24", "--l-min", "2", "--l-max", "25"], "unstable geometry"),
+    # the x axis is stable: its map must not be written before y is refused
+    (_DISPERSION + ["--roc-x", "30", "--roc-y", "5", "--roc-mode", "per-axis",
+                    "--l-min", "2", "--l-max", "6"], "ROC (5.0 um)"),
+    (["fit", "--input", "nowhere.csv", "--schema", "spectrum", "--model", "lorentzian"],
+     "nowhere.csv"),
+    (["fit", "--input", "nowhere.csv", "--model", "lorentzian"], "--schema"),
+    # a preset whose counts a Poisson model refuses: no preset CSV either
+    (["fit", "--preset", "saturation_100k", "--seed", "8", "--model", "exponential_decay"],
+     "negative count"),
+])
+def test_a_refused_command_leaves_no_output_directory(argv, message, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_purcell_budget_paper_inputs(tmp_path):
     code = run(
         [

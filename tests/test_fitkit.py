@@ -633,6 +633,42 @@ def test_bootstrap_requires_convergence():
         fitkit.bootstrap_uncertainty(problem, bad, n_resamples=10)
 
 
+@pytest.mark.parametrize("model_id", ["detuned_purcell", "gaussian", "lorentzian", "linear",
+                                      "saturation"])
+def test_fit_reaches_the_minpack_minimum(model_id):
+    # an independent oracle: MINPACK's Levenberg-Marquardt (trust-region
+    # reflective for the bounded saturation model) from the same perturbed
+    # start, run to its tightest tolerances, on noisy Gaussian-noise data.
+    # Widths are compared through the cost and sigma, which are free of the
+    # sign the engine's canonical form picks. The engine stops within its
+    # scaled step tolerance, up to about 5e-6 sigma from MINPACK's point on
+    # detuned_purcell, where sigma then differs by up to 2.8e-7 relative
+    # (2 of 1000 draws of this design above 2e-7); hence 1e-6.
+    from scipy.optimize import least_squares
+
+    rng = np.random.Generator(np.random.Philox(53))
+    x = model_grid(model_id)
+    bounds = models.get_model(model_id).bounds
+    for k in range(200):
+        truth = random_params(model_id, rng)
+        y = models.evaluate(model_id, truth, x)
+        y = y + rng.normal(0.0, 0.05 * np.ptp(y), x.size)
+        start = perturb_params(model_id, truth, rng)
+        result = fitkit.fit(fitkit.FitProblem(model_id, x, y, initial_params=start))
+        ref = least_squares(
+            lambda p: models.evaluate(model_id, p, x) - y, start,
+            jac=lambda p: models.jacobian_matrix(model_id, p, x),
+            method="lm" if bounds is None else "trf",
+            bounds=(-np.inf, np.inf) if bounds is None else bounds,
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        cost = float(ref.fun @ ref.fun)
+        sigmas = np.sqrt(np.diag(np.linalg.inv(ref.jac.T @ ref.jac)) * cost / (x.size - start.size))
+        assert result.converged, k
+        assert result.reduced_chi2 * (x.size - start.size) == pytest.approx(cost, rel=1e-9), k
+        assert np.max(np.abs(result.sigmas - sigmas) / sigmas) < 1e-6, k
+
+
 def test_linear_fit_matches_polyfit():
     rng = np.random.Generator(np.random.Philox(9))
     x = np.linspace(-3.0, 5.0, 40)

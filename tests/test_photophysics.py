@@ -162,7 +162,7 @@ def test_pulsed_lifetime_noiseless():
     )
     ds = synthlab.generate(spec)
     hist = TimeHistogram(bin_centers_ns=ds.x, counts=np.round(ds.y).astype(np.int64))
-    tau, sigma = pulsed_lifetime_fit(hist, window=(0.0, 80.0))
+    tau = pulsed_lifetime_fit(hist).params[1]
     assert tau == pytest.approx(12.2, abs=2e-3)  # limited only by count rounding
 
 
@@ -170,7 +170,7 @@ def test_pulsed_lifetime_poisson_within_paper_band():
     hits = 0
     for seed in range(20):
         ds = synthlab.generate(synthlab.preset("lifetime_4k", seed=seed + 1))
-        tau, sigma = pulsed_lifetime_fit(ds.record())
+        tau = pulsed_lifetime_fit(ds.record()).params[1]
         if abs(tau - 12.2) <= 0.3:
             hits += 1
     assert hits >= 19
@@ -181,25 +181,37 @@ def test_pulsed_lifetime_monte_carlo_coverage():
     inside = 0
     for seed in range(1000):
         hist = _decay_histogram(tau=12.2, amplitude=2000.0, seed=seed + 7000)
-        tau, sigma = pulsed_lifetime_fit(hist)
-        if abs(tau - 12.2) <= 3.0 * sigma:
+        result = pulsed_lifetime_fit(hist)
+        if abs(result.params[1] - 12.2) <= 3.0 * result.sigmas[1]:
             inside += 1
     assert inside >= 990
 
 
 def test_pulsed_lifetime_errors():
-    hist = _decay_histogram()
-    with pytest.raises(ValidationError):
-        pulsed_lifetime_fit(hist, window=(-50.0, 200.0))
+    # whole histograms: a rise is refused by the decay model's start, and
+    # fewer than 10 bins with counts by the input check
     rising = TimeHistogram(
         bin_centers_ns=np.arange(0.5, 30.5, 1.0),
         counts=np.arange(30) * 10 + 5,
     )
     with pytest.raises(FitQualityError):
-        pulsed_lifetime_fit(rising, window=(0.0, 30.0))
+        pulsed_lifetime_fit(rising)
     tiny = TimeHistogram(bin_centers_ns=np.arange(0.5, 8.5, 1.0), counts=[9, 8, 7, 6, 5, 4, 3, 2])
     with pytest.raises(InsufficientDataError):
-        pulsed_lifetime_fit(tiny, window=(0.0, 8.0))
+        pulsed_lifetime_fit(tiny)
+
+
+@pytest.mark.parametrize("name", ["lifetime_4k", "lifetime_40k", "lifetime_100k"])
+def test_pulsed_lifetime_is_the_command_line_problem(name):
+    # one lifetime rule: every bin, as `cavitylab fit --preset` fits it
+    for seed in range(10):
+        ds = synthlab.generate(synthlab.preset(name, seed=seed))
+        result = pulsed_lifetime_fit(ds.record())
+        cli = fitkit.fit(fitkit.FitProblem("exponential_decay", ds.x, ds.y))
+        assert result.params.tobytes() == cli.params.tobytes(), seed
+        assert result.covariance.tobytes() == cli.covariance.tobytes(), seed
+        assert result.cost_trace == cli.cost_trace, seed
+        assert result.converged, seed
 
 
 # ---------------------------------------------------------------------------
