@@ -238,9 +238,6 @@ def cmd_fit(args) -> int:
             x, y = record[0].axis, record[0].signal
 
     problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
-    if args.preset:  # written once the problem is accepted
-        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
-        inputs.append(dataio.digest_file(csv_path))
     result = fitkit.fit(problem)
     if not result.converged:
         raise NumericalError(
@@ -254,6 +251,9 @@ def cmd_fit(args) -> int:
         step["outputs"]["bootstrap_sigmas"] = dict(
             zip(models.param_names(model_id), sigma.tolist())
         )
+    if args.preset:  # written once the fit is accepted, so a failed one leaves no file
+        csv_path, _ = synthlab.write_dataset(ds, out / f"{args.preset}.csv")
+        inputs.append(dataio.digest_file(csv_path))
 
     report = dataio.make_report(steps=[step], inputs=inputs)
     report_path = out / "fit_report.json"
@@ -267,6 +267,9 @@ def cmd_purcell_budget(args) -> int:
     geom = optics.CavityGeometry(
         *_radii(args), l_eff_um=args.l_eff, refractive_index=args.refractive_index
     )
+    cqed.check_q_sources({"--q-ideal": args.q_ideal, "--finesse": args.finesse,
+                          "--m-det": args.m_det, "--q-exp": args.q_exp,
+                          "--kappa-exp": args.kappa_exp})
     steps = cqed.budget_report(
         tau0_ns=args.tau0,
         tau_p_ns=args.tau_p,

@@ -28,6 +28,7 @@ __all__ = [
     "CouplingRates",
     "bad_emitter_purcell",
     "budget_report",
+    "check_q_sources",
     "detuned_purcell",
     "epsilon_correction",
     "length_jitter_nm",
@@ -216,6 +217,27 @@ _BUDGET_STEPS = (
 )
 
 
+def check_q_sources(inputs: dict) -> None:
+    """Refuse inputs that do not give each quality factor by exactly one
+    source: the ideal Q by ``q_ideal`` or by both ``finesse`` and ``m_det``,
+    the vibration-degraded Q by ``q_exp`` or ``kappa_exp_ghz``. ``inputs``
+    holds these five values (None where not given) in that order, each keyed
+    by the name a message gives it; one ValidationError names every fault.
+    """
+    (q_ideal, q), (finesse, f), (m_det, m), (q_exp, qe), (kappa, k) = inputs.items()
+    faults = []
+    if q is None and (f is None or m is None):
+        faults.append(f"provide {q_ideal} or both {finesse} and {m_det}")
+    elif q is not None and (f is not None or m is not None):
+        faults.append(f"{q_ideal} and {finesse}/{m_det} both give the ideal Q: provide one")
+    if qe is None and k is None:
+        faults.append(f"provide {q_exp} or {kappa}")
+    elif qe is not None and k is not None:
+        faults.append(f"{q_exp} and {kappa} both give the degraded Q: provide one")
+    if faults:
+        raise ValidationError("; ".join(faults))
+
+
 def budget_report(
     tau0_ns: float,
     tau_p_ns: float,
@@ -235,23 +257,17 @@ def budget_report(
 
     The ideal quality factor comes from ``q_ideal`` or ``m_det * finesse``,
     the vibration-degraded one from ``q_exp`` or the effective linewidth
-    ``kappa_exp_ghz``: exactly one source each. The mode volume comes from
-    the geometry at ``lambda_c_nm``, the spatial factor from the geometry
-    alone. ``alignment_dipole``, the square root of the alignment ratio, is
-    a secondary quantity.
+    ``kappa_exp_ghz``: exactly one source each, as :func:`check_q_sources`
+    requires. The mode volume comes from the geometry at ``lambda_c_nm``,
+    the spatial factor from the geometry alone. ``alignment_dipole``, the
+    square root of the alignment ratio, is a secondary quantity.
     """
+    check_q_sources({"q_ideal": q_ideal, "finesse": finesse, "m_det": m_det,
+                     "q_exp": q_exp, "kappa_exp_ghz": kappa_exp_ghz})
     if q_ideal is None:
-        if finesse is None or m_det is None:
-            raise ValidationError("provide q_ideal or both finesse and m_det")
         q_ideal = m_det * finesse
-    elif finesse is not None or m_det is not None:
-        raise ValidationError("q_ideal and finesse/m_det both give the ideal Q: provide one")
     if q_exp is None:
-        if kappa_exp_ghz is None:
-            raise ValidationError("provide q_exp or kappa_exp_ghz")
         q_exp = q_from_linewidth(lambda_c_nm, kappa_exp_ghz)
-    elif kappa_exp_ghz is not None:
-        raise ValidationError("q_exp and kappa_exp_ghz both give the degraded Q: provide one")
     volume = mode_volume_lambda3(geom, lambda_c_nm)
     n = geom.refractive_index
     v = {"q_used": q_ideal, "q_vib": q_exp, "f_fp": f_fp}

@@ -1,19 +1,20 @@
 """Nonlinear fits by Levenberg-Marquardt under each model's noise policy.
 
 One engine fits every problem, straight lines included: :func:`fit_many`
-advances K problems in lockstep, and :func:`fit` is its batch of one. The
-problems are grouped by model and length, never padded; each group's
-Jacobians, normal matrices, damped solves, rank checks and covariance
-inverses are stacked (K, n, p) and (K, p, p) calls whose rows are the
-per-problem calls, so every result is bit for bit the one the problem gives
-fitted alone. A stack holds at most 2**15 points (``_MAX_STACK_POINTS``; a
-single longer problem is a stack of its own): a larger group is fitted in
-balanced stacks within that bound, so the engine's memory does not grow
-with the number of problems. Each problem keeps its own damping, step
-acceptance, iteration count and convergence, and one problem's failure
-changes no other result. :meth:`FitProblem.stack` builds the problems of
-one model and one length from stacked arrays, checked with whole-array
-operations.
+advances K problems in lockstep, and :func:`fit` is its batch of one. There
+is one loop per model, in length blocks, never padded: the model, the
+objective and the normal matrices are stacked (K_b, n_b, p) calls per block
+of one length, the damped solves, step tests, rank checks and covariance
+inverses stacked (K, p, p) calls over the rows of every block. Each call's
+rows are the per-problem calls, so every result is bit for bit the one the
+problem gives fitted alone. A loop holds at most 2**15 points
+(``_MAX_STACK_POINTS``; a single longer problem is a loop of its own): a
+model's larger batch is fitted in balanced loops within that bound, so the
+engine's memory does not grow with the number of problems. Each problem
+keeps its own damping, step acceptance, iteration count and convergence,
+and one problem's failure changes no other result. :meth:`FitProblem.stack`
+builds the problems of one model and one length from stacked arrays,
+checked with whole-array operations.
 
 The model registry is the engine's only configuration:
 :mod:`cavitylab.models` gives each model its analytic Jacobian, start
@@ -39,6 +40,7 @@ for a Gaussian model.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -270,16 +272,22 @@ def _rank_deficiency(H: np.ndarray, names: Sequence[str]) -> dict:
         )
     live = _rows(alive)
     C = H[live] / (d[live, :, None] * d[live, None, :])
-    vals, vecs = np.linalg.eigh(C)
-    for j in np.flatnonzero(vals[:, 0] <= vals[:, -1] * 1e-12).tolist():
-        v = np.abs(vecs[j, :, 0])
-        involved = [n for n, c in zip(names, v) if c >= 0.4 * np.max(v)]
-        errors[int(np.flatnonzero(alive)[j])] = RankDeficiencyError(
-            "singular normal matrix: parameters "
-            + ", ".join(involved)
-            + " are not independently identifiable",
-            parameters=involved,
-        )
+    try:
+        # a Cholesky factor of C - 1e-6 I proves lambda_min(C) > 1e-6 up to
+        # rounding, far above 1e-12 lambda_max (at most p, the trace): every
+        # row passes the eigenvalue test, which then need not run
+        np.linalg.cholesky(C - 1e-6 * np.eye(len(names)))
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(C)
+        for j in np.flatnonzero(vals[:, 0] <= vals[:, -1] * 1e-12).tolist():
+            v = np.abs(vecs[j, :, 0])
+            involved = [n for n, c in zip(names, v) if c >= 0.4 * np.max(v)]
+            errors[int(np.flatnonzero(alive)[j])] = RankDeficiencyError(
+                "singular normal matrix: parameters "
+                + ", ".join(involved)
+                + " are not independently identifiable",
+                parameters=involved,
+            )
     return errors
 
 
@@ -343,25 +351,61 @@ def _take(index, *arrays):
     return tuple(None if a is None else a[index] for a in arrays)
 
 
+def _picks(index, starts):
+    """The rows that ``index`` (from :func:`_rows`: a slice over every row,
+    or an ascending index) picks of a stack of blocks whose rows begin at
+    ``starts`` (the stack's length last): the picked rows of each block, as
+    an index into that block, and where each block's picked rows begin
+    among all the picked rows."""
+    if isinstance(index, slice):
+        return [index] * (len(starts) - 1), starts
+    at = np.searchsorted(index, starts)
+    return [index[a:e] - s for a, e, s in zip(at[:-1], at[1:], starts[:-1])], at
+
+
+def _keep(blocks, keep, starts):
+    """The rows where ``keep`` holds of each block (a tuple of its number
+    and its row arrays) of a stack whose blocks begin at ``starts``, less
+    the blocks left empty, and where the kept blocks begin."""
+    kept = []
+    for (b, *arrays), a, e in zip(blocks, starts[:-1], starts[1:]):
+        mask = keep[a:e]
+        if mask.any():
+            kept.append((b, *_take(_rows(mask), *arrays)))
+    return kept, list(itertools.accumulate((len(block[1]) for block in kept), initial=0))
+
+
 @np.errstate(all="ignore")
 def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
-    """The LM loop: K problems of one model and one length in lockstep.
+    """The LM loop: K problems of one model in lockstep, in length blocks.
 
     Returns one entry per problem, its FitResult or the error it failed
-    with. Every step is a stacked call whose rows are the per-problem calls,
-    and a problem that fails or stops leaves the stack, so no problem's
-    result depends on the others. A damping try covers the rows not yet
-    accepted: every row on the first try, the rejected ones after it.
+    with. Each run of problems of one length, in the order given, forms a
+    block (:func:`fit_many` orders a loop's problems by length, so each
+    length is one block). What depends on the length (the model, the
+    objective and its row sums, the normal equations) is a stacked call per
+    block; the steps in parameter space (the damped solves, clips,
+    acceptance and step tests, the rank check and the covariance inverse)
+    are each one stacked call over the rows of every block. Every such
+    call's rows are the per-problem calls, and a problem that fails or stops
+    leaves the stack, so no problem's result depends on the others. A
+    damping try covers the rows not yet accepted: every row on the first
+    try, the rejected ones of every block after it.
     """
     n_params, fisher = model.n_params, model.noise == "poisson"
-    x = np.stack([q.x for q in problems])
-    y = np.stack([q.y for q in problems])
+    # block b holds problems cuts[b] to cuts[b + 1]
+    blocks = [list(block) for _, block in itertools.groupby(problems, lambda q: q.x.size)]
+    cuts = list(itertools.accumulate(map(len, blocks), initial=0))
+    x = [np.stack([q.x for q in block]) for block in blocks]
+    y = [np.stack([q.y for q in block]) for block in blocks]
     # the weights of the Jacobian rows: the given ones (None for unit
     # weights, as a factor of 1 changes no bit) or, for a count model, the
     # Fisher weights at each problem's current point
-    w = None
-    if not fisher and any(q.weights is not None for q in problems):
-        w = np.stack([q.effective_weights() for q in problems])
+    w = [
+        None if fisher or all(q.weights is None for q in block)
+        else np.stack([q.effective_weights() for q in block])
+        for block in blocks
+    ]
     lo, hi = model.bounds or (None, None)
 
     if fisher:
@@ -396,17 +440,20 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     # rejected like any uphill step, without a warning (see the errstate);
     # only a bad start point is a data error
     outcome: list = [None] * len(problems)
-    failed = np.zeros(len(problems), dtype=bool)
     p = np.stack([q.initial_params for q in problems])
-    W, R, cost = objective(x, y, w, p)
-    for k in np.flatnonzero(~np.isfinite(cost)).tolist():
-        idx = int(np.argmin(np.isfinite(R[k])))
+    W, R, cost = zip(*(
+        objective(xb, yb, wb, p[a:e])
+        for xb, yb, wb, a, e in zip(x, y, w, cuts[:-1], cuts[1:])))
+    cost = np.concatenate(cost)
+    failed = ~np.isfinite(cost)
+    for k in np.flatnonzero(failed).tolist():
+        b = bisect.bisect_right(cuts, k) - 1
+        idx = int(np.argmin(np.isfinite(R[b][k - cuts[b]])))
         outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
-        failed[k] = True
     # each problem's final point, residuals and weights, written as it stops
-    r = np.empty_like(y)
+    r = [np.empty_like(yb) for yb in y]
     if fisher:
-        w = np.empty_like(y)
+        w = [np.empty_like(yb) for yb in y]
     # why each problem stopped, as an index into _TERMINATIONS
     termination = np.zeros(len(problems), dtype=int)
     iterations = np.zeros(len(problems), dtype=int)
@@ -414,25 +461,32 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     # trace is its start and one entry per accepted step
     history = [cost.copy()]
 
-    # the problems still iterating, stacked in the upper-case arrays (data,
-    # weights, then the state); ``ids`` maps their rows to problems
+    # the problems still iterating: their parameter-space state stacked in
+    # the upper-case arrays, with ``ids`` mapping the rows to problems, and
+    # the blocks that hold any, each (its number, data, weights, residuals),
+    # whose rows begin at ``at`` among the stacked rows
     ids = np.flatnonzero(~failed)
-    X, Y, W, P, R, C = _take(_rows(~failed), x, y, W, p, R, cost)
+    P, C = _take(_rows(~failed), p, cost)
     P = P.copy()  # rows are overwritten as the problems step
+    live, at = _keep(list(zip(range(len(x)), x, y, W, R)), ~failed, cuts)
     lam, conv = np.full(ids.size, _DAMPING_INIT), np.zeros(ids.size, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
-        if not ids.size:
+        if not live:
             break
-        H, g = _normal_equations(model, X, W, P, R)
+        H, g = map(np.concatenate, zip(*(
+            _normal_equations(model, X, W, P[a:e], R)
+            for (_, X, _, W, R), a, e in zip(live, at[:-1], at[1:]))))
         if it == 1:
             errors = _rank_deficiency(H, model.params)
-            for j, e in errors.items():
-                outcome[ids[j]] = e
+            for j, error in errors.items():
+                outcome[ids[j]] = error
             keep = np.ones(ids.size, dtype=bool)
             keep[list(errors)] = False
             failed[ids[~keep]] = True
-            ids, X, Y, W, P, R, C, lam, conv, H, g = _take(
-                _rows(keep), ids, X, Y, W, P, R, C, lam, conv, H, g)
+            live, at = _keep(live, keep, at)
+            ids, P, C, lam, conv, H, g = _take(_rows(keep), ids, P, C, lam, conv, H, g)
+            if not live:
+                break
         # D^2 = diag(H): Moré's scaling, the squared column norms of the
         # weighted Jacobian, for the damping and for the step test
         scale = np.diagonal(H, axis1=1, axis2=2)
@@ -448,8 +502,14 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             p_new = P[rows] + step
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
-            w_new, r_new, cost_new = objective(
-                X[rows], Y[rows], None if W is None else W[rows], p_new)
+            # each block's trial points, through that block's objective
+            picks, begins = _picks(rows, at)
+            trials = []
+            for (_, X, Y, W, R), pick, a, e in zip(live, picks, begins[:-1], begins[1:]):
+                if e > a:
+                    trials.append((W, R, pick, a, e, *objective(
+                        X[pick], Y[pick], None if W is None else W[pick], p_new[a:e])))
+            cost_new = np.concatenate([trial[-1] for trial in trials])
             ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
             if attempt:
                 # a row tried again had a trial rejected: once the damping
@@ -463,9 +523,13 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             d = np.sqrt(scale[acc])
             step_norm = np.sqrt(_row_dots(d * (p_new[new] - P[acc])))
             size = np.sqrt(_row_dots(d * P[acc]))
-            P[acc], R[acc] = p_new[new], r_new[new]
-            if fisher:
-                W[acc] = w_new[new]
+            P[acc] = p_new[new]
+            for W, R, pick, a, e, w_new, r_new, _ in trials:
+                good = ok[a:e]
+                new_b, acc_b = _rows(good), _rows(good, pick)
+                R[acc_b] = r_new[new_b]
+                if fisher:
+                    W[acc_b] = w_new[new_b]
             C[acc] = np.minimum(cost_new[new], C[acc])
             lam[acc] = np.maximum(lam[acc] * 0.25, 1e-14)
             conv[acc] = step_norm < _STEP_TOL * size
@@ -484,15 +548,20 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         if stop.any():
             out = _rows(stop)
             done = ids[out]
-            p[done], r[done] = P[out], R[out]
-            if fisher:
-                w[done] = W[out]
+            p[done] = P[out]
+            for (b, _, _, W, R), a, e in zip(live, at[:-1], at[1:]):
+                end = _rows(stop[a:e])
+                kb = ids[a:e][end] - cuts[b]
+                r[b][kb] = R[end]
+                if fisher:
+                    w[b][kb] = W[end]
             iterations[done] = it
             termination[done] = np.where(conv, 0, np.where(accepted, 1, 2))[out]
             if stop.all():
                 break
-            ids, X, Y, W, P, R, C, lam, conv = _take(
-                np.flatnonzero(~stop), ids, X, Y, W, P, R, C, lam, conv)
+            live, at = _keep(live, ~stop, at)
+            ids, P, C, lam, conv = _take(
+                np.flatnonzero(~stop), ids, P, C, lam, conv)
 
     fit = _rows(~failed)
     # canonical representation (positive widths, ordered rates) where it
@@ -502,9 +571,16 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     inside = True if lo is None else np.all((p_canon >= lo) & (p_canon <= hi), axis=1)[:, None]
     p_fit = np.where(inside, p_canon, p_fit)
 
-    # covariance: reduced (Pearson) chi-square times the inverse normal matrix
-    H = _normal_equations(model, x[fit], None if w is None else w[fit], p_fit)
-    reduced_chi2 = _row_dots(r[fit]) / max(x.shape[1] - n_params, 1)
+    # covariance: reduced (Pearson) chi-square times the inverse normal
+    # matrix, both of each block's fitted rows, whose points begin at
+    # ``fits_at`` among those of p_fit
+    fits_at = np.cumsum(np.concatenate(([0], ~failed)))[cuts]
+    H, reduced_chi2 = [], []
+    for xb, wb, rb, c, d, a, e in zip(x, w, r, cuts[:-1], cuts[1:], fits_at[:-1], fits_at[1:]):
+        kb = _rows(~failed[c:d])
+        H.append(_normal_equations(model, xb[kb], None if wb is None else wb[kb], p_fit[a:e]))
+        reduced_chi2.append(_row_dots(rb[kb]) / max(xb.shape[1] - n_params, 1))
+    H, reduced_chi2 = np.concatenate(H), np.concatenate(reduced_chi2)
     covariance = reduced_chi2[:, None, None] * _inverse_rows(H)
     fitted = np.flatnonzero(~failed)
     ends = [_TERMINATIONS[t] for t in termination[fitted].tolist()]
@@ -526,22 +602,49 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     return outcome
 
 
-# the points of one lockstep stack: a larger group of problems of one model
-# and one length is fitted in balanced stacks within it, so a stack's memory
-# does not grow with the number of problems
+# the points of one LM loop: a larger group of problems of one model is
+# fitted in balanced loops within it, so a loop's memory does not grow with
+# the number of problems
 _MAX_STACK_POINTS = 2**15
+
+
+def _loops(sizes: Sequence[int]) -> list[range]:
+    """Runs of consecutive problems, of ``sizes`` points in order, one LM
+    loop each: the fewest runs of at most ``_MAX_STACK_POINTS`` points (a
+    single larger problem is a run of its own), each closed once it holds an
+    equal share of the points, give or take one problem."""
+    points = list(itertools.accumulate(sizes, initial=0))  # before each problem
+
+    def cut(bound):
+        # each run takes the problems that follow while it holds at most
+        # ``bound`` points, and at least one
+        ends = [0]
+        while ends[-1] < len(sizes):
+            last = bisect.bisect_right(points, points[ends[-1]] + bound) - 1
+            ends.append(max(last, ends[-1] + 1))
+        return ends
+
+    # a run closed below the bound holds more than the bound less the next
+    # problem, so a bound of an equal share plus the largest problem less
+    # one point needs no more runs than the fewest
+    runs = len(cut(_MAX_STACK_POINTS)) - 1
+    ends = cut(min(_MAX_STACK_POINTS, -(-points[-1] // runs) + max(sizes) - 1))
+    return [range(a, e) for a, e in zip(ends, ends[1:])]
 
 
 def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     """Minimize the objective of every problem under its model's noise policy.
 
-    Problems of one model and one length advance in lockstep, each with its
-    own damping, step acceptance, iteration count and convergence; a result
-    is bit for bit what the problem gives fitted alone. Converged means that
-    within ``_MAX_ITER`` iterations an accepted step dp fell below the scaled
-    test ||D dp|| < ``_STEP_TOL`` ||D p|| (Moré 1978, MINPACK's ``xtol``),
-    D = sqrt(diag(H)) of the normal matrix H at the step's start point p;
-    ``FitResult.termination`` names the reason the loop stopped.
+    The problems of one model advance in one lockstep loop, in blocks of
+    one length (a model's problems of more than ``_MAX_STACK_POINTS``
+    points in all run in balanced loops within that bound), each problem
+    with its own damping, step acceptance, iteration count and convergence;
+    a result is bit for bit what the problem gives fitted alone. Converged
+    means that within ``_MAX_ITER`` iterations an accepted step dp fell
+    below the scaled test ||D dp|| < ``_STEP_TOL`` ||D p|| (Moré 1978,
+    MINPACK's ``xtol``), D = sqrt(diag(H)) of the normal matrix H at the
+    step's start point p; ``FitResult.termination`` names the reason the
+    loop stopped.
 
     A problem that fails (non-finite start, singular normal matrix) changes
     no other problem's result. If any fails, the error of the first failing
@@ -549,16 +652,16 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     position and ``results`` to the list of results (None where a problem
     failed).
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for i, q in enumerate(problems):
-        groups.setdefault((q.model_id, q.x.size), []).append(i)
+        groups.setdefault(q.model_id, []).append(i)
     outcome: list = [None] * len(problems)
-    for (model_id, n), idx in groups.items():
-        stacks = -(-len(idx) // max(_MAX_STACK_POINTS // n, 1))
-        for stack in np.array_split(np.array(idx), stacks):
-            stack = stack.tolist()
-            found = _fit_group(models.get_model(model_id), [problems[i] for i in stack])
-            for i, o in zip(stack, found):
+    for model_id, idx in groups.items():
+        for run in _loops([problems[i].x.size for i in idx]):
+            # one block a length: the loop's problems in order of length
+            loop = sorted((idx[k] for k in run), key=lambda i: problems[i].x.size)
+            found = _fit_group(models.get_model(model_id), [problems[i] for i in loop])
+            for i, o in zip(loop, found):
                 outcome[i] = o
     failed = [i for i, o in enumerate(outcome) if isinstance(o, Exception)]
     if failed:

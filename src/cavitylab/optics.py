@@ -24,6 +24,7 @@ frequencies, GHz for linewidths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -715,7 +716,13 @@ def finesse_from_scan(traces) -> tuple[float, float]:
     """Finesse as resonance spacing over linewidth, pooled over piezo ramps.
 
     Peaks whose fitted centers lie within one fitted FWHM of each other are
-    one resonance (see :func:`_resonances`).
+    one resonance (see :func:`_resonances`). Every ramp's peaks are found
+    and their fit problems built first, ramp by ramp, so a ramp with too
+    few peaks or a refused window raises, in ramp order, before anything is
+    fitted. The peaks of all ramps are then fitted in one
+    :func:`fitkit.fit_many` call; a failed fit (its ``problem_index``
+    counting the peaks of all ramps) raises before any ramp is refused for
+    peaks that merge into one resonance.
 
     Parameters
     ----------
@@ -733,7 +740,7 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         traces = [traces]
     if not traces:
         raise InsufficientDataError("no scan traces given")
-    estimates = []
+    ramps = []
     for i, trace in enumerate(traces):
         # the median that set the noise floor is the fits' baseline
         peaks, baseline = _peaks_and_median(trace.signal, rel_prominence=0.2)
@@ -744,10 +751,14 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         problems, refusal = _peak_problems(trace.axis, trace.signal, peaks, baseline)
         if refusal is not None:
             raise refusal
-        centers, widths = _resonances(fitkit.fit_many(problems))
+        ramps.append(problems)
+    fits = iter(fitkit.fit_many([problem for problems in ramps for problem in problems]))
+    estimates = []
+    for i, (trace, problems) in enumerate(zip(traces, ramps)):
+        centers, widths = _resonances(list(itertools.islice(fits, len(problems))))
         if centers.size < 2:
             raise InsufficientDataError(
-                f"ramp {i} ({trace.sweep_direction}): {peaks.size} peaks merge into "
+                f"ramp {i} ({trace.sweep_direction}): {len(problems)} peaks merge into "
                 "one resonance, need >= 2"
             )
         for j in range(centers.size - 1):

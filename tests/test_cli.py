@@ -311,6 +311,19 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "preset, model",
+    [("g2_dip", "lorentzian"), ("lifetime_4k", "g2_three_level")],
+)
+def test_failed_preset_fit_leaves_no_out_path(preset, model, tmp_path, capsys):
+    # the first stops at max_iter, the second lands outside the g2 model's
+    # valid region; neither writes the preset's dataset or its truth sidecar
+    out = tmp_path / "out"
+    assert run(["fit", "--preset", preset, "--model", model, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_requires_input_or_preset(tmp_path):
     assert run(["fit", "--out", str(tmp_path)]) == 2
 
@@ -435,8 +448,8 @@ def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys
 @pytest.mark.parametrize(
     "extra, names",
     [
-        (["--finesse", "4600", "--m-det", "12"], ("q_ideal", "finesse")),
-        (["--q-exp", "3000"], ("q_exp", "kappa_exp_ghz")),
+        (["--finesse", "4600", "--m-det", "12"], ("--q-ideal", "--finesse")),
+        (["--q-exp", "3000"], ("--q-exp", "--kappa-exp")),
     ],
 )
 def test_purcell_budget_refuses_two_sources_of_one_quality_factor(
@@ -447,6 +460,36 @@ def test_purcell_budget_refuses_two_sources_of_one_quality_factor(
     err = capsys.readouterr().err
     assert all(name in err for name in names)
     assert not (tmp_path / "out" / "purcell_budget.json").exists()
+
+
+@pytest.mark.parametrize(
+    "sources, faults",
+    [
+        ([], ["provide --q-ideal or both --finesse and --m-det",
+              "provide --q-exp or --kappa-exp"]),
+        (["--finesse", "4700", "--kappa-exp", "160"],
+         ["provide --q-ideal or both --finesse and --m-det"]),
+        (["--m-det", "12", "--q-exp", "3000"],
+         ["provide --q-ideal or both --finesse and --m-det"]),
+        (["--q-ideal", "56400"], ["provide --q-exp or --kappa-exp"]),
+        (["--q-ideal", "56400", "--m-det", "12", "--kappa-exp", "160", "--q-exp", "3000"],
+         ["--q-ideal and --finesse/--m-det both give the ideal Q",
+          "--q-exp and --kappa-exp both give the degraded Q"]),
+    ],
+)
+def test_purcell_budget_source_errors_name_every_fault_by_flag(
+    sources, faults, tmp_path, capsys
+):
+    # each quality factor needs exactly one source; every fault is named in
+    # one message, by the flags, never by the library's parameter names
+    args = {k: v for k, v in _BUDGET_ARGS.items() if k not in ("--q-ideal", "--kappa-exp")}
+    argv = ["purcell-budget", *(x for item in args.items() for x in item), *sources]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(fault in err for fault in faults)
+    assert err.count("; ") == len(faults) - 1
+    assert "q_ideal" not in err and "kappa_exp_ghz" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_outdir_from_environment(tmp_path, monkeypatch):

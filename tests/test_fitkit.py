@@ -240,6 +240,100 @@ def test_fit_many_bookkeeping_matches_each_problem_fitted_alone(monkeypatch):
         assert len({iterations for *_, iterations, _, _ in group}) > 1
 
 
+def test_fit_many_in_length_blocks_matches_each_problem_fitted_alone(monkeypatch):
+    # one batch of two models, each with four window lengths in interleaved
+    # order, so each model runs one loop of four length blocks; the starts
+    # are far enough off that rows of several blocks are rejected and tried
+    # again in one iteration, the rows stop at different iterations, and one
+    # row of each model fails: a rank-deficient lorentzian (constant
+    # abscissa) and a g2 start whose cost overflows
+    rng = np.random.Generator(np.random.Philox(43))
+    problems, failing = [], {}
+    for model_id, frac in (("lorentzian", 0.5), ("g2_three_level", 0.3)):
+        x = model_grid(model_id)
+        poisson = models.get_model(model_id).noise == "poisson"
+        for k in range(24):
+            n = x.size - 7 * (k % 4)
+            truth = random_params(model_id, rng)
+            y = models.evaluate(model_id, truth, x[:n])
+            y = rng.poisson(y).astype(float) if poisson else y + rng.normal(0.0, 0.05 * np.ptp(y), n)
+            start = perturb_params(model_id, truth, rng, frac=frac)
+            xk = x[:n]
+            if k == 9 and not poisson:
+                xk, failing[len(problems)] = np.full(n, x[n // 2]), RankDeficiencyError
+            if k == 14 and poisson:
+                start[0], failing[len(problems)] = np.finfo(float).max, DataError
+            problems.append(fitkit.FitProblem(model_id, xk, y, initial_params=start))
+    alone = {}
+    for i, q in enumerate(problems):
+        if i in failing:
+            with pytest.raises(failing[i]):
+                fitkit.fit(q)
+        else:
+            alone[i] = _bits(fitkit.fit(q))
+
+    # the lengths of each loop, and the blocks each damping try after the
+    # first holds rows of
+    loops, retried = [], []
+    fit_group, picks = fitkit._fit_group, fitkit._picks
+
+    def probe_group(model, group):
+        loops.append((model.name, sorted({q.x.size for q in group})))
+        return fit_group(model, group)
+
+    def probe_picks(index, starts):
+        if not isinstance(index, slice):
+            blocks = np.diff(np.searchsorted(index, starts))
+            retried.append((loops[-1][0], int(np.count_nonzero(blocks))))
+        return picks(index, starts)
+
+    monkeypatch.setattr(fitkit, "_fit_group", probe_group)
+    monkeypatch.setattr(fitkit, "_picks", probe_picks)
+    with pytest.raises(RankDeficiencyError) as err:
+        fitkit.fit_many(problems)
+    assert err.value.problem_index == min(failing)
+    results = err.value.results
+    assert [i for i, r in enumerate(results) if r is None] == sorted(failing)
+    assert {i: _bits(r) for i, r in enumerate(results) if r is not None} == alone
+    assert [(name, len(lengths)) for name, lengths in loops] == [
+        ("lorentzian", 4), ("g2_three_level", 4)]
+    for name in ("lorentzian", "g2_three_level"):
+        assert max(n for model, n in retried if model == name) > 1, name
+    for first in (0, 24):
+        assert len({alone[i][3] for i in range(first, first + 24) if i in alone}) > 1
+
+    # without the failing rows the batch raises nothing, and with only the
+    # g2 one it raises that row's error at its position
+    good = [q for i, q in enumerate(problems) if i in alone]
+    assert [_bits(r) for r in fitkit.fit_many(good)] == list(alone.values())
+    g2 = max(failing)
+    with pytest.raises(DataError) as err:
+        fitkit.fit_many(good[:30] + [problems[g2]] + good[30:])
+    assert err.value.problem_index == 30
+    assert [_bits(r) for r in err.value.results if r is not None] == list(alone.values())
+
+
+def test_loops_are_the_fewest_runs_within_the_stack_bound():
+    # mixed lengths, some above the bound on their own: every problem in one
+    # run, in order; a run of more than one problem within the bound; and as
+    # few runs as filling each run to the bound gives
+    rng = np.random.Generator(np.random.Philox(7))
+    bound = fitkit._MAX_STACK_POINTS
+    for _ in range(300):
+        sizes = rng.integers(2, 3000, rng.integers(1, 80)).tolist()
+        if rng.random() < 0.2:
+            sizes[rng.integers(len(sizes))] = bound + 1
+        runs = fitkit._loops(sizes)
+        assert [i for run in runs for i in run] == list(range(len(sizes)))
+        assert all(len(run) == 1 or sum(sizes[i] for i in run) <= bound for run in runs)
+        filled, points = 1, 0
+        for n in sizes:
+            if points and points + n > bound:
+                filled, points = filled + 1, 0
+            points += n
+        assert len(runs) == filled
+
+
 def test_singular_system_in_a_stack_leaves_the_other_rows_solved():
     # one singular system makes the stacked solve raise; the per-row
     # fallback must still solve every other system as it would alone

@@ -390,6 +390,10 @@ def test_finesse_too_few_peaks_refused_before_fitting(monkeypatch):
         trace = ScanTrace(axis=axis, signal=signal, sweep_direction="up")
         with pytest.raises(InsufficientDataError, match=f"found {n} peaks"):
             optics.finesse_from_scan(trace)
+    # every ramp is checked before the one fit of all ramps' peaks
+    two_ramps = [*synthlab.generate_scan_pair(seed=41)[:1], trace]
+    with pytest.raises(InsufficientDataError, match="ramp 1 .* found 1 peaks"):
+        optics.finesse_from_scan(two_ramps)
 
 
 def test_finesse_split_top_of_one_resonance_is_too_few():
@@ -617,6 +621,26 @@ def test_cte_fit_recovers_alpha():
     est, sigma, result = optics.cte_fit(temps, dl_nm, reference_length_um=l_ref)
     assert est == pytest.approx(alpha, rel=1e-9)
     assert result.converged
+
+
+def test_finesse_drift_and_cte_fit_in_one_loop_per_model(monkeypatch):
+    # the benchmark's characterize job on its seed-43 inputs: the peaks of
+    # both ramps in one Lorentzian loop, the 120 frames of five window
+    # lengths in another, and the CTE line in a loop of its own
+    scans = synthlab.generate_scan_pair(seed=43)
+    drift_map, tlog = synthlab.generate_drift_map(seed=43)
+    loops = []
+    fit_group = fitkit._fit_group
+
+    def probe(model, group):
+        loops.append((model.name, len(group), len({q.x.size for q in group})))
+        return fit_group(model, group)
+
+    monkeypatch.setattr(fitkit, "_fit_group", probe)
+    optics.finesse_from_scan(scans)
+    series = optics.drift_series(drift_map, l_eff_um=3.7)
+    optics.cte_fit(tlog.temperature_k, [d for _, d in series], reference_length_um=3.7)
+    assert loops == [("lorentzian", 4, 2), ("lorentzian", 120, 5), ("linear", 1, 1)]
 
 
 def test_dispersion_map_names_the_first_length_out_of_range():
