@@ -33,10 +33,9 @@ def main():
         print(f"  L = {l_um:5.2f} um -> {optics.gouy_fraction(l_um, ROC_UM):.4f}")
 
     print("\nfundamental resonances at L = 3.7 um:")
-    at_37 = optics.CavityGeometry(ROC_UM, ROC_UM, 3.7)
-    for m in range(11, 16):
-        res = optics.mode_frequency(at_37, m)
-        print(f"  m = {m:2d}: {res.wavelength_nm:7.2f} nm  {res.frequency_thz:7.2f} THz")
+    for _, wavelength, m, _ in optics.dispersion_map(ROC_UM, [3.7], range(11, 16)):
+        print(f"  m = {int(m):2d}: {wavelength:7.2f} nm  "
+              f"{optics.C_NM_THZ / wavelength:7.2f} THz")
 
     out = Path(os.environ.get("CAVITYLAB_OUTDIR") or tempfile.mkdtemp(prefix="cavitylab_demo_"))
     out.mkdir(parents=True, exist_ok=True)

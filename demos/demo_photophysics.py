@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Emitter walk-through: photon statistics, saturation, lifetimes, levels.
+"""Emitter walk-through: photon statistics, saturation and lifetimes.
 
 Each block generates a synthetic dataset at realistic counting statistics
 from a named preset, runs the corresponding fitting pipeline and compares
@@ -56,10 +56,6 @@ def main():
     )
     print(f"\nzero-power lifetime from power-dependent rates: "
           f"({tau0:.1f} +- {tau0_sigma:.1f}) ns (truth 14)")
-
-    # level bookkeeping
-    split = photophysics.gs_splitting_ghz(618.54, 620.22)
-    print(f"\nground-state splitting of the C/D lines: {split:.0f} GHz")
 
 
 if __name__ == "__main__":

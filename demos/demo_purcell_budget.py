@@ -12,7 +12,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from cavitylab import cqed, dataio
+import numpy as np
+
+from cavitylab import cqed, dataio, models
 from cavitylab.optics import CavityGeometry
 
 
@@ -61,10 +63,10 @@ def main():
 
     print("\ndetuning response at the degraded quality factor:")
     q_exp = cqed.q_from_linewidth(618.5, 160.0)
-    for lam in (617.5, 618.2, 618.5, 618.8, 619.5):
-        f = cqed.detuned_purcell(
-            lam, 618.5, q_exp, budget["f_vib"], alignment_sq=budget["alignment"]
-        )
+    lams = np.array([617.5, 618.2, 618.5, 618.8, 619.5])
+    # (peak, q, center, offset) of the Lorentzian in the emitter wavelength
+    peak = budget["f_vib"] * budget["alignment"]
+    for lam, f in zip(lams, models.evaluate("detuned_purcell", [peak, q_exp, 618.5, 0.0], lams)):
         print(f"  lambda = {lam:6.1f} nm -> enhancement {f:5.2f}")
 
 

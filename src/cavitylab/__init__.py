@@ -17,7 +17,7 @@ from . import cqed, dataio, fitkit, models, optics, photophysics, synthlab
 from .cqed import CouplingRates
 from .dataio import ScanTrace, SpectralMap, Spectrum, TimeHistogram
 from .fitkit import FitProblem, FitResult
-from .optics import CavityGeometry, ModeResonance
+from .optics import CavityGeometry
 from .synthlab import GeneratorSpec
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "GeneratorSpec",
-    "ModeResonance",
     "ScanTrace",
     "SpectralMap",
     "Spectrum",

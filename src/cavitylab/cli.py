@@ -43,12 +43,17 @@ def _out_dir(args) -> Path:
 
 
 def _radii(args) -> tuple[float, float]:
-    """The (x, y) mirror radii of curvature from --roc, --roc-x and --roc-y."""
-    roc_x = args.roc_x if args.roc_x is not None else args.roc
-    roc_y = args.roc_y if args.roc_y is not None else args.roc
-    if roc_x is None or roc_y is None:
+    """The (x, y) mirror radii of curvature: --roc for both, or --roc-x and --roc-y."""
+    per_axis = [flag for flag, roc in (("--roc-x", args.roc_x), ("--roc-y", args.roc_y))
+                if roc is not None]
+    if args.roc is not None and per_axis:
+        raise ValidationError(
+            f"--roc and {' and '.join(per_axis)} both give a mirror radius; pass one source")
+    if args.roc is not None:
+        return args.roc, args.roc
+    if len(per_axis) < 2:
         raise ValidationError("provide --roc or both --roc-x and --roc-y")
-    return roc_x, roc_y
+    return args.roc_x, args.roc_y
 
 
 def _positive(text: str) -> float:
@@ -107,13 +112,16 @@ def _resamples(text: str) -> int:
 
 
 def _orders(text: str) -> list[int]:
-    """A comma-separated list of transverse orders, each a non-negative integer."""
+    """A comma-separated list of distinct transverse orders, each a non-negative integer."""
     parts = text.split(",")
     if not all(q.strip().isdecimal() for q in parts):
         raise argparse.ArgumentTypeError(
             f"must be comma-separated non-negative integers, got {text!r}"
         )
-    return [int(q) for q in parts]
+    orders = [int(q) for q in parts]
+    if len(set(orders)) < len(orders):
+        raise argparse.ArgumentTypeError(f"must not repeat an order, got {text!r}")
+    return orders
 
 
 # the dispersion map is built whole, about 70 bytes a row at its peak
@@ -124,11 +132,15 @@ def cmd_dispersion(args) -> int:
     """Dispersion map CSV plus a JSON report with double-resonance candidates."""
     if not args.l_min < args.l_max:
         raise ValidationError("need --l-min < --l-max")
-    # lengths x mode indices x orders, in floats, before anything is built
+    orders = tuple(args.transverse_orders)
+    if args.gouy == "off" and orders != (0,):
+        # plane-wave resonances are the flat-mirror limit, fundamental only
+        raise ValidationError("--gouy off maps order 0 only: drop --transverse-orders")
+    # lengths x mode indices x the orders the map holds, in floats, before anything is built
     # (a huge --l-max would overflow the integer mode range)
     rows = ((args.l_max - args.l_min) / (args.l_step_nm / 1000.0) + 1.0) * (
         2000.0 * args.l_max / min(args.lambda_exc, args.lambda_det) + 3.0
-    ) * len(args.transverse_orders)
+    ) * len(orders)
     if not rows <= MAX_MAP_ROWS:
         raise ValidationError(
             f"the dispersion map would have {rows:.3g} rows, over {MAX_MAP_ROWS}: "
@@ -139,31 +151,27 @@ def cmd_dispersion(args) -> int:
         [("geometric", "")] if args.roc_mode == "geometric" else [("x", "_x"), ("y", "_y")]
     )
     radii = _radii(args)
-    # every axis's (radius, orders), checked before anything is built or written
-    keys = []
+    # every axis's radius, checked before anything is built or written
+    axis_rocs = []
     for roc_mode, _ in roc_modes:
-        roc_um, orders = optics.scalar_roc(radii, roc_mode), tuple(args.transverse_orders)
-        if args.gouy == "off":
-            # plane-wave resonances are the flat-mirror limit, fundamental only
-            roc_um, orders = math.inf, (0,)
-        elif args.l_max >= roc_um:
+        roc_um = math.inf if args.gouy == "off" else optics.scalar_roc(radii, roc_mode)
+        if args.l_max >= roc_um:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
-        keys.append((roc_um, orders))
+        axis_rocs.append(roc_um)
     l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
     m_values = optics.mode_indices(
         (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
     )
 
-    # an axis that repeats an earlier (radius, orders) reuses that map and its candidates
+    # an axis that repeats an earlier radius reuses that map and its candidates
     built = {}
     reports = []
-    for (roc_mode, suffix), key in zip(roc_modes, keys):
-        roc_um, orders = key
+    for (roc_mode, suffix), roc_um in zip(roc_modes, axis_rocs):
         map_path = out / f"dispersion_map{suffix}.csv"
-        if key in built:
-            first_path, candidates = built[key]
+        if roc_um in built:
+            first_path, candidates = built[roc_um]
             shutil.copyfile(first_path, map_path)
         else:
             rows = optics.dispersion_map(roc_um, l_grid, m_values, orders)
@@ -175,7 +183,7 @@ def cmd_dispersion(args) -> int:
                 args.lambda_exc, args.lambda_det, roc_um,
                 (args.l_min, args.l_max), args.tol_nm / 1000.0,
             )
-            built[key] = map_path, candidates
+            built[roc_um] = map_path, candidates
 
         reports.append(
             {

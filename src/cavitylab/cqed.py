@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import models
 from .errors import ValidationError
 from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth, scalar_roc
 
@@ -29,7 +28,6 @@ __all__ = [
     "bad_emitter_purcell",
     "budget_report",
     "check_q_sources",
-    "detuned_purcell",
     "epsilon_correction",
     "length_jitter_nm",
     "purcell_measured",
@@ -100,25 +98,6 @@ def spatial_correction(geom: CavityGeometry) -> float:
     form is returned.
     """
     return 1.0 - geom.l_eff_um / scalar_roc(geom)
-
-
-def detuned_purcell(
-    lambda_nm,
-    lambda_cav_nm: float,
-    quality_factor: float,
-    f_cav: float,
-    alignment_sq: float = 1.0,
-    f_fp: float = 0.0,
-):
-    """Enhancement versus emitter wavelength for a fixed cavity resonance.
-
-    f(lambda) = f_cav * align^2 / (1 + (2 Q (lambda/lambda_cav - 1))^2) + f_fp
-    """
-    if quality_factor <= 0:
-        raise ValidationError("quality factor must be positive")
-    return models.evaluate(
-        "detuned_purcell", [f_cav * alignment_sq, quality_factor, lambda_cav_nm, f_fp], lambda_nm
-    )
 
 
 def epsilon_correction(

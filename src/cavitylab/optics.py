@@ -45,7 +45,6 @@ from .errors import (
 __all__ = [
     "CavityGeometry",
     "DoubleResonance",
-    "ModeResonance",
     "cavity_figures",
     "cte_fit",
     "detect_peaks",
@@ -55,8 +54,6 @@ __all__ = [
     "effective_length_from_adjacent_modes",
     "finesse_from_scan",
     "gouy_fraction",
-    "gouy_term",
-    "mode_frequency",
     "mode_indices",
     "mode_volume_lambda3",
     "resonance_length",
@@ -126,56 +123,6 @@ def gouy_fraction(l_eff_um: float, roc_um: float) -> float:
             f"stability violated: need 0 <= L ({l_eff_um} um) < ROC ({roc_um} um)"
         )
     return math.acos(math.sqrt(1.0 - l_eff_um / roc_um)) / math.pi
-
-
-def gouy_term(geom: CavityGeometry) -> float:
-    """Gouy term of the fundamental mode for a validated geometry."""
-    return gouy_fraction(geom.l_eff_um, scalar_roc(geom))
-
-
-@dataclass(frozen=True)
-class ModeResonance:
-    """One cavity resonance: longitudinal index, wavelength and frequency."""
-
-    m: int
-    wavelength_nm: float
-    frequency_thz: float
-    transverse_order: int = 0
-    refractive_index: float = 1.0
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("longitudinal index m must be >= 1")
-        if self.transverse_order < 0:
-            raise ValidationError("transverse_order must be >= 0")
-        product = self.wavelength_nm * self.frequency_thz
-        expected = C_NM_THZ / self.refractive_index
-        if abs(product - expected) > 1e-6 * expected:
-            raise ValidationError(
-                "wavelength*frequency inconsistent with c/n beyond 1 ppm"
-            )
-
-
-def mode_frequency(
-    geom: CavityGeometry,
-    m: int,
-    transverse_order: int = 0,
-) -> ModeResonance:
-    """Resonance of longitudinal index ``m`` (and transverse order q)."""
-    if m < 1:
-        raise ValidationError("longitudinal index m must be >= 1")
-    g = gouy_term(geom)
-    phase_index = m + (transverse_order + 1) * g
-    n = geom.refractive_index
-    freq_thz = C_UM_THZ / (2.0 * n * geom.l_eff_um) * phase_index
-    wavelength_nm = 2000.0 * geom.l_eff_um / phase_index
-    return ModeResonance(
-        m=m,
-        wavelength_nm=wavelength_nm,
-        frequency_thz=freq_thz,
-        transverse_order=transverse_order,
-        refractive_index=n,
-    )
 
 
 def brent_root(f, a, b, xtol=2e-12, rtol=4 * math.ulp(1.0)):

@@ -2,8 +2,8 @@
 
 Fits the second-order correlation of a three-level emitter, saturation
 curves and pulsed-lifetime decays, extrapolates the fitted decay rate to
-zero excitation power, and keeps the level-structure bookkeeping (line
-splitting and the zero-phonon-line emission fraction). The model shapes,
+zero excitation power, and estimates the zero-phonon-line emission
+fraction from a spectrum. The model shapes,
 start values, bounds and derived outputs (g2 at zero delay) live in the
 ``models`` registry; the g2, saturation and lifetime pipelines return the
 engine's ``FitResult`` as it is.
@@ -20,14 +20,12 @@ from .errors import (
     NonphysicalResultError,
     ValidationError,
 )
-from .optics import C_NM_GHZ
 
 __all__ = [
     "debye_waller_estimate",
     "decay_rate_extrapolation",
     "fit_g2_histogram",
     "fit_saturation",
-    "gs_splitting_ghz",
     "pulsed_lifetime_fit",
 ]
 
@@ -131,15 +129,8 @@ def fit_saturation(power_mw, rate_kcps, sigmas=None) -> fitkit.FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Level structure and emission bookkeeping
+# Emission bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def gs_splitting_ghz(zpl_c_nm: float, zpl_d_nm: float) -> float:
-    """Ground-state orbital splitting c*(1/lambda_C - 1/lambda_D) in GHz."""
-    if zpl_d_nm < zpl_c_nm:
-        raise ValidationError("expected zpl_d >= zpl_c (D red of C)")
-    return C_NM_GHZ * (1.0 / zpl_c_nm - 1.0 / zpl_d_nm)
 
 
 def debye_waller_estimate(

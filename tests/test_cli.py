@@ -372,6 +372,44 @@ def test_a_refused_command_leaves_no_output_directory(argv, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["dispersion", "purcell-budget"])
+@pytest.mark.parametrize("per_axis", [["--roc-x", "22"], ["--roc-y", "26"],
+                                      ["--roc-x", "22", "--roc-y", "26"]])
+def test_roc_with_a_per_axis_radius_exit_2(command, per_axis, tmp_path, capsys):
+    # --roc gives both axes a radius: a per-axis flag beside it gives one
+    # axis two, and neither wins
+    if command == "dispersion":
+        argv = _dispersion_args(tmp_path / "out")
+    else:
+        argv = ["purcell-budget", *(x for item in _BUDGET_ARGS.items() for x in item),
+                "--out", str(tmp_path / "out")]
+    assert run(argv + per_axis) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in ["--roc", *per_axis[::2]])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("orders", ["1", "0,1", "0,1,2"])
+def test_dispersion_gouy_off_refuses_higher_orders(orders, tmp_path, capsys, monkeypatch):
+    # a plane-wave map holds order 0 only; the refusal comes before the row
+    # cap, which would count orders the map never holds (here 6.13e+04 rows
+    # for a map of 15 219)
+    monkeypatch.setattr(cli, "MAX_MAP_ROWS", 30_000)
+    argv = _dispersion_args(tmp_path / "out", extra=(
+        "--gouy", "off", "--transverse-orders", orders))
+    for flag, value in (("--l-min", "2"), ("--l-max", "6")):
+        argv[argv.index(flag) + 1] = value
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--gouy off" in err and "--transverse-orders" in err
+    assert not (tmp_path / "out").exists()
+    argv[argv.index("--transverse-orders") + 1] = "0"
+    assert run(argv) == 0
+    rows = (tmp_path / "out" / "dispersion_map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 15_219
+    assert {row.rsplit(",", 1)[1] for row in rows} == {"0"}
+
+
 def test_purcell_budget_paper_inputs(tmp_path):
     code = run(
         [
@@ -535,6 +573,8 @@ def test_module_entry_point(tmp_path):
         ("--transverse-orders", "a"),
         ("--transverse-orders", "-1"),
         ("--transverse-orders", "0,,2"),
+        ("--transverse-orders", "0,0"),
+        ("--transverse-orders", "1,0,1"),
         ("--l-step-nm", "0"),
         ("--l-step-nm", "-5"),
         ("--tol-nm", "0"),

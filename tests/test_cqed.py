@@ -9,7 +9,6 @@ from cavitylab.cqed import (
     CouplingRates,
     bad_emitter_purcell,
     budget_report,
-    detuned_purcell,
     epsilon_correction,
     length_jitter_nm,
     purcell_measured,
@@ -94,23 +93,21 @@ def test_spatial_correction_short_cavity_limit():
 
 
 def test_detuned_purcell_zero_detuning_and_half_width():
-    peak = detuned_purcell(620.0, 620.0, 3000.0, 10.0, 0.5, 0.3)
-    assert peak == pytest.approx(10.0 * 0.5 + 0.3)
+    # (peak, q, center, offset): a peak of f_cav * alignment^2 = 10 * 0.5
+    params = [10.0 * 0.5, 3000.0, 620.0, 0.3]
     half_point = 620.0 * (1.0 + 1.0 / (2.0 * 3000.0))
-    value = detuned_purcell(half_point, 620.0, 3000.0, 10.0, 0.5, 0.3)
+    peak, value = models.evaluate("detuned_purcell", params, np.array([620.0, half_point]))
+    assert peak == pytest.approx(10.0 * 0.5 + 0.3)
     assert value == pytest.approx(10.0 * 0.5 / 2.0 + 0.3, rel=1e-9)
 
 
 def test_detuned_purcell_symmetric_in_reduced_detuning():
     rng = np.random.Generator(np.random.Philox(3))
     q = 2500.0
-    for _ in range(100):
-        x = rng.uniform(0.0, 5.0)
-        lam_plus = 618.5 * (1.0 + x / (2.0 * q))
-        lam_minus = 618.5 * (1.0 - x / (2.0 * q))
-        up = detuned_purcell(lam_plus, 618.5, q, 12.0)
-        down = detuned_purcell(lam_minus, 618.5, q, 12.0)
-        assert up == pytest.approx(down, rel=1e-12)
+    x = rng.uniform(0.0, 5.0, 100)
+    up, down = (models.evaluate("detuned_purcell", [12.0, q, 618.5, 0.0],
+                                618.5 * (1.0 + sign * x / (2.0 * q))) for sign in (1, -1))
+    np.testing.assert_allclose(up, down, rtol=1e-12)
 
 
 def test_detuning_curve_fit_recovers_effective_linewidth():

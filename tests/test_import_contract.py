@@ -1,7 +1,8 @@
 """cavitylab never loads scipy: not on the command line, not in the peak
 detection behind the finesse and drift pipelines. Every name the package and
 its layers export in ``__all__`` exists, every module-level private name is
-read somewhere in the package, and the model layer imports no other layer.
+read somewhere in the package, every public name is reached from a command
+or an acceptance criterion, and the model layer imports no other layer.
 
 Each run check uses a fresh interpreter, because the test process itself has
 long since imported scipy for its oracle tests.
@@ -101,6 +102,18 @@ def _module_trees():
             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
 
 
+def _definitions(tree):
+    """Module-level functions, classes and assigned names of a module."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
 def test_every_private_module_name_is_used():
     # a module-level private function, class or constant that nothing in the
     # package reads is dead code
@@ -109,20 +122,105 @@ def test_every_private_module_name_is_used():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     used |= {node.attr for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
-    defined = set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined |= {(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")}
+    defined = {(module, name) for module, tree in trees.items() for name in _definitions(tree)
+               if name.startswith("_") and not name.startswith("__")}
     assert len(defined) > 20
     assert sorted(d for d in defined if d[1] not in used) == []
+
+
+# public names that no command and no acceptance criterion reaches yet, each
+# kept for the ROADMAP direction that will wire it in (or for the reason
+# given); an entry that becomes reachable must leave, so the list only shrinks
+_UNREACHED_PUBLIC = {
+    ("cqed", "CouplingRates"): "direction 12: the regime transition from measured rates",
+    ("cqed", "regime_classify"): "direction 12: the regime transition from measured rates",
+    ("cqed", "bad_emitter_purcell"): "direction 12: the regime transition from measured rates",
+    ("cqed", "length_jitter_nm"): "direction 13: a budget step that explains kappa_exp",
+    ("optics", "effective_length_from_spectrum"): "direction 8: a characterize command",
+    ("optics", "effective_length_from_adjacent_modes"): "direction 8: a characterize command",
+    ("photophysics", "debye_waller_estimate"): "direction 11: epsilon from a spectrum",
+    ("photophysics", "decay_rate_extrapolation"): "direction 11: tau at zero power",
+    ("optics", "detect_peaks"): "the documented find_peaks equivalent CI runs scipy-free",
+}
+
+
+def _package_imports(tree):
+    """Local name -> (module, name) of each cavitylab import; ``from . import
+    x`` imports the module x, which is (x, None)."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module
+        elif node.module == "cavitylab":
+            module = "__init__"
+        elif node.module.startswith("cavitylab."):
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            found[local] = (module, alias.name) if module else (alias.name, None)
+    return found
+
+
+def test_every_public_name_is_reached():
+    # a public name that no command (the module-level functions of cli) and
+    # no acceptance criterion (tests/test_acceptance.py) reaches, through the
+    # package's own references, is dead code; synthlab's generators and
+    # oracles are test tools, and the allowlist above names each exception
+    trees = _module_trees()
+    defs = {module: _definitions(tree) for module, tree in trees.items()}
+    imports = {module: _package_imports(tree) for module, tree in trees.items()}
+    # the acceptance tests read the package; their own names define nothing
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    defs["test_acceptance"], imports["test_acceptance"] = {}, _package_imports(acceptance)
+
+    def resolve(module, name):
+        # the (module, name) that defines a name read in a module, through
+        # imports and re-exports; (x, None) is the module x itself
+        while name is not None and name not in defs[module]:
+            if name not in imports[module]:
+                return None
+            module, name = imports[module][name]
+        return module, name
+
+    def referenced(node, module):
+        def target(expr):
+            if isinstance(expr, ast.Name):
+                return resolve(module, expr.id)
+            if isinstance(expr, ast.Attribute):
+                base = target(expr.value)
+                if base and base[1] is None:
+                    return resolve(base[0], expr.attr)
+            return None
+
+        found = {target(sub) for sub in ast.walk(node)
+                 if isinstance(sub, (ast.Name, ast.Attribute))}
+        return {key for key in found if key and key[1] is not None}
+
+    def reach(roots):
+        reached, todo = set(), list(roots)
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                todo.extend(referenced(defs[key[0]][key[1]], key[0]))
+        return reached
+
+    roots = {("cli", name) for name, node in defs["cli"].items()
+             if isinstance(node, ast.FunctionDef)}
+    roots |= referenced(acceptance, "test_acceptance")
+    allowed = set(_UNREACHED_PUBLIC)
+    assert all(name in defs[module] for module, name in allowed)
+    # an allowlisted name that a command or criterion now reaches must leave
+    assert sorted(allowed & reach(roots)) == []
+    # allowlisted names count as roots: what only they read is kept with them
+    public = {(module, name) for module, names in defs.items() for name in names
+              if not name.startswith("_") and module != "synthlab"}
+    assert len(public) > 50
+    assert sorted(public - reach(roots | allowed)) == []
 
 
 def test_models_imports_only_errors():

@@ -77,33 +77,16 @@ def test_gouy_range_and_monotonicity():
 # ---------------------------------------------------------------------------
 
 
-def test_mode_frequency_frozen_value():
-    res = optics.mode_frequency(GEOM.with_length(3.7), 12)
-    assert res.wavelength_nm == pytest.approx(610.1363, abs=1e-3)
-    assert res.wavelength_nm * res.frequency_thz == pytest.approx(2.99792458e5, rel=1e-9)
-
-
-def test_mode_frequency_plane_wave_limit():
-    # enormous ROC makes the Gouy term negligible: lambda -> 2L/m
-    geom = CavityGeometry(1e10, 1e10, 3.7)
-    res = optics.mode_frequency(geom, 12)
-    assert res.wavelength_nm == pytest.approx(2.0 * 3700.0 / 12.0, abs=1e-3)
-
-
-def test_mode_frequency_monotonicity():
-    for m in range(11, 17):
-        nu1 = optics.mode_frequency(GEOM, m).frequency_thz
-        nu2 = optics.mode_frequency(GEOM, m + 1).frequency_thz
-        assert nu2 > nu1
-    shorter = optics.mode_frequency(GEOM.with_length(3.5), 12).frequency_thz
-    assert shorter > optics.mode_frequency(GEOM, 12).frequency_thz
+def _wavelength(roc_um, l_um, m, transverse_order=0):
+    """Resonance wavelength of one mode at one length, from the resonance table."""
+    return optics.dispersion_map(roc_um, [l_um], [m], [transverse_order])[0, 1]
 
 
 def test_transverse_orders_shift_resonance():
-    base = optics.mode_frequency(GEOM, 12, transverse_order=0).frequency_thz
-    higher = optics.mode_frequency(GEOM, 12, transverse_order=1).frequency_thz
+    base, higher = (optics.C_NM_THZ / _wavelength(24.0, GEOM.l_eff_um, 12, q) for q in (0, 1))
     fsr = optics.C_UM_THZ / (2.0 * GEOM.l_eff_um)
-    assert higher - base == pytest.approx(fsr * optics.gouy_term(GEOM), rel=1e-9)
+    gouy = optics.gouy_fraction(GEOM.l_eff_um, 24.0)
+    assert higher - base == pytest.approx(fsr * gouy, rel=1e-9)
 
 
 def test_resonance_length_frozen_values_and_grid_oracle():
@@ -129,10 +112,8 @@ def test_resonance_length_roundtrip_identity():
     for _ in range(30):
         roc = rng.uniform(15.0, 40.0)
         l_eff = rng.uniform(1.0, 0.6 * roc)
-        geom = CavityGeometry(roc, roc, l_eff)
         m = int(rng.integers(3, 40))
-        res = optics.mode_frequency(geom, m)
-        back = optics.resonance_length(res.wavelength_nm, m, roc)
+        back = optics.resonance_length(_wavelength(roc, l_eff, m), m, roc)
         assert back == pytest.approx(l_eff, rel=1e-6)
 
 
@@ -441,8 +422,7 @@ def test_effective_length_degenerate_raises():
 
 
 def test_effective_length_from_synthetic_spectrum():
-    geom = CavityGeometry(24.0, 24.0, 4.2)
-    centers = [optics.mode_frequency(geom, m).wavelength_nm for m in (13, 14)]
+    centers = [_wavelength(24.0, 4.2, m) for m in (13, 14)]
     grid = np.linspace(540.0, 680.0, 4000)
     counts = np.zeros_like(grid)
     h = (0.5 / 2.0) ** 2

@@ -14,7 +14,6 @@ from cavitylab.photophysics import (
     decay_rate_extrapolation,
     fit_g2_histogram,
     fit_saturation,
-    gs_splitting_ghz,
     pulsed_lifetime_fit,
 )
 
@@ -215,23 +214,8 @@ def test_pulsed_lifetime_is_the_command_line_problem(name):
 
 
 # ---------------------------------------------------------------------------
-# level structure and emission fractions
+# emission fractions
 # ---------------------------------------------------------------------------
-
-
-def test_gs_splitting_values():
-    assert gs_splitting_ghz(618.54, 618.54) == 0.0
-    # frozen from direct evaluation; cross-checked against the
-    # frequency-domain subtraction below
-    value = gs_splitting_ghz(618.54, 620.22)
-    assert value == pytest.approx(1312.854, abs=0.01)
-    oracle = 2.99792458e8 / 618.54 - 2.99792458e8 / 620.22
-    assert value == pytest.approx(oracle, rel=1e-12)
-    assert gs_splitting_ghz(606.0, 607.05) == pytest.approx(
-        2.99792458e8 / 606.0 - 2.99792458e8 / 607.05, rel=1e-12
-    )
-    with pytest.raises(ValidationError):
-        gs_splitting_ghz(620.22, 618.54)
 
 
 def _two_line_spectrum(zpl_area, psb_area):

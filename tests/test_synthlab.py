@@ -116,10 +116,9 @@ def test_oracle_dispersion_contains_analytic_resonance():
     l_grid = np.linspace(3.6, 3.9, 31)
     lam_grid = np.linspace(600.0, 640.0, 41)
     cells = synthlab.oracle_dispersion(24.0, l_grid, lam_grid)
-    geom = optics.CavityGeometry(24.0, 24.0, 3.75)
-    res = optics.mode_frequency(geom, 12)
+    wavelength = optics.dispersion_map(24.0, [3.75], [12])[0, 1]
     i = int(np.argmin(np.abs(l_grid - 3.75)))
-    j = int(np.argmin(np.abs(lam_grid - res.wavelength_nm)))
+    j = int(np.argmin(np.abs(lam_grid - wavelength)))
     neighborhood = {
         (i + di, j + dj, 12) for di in (-1, 0, 1) for dj in (-1, 0, 1)
     }
