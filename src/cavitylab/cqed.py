@@ -13,14 +13,21 @@ Conventions: the vibration-limited ceiling uses the quality factor implied
 by the effective (vibration-broadened) linewidth, q_vib = nu_c / kappa_exp,
 and includes the spatial penalty of the emitter position, so the residual
 ``alignment`` isolates the dipole-orientation mismatch.
+
+Every value the chain computes, the degraded Q and the mode volume
+included, must come out a finite positive number. Otherwise (an overflow,
+an underflow to 0 or a division by zero) the budget raises
+:class:`~cavitylab.errors.NumericalError` naming the value and what it was
+computed from.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth, scalar_roc
 
 __all__ = [
@@ -217,6 +224,24 @@ def check_q_sources(inputs: dict) -> None:
         raise ValidationError("; ".join(faults))
 
 
+def _checked(name: str, compute, **operands) -> float:
+    """Budget value ``name``, ``compute(*operands.values())``: a
+    NumericalError names it and its operands when the computation overflows
+    or divides by zero, or when the value is not finite and positive."""
+    try:
+        value = compute(*operands.values())
+    except OverflowError:
+        fault = "overflows"
+    except ZeroDivisionError:
+        fault = "divides by zero"
+    else:
+        if 0 < value < math.inf:
+            return value
+        fault = f"is {value!r}, not a finite positive number"
+    given = ", ".join(f"{key}={x!r}" for key, x in operands.items())
+    raise NumericalError(f"purcell budget: {name} {fault} ({given})")
+
+
 def budget_report(
     tau0_ns: float,
     tau_p_ns: float,
@@ -246,19 +271,27 @@ def budget_report(
     if q_ideal is None:
         q_ideal = m_det * finesse
     if q_exp is None:
-        q_exp = q_from_linewidth(lambda_c_nm, kappa_exp_ghz)
-    volume = mode_volume_lambda3(geom, lambda_c_nm)
+        q_exp = _checked("q_vib", q_from_linewidth,
+                         lambda_c_nm=lambda_c_nm, kappa_ghz=kappa_exp_ghz)
+    volume = _checked("mode_volume", mode_volume_lambda3, geom=geom, lambda_nm=lambda_c_nm)
     n = geom.refractive_index
     v = {"q_used": q_ideal, "q_vib": q_exp, "f_fp": f_fp}
-    v["f_cav_ideal"] = purcell_theoretical(lambda_c_nm, n, q_ideal, volume)
-    v["spatial_factor"] = spatial = spatial_correction(geom)
-    v["f_cav_corrected"] = v["f_cav_ideal"] * spatial
-    v["f_vib"] = purcell_theoretical(lambda_c_nm, n, q_exp, volume) * spatial
-    v["f_measured"] = purcell_measured(tau0_ns, tau_p_ns)
+    v["f_cav_ideal"] = _checked("f_cav_ideal", purcell_theoretical, lambda_c_nm=lambda_c_nm,
+                                refractive_index=n, q_used=q_ideal, mode_volume=volume)
+    v["spatial_factor"] = spatial = _checked("spatial_factor", spatial_correction, geom=geom)
+    v["f_cav_corrected"] = _checked("f_cav_corrected", operator.mul,
+                                    f_cav_ideal=v["f_cav_ideal"], spatial_factor=spatial)
+    v["f_vib"] = _checked(
+        "f_vib", lambda lam, n, q, vol, spatial: purcell_theoretical(lam, n, q, vol) * spatial,
+        lambda_c_nm=lambda_c_nm, refractive_index=n, q_vib=q_exp, mode_volume=volume,
+        spatial_factor=spatial)
+    v["f_measured"] = _checked("f_measured", purcell_measured, tau0_ns=tau0_ns, tau_p_ns=tau_p_ns)
     v["inhibited"] = v["f_measured"] < 1.0
-    v["epsilon"] = epsilon_correction(quantum_efficiency, debye_waller, branching)
-    v["f_zpl"] = v["f_measured"] / v["epsilon"]
-    v["alignment"] = v["f_zpl"] / v["f_vib"]
+    v["epsilon"] = _checked("epsilon", epsilon_correction, quantum_efficiency=quantum_efficiency,
+                            debye_waller=debye_waller, branching=branching)
+    v["f_zpl"] = _checked("f_zpl", operator.truediv,
+                          f_measured=v["f_measured"], epsilon=v["epsilon"])
+    v["alignment"] = _checked("alignment", operator.truediv, f_zpl=v["f_zpl"], f_vib=v["f_vib"])
     v["alignment_dipole"] = math.sqrt(v["alignment"])
     return [
         {"name": name, "value": v[name], "formula_ref": ref,

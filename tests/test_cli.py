@@ -484,6 +484,27 @@ def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "flag, value, step, given",
+    [
+        # sqrt(roc_x * roc_y) overflows, so the mode volume is infinite
+        ("--roc", "1e200", "mode_volume", "roc_x_um=1e+200"),
+        ("--tau-p", "1e-320", "f_measured", "tau_p_ns=1e-320"),
+        # epsilon is a subnormal, and f_zpl = f_measured / epsilon overflows
+        ("--qe", "1e-320", "f_zpl", "epsilon=5.6e-321"),
+    ],
+)
+def test_purcell_budget_nonfinite_step_exit_3(flag, value, step, given, tmp_path, capsys):
+    # finite, in-domain inputs whose budget overflows or divides by zero
+    args = dict(_BUDGET_ARGS, **{flag: value})
+    argv = ["purcell-budget", *(x for item in args.items() for x in item)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"purcell budget: {step} " in err and given in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "extra, names",
     [
         (["--finesse", "4600", "--m-det", "12"], ("--q-ideal", "--finesse")),

@@ -380,6 +380,94 @@ def test_loaded_map_is_a_view_of_the_parsed_file(tmp_path):
     assert loaded.counts.base is not None and loaded.counts.base is loaded.wavelength_nm.base
 
 
+# ---------------------------------------------------------------------------
+# Spectral maps: the integer-count route against the float parser
+# ---------------------------------------------------------------------------
+
+_MAP_ROWS = [["600.0", "1", "2", "3"], ["601.0", "4", "5", "6"], ["602.5", "7", "8", "9"]]
+
+
+def _map_text(field="5", row=1, line_end="\n", edit=None):
+    rows = [list(r) for r in _MAP_ROWS]
+    rows[row][2] = field
+    if edit:
+        edit(rows)
+    lines = ["wavelength_nm,frame_0000,frame_0001,frame_0002", *map(",".join, rows)]
+    return "".join(line + line_end for line in lines)
+
+
+def _float_route(path):
+    """The float parser's map, as bits, or its error, as type and message."""
+    n_columns = len(path.read_text().splitlines()[0].split(","))
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        return SchemaError, f"malformed numeric data in {path.name}: {exc}"
+    if data.shape[1] != n_columns:
+        return SchemaError, f"column count mismatch: header {n_columns}, data {data.shape[1]}"
+    try:
+        m = SpectralMap(wavelength_nm=data[:, 0], counts=data[:, 1:].T)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return m.wavelength_nm.tobytes(), m.counts.tobytes()
+
+
+def _loaded_map(path):
+    try:
+        m = dataio.load_csv(path, "spectral_map")
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return m.wavelength_nm.tobytes(), m.counts.tobytes()
+
+
+_FIELDS = ["-0", "+1", " 1 ", "007", "9007199254740993", "9223372036854775808", "1e3", "5.0",
+           "1_0", "nan", "-2"]
+
+
+@pytest.mark.parametrize("text", [
+    _map_text(),
+    *(_map_text(field, row) for field in _FIELDS for row in (0, 2)),
+    _map_text("2.5", row=2),  # the integer parse fails only at the last row
+    _map_text(edit=lambda rows: rows[1].append("4")),  # ragged: one field too many
+    _map_text(edit=lambda rows: rows[2].pop()),  # ragged: one field too few
+    _map_text(edit=lambda rows: rows[0].append("")),  # trailing comma
+    _map_text(line_end="\r\n"),
+    _map_text("-0", line_end="\r\n"),
+    _map_text("2.5", row=2, line_end="\r\n"),
+])
+def test_map_loads_as_the_float_parser_reads_it(tmp_path, text):
+    # bit for bit, so also the sign of a zero count; or the same error
+    path = tmp_path / "map.csv"
+    path.write_bytes(text.encode())
+    assert _loaded_map(path) == _float_route(path)
+
+
+def _integer_parse(dtype) -> bool:
+    return dtype.names is not None and any(dtype[name].base.kind == "i" for name in dtype.names)
+
+
+@pytest.mark.parametrize("offset, parses", [(0.0, [True]), (0.5, [True, False])])
+def test_map_counts_parse_as_integers_when_whole(tmp_path, monkeypatch, offset, parses):
+    # a whole-number acquisition-sized map takes exactly one integer parse;
+    # fractional counts fall back to the float parser and still load
+    from cavitylab import synthlab
+
+    m = synthlab.generate_wled_map(n_frames=7200, n_pixels=20, seed=3)
+    m = SpectralMap(wavelength_nm=m.wavelength_nm, counts=m.counts + offset)
+    path = dataio.save_csv(m, tmp_path / "wled.csv")
+    dtypes, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        dtypes.append(np.dtype(kwargs.get("dtype", float)))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    loaded = dataio.load_csv(path, "spectral_map")
+    assert [_integer_parse(d) for d in dtypes] == parses
+    assert loaded.counts.tobytes() == m.counts.tobytes()
+    assert loaded.wavelength_nm.tobytes() == m.wavelength_nm.tobytes()
+
+
 @pytest.mark.parametrize(
     "schema, text",
     [
