@@ -9,12 +9,12 @@ inverses stacked (K, p, p) calls over the rows of every block. Each call's
 rows are the per-problem calls, so every result is bit for bit the one the
 problem gives fitted alone. A loop holds at most 2**15 points
 (``_MAX_STACK_POINTS``; a single longer problem is a loop of its own): a
-model's larger batch is fitted in balanced loops within that bound, so the
-engine's memory does not grow with the number of problems. Each problem
-keeps its own damping, step acceptance, iteration count and convergence,
-and one problem's failure changes no other result. :meth:`FitProblem.stack`
-builds the problems of one model and one length from stacked arrays,
-checked with whole-array operations.
+model's larger batch is cut greedily into the fewest loops within that
+bound, so the engine's memory does not grow with the number of problems.
+Each problem keeps its own damping, step acceptance, iteration count and
+convergence, and one problem's failure changes no other result.
+:meth:`FitProblem.stack` builds the problems of one model and one length
+from stacked arrays, checked with whole-array operations.
 
 The model registry is the engine's only configuration:
 :mod:`cavitylab.models` gives each model its analytic Jacobian, start
@@ -32,10 +32,13 @@ step. The objective never increases across accepted steps;
 ``FitResult.cost_trace`` records it for inspection.
 
 Covariance is the inverse of the Gauss-Newton (for counts, Fisher) normal
-matrix scaled by the reduced Pearson chi-square, matching the convention of
-relative weights. :func:`bootstrap_uncertainty` draws its resamples from the
-model's noise: Poisson counts around the fitted curve, or resampled residuals
-for a Gaussian model.
+matrix at the fitted point, scaled by the reduced Pearson chi-square,
+matching the convention of relative weights. The inverse is the damped
+steps' solve against the identity, bit for bit ``np.linalg.inv``; a normal
+matrix singular there gives a NaN covariance, not a pseudo-inverse, and
+:meth:`FitResult.to_report_step` refuses it. :func:`bootstrap_uncertainty`
+draws its resamples from the model's noise: Poisson counts around the
+fitted curve, or resampled residuals for a Gaussian model.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from . import models
 from .dataio import digest_arrays
 from .errors import (
     DataError,
+    FitQualityError,
     InsufficientDataError,
     RankDeficiencyError,
     ValidationError,
@@ -235,10 +239,15 @@ class FitResult:
     def sigmas(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
-    def to_report_step(self, problem: FitProblem | None = None) -> dict:
-        """The fit as a report step, with the model's derived outputs;
-        raises the model's ``FitQualityError`` for a result it cannot
-        interpret."""
+    def to_report_step(self, problem: FitProblem) -> dict:
+        """The fit of ``problem`` as a report step, with the model's derived
+        outputs; raises the model's ``FitQualityError`` for a result it
+        cannot interpret, and ``FitQualityError`` for a covariance that is
+        not finite (a normal matrix singular at the fitted point)."""
+        derived = models.get_model(self.model_id).derived(self.params)
+        if not np.isfinite(self.covariance).all():
+            raise FitQualityError(
+                "singular normal matrix at the fitted point: the covariance is undefined")
         outputs = {
             "params": dict(zip(models.param_names(self.model_id), self.params.tolist())),
             "sigmas": dict(zip(models.param_names(self.model_id), self.sigmas.tolist())),
@@ -246,10 +255,9 @@ class FitResult:
             "reduced_chi2": self.reduced_chi2,
             "iterations": self.iterations,
             "converged": self.converged,
-            **models.get_model(self.model_id).derived(self.params),
+            **derived,
+            "data_digest": problem.data_digest(),
         }
-        if problem is not None:
-            outputs["data_digest"] = problem.data_digest()
         return {"name": "fit", "params": {"model_id": self.model_id}, "outputs": outputs}
 
 
@@ -308,31 +316,21 @@ def _row_dots(r: np.ndarray) -> np.ndarray:
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray):
-    """Solve each system of a stack, as a solve of that system alone would;
-    a singular system gives a NaN row and a True flag."""
+    """Solve each system of a (K, p, p) stack for its right-hand side, of a
+    (K, p, m) ``b`` or one (p, m) ``b`` for all, as a solve of that system
+    alone would; against the identity that is, bit for bit,
+    ``np.linalg.inv``. A singular system gives a NaN row and a True flag."""
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.zeros(len(A), dtype=bool)
+        return np.linalg.solve(A, b), np.zeros(len(A), dtype=bool)
     except np.linalg.LinAlgError:
-        out, singular = np.full_like(b, np.nan), np.zeros(len(A), dtype=bool)
+        b = np.broadcast_to(b, (len(A), *b.shape[-2:]))
+        out, singular = np.full(b.shape, np.nan), np.zeros(len(A), dtype=bool)
         for k in range(len(A)):
             try:
-                out[k] = np.linalg.solve(A[k:k + 1], b[k:k + 1, :, None])[0, :, 0]
+                out[k] = np.linalg.solve(A[k:k + 1], b[k:k + 1])[0]
             except np.linalg.LinAlgError:
                 singular[k] = True
         return out, singular
-
-
-def _inverse_rows(H: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(H)
-        for k in range(len(H)):
-            try:
-                out[k] = np.linalg.inv(H[k:k + 1])[0]
-            except np.linalg.LinAlgError:
-                out[k] = np.linalg.pinv(H[k])
-        return out
 
 
 def _rows(mask: np.ndarray, among=slice(None)):
@@ -347,32 +345,17 @@ def _rows(mask: np.ndarray, among=slice(None)):
     return picked if isinstance(among, slice) else among[picked]
 
 
-def _take(index, *arrays):
-    return tuple(None if a is None else a[index] for a in arrays)
-
-
-def _picks(index, starts):
-    """The rows that ``index`` (from :func:`_rows`: a slice over every row,
-    or an ascending index) picks of a stack of blocks whose rows begin at
-    ``starts`` (the stack's length last): the picked rows of each block, as
-    an index into that block, and where each block's picked rows begin
-    among all the picked rows."""
-    if isinstance(index, slice):
-        return [index] * (len(starts) - 1), starts
-    at = np.searchsorted(index, starts)
-    return [index[a:e] - s for a, e, s in zip(at[:-1], at[1:], starts[:-1])], at
-
-
-def _keep(blocks, keep, starts):
-    """The rows where ``keep`` holds of each block (a tuple of its number
-    and its row arrays) of a stack whose blocks begin at ``starts``, less
-    the blocks left empty, and where the kept blocks begin."""
-    kept = []
-    for (b, *arrays), a, e in zip(blocks, starts[:-1], starts[1:]):
-        mask = keep[a:e]
-        if mask.any():
-            kept.append((b, *_take(_rows(mask), *arrays)))
-    return kept, list(itertools.accumulate((len(block[1]) for block in kept), initial=0))
+def _picks(index: np.ndarray, starts):
+    """The rows that ``index`` (ascending row numbers) picks of a stack of
+    blocks whose rows begin at ``starts`` (the stack's length last): the
+    picked rows of each block, as an index into that block (a slice when it
+    picks them all), and where each block's picked rows begin among all the
+    picked rows."""
+    at = np.searchsorted(index, starts).tolist()
+    return [
+        slice(None) if e - a == t - s else index[a:e] - s
+        for a, e, s, t in zip(at, at[1:], starts, starts[1:])
+    ], at
 
 
 @np.errstate(all="ignore")
@@ -384,13 +367,15 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     block (:func:`fit_many` orders a loop's problems by length, so each
     length is one block). What depends on the length (the model, the
     objective and its row sums, the normal equations) is a stacked call per
-    block; the steps in parameter space (the damped solves, clips,
-    acceptance and step tests, the rank check and the covariance inverse)
-    are each one stacked call over the rows of every block. Every such
-    call's rows are the per-problem calls, and a problem that fails or stops
-    leaves the stack, so no problem's result depends on the others. A
-    damping try covers the rows not yet accepted: every row on the first
-    try, the rejected ones of every block after it.
+    block, over the block's rows still iterating; the steps in parameter
+    space (the damped solves, clips, acceptance and step tests, the rank
+    check and the covariance inverse) are each one stacked call over the
+    rows of every block. Every such call's rows are the per-problem calls,
+    and a problem that fails or stops leaves the stack, so no problem's
+    result depends on the others. A damping try covers the rows not yet
+    accepted: every row on the first try, the rejected ones of every block
+    after it. A normal matrix singular at the fitted point gives a NaN
+    covariance.
     """
     n_params, fisher = model.n_params, model.noise == "poisson"
     # block b holds problems cuts[b] to cuts[b + 1]
@@ -441,19 +426,17 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     # only a bad start point is a data error
     outcome: list = [None] * len(problems)
     p = np.stack([q.initial_params for q in problems])
-    W, R, cost = zip(*(
+    # each block's weights and residuals at its problems' current points,
+    # which every accepted step overwrites in place
+    w, r, cost = map(list, zip(*(
         objective(xb, yb, wb, p[a:e])
-        for xb, yb, wb, a, e in zip(x, y, w, cuts[:-1], cuts[1:])))
+        for xb, yb, wb, a, e in zip(x, y, w, cuts[:-1], cuts[1:]))))
     cost = np.concatenate(cost)
     failed = ~np.isfinite(cost)
     for k in np.flatnonzero(failed).tolist():
         b = bisect.bisect_right(cuts, k) - 1
-        idx = int(np.argmin(np.isfinite(R[b][k - cuts[b]])))
+        idx = int(np.argmin(np.isfinite(r[b][k - cuts[b]])))
         outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
-    # each problem's final point, residuals and weights, written as it stops
-    r = [np.empty_like(yb) for yb in y]
-    if fisher:
-        w = [np.empty_like(yb) for yb in y]
     # why each problem stopped, as an index into _TERMINATIONS
     termination = np.zeros(len(problems), dtype=int)
     iterations = np.zeros(len(problems), dtype=int)
@@ -463,30 +446,18 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
 
     # the problems still iterating: their parameter-space state stacked in
     # the upper-case arrays, with ``ids`` mapping the rows to problems, and
-    # the blocks that hold any, each (its number, data, weights, residuals),
-    # whose rows begin at ``at`` among the stacked rows
+    # each block's rows among them, which begin at ``at`` among the stacked
+    # rows
     ids = np.flatnonzero(~failed)
-    P, C = _take(_rows(~failed), p, cost)
-    P = P.copy()  # rows are overwritten as the problems step
-    live, at = _keep(list(zip(range(len(x)), x, y, W, R)), ~failed, cuts)
+    live, at = _picks(ids, cuts)
+    P, C = p[ids], cost[ids]
     lam, conv = np.full(ids.size, _DAMPING_INIT), np.zeros(ids.size, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
-        if not live:
+        if not ids.size:
             break
         H, g = map(np.concatenate, zip(*(
-            _normal_equations(model, X, W, P[a:e], R)
-            for (_, X, _, W, R), a, e in zip(live, at[:-1], at[1:]))))
-        if it == 1:
-            errors = _rank_deficiency(H, model.params)
-            for j, error in errors.items():
-                outcome[ids[j]] = error
-            keep = np.ones(ids.size, dtype=bool)
-            keep[list(errors)] = False
-            failed[ids[~keep]] = True
-            live, at = _keep(live, keep, at)
-            ids, P, C, lam, conv, H, g = _take(_rows(keep), ids, P, C, lam, conv, H, g)
-            if not live:
-                break
+            _normal_equations(model, xb[k], None if wb is None else wb[k], P[a:e], rb[k])
+            for xb, wb, rb, k, a, e in zip(x, w, r, live, at[:-1], at[1:]) if e > a)))
         # D^2 = diag(H): Moré's scaling, the squared column norms of the
         # weighted Jacobian, for the damping and for the step test
         scale = np.diagonal(H, axis1=1, axis2=2)
@@ -494,21 +465,31 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         damping.reshape(-1, n_params * n_params)[:, ::n_params + 1] = np.maximum(scale, 1e-300)
 
         # each try solves the damped system of every row not yet accepted;
-        # a singular system is a NaN step, rejected, with a larger damping
+        # a singular system is a NaN step, rejected, with a larger damping.
+        # A row that fails the rank check tries no step: it stops unaccepted
         accepted = np.zeros(ids.size, dtype=bool)
         rows = slice(None)
+        if it == 1:
+            errors = _rank_deficiency(H, model.params)
+            for j, error in errors.items():
+                outcome[ids[j]] = error
+            failed[ids[list(errors)]] = True
+            if failed.all():
+                break
+            rows = _rows(~failed[ids])
         for attempt in range(60):
-            step, singular = _solve_rows(H[rows] + lam[rows, None, None] * damping[rows], g[rows])
-            p_new = P[rows] + step
+            step, singular = _solve_rows(
+                H[rows] + lam[rows, None, None] * damping[rows], g[rows, :, None])
+            p_new = P[rows] + step[:, :, 0]
             if lo is not None:
                 p_new = np.clip(p_new, lo, hi)
             # each block's trial points, through that block's objective
-            picks, begins = _picks(rows, at)
+            picks, begins = (live, at) if isinstance(rows, slice) else _picks(ids[rows], cuts)
             trials = []
-            for (_, X, Y, W, R), pick, a, e in zip(live, picks, begins[:-1], begins[1:]):
+            for b, (pick, a, e) in enumerate(zip(picks, begins[:-1], begins[1:])):
                 if e > a:
-                    trials.append((W, R, pick, a, e, *objective(
-                        X[pick], Y[pick], None if W is None else W[pick], p_new[a:e])))
+                    trials.append((b, pick, a, e, *objective(
+                        x[b][pick], y[b][pick], None if w[b] is None else w[b][pick], p_new[a:e])))
             cost_new = np.concatenate([trial[-1] for trial in trials])
             ok = cost_new <= C[rows] * (1.0 + _COST_SLACK) + _COST_SLACK
             if attempt:
@@ -524,12 +505,12 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             step_norm = np.sqrt(_row_dots(d * (p_new[new] - P[acc])))
             size = np.sqrt(_row_dots(d * P[acc]))
             P[acc] = p_new[new]
-            for W, R, pick, a, e, w_new, r_new, _ in trials:
+            for b, pick, a, e, w_new, r_new, _ in trials:
                 good = ok[a:e]
                 new_b, acc_b = _rows(good), _rows(good, pick)
-                R[acc_b] = r_new[new_b]
+                r[b][acc_b] = r_new[new_b]
                 if fisher:
-                    W[acc_b] = w_new[new_b]
+                    w[b][acc_b] = w_new[new_b]
             C[acc] = np.minimum(cost_new[new], C[acc])
             lam[acc] = np.maximum(lam[acc] * 0.25, 1e-14)
             conv[acc] = step_norm < _STEP_TOL * size
@@ -546,27 +527,21 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         history[-1][ids] = C
         stop = ~accepted | conv | (it == _MAX_ITER)
         if stop.any():
+            # the one site where rows leave the stack
             out = _rows(stop)
             done = ids[out]
             p[done] = P[out]
-            for (b, _, _, W, R), a, e in zip(live, at[:-1], at[1:]):
-                end = _rows(stop[a:e])
-                kb = ids[a:e][end] - cuts[b]
-                r[b][kb] = R[end]
-                if fisher:
-                    w[b][kb] = W[end]
             iterations[done] = it
             termination[done] = np.where(conv, 0, np.where(accepted, 1, 2))[out]
             if stop.all():
                 break
-            live, at = _keep(live, ~stop, at)
-            ids, P, C, lam, conv = _take(
-                np.flatnonzero(~stop), ids, P, C, lam, conv)
+            ids, P, C, lam, conv = (v[~stop] for v in (ids, P, C, lam, conv))
+            live, at = _picks(ids, cuts)
 
-    fit = _rows(~failed)
+    fitted = np.flatnonzero(~failed)
     # canonical representation (positive widths, ordered rates) where it
     # lies within the bounds; the same curve
-    p_fit = p[fit]
+    p_fit = p[fitted]
     p_canon = model.canonical(p_fit)
     inside = True if lo is None else np.all((p_canon >= lo) & (p_canon <= hi), axis=1)[:, None]
     p_fit = np.where(inside, p_canon, p_fit)
@@ -574,15 +549,14 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     # covariance: reduced (Pearson) chi-square times the inverse normal
     # matrix, both of each block's fitted rows, whose points begin at
     # ``fits_at`` among those of p_fit
-    fits_at = np.cumsum(np.concatenate(([0], ~failed)))[cuts]
+    kept, fits_at = _picks(fitted, cuts)
     H, reduced_chi2 = [], []
-    for xb, wb, rb, c, d, a, e in zip(x, w, r, cuts[:-1], cuts[1:], fits_at[:-1], fits_at[1:]):
-        kb = _rows(~failed[c:d])
-        H.append(_normal_equations(model, xb[kb], None if wb is None else wb[kb], p_fit[a:e]))
-        reduced_chi2.append(_row_dots(rb[kb]) / max(xb.shape[1] - n_params, 1))
+    for xb, wb, rb, k, a, e in zip(x, w, r, kept, fits_at[:-1], fits_at[1:]):
+        H.append(_normal_equations(model, xb[k], None if wb is None else wb[k], p_fit[a:e]))
+        reduced_chi2.append(_row_dots(rb[k]) / max(xb.shape[1] - n_params, 1))
     H, reduced_chi2 = np.concatenate(H), np.concatenate(reduced_chi2)
-    covariance = reduced_chi2[:, None, None] * _inverse_rows(H)
-    fitted = np.flatnonzero(~failed)
+    inverse, _ = _solve_rows(H, np.eye(n_params))
+    covariance = reduced_chi2[:, None, None] * inverse
     ends = [_TERMINATIONS[t] for t in termination[fitted].tolist()]
     counts = iterations[fitted].tolist()
     traces = np.array(history)[:, fitted].T.tolist()
@@ -603,7 +577,7 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
 
 
 # the points of one LM loop: a larger group of problems of one model is
-# fitted in balanced loops within it, so a loop's memory does not grow with
+# fitted in several loops within it, so a loop's memory does not grow with
 # the number of problems
 _MAX_STACK_POINTS = 2**15
 
@@ -611,24 +585,13 @@ _MAX_STACK_POINTS = 2**15
 def _loops(sizes: Sequence[int]) -> list[range]:
     """Runs of consecutive problems, of ``sizes`` points in order, one LM
     loop each: the fewest runs of at most ``_MAX_STACK_POINTS`` points (a
-    single larger problem is a run of its own), each closed once it holds an
-    equal share of the points, give or take one problem."""
+    single larger problem is a run of its own), each run taking the
+    problems that follow while it holds at most that many points."""
     points = list(itertools.accumulate(sizes, initial=0))  # before each problem
-
-    def cut(bound):
-        # each run takes the problems that follow while it holds at most
-        # ``bound`` points, and at least one
-        ends = [0]
-        while ends[-1] < len(sizes):
-            last = bisect.bisect_right(points, points[ends[-1]] + bound) - 1
-            ends.append(max(last, ends[-1] + 1))
-        return ends
-
-    # a run closed below the bound holds more than the bound less the next
-    # problem, so a bound of an equal share plus the largest problem less
-    # one point needs no more runs than the fewest
-    runs = len(cut(_MAX_STACK_POINTS)) - 1
-    ends = cut(min(_MAX_STACK_POINTS, -(-points[-1] // runs) + max(sizes) - 1))
+    ends = [0]
+    while ends[-1] < len(sizes):
+        last = bisect.bisect_right(points, points[ends[-1]] + _MAX_STACK_POINTS) - 1
+        ends.append(max(last, ends[-1] + 1))
     return [range(a, e) for a, e in zip(ends, ends[1:])]
 
 
@@ -637,7 +600,8 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
 
     The problems of one model advance in one lockstep loop, in blocks of
     one length (a model's problems of more than ``_MAX_STACK_POINTS``
-    points in all run in balanced loops within that bound), each problem
+    points in all run in the fewest loops within that bound, each filled in
+    order up to it), each problem
     with its own damping, step acceptance, iteration count and convergence;
     a result is bit for bit what the problem gives fitted alone. Converged
     means that within ``_MAX_ITER`` iterations an accepted step dp fell
@@ -646,8 +610,9 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     step's start point p; ``FitResult.termination`` names the reason the
     loop stopped.
 
-    A problem that fails (non-finite start, singular normal matrix) changes
-    no other problem's result. If any fails, the error of the first failing
+    A problem that fails (non-finite start, singular normal matrix at the
+    start) changes no other problem's result; a normal matrix singular at
+    the fitted point gives a NaN covariance. If any fails, the error of the first failing
     problem in input order is raised, with ``problem_index`` set to its
     position and ``results`` to the list of results (None where a problem
     failed).

@@ -89,9 +89,6 @@ class CavityGeometry:
                 f"refractive_index must be finite and >= 1, got {self.refractive_index}"
             )
 
-    def with_length(self, l_eff_um: float) -> "CavityGeometry":
-        return CavityGeometry(self.roc_x_um, self.roc_y_um, l_eff_um, self.refractive_index)
-
 
 def scalar_roc(roc, roc_mode: str = "geometric") -> float:
     """Reduce a geometry or an (roc_x, roc_y) pair to one radius; pass a scalar through."""
@@ -183,15 +180,11 @@ def brent_root(f, a, b, xtol=2e-12, rtol=4 * math.ulp(1.0)):
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
-def resonance_length(
-    wavelength_nm: float,
-    m: int,
-    roc,
-    transverse_order: int = 0,
-) -> float:
-    """Length (um) at which index ``m`` resonates at the given wavelength.
+def resonance_length(wavelength_nm: float, m: int, roc) -> float:
+    """Length (um) at which the fundamental mode of index ``m`` resonates at
+    the given wavelength (:func:`dispersion_map` tabulates higher orders).
 
-    Solves 2 L / lambda = m + (q + 1) * gouy(L) by bracketed root finding;
+    Solves 2 L / lambda = m + gouy(L) by bracketed root finding;
     the residual frequency error of the returned root is below 1 MHz. For
     a flat mirror (ROC = inf) the root is the closed form m * lambda / 2.
     """
@@ -202,10 +195,9 @@ def resonance_length(
     roc_um = scalar_roc(roc)
     if math.isinf(roc_um):
         return m * wavelength_nm / 2000.0
-    order = transverse_order + 1
 
     def mismatch(l_um):
-        return 2000.0 * l_um / wavelength_nm - order * gouy_fraction(l_um, roc_um) - m
+        return 2000.0 * l_um / wavelength_nm - gouy_fraction(l_um, roc_um) - m
 
     lo = 1e-9
     hi = roc_um * (1.0 - 1e-12)
@@ -216,7 +208,7 @@ def resonance_length(
         )
     l_um = brent_root(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     # residual check in frequency units (1 MHz = 1e-6 THz)
-    freq = C_UM_THZ / (2.0 * l_um) * (m + order * gouy_fraction(l_um, roc_um))
+    freq = C_UM_THZ / (2.0 * l_um) * (m + gouy_fraction(l_um, roc_um))
     target = C_NM_THZ / wavelength_nm
     if abs(freq - target) > 1e-6:
         raise SearchError("root refinement failed to reach 1 MHz residual")

@@ -6,7 +6,13 @@ import pytest
 from conftest import model_grid, perturb_params, random_params
 
 from cavitylab import fitkit, models, synthlab
-from cavitylab.errors import DataError, InsufficientDataError, RankDeficiencyError, ValidationError
+from cavitylab.errors import (
+    DataError,
+    FitQualityError,
+    InsufficientDataError,
+    RankDeficiencyError,
+    ValidationError,
+)
 from cavitylab.optics import C_NM_GHZ
 
 
@@ -232,7 +238,7 @@ def test_fit_many_bookkeeping_matches_each_problem_fitted_alone(monkeypatch):
     monkeypatch.setattr(fitkit, "_normal_equations", probe_iteration)
     monkeypatch.setattr(fitkit, "_solve_rows", probe_try)
     assert [_bits(r) for r in fitkit.fit_many(problems)] == alone
-    assert stacks == [("lorentzian", 20), ("lorentzian", 20), ("g2_three_level", 12)]
+    assert stacks == [("lorentzian", 32), ("lorentzian", 8), ("g2_three_level", 12)]
     for name in ("lorentzian", "g2_three_level"):
         mixed = [n for model, n in tries if model == name and len(n) > 1 and 0 < n[1] < n[0]]
         assert mixed, name
@@ -273,21 +279,35 @@ def test_fit_many_in_length_blocks_matches_each_problem_fitted_alone(monkeypatch
             alone[i] = _bits(fitkit.fit(q))
 
     # the lengths of each loop, and the blocks each damping try after the
-    # first holds rows of
-    loops, retried = [], []
-    fit_group, picks = fitkit._fit_group, fitkit._picks
+    # first holds rows of: the rows a try picks of each block right after
+    # its solve (the first try of an iteration with every row in reuses the
+    # rows still iterating, which are picked only when rows stop)
+    loops, retried, tries = [], [], []
+    fit_group, picks, normal_equations, solve_rows = (
+        fitkit._fit_group, fitkit._picks, fitkit._normal_equations, fitkit._solve_rows)
 
     def probe_group(model, group):
         loops.append((model.name, sorted({q.x.size for q in group})))
         return fit_group(model, group)
 
+    def probe_iteration(*args):
+        tries.clear()
+        return normal_equations(*args)
+
+    def probe_try(A, b):
+        tries.append(True)
+        return solve_rows(A, b)
+
     def probe_picks(index, starts):
-        if not isinstance(index, slice):
+        if len(tries) > 1 and tries[-1]:
+            tries[-1] = False
             blocks = np.diff(np.searchsorted(index, starts))
             retried.append((loops[-1][0], int(np.count_nonzero(blocks))))
         return picks(index, starts)
 
     monkeypatch.setattr(fitkit, "_fit_group", probe_group)
+    monkeypatch.setattr(fitkit, "_normal_equations", probe_iteration)
+    monkeypatch.setattr(fitkit, "_solve_rows", probe_try)
     monkeypatch.setattr(fitkit, "_picks", probe_picks)
     with pytest.raises(RankDeficiencyError) as err:
         fitkit.fit_many(problems)
@@ -336,15 +356,57 @@ def test_loops_are_the_fewest_runs_within_the_stack_bound():
 
 def test_singular_system_in_a_stack_leaves_the_other_rows_solved():
     # one singular system makes the stacked solve raise; the per-row
-    # fallback must still solve every other system as it would alone
+    # fallback must still solve every other system as it would alone, for
+    # a vector right-hand side and for the identity, where each row is bit
+    # for bit that matrix's own np.linalg.inv
     rng = np.random.Generator(np.random.Philox(5))
-    A, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3))
+    A, b = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3, 1))
     A[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]
-    out, singular = fitkit._solve_rows(A, b)
-    assert singular.tolist() == [False, False, True, False, False]
-    assert np.all(np.isnan(out[2]))
-    for k in (0, 1, 3, 4):
-        assert np.array_equal(out[k], np.linalg.solve(A[k], b[k])), k
+    for rhs, alone in ((b, lambda k: np.linalg.solve(A[k], b[k])),
+                       (np.eye(3), lambda k: np.linalg.inv(A[k]))):
+        out, singular = fitkit._solve_rows(A, rhs)
+        assert out.shape == (5, 3, rhs.shape[-1])
+        assert singular.tolist() == [False, False, True, False, False]
+        assert np.all(np.isnan(out[2]))
+        for k in (0, 1, 3, 4):
+            assert np.array_equal(out[k], alone(k)), k
+
+
+def test_identity_solve_is_the_inverse_bit_for_bit():
+    # the covariance is the solve against the identity: on stacks of every
+    # parameter count of the registry, each row equals np.linalg.inv of
+    # that matrix alone, as a stack and one by one
+    rng = np.random.Generator(np.random.Philox(11))
+    for n_params in range(2, 7):
+        for _ in range(40):
+            J = rng.normal(size=(8, 3 * n_params, n_params)) * rng.uniform(1e-3, 1e3, n_params)
+            H = J.transpose(0, 2, 1) @ J
+            out, singular = fitkit._solve_rows(H, np.eye(n_params))
+            assert not singular.any()
+            assert np.array_equal(out, np.linalg.inv(H))
+            for k in range(len(H)):
+                assert np.array_equal(out[k], np.linalg.inv(H[k])), (n_params, k)
+
+
+def test_singular_normal_matrix_at_the_fitted_point_gives_a_nan_covariance():
+    # lifetime counts fitted with the g2 model converge where the normal
+    # matrix is exactly singular: its covariance is NaN, not a pseudo-inverse
+    # with a negative eigenvalue (the iteration count, 34 to 64, depends on
+    # the BLAS kernel's JtJ bits)
+    ds = synthlab.generate(synthlab.preset("lifetime_4k", seed=0))
+    result = fitkit.fit(fitkit.FitProblem("g2_three_level", ds.x, ds.y))
+    assert result.converged
+    assert np.isnan(result.covariance).all()
+
+    # a report step refuses a NaN covariance as a fit quality failure (exit
+    # 3), before the report's JSON would refuse the NaN as invalid (exit 2)
+    x, y = _lorentzian_data(noise_sigma=10.0, seed=3)
+    problem = fitkit.FitProblem(model_id="lorentzian", x=x, y=y)
+    fitted = fitkit.fit(problem)
+    assert fitted.to_report_step(problem)["outputs"]["data_digest"] == problem.data_digest()
+    singular = dataclasses.replace(fitted, covariance=np.full((4, 4), np.nan))
+    with pytest.raises(FitQualityError, match="singular normal matrix"):
+        singular.to_report_step(problem)
 
 
 def test_g2_fit_from_relabelled_start_reports_ordered_rates():

@@ -33,9 +33,8 @@ def test_resonance_length_roots_match_brentq(monkeypatch):
     for _ in range(1200):
         wavelength_nm = rng.uniform(400.0, 1000.0)
         roc_um = rng.uniform(5.0, 100.0)
-        q = int(rng.integers(0, 4))
-        m_max = math.floor(2000.0 * roc_um / wavelength_nm - (q + 1) / 2.0)
-        optics.resonance_length(wavelength_nm, int(rng.integers(1, m_max + 1)), roc_um, q)
+        m_max = math.floor(2000.0 * roc_um / wavelength_nm - 0.5)
+        optics.resonance_length(wavelength_nm, int(rng.integers(1, m_max + 1)), roc_um)
     assert len(calls) == 1200
     for f, a, b, kwargs, root in calls:
         assert kwargs == {"xtol": 1e-13, "rtol": 8.9e-16}
