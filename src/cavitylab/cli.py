@@ -56,32 +56,24 @@ def _radii(args) -> tuple[float, float]:
     return args.roc_x, args.roc_y
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
+def _float_flag(holds, domain: str):
+    """The argparse type of a float flag: the number when ``holds(number)``,
+    else exit 2 with "must be <domain>", also for text that is no number."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # holds for no domain
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return parse
 
 
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
-    return value
-
-
-def _refractive_index(text: str) -> float:
-    value = float(text)
-    if not 1 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
-    return value
+_positive = _float_flag(lambda v: 0 < v < math.inf, "a positive number")
+_non_negative = _float_flag(lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_fraction = _float_flag(lambda v: 0 < v <= 1, "a number in (0, 1]")
+_refractive_index = _float_flag(lambda v: 1 <= v < math.inf, "a finite number >= 1")
 
 
 def _positive_int(text: str) -> int:

@@ -33,13 +33,13 @@ in magnitude as an integer, any other value as the shortest ``repr`` that
 round-trips. In a ``spectral_map`` file each row is one pixel and each
 ``frame_NNNN`` column one frame. The writer builds integer fields as bytes
 in numpy, a chunk of rows at a time: digit words gathered from a table by
-base-1000 limb, keep masks gathered the same way, one ``np.compress`` per
-chunk. Only the other fields become Python objects, one ``repr`` or ``str``
-each. One file that is no schema, the dispersion map of
-``cavitylab dispersion``, writes its lengths and wavelengths by a second,
-fixed-precision rule, ``"%.9g" % v``, built as bytes the same way (see
-:func:`_fixed_bytes`); a value the byte kernel cannot settle exactly takes
-``%`` itself.
+base-1000 limb, NUL in every byte a field drops, so that a chunk is one
+byte array written less its NUL bytes. Only the other fields become Python
+objects, one ``repr`` or ``str`` each, NUL-padded. One file that is no
+schema, the dispersion map of ``cavitylab dispersion``, writes its lengths
+and wavelengths by a second, fixed-precision rule, ``"%.9g" % v``, built
+as bytes the same way (see :func:`_fixed_bytes`); a value the byte kernel
+cannot settle exactly takes ``%`` itself.
 
 Every schema is read by numpy's ``loadtxt`` as float64, with one rule for
 ``spectral_map`` files, whose counts are whole numbers in practice: a map
@@ -347,7 +347,8 @@ def _loadtxt(path: Path, usecols=None) -> np.ndarray:
 
 def _load_scan(path: Path) -> list[ScanTrace]:
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.strip().split(",") for line in fh][1:]
+        # np.loadtxt skips empty lines: both passes must see the same rows
+        rows = [line.strip().split(",") for line in fh if line != "\n"][1:]
     for i, parts in enumerate(rows):
         if len(parts) != 3:
             raise SchemaError(f"expected 3 columns at row {i}", row_index=i)
@@ -419,7 +420,15 @@ def _load_whole_counts(path: Path, n_frames: int) -> np.ndarray | None:
 
 
 def save_csv(record, path) -> Path:
-    """Write a record in its CSV schema; inverse of :func:`load_csv`."""
+    """Write a record in its CSV schema; inverse of :func:`load_csv`.
+
+    A ``spectral_map`` file has no field for a frame period, so a map whose
+    ``frame_period_s`` is not 1.0 is refused before anything is written.
+    """
+    if isinstance(record, SpectralMap) and record.frame_period_s != 1.0:
+        raise ValidationError(
+            f"a spectral_map file holds no frame period: frame_period_s must be 1.0 "
+            f"to be saved, got {record.frame_period_s!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if isinstance(record, Spectrum):
@@ -446,17 +455,14 @@ def save_csv(record, path) -> Path:
 
 # fields encoded at once: a few rows of an acquisition-sized map, or
 # thousands of rows of a narrow file. A field takes a few dozen bytes of
-# work arrays, so a chunk needs a few megabytes whatever the file size.
+# work arrays, NUL in the bytes it drops, so a chunk needs a few megabytes
+# whatever the file size.
 _CHUNK_FIELDS = 65536
-
-# one 4-byte word per base-1000 limb, "000," to "999,": three digits and
-# the separator, which only a field's lowest limb keeps
-_DIGITS = np.frombuffer("".join(f"{i:03d}," for i in range(1000)).encode(), np.uint32)
 _LIMB_POWERS = [1000**k for k in range(7)]
 
 
-def _keep_words(lowest: bool) -> np.ndarray:
-    """Keep masks of a limb's word, one word of 0/1 bytes per table row.
+def _limb_words(lowest: bool) -> np.ndarray:
+    """A limb's 4-byte words, "000," to "999," twice, NUL in the bytes it drops.
 
     Rows 0-999 serve a limb with no nonzero limb above it, by its value:
     they drop its leading zeros, and a zero limb keeps one "0" if it is the
@@ -464,26 +470,26 @@ def _keep_words(lowest: bool) -> np.ndarray:
     nonzero one and keep all three digits. Only the lowest limb keeps the
     separator.
     """
-    keep = np.ones((2000, 4), dtype=np.uint8)
-    keep[:100, 0] = keep[:10, 1] = 0
-    keep[0, 2] = keep[:, 3] = lowest
-    return keep.view(np.uint32).ravel()
+    words = np.array([f"{i % 1000:03d}," for i in range(2000)], "S4").view(np.uint8).reshape(-1, 4)
+    words[:100, 0] = words[:10, 1] = 0
+    if not lowest:
+        words[0, 2] = words[:, 3] = 0
+    return words.view(np.uint32).ravel()
 
 
-_KEEP_LOWEST, _KEEP_HIGHER = _keep_words(True), _keep_words(False)
-# a sign word, kept where its index is 1
-_SIGN = np.frombuffer(b"----", np.uint32)
-_KEEP_SIGN = np.frombuffer(bytes([0, 0, 0, 0, 1, 0, 0, 0]), np.uint32)
+_LOWEST_WORDS, _HIGHER_WORDS = _limb_words(True), _limb_words(False)
+# a sign word, "-" where its index is 1
+_SIGN = np.frombuffer(b"\0\0\0\0-\0\0\0", np.uint32)
 
 
-def _integer_bytes(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _integer_bytes(ints: np.ndarray) -> np.ndarray:
     """The bytes of integers below 1e16 in magnitude, each followed by ",",
-    and a mask of the bytes to keep; both ``(*ints.shape, n_bytes)``.
+    NUL where a byte is dropped; ``(*ints.shape, n_bytes)``.
 
     Each integer is one 4-byte word per base-1000 limb, gathered from
-    ``_DIGITS``, after a sign word when any of them is negative. Its keep
-    mask is gathered word by word from tables of the same layout, so that
-    leading zeros, inner separators and unused signs are dropped.
+    ``_LOWEST_WORDS`` or ``_HIGHER_WORDS``, after a sign word when any of
+    them is negative, so that leading zeros, inner separators and unused
+    signs are NUL.
     """
     size = np.abs(ints).ravel()
     top = size.max()
@@ -493,22 +499,16 @@ def _integer_bytes(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negative = ints.ravel() < 0
     sign = int(negative.any())
     words = np.empty((size.size, sign + n_limbs), np.uint32)
-    keep = np.empty_like(words)
     if sign:
-        words[:, 0] = _SIGN
-        keep[:, 0] = _KEEP_SIGN.take(negative)
+        words[:, 0] = _SIGN.take(negative)
     for k in range(n_limbs):
         power = _LIMB_POWERS[n_limbs - 1 - k]
         limb = size // power if power > 1 else size
         if k:  # below the leading limb: all digits once a higher one is nonzero
             limb = limb - 1000 * (limb // 1000)  # limb % 1000, at a third of its cost
-            index = limb + 1000 * (size >= 1000 * power)
-        else:
-            index = limb
-        words[:, sign + k] = _DIGITS.take(limb)
-        keep[:, sign + k] = (_KEEP_LOWEST if power == 1 else _KEEP_HIGHER).take(index)
-    return (words.view(np.uint8).reshape(*ints.shape, -1),
-            keep.view(bool).reshape(*ints.shape, -1))
+            limb += 1000 * (size >= 1000 * power)
+        words[:, sign + k] = (_LOWEST_WORDS if power == 1 else _HIGHER_WORDS).take(limb)
+    return words.view(np.uint8).reshape(*ints.shape, -1)
 
 
 _POW10 = np.array([float(10**k) for k in range(13)])  # exact as floats
@@ -525,14 +525,14 @@ def _g9_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     limb, one 8-byte word each with a point slot after every digit, and the
     separator as the last word's last byte. Returned: the limb words by
     value; the digits of q through a limb's last nonzero one, by value, for
-    its top, middle and low limb (0 for a zero limb); and the keep masks,
-    one row of four words per (exponent e in [-4, 9), sign, significant
-    digits n in 0-9), where n = 0 keeps only the separator, for the
-    fallback. Kept: the sign; "0." and -1 - e zeros for e < 0; the digits
-    through the n-th, and at least e + 1 of them; the point after digit
-    e + 1 when digits follow it.
+    its top, middle and low limb (0 for a zero limb); and the byte masks,
+    0xFF on each byte kept and 0x00 on each byte dropped, one row of four
+    words per (exponent e in [-4, 9), sign, significant digits n in 0-9),
+    where n = 0 keeps only the separator, for the fallback. Kept: the sign;
+    "0." and -1 - e zeros for e < 0; the digits through the n-th, and at
+    least e + 1 of them; the point after digit e + 1 when digits follow it.
     """
-    digits = _DIGITS.view(np.uint8).reshape(1000, 4)[:, :3]
+    digits = _HIGHER_WORDS.view(np.uint8).reshape(2000, 4)[1000:, :3]
     limbs = np.zeros((1000, 8), np.uint8)
     limbs[:, 0:6:2], limbs[:, 1:6:2] = digits, ord(".")
     nonzero = digits != ord("0")
@@ -542,36 +542,38 @@ def _g9_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.arange(-4, 9)[:, None, None]
     sign = np.arange(2)[None, :, None]
     n = np.arange(10)[None, None, :]
-    keep = np.zeros((13, 2, 10, 4, 8), bool)
-    keep[..., 0, 0] = sign
-    keep[..., 0, 1] = keep[..., 0, 2] = e < 0
+    mask = np.zeros((13, 2, 10, 4, 8), np.uint8)
+    mask[..., 0, 0] = sign
+    mask[..., 0, 1] = mask[..., 0, 2] = e < 0
     for k in range(3, 6):
-        keep[..., 0, k] = e < 2 - k
+        mask[..., 0, k] = e < 2 - k
     for i in range(1, 10):
         word, byte = 1 + (i - 1) // 3, 2 * ((i - 1) % 3)
-        keep[..., word, byte] = i <= np.maximum(n, e + 1)
-        keep[..., word, byte + 1] = (i == e + 1) & (n > i)
-    keep[:, :, 0] = False
-    keep[..., 3, 7] = True
-    tables = limbs.view(np.uint64).ravel(), significant, keep.reshape(-1, 32).view(np.uint64)
+        mask[..., word, byte] = i <= np.maximum(n, e + 1)
+        mask[..., word, byte + 1] = (i == e + 1) & (n > i)
+    mask[:, :, 0] = 0
+    mask[..., 3, 7] = 1
+    mask *= 0xFF
+    tables = limbs.view(np.uint64).ravel(), significant, mask.reshape(-1, 32).view(np.uint64)
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
 
 
-def _fixed_bytes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fixed_bytes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bytes of floats written as ``"%.9g" % v``, each followed by ",",
-    a mask of the bytes to keep, both ``(*f.shape, n_bytes)``, and a mask
-    of the values left to the fallback, which keep only the ",".
+    NUL where a byte is dropped, ``(*f.shape, n_bytes)``, and a mask of the
+    values left to the fallback, which keep only the ",".
 
     A value of decimal exponent e in [-4, 9), where ``%g`` writes no
     exponent, has the nine significant digits q = rint(|v| 10**(8 - e)):
     the power of ten is exact, so the product is rounded once, and its rint
     is the exact one unless the product lies within a few ulps of a tie.
     Every field is the same template of q's digits with a point slot after
-    each; a keep mask looked up by (e, sign, digits through the last
-    nonzero one) picks the text. Left to the fallback: near-ties, exponents
-    outside the range, 0 and -0.0 (``%g`` writes "-0"), NaN and infinities.
+    each; a byte mask looked up by (e, sign, digits through the last
+    nonzero one) and ANDed into it picks the text. Left to the fallback:
+    near-ties, exponents outside the range, 0 and -0.0 (``%g`` writes
+    "-0"), NaN and infinities.
     """
     # in place where numpy allows: a fresh array costs more in page faults
     # than the pass that fills it
@@ -600,13 +602,13 @@ def _fixed_bytes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     low += q
     mid -= 1000 * top
     # digits through the last nonzero one
-    limb_words, significant, keep_rows = _g9_tables()
+    limb_words, significant, masks = _g9_tables()
     n = np.maximum(significant[0].take(top), significant[1].take(mid))
     np.maximum(n, significant[2].take(low), out=n)
     negative = f.ravel() < 0
     # the prefix word only where some field needs a sign or a leading "0."
     first = int(not (negative.any() or ((e < 0) & ok).any()))
-    # each field's keep row, built in e's array; row 0 for the fallback
+    # each field's mask row, built in e's array; row 0 for the fallback
     row = e
     row += 4
     row *= 2
@@ -620,14 +622,13 @@ def _fixed_bytes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for k, limb in enumerate((top, mid, low)):
         words[:, k + 1 - first] = limb_words.take(limb)
     words[:, -1] ^= _G9_COMMA
-    keep = keep_rows[:, first:].take(row, axis=0)
-    return (words.view(np.uint8).reshape(*f.shape, -1),
-            keep.view(bool).reshape(*f.shape, -1), ~ok.reshape(f.shape))
+    words &= masks[:, first:].take(row, axis=0)
+    return words.view(np.uint8).reshape(*f.shape, -1), ~ok.reshape(f.shape)
 
 
-def _fields(values: np.ndarray, fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of a block of CSV fields, each followed by ",", and a mask
-    of the bytes to keep; both ``(n_rows, n_bytes)``.
+def _fields(values: np.ndarray, fixed: bool = False) -> np.ndarray:
+    """The bytes of a block of CSV fields, each followed by ",", NUL where
+    a byte is dropped; ``(n_rows, n_bytes)``.
 
     By the per-value rule, an integral value below 1e16 in magnitude is
     written as an integer, by :func:`_integer_bytes`. Any other number is
@@ -635,15 +636,15 @@ def _fields(values: np.ndarray, fixed: bool = False) -> tuple[np.ndarray, np.nda
     (object arrays, ASCII) as ``str``. A ``fixed`` block is written as
     ``"%.9g" % v`` by :func:`_fixed_bytes`, with ``%`` for the values it
     leaves. When a block has such text fields, every field of it starts
-    with a slot as wide as the longest text, NUL-padded, and keeps the text
-    in it.
+    with a slot as wide as the longest text, NUL-padded, and holds the text
+    in it. No field holds a NUL of its own.
     """
     shape = values.shape
     if fixed:
         f = np.ascontiguousarray(values, dtype=np.float64)
-        data, keep, as_text = _fixed_bytes(f)
+        data, as_text = _fixed_bytes(f)
         if not as_text.any():
-            return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+            return data.reshape(shape[0], -1)
         text = np.array(["%.9g" % v for v in f[as_text].tolist()], dtype=np.bytes_)
     else:
         if values.dtype == object:
@@ -657,13 +658,12 @@ def _fields(values: np.ndarray, fixed: bool = False) -> tuple[np.ndarray, np.nda
             ints = np.where(np.abs(f) < 1e16, f, 0.0).astype(np.int64)
             as_text = ints != values
         if not as_text.any():
-            data, keep = _integer_bytes(ints)
-            return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+            return _integer_bytes(ints).reshape(shape[0], -1)
         if as_text.all():
-            data, keep = np.full((*shape, 1), ord(","), np.uint8), np.ones((*shape, 1), bool)
+            data = np.full((*shape, 1), ord(","), np.uint8)
         else:
-            data, keep = _integer_bytes(np.where(as_text, 0, ints))
-            keep[as_text, :-1] = False  # a text field keeps only the separator
+            data = _integer_bytes(np.where(as_text, 0, ints))
+            data[as_text, :-1] = 0  # a text field keeps only the separator
         if values.dtype == object:
             # numpy's bytes type renders by str, encodes ASCII and pads with NUL
             text = np.array(values[as_text], dtype=np.bytes_)
@@ -672,9 +672,7 @@ def _fields(values: np.ndarray, fixed: bool = False) -> tuple[np.ndarray, np.nda
             text = np.array(list(map(repr, f[as_text].tolist())), dtype="S24")
     slot = np.zeros((*shape, text.itemsize), np.uint8)
     slot[as_text] = text.view(np.uint8).reshape(text.size, -1)
-    data = np.concatenate([slot, data], axis=-1)
-    keep = np.concatenate([slot != 0, keep], axis=-1)
-    return data.reshape(shape[0], -1), keep.reshape(shape[0], -1)
+    return np.concatenate([slot, data], axis=-1).reshape(shape[0], -1)
 
 
 def _write_csv(path: Path, header: str, blocks, fixed=()):
@@ -684,8 +682,9 @@ def _write_csv(path: Path, header: str, blocks, fixed=()):
     array column); all have the same number of rows. The blocks whose index
     is in ``fixed`` are written by the ``%.9g`` rule, the others by the
     per-value rule. A chunk of rows at a time is encoded to bytes by
-    :func:`_fields`, block by block, and packed by one ``np.compress``, so
-    work arrays stay bounded by ``_CHUNK_FIELDS`` whatever the file size.
+    :func:`_fields`, block by block, into one byte array written less its
+    NUL bytes, so work arrays stay bounded by ``_CHUNK_FIELDS`` whatever the
+    file size.
     """
     blocks = [b.reshape(len(b), -1) for b in blocks]
     n_rows, n_fields = len(blocks[0]), sum(b.shape[1] for b in blocks)
@@ -693,11 +692,10 @@ def _write_csv(path: Path, header: str, blocks, fixed=()):
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n_rows, step):
-            data, keep = zip(*(_fields(b[lo:lo + step], i in fixed)
-                               for i, b in enumerate(blocks)))
-            data, keep = np.concatenate(data, axis=1), np.concatenate(keep, axis=1)
+            data = np.concatenate([_fields(b[lo:lo + step], i in fixed)
+                                   for i, b in enumerate(blocks)], axis=1)
             data[:, -1] = ord("\n")
-            fh.write(np.compress(keep.ravel(), data.ravel()))
+            fh.write(data.tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

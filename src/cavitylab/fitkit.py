@@ -38,7 +38,8 @@ steps' solve against the identity, bit for bit ``np.linalg.inv``; a normal
 matrix singular there gives a NaN covariance, not a pseudo-inverse, and
 :meth:`FitResult.to_report_step` refuses it. :func:`bootstrap_uncertainty`
 draws its resamples from the model's noise: Poisson counts around the
-fitted curve, or resampled residuals for a Gaussian model.
+fitted curve, or for a Gaussian model weighted residuals resampled and
+rescaled to the weight of the point they land on.
 """
 
 from __future__ import annotations
@@ -648,8 +649,10 @@ def bootstrap_uncertainty(
     """Parametric bootstrap standard deviation per parameter.
 
     Each resample is drawn from the model's noise around the fitted curve:
-    Poisson counts for a ``poisson`` model, the fitted curve plus residuals
-    resampled with replacement for a ``gaussian`` one. All resamples are
+    Poisson counts for a ``poisson`` model; for a ``gaussian`` one, the
+    fitted curve plus weighted residuals w_i r_i resampled with replacement
+    and rescaled to the point they land on, y*_j = y_hat_j + w_i r_i / w_j
+    (plain residuals when the problem has no weights). All resamples are
     drawn in one generator call, in the order of one draw per resample, and
     refitted from the converged parameters by :func:`fit_many`, whose stack
     bound keeps the memory of the refits that of about 2**15 points; the
@@ -668,7 +671,10 @@ def bootstrap_uncertainty(
     if model.noise == "poisson":
         y = rng.poisson(np.broadcast_to(y_hat, shape)).astype(float)
     else:
-        y = y_hat + (problem.y - y_hat)[rng.integers(0, shape[1], shape)]
+        # without weights, w = 1.0 multiplies and divides exactly: the plain
+        # residuals' bits
+        w = 1.0 if problem.weights is None else problem.weights
+        y = y_hat + (w * (problem.y - y_hat))[rng.integers(0, shape[1], shape)] / w
     resamples = FitProblem.stack(
         problem.model_id, np.broadcast_to(problem.x, shape), y,
         weights=None if problem.weights is None else np.broadcast_to(problem.weights, shape),

@@ -466,7 +466,9 @@ _BUDGET_ARGS = {
     + [("--f-fp", "-5"), ("--m-det", "-12"), ("--m-det", "0"), ("--m-det", "1.5")]
     + [("--roc", "inf"), ("--roc-x", "nan"), ("--roc-y", "0"), ("--qe", "1.5"), ("--qe", "nan"),
        ("--dw", "0"), ("--branching", "2"), ("--refractive-index", "nan"),
-       ("--refractive-index", "0.9"), ("--refractive-index", "inf")],
+       ("--refractive-index", "0.9"), ("--refractive-index", "inf")]
+    # text that is no number, one flag of each float domain
+    + [("--tau0", "abc"), ("--f-fp", "abc"), ("--qe", "abc"), ("--refractive-index", "abc")],
 )
 def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys):
     # a bad value of a budget input, non-finite or out of its domain
@@ -479,7 +481,9 @@ def test_purcell_budget_nonfinite_input_names_flag(flag, value, tmp_path, capsys
         del args["--kappa-exp"]
     argv = ["purcell-budget", *(x for item in args.items() for x in item)]
     assert run(argv + ["--out", str(tmp_path)]) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the flag's own domain, not argparse's "invalid <type> value"
+    assert flag in err and "must be" in err and "invalid" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -610,6 +614,8 @@ def test_module_entry_point(tmp_path):
         ("--roc", "-24"),
         ("--roc", "inf"),
         ("--roc-x", "nan"),
+        ("--roc-y", "abc"),
+        ("--tol-nm", "1,5"),
         ("--bootstrap", "1"),
         ("--bootstrap", "-3"),
         ("--bootstrap", "x"),
@@ -624,7 +630,10 @@ def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
     else:
         argv = _dispersion_args(tmp_path, extra=(flag, value))
     assert run(argv) == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the flag's own rule ("must be ...", "must not repeat ..."), not
+    # argparse's "invalid <type> value"
+    assert flag in err and "must" in err and "invalid" not in err
     assert not any(tmp_path.iterdir())
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavitylab import dataio
+from cavitylab import dataio, synthlab
 from cavitylab.dataio import (
     ScanTrace,
     SpectralMap,
@@ -67,6 +67,19 @@ def test_scan_unknown_direction_label_names_row(tmp_path):
     assert "sideways" in str(err.value)
 
 
+@pytest.mark.parametrize("ending", ["\n", "\n\n", "\r\n\r\n"])
+def test_scan_skips_empty_lines_as_every_other_schema(tmp_path, ending):
+    rows = ["0,1,up", "1,2,up", "", "2,1,down", "1,0,down"]
+    path = tmp_path / "scan.csv"
+    path.write_bytes(ending.join(["axis,signal,direction", *rows]).encode() + ending.encode())
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_bytes(ending.join(["wavelength_nm,counts", "600,1", "", "601,2"]).encode()
+                         + ending.encode())
+    assert len(dataio.load_csv(spectrum, "spectrum")) == 2
+    up, down = dataio.load_csv(path, "scan")
+    assert up.axis.tolist() == [0.0, 1.0] and down.signal.tolist() == [1.0, 0.0]
+
+
 def test_scan_direction_must_match_axis():
     with pytest.raises(SchemaError):
         ScanTrace(axis=[0.0, 1.0], signal=[1.0, 1.0], sweep_direction="down")
@@ -102,6 +115,17 @@ def test_spectral_map_roundtrip(tmp_path):
     loaded = dataio.load_csv(path, "spectral_map")
     assert len(loaded) == 4
     assert np.array_equal(loaded.frames[2].counts, counts[2])
+
+
+def test_spectral_map_with_a_frame_period_is_not_saved(tmp_path):
+    # a map file has no field for the period: a drift map (one frame a
+    # minute) would load back at one frame a second
+    drift_map, _ = synthlab.generate_drift_map(n_frames=6, seed=1)
+    assert drift_map.frame_period_s == 60.0
+    path = tmp_path / "out" / "map.csv"
+    with pytest.raises(ValidationError, match="frame_period_s"):
+        dataio.save_csv(drift_map, path)
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectral_map_is_read_only():

@@ -590,13 +590,21 @@ def test_bootstrap_noiseless_sigma_is_zero():
 
 
 def test_bootstrap_agrees_with_covariance():
+    # a line with uniform noise, and one whose noise jumps from 0.05 to 2.0
+    # at x = 5 (weights 1/sigma): raw residuals resampled across the jump
+    # would give the second the spread of its noisiest points, a slope
+    # sigma some 27 times the covariance's
     rng = np.random.Generator(np.random.Philox(42))
     x = np.linspace(0.0, 10.0, 120)
     y = 2.0 * x + 1.0 + rng.normal(0.0, 0.5, x.size)
-    problem = fitkit.FitProblem(model_id="linear", x=x, y=y)
-    result = fitkit.fit(problem)
-    boot = fitkit.bootstrap_uncertainty(problem, result, n_resamples=400, seed=2)
-    assert np.all(np.abs(boot - result.sigmas) <= 0.3 * result.sigmas)
+    x_w = np.linspace(0.0, 10.0, 40)
+    sigma = np.where(x_w < 5.0, 0.05, 2.0)
+    y_w = 2.0 * x_w + 1.0 + rng.normal(0.0, sigma)
+    for problem in (fitkit.FitProblem(model_id="linear", x=x, y=y),
+                    fitkit.FitProblem(model_id="linear", x=x_w, y=y_w, weights=1.0 / sigma)):
+        result = fitkit.fit(problem)
+        boot = fitkit.bootstrap_uncertainty(problem, result, n_resamples=400, seed=2)
+        assert np.all(np.abs(boot - result.sigmas) <= 0.3 * result.sigmas)
 
 
 def test_bootstrap_sigma_matches_thermal_drift_precision():
