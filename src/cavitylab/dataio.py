@@ -41,19 +41,31 @@ and wavelengths by a second, fixed-precision rule, ``"%.9g" % v``, built
 as bytes the same way (see :func:`_fixed_bytes`); a value the byte kernel
 cannot settle exactly takes ``%`` itself.
 
-Every schema is read by numpy's ``loadtxt`` as float64, with one rule for
-``spectral_map`` files, whose counts are whole numbers in practice: a map
-with no "-" in its data rows is first parsed with the wavelength as
-float64 and the counts as int64, which numpy parses about a third faster.
-The counts are then converted to float64 inside the parsed buffer. An
-int64 converts to the float nearest to it, ties to even, as the float
-parser rounds the same digits, so this route gives the float parse's bits.
-"-" is excluded because "-0" parses as the integer 0 but the float -0.0
-(and a negative count is refused anyway). Any field that does not parse
-as an int64 (a fraction, an exponent, ``nan``, 2**63 and above) or a
-ragged row sends the file to the float parse, which gives every error
-message. A 7200-frame, 200-pixel map loads in about 55-80 ms on a 2-CPU
-Xeon host, against 95-130 ms by the float parse.
+Every file is read through one ``np.loadtxt`` call site (:func:`_loadtxt`),
+in one pass but for the map rule below, into a structured array with one
+field per column, named after the record field it fills (see
+``_SCHEMAS``): numbers as float64, and a scan's direction label as an
+8-byte field, wide enough to quote a label such as ``sideways`` when it is
+refused. A label must be exactly ``up`` or ``down``; the labels are
+checked with numpy, and a scan's ramps are split where the label changes.
+A file that does not parse is refused, in every schema, at its first data
+row whose field count is not the header's: "expected N columns at row i",
+with ``row_index`` i, rows counted from 0 after the header and skipping
+the empty lines numpy skips. Any other parse error gives numpy's message.
+
+A ``spectral_map`` file, whose counts are whole numbers in practice, is
+parsed by one more rule: a map with no "-" in its data rows is first
+parsed with the wavelength as float64 and the counts as int64, which numpy
+parses about a third faster. The counts are then converted to float64
+inside the parsed buffer. An int64 converts to the float nearest to it,
+ties to even, as the float parser rounds the same digits, so this route
+gives the float parse's bits. "-" is excluded because "-0" parses as the
+integer 0 but the float -0.0 (and a negative count is refused anyway). Any
+field that does not parse as an int64 (a fraction, an exponent, ``nan``,
+2**63 and above), any numpy warning or a ragged row sends the file to the
+float parse, which gives every error message. A 7200-frame, 200-pixel map
+loads in about 55-80 ms on a 2-CPU Xeon host, against 95-130 ms by the
+float parse.
 
 JSON reports are canonical (sorted keys, floats rendered with ``%.10g``) so
 identical inputs always produce byte-identical files.
@@ -63,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import warnings
@@ -276,11 +287,15 @@ class TemperatureLog:
 # CSV load/save
 # ---------------------------------------------------------------------------
 
-_SCHEMA_HEADERS = {
-    "spectrum": "wavelength_nm,counts",
-    "scan": "axis,signal,direction",
-    "histogram": "t_ns,counts",
-    "temperature_log": "time_s,temperature_k",
+# each schema: its record type, its header (a map's is built from its frame
+# count) and the record fields its columns fill, in column order (a map's
+# counts fill every column after the first)
+_SCHEMAS = {
+    "spectrum": (Spectrum, "wavelength_nm,counts", ("wavelength_nm", "counts")),
+    "scan": (ScanTrace, "axis,signal,direction", ("axis", "signal", "sweep_direction")),
+    "histogram": (TimeHistogram, "t_ns,counts", ("bin_centers_ns", "counts")),
+    "spectral_map": (SpectralMap, None, ("wavelength_nm", "counts")),
+    "temperature_log": (TemperatureLog, "time_s,temperature_k", ("time_s", "temperature_k")),
 }
 
 
@@ -307,82 +322,77 @@ def load_csv(path, schema_id: str):
         header = fh.readline().strip()
         if not any(line.strip() for line in fh):
             raise InsufficientDataError(f"{path.name} holds no data rows")
-
-    if schema_id == "spectral_map":
-        return _load_spectral_map(path, header)
-
-    expected = _SCHEMA_HEADERS.get(schema_id)
-    if expected is None:
+    if schema_id not in _SCHEMAS:
         raise ValidationError(f"unknown schema id {schema_id!r}")
+    record_type, expected, fields = _SCHEMAS[schema_id]
+    if record_type is SpectralMap:
+        return _load_spectral_map(path, header)
     if header != expected:
         raise SchemaError(
             f"header mismatch for schema {schema_id!r}: expected {expected!r}, got {header!r}"
         )
+    # a direction label is read as bytes, wide enough to quote "sideways"
+    data = _loadtxt(path, np.dtype([(name, "S8" if name == "sweep_direction" else "f8")
+                                    for name in fields]))
+    if record_type is not ScanTrace:
+        return record_type(**{name: data[name] for name in fields})
+    labels = data["sweep_direction"]
+    bad = np.flatnonzero((labels != b"up") & (labels != b"down"))
+    if bad.size:
+        i = int(bad[0])
+        raise SchemaError(f"unknown sweep direction {labels[i].decode('latin-1')!r} at row {i}",
+                          row_index=i)
+    # each run of one direction label is one ramp
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(data)]
+    return [ScanTrace(axis=data["axis"][lo:hi], signal=data["signal"][lo:hi],
+                      sweep_direction=labels[lo].decode())
+            for lo, hi in zip(bounds, bounds[1:])]
 
-    if schema_id == "scan":
-        return _load_scan(path)
 
-    data = _loadtxt(path)
-    if data.shape[1] != 2:
-        raise SchemaError(f"expected 2 columns, found {data.shape[1]}")
-    if schema_id == "spectrum":
-        return Spectrum(wavelength_nm=data[:, 0], counts=data[:, 1])
-    if schema_id == "histogram":
-        return TimeHistogram(bin_centers_ns=data[:, 0], counts=data[:, 1])
-    return TemperatureLog(time_s=data[:, 0], temperature_k=data[:, 1])
+def _loadtxt(path: Path, dtype: np.dtype) -> np.ndarray:
+    """The data rows of ``path`` parsed to ``dtype`` in one pass, read-only.
 
-
-def _loadtxt(path: Path, usecols=None) -> np.ndarray:
+    A file that does not parse is refused with a :class:`SchemaError`: at
+    the first data row whose field count is not the header's, skipping the
+    empty lines numpy skips, or else with numpy's own message.
+    """
     try:
         # no comment character: "#" in a field is malformed
-        data = np.loadtxt(
-            path, delimiter=",", skiprows=1, ndmin=2, comments=None, usecols=usecols
-        )
+        data = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1, comments=None)
     except ValueError as exc:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            lines = (line for line in fh if line != "\n")
+            n_columns = next(lines).count(",") + 1
+            for i, line in enumerate(lines):
+                if line.count(",") + 1 != n_columns:
+                    raise SchemaError(f"expected {n_columns} columns at row {i}",
+                                      row_index=i) from exc
         raise SchemaError(f"malformed numeric data in {path.name}: {exc}") from exc
     # nothing else holds the array, so records keep views of it uncopied
     data.flags.writeable = False
     return data
 
 
-def _load_scan(path: Path) -> list[ScanTrace]:
-    with open(path, "r", encoding="utf-8") as fh:
-        # np.loadtxt skips empty lines: both passes must see the same rows
-        rows = [line.strip().split(",") for line in fh if line != "\n"][1:]
-    for i, parts in enumerate(rows):
-        if len(parts) != 3:
-            raise SchemaError(f"expected 3 columns at row {i}", row_index=i)
-        if parts[2] not in ("up", "down"):
-            raise SchemaError(f"unknown sweep direction {parts[2]!r} at row {i}", row_index=i)
-    data = _loadtxt(path, usecols=(0, 1))
-    traces, start = [], 0
-    # each run of one direction label is one ramp
-    for direction, ramp in itertools.groupby(parts[2] for parts in rows):
-        stop = start + sum(1 for _ in ramp)
-        traces.append(ScanTrace(axis=data[start:stop, 0], signal=data[start:stop, 1],
-                                sweep_direction=direction))
-        start = stop
-    return traces
-
-
 def _load_spectral_map(path: Path, header: str) -> SpectralMap:
     columns = header.split(",")
-    if columns[0] != "wavelength_nm" or len(columns) < 2:
+    n_frames = len(columns) - 1
+    if columns[0] != "wavelength_nm" or not n_frames:
         raise SchemaError(
             f"spectral_map header must start with 'wavelength_nm,frame_0000', got {header!r}"
         )
-    if header != _map_header(len(columns) - 1):
-        for i, name in enumerate(columns[1:]):
-            if name != _frame_column(i):
-                raise SchemaError(
-                    f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {name!r}"
-                )
-    data = _load_whole_counts(path, len(columns) - 1)
+    if header != _map_header(n_frames):
+        i = next(i for i, name in enumerate(columns[1:]) if name != _frame_column(i))
+        raise SchemaError(
+            f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {columns[i + 1]!r}"
+        )
+    data = _load_whole_counts(path, n_frames)
     if data is None:
-        data = _loadtxt(path)
-    if data.shape[1] != len(columns):
-        raise SchemaError(f"column count mismatch: header {len(columns)}, data {data.shape[1]}")
-    return SpectralMap(wavelength_nm=data[:, 0], counts=data[:, 1:].T)
+        data = _loadtxt(path, _map_dtype("f8", n_frames))
+    return SpectralMap(wavelength_nm=data["wavelength_nm"], counts=data["counts"].T)
+
+
+def _map_dtype(counts: str, n_frames: int) -> np.dtype:
+    return np.dtype([("wavelength_nm", "f8"), ("counts", counts, (n_frames,))])
 
 
 # rows converted at a time: a block's temporary copy stays a few hundred kB
@@ -390,66 +400,72 @@ _CONVERT_FIELDS = 32768
 
 
 def _load_whole_counts(path: Path, n_frames: int) -> np.ndarray | None:
-    """The map's rows as :func:`_loadtxt` parses them, read with int64
+    """The map's rows as the float parse reads them, read with int64
     counts by the rule of the module docstring, or None where the file
     needs the float parse: a "-" in its data rows, or any parse error or
     warning. The counts become float64 in the parsed buffer, a few rows at
-    a time, so the returned matrix is a read-only view of that one buffer.
+    a time, so the returned array is a read-only view of that one buffer
+    in the float parse's dtype.
     """
     with open(path, "rb") as fh:
         fh.readline()
         if any(b"-" in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
             return None
-    dtype = np.dtype([("wavelength_nm", np.float64), ("counts", np.int64, (n_frames,))])
     try:
         # a numpy that reads a fractional field into an int64 with a
         # deprecation warning would give a wrong count: fall back on it too
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1,
-                             comments=None)
-    except (ValueError, Warning):
+            raw = _loadtxt(path, _map_dtype("i8", n_frames))
+    except (SchemaError, Warning):
         return None
+    raw.flags.writeable = True
     ints = raw.view(np.int64).reshape(raw.size, -1)
     data = raw.view(np.float64).reshape(raw.size, -1)
     step = max(1, _CONVERT_FIELDS // (n_frames + 1))
     for lo in range(0, len(data), step):
         data[lo:lo + step, 1:] = ints[lo:lo + step, 1:]
-    data.flags.writeable = False
-    return data
+    raw.flags.writeable = False
+    return raw.view(_map_dtype("f8", n_frames))
 
 
 def save_csv(record, path) -> Path:
     """Write a record in its CSV schema; inverse of :func:`load_csv`.
 
-    A ``spectral_map`` file has no field for a frame period, so a map whose
-    ``frame_period_s`` is not 1.0 is refused before anything is written.
+    A list of scan ramps is one file, the ramps' rows in order. The file
+    ends a ramp only where the direction changes, so two adjacent ramps of
+    one direction are refused. A ``spectral_map`` file has no field for a
+    frame period, so a map whose ``frame_period_s`` is not 1.0 is refused.
+    Every refusal is a :class:`ValidationError` raised before anything is
+    made on disk.
     """
-    if isinstance(record, SpectralMap) and record.frame_period_s != 1.0:
-        raise ValidationError(
-            f"a spectral_map file holds no frame period: frame_period_s must be 1.0 "
-            f"to be saved, got {record.frame_period_s!r}")
+    ramps = [record] if isinstance(record, ScanTrace) else record
+    if isinstance(ramps, Sequence) and ramps and all(isinstance(r, ScanTrace) for r in ramps):
+        for i in range(1, len(ramps)):
+            if ramps[i].sweep_direction == ramps[i - 1].sweep_direction:
+                raise ValidationError(
+                    f"scan ramp {i} runs {ramps[i].sweep_direction} as ramp {i - 1} does: "
+                    f"a scan file ends a ramp only where the direction changes")
+        header = _SCHEMAS["scan"][1]
+        blocks = [np.concatenate([r.axis for r in ramps]),
+                  np.concatenate([r.signal for r in ramps]),
+                  np.repeat(np.array([r.sweep_direction for r in ramps], dtype=object),
+                            [len(r) for r in ramps])]
+    else:
+        schema = next((s for s in _SCHEMAS.values() if isinstance(record, s[0])), None)
+        if schema is None:
+            raise ValidationError(f"cannot serialize record of type {type(record).__name__}")
+        record_type, header, fields = schema
+        blocks = [getattr(record, name) for name in fields]
+        if record_type is SpectralMap:
+            if record.frame_period_s != 1.0:
+                raise ValidationError(
+                    f"a spectral_map file holds no frame period: frame_period_s must be 1.0 "
+                    f"to be saved, got {record.frame_period_s!r}")
+            header, blocks[1] = _map_header(len(record)), record.counts.T
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(record, Spectrum):
-        _write_csv(path, "wavelength_nm,counts", [record.wavelength_nm, record.counts])
-    elif isinstance(record, TimeHistogram):
-        _write_csv(path, "t_ns,counts", [record.bin_centers_ns, record.counts])
-    elif isinstance(record, TemperatureLog):
-        _write_csv(path, "time_s,temperature_k", [record.time_s, record.temperature_k])
-    elif isinstance(record, ScanTrace):
-        save_csv([record], path)
-    elif isinstance(record, SpectralMap):
-        _write_csv(path, _map_header(len(record)), [record.wavelength_nm, record.counts.T])
-    elif isinstance(record, Sequence) and record and isinstance(record[0], ScanTrace):
-        directions = np.array([t.sweep_direction for t in record], dtype=object)
-        _write_csv(path, "axis,signal,direction", [
-            np.concatenate([t.axis for t in record]),
-            np.concatenate([t.signal for t in record]),
-            np.repeat(directions, [len(t) for t in record]),
-        ])
-    else:
-        raise ValidationError(f"cannot serialize record of type {type(record).__name__}")
+    _write_csv(path, header, blocks)
     return path
 
 

@@ -80,6 +80,42 @@ def test_scan_skips_empty_lines_as_every_other_schema(tmp_path, ending):
     assert up.axis.tolist() == [0.0, 1.0] and down.signal.tolist() == [1.0, 0.0]
 
 
+def test_scan_pair_round_trip_is_one_parse(tmp_path, monkeypatch):
+    # both 120 000-sample ramps come back bit for bit from one numpy parse
+    from cavitylab import optics
+
+    pair = synthlab.generate_scan_pair(n_samples=120_000, seed=41)
+    path = dataio.save_csv(pair, tmp_path / "scan.csv")
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("dtype"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    loaded = dataio.load_csv(path, "scan")
+    assert len(calls) == 1
+    assert [r.sweep_direction for r in loaded] == [r.sweep_direction for r in pair]
+    for got, want in zip(loaded, pair, strict=True):
+        assert got.axis.tobytes() == want.axis.tobytes()
+        assert got.signal.tobytes() == want.signal.tobytes()
+    assert optics.finesse_from_scan(loaded) == optics.finesse_from_scan(pair)
+
+
+_UP = ScanTrace(axis=[0.0, 1.0, 2.0], signal=[1.0, 5.0, 1.0])
+_DOWN = ScanTrace(axis=[2.0, 1.0, 0.0], signal=[1.0, 5.0, 1.0], sweep_direction="down")
+
+
+@pytest.mark.parametrize("ramps, index", [([_UP, _UP], 1), ([_UP, _DOWN, _DOWN], 2)])
+def test_scan_ramps_of_one_direction_are_not_saved(tmp_path, ramps, index):
+    # a scan file ends a ramp only where the direction changes, so two
+    # adjacent up ramps would load back as one ramp that is not ascending
+    path = tmp_path / "out" / "scan.csv"
+    with pytest.raises(ValidationError, match=f"ramp {index} "):
+        dataio.save_csv(ramps, path)
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_direction_must_match_axis():
     with pytest.raises(SchemaError):
         ScanTrace(axis=[0.0, 1.0], signal=[1.0, 1.0], sweep_direction="down")
@@ -421,14 +457,17 @@ def _map_text(field="5", row=1, line_end="\n", edit=None):
 
 
 def _float_route(path):
-    """The float parser's map, as bits, or its error, as type and message."""
-    n_columns = len(path.read_text().splitlines()[0].split(","))
+    """The float parser's map, as bits, or its error, as type and message;
+    a file with a row whose field count is not the header's is refused at
+    the first such row."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines() if line]
+    ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        return SchemaError, f"expected {len(header)} columns at row {ragged[0]}"
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
     except ValueError as exc:
         return SchemaError, f"malformed numeric data in {path.name}: {exc}"
-    if data.shape[1] != n_columns:
-        return SchemaError, f"column count mismatch: header {n_columns}, data {data.shape[1]}"
     try:
         m = SpectralMap(wavelength_nm=data[:, 0], counts=data[:, 1:].T)
     except ValidationError as exc:
@@ -526,3 +565,41 @@ def test_scan_numbers_parse_like_every_other_schema(tmp_path):
     path.write_text("axis,signal,direction\n0,1_0,up\n1,2,up\n2,3,up\n")
     with pytest.raises(SchemaError, match="row 0"):
         dataio.load_csv(path, "scan")
+
+
+@pytest.mark.parametrize("record", [object(), [], [_UP, object()]],
+                         ids=["object", "empty list", "trace and object"])
+def test_refused_record_leaves_nothing_on_disk(tmp_path, record):
+    with pytest.raises(ValidationError, match="cannot serialize"):
+        dataio.save_csv(record, tmp_path / "fx" / "sub" / "y.csv")
+    assert not (tmp_path / "fx").exists()
+
+
+_DATA_ROWS = {
+    "spectrum": ["wavelength_nm,counts", "600.0,1", "601.0,2", "602.0,3"],
+    "scan": ["axis,signal,direction", "0,1,up", "1,2,up", "2,3,up"],
+    "histogram": ["t_ns,counts", "0.5,3", "1.5,2", "2.5,1"],
+    "spectral_map": ["wavelength_nm,frame_0000,frame_0001", "600.0,1,2", "601.0,4,5",
+                     "602.0,2,3"],
+    "temperature_log": ["time_s,temperature_k", "0,285", "60,285.5", "120,286"],
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_DATA_ROWS))
+@pytest.mark.parametrize("edit, lines", [
+    ("one field too many", 0),
+    ("one field too few", 0),
+    ("one field too many", 1),  # after an empty line, which numpy skips
+])
+def test_ragged_row_named_in_every_schema(tmp_path, schema, edit, lines):
+    header, *rows = _DATA_ROWS[schema]
+    if edit == "one field too many":
+        rows[1] += ",7"
+    else:
+        rows[1] = rows[1].rsplit(",", 1)[0]
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join([header, rows[0], *[""] * lines, *rows[1:]]) + "\n")
+    with pytest.raises(SchemaError) as err:
+        dataio.load_csv(path, schema)
+    assert str(err.value) == f"expected {header.count(',') + 1} columns at row 1"
+    assert err.value.row_index == 1
