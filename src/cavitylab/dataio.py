@@ -63,9 +63,16 @@ gives the float parse's bits. "-" is excluded because "-0" parses as the
 integer 0 but the float -0.0 (and a negative count is refused anyway). Any
 field that does not parse as an int64 (a fraction, an exponent, ``nan``,
 2**63 and above), any numpy warning or a ragged row sends the file to the
-float parse, which gives every error message. A 7200-frame, 200-pixel map
-loads in about 55-80 ms on a 2-CPU Xeon host, against 95-130 ms by the
-float parse.
+float parse, which gives every error message; the failed integer parse
+is not diagnosed. A 7200-frame, 200-pixel map loads in about 55-80 ms on
+a 2-CPU Xeon host, against 95-130 ms by the float parse.
+
+Memory: the one pass over a map's bytes that looks for "-" also counts
+its data rows as numpy does (lines end at "\\n", "\\r\\n" or "\\r"; empty
+lines are no rows). Either parse is given that count as ``max_rows``, so
+numpy allocates its structured buffer once, at the map's size, instead
+of growing it by reallocation, and the loaded map is a view of that one
+buffer.
 
 JSON reports are canonical (sorted keys, floats rendered with ``%.10g``) so
 identical inputs always produce byte-identical files.
@@ -349,17 +356,29 @@ def load_csv(path, schema_id: str):
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _loadtxt(path: Path, dtype: np.dtype) -> np.ndarray:
+def _loadtxt(path: Path, dtype: np.dtype, max_rows: int | None = None,
+             name_rows: bool = True) -> np.ndarray:
     """The data rows of ``path`` parsed to ``dtype`` in one pass, read-only.
 
+    ``max_rows``, the file's data row count where the caller has it, lets
+    numpy allocate its buffer once at that size instead of growing it.
     A file that does not parse is refused with a :class:`SchemaError`: at
     the first data row whose field count is not the header's, skipping the
-    empty lines numpy skips, or else with numpy's own message.
+    empty lines numpy skips, or else with numpy's own message. With
+    ``name_rows`` false numpy's ``ValueError`` is raised as it is, for a
+    caller that parses the file again on failure.
     """
     try:
-        # no comment character: "#" in a field is malformed
-        data = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1, comments=None)
+        with warnings.catch_warnings():
+            # numpy warns that an empty line does not count towards
+            # max_rows; nor does it in the caller's count
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+            # no comment character: "#" in a field is malformed
+            data = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, ndmin=1,
+                              comments=None, max_rows=max_rows)
     except ValueError as exc:
+        if not name_rows:
+            raise
         with open(path, encoding="utf-8", errors="replace") as fh:
             lines = (line for line in fh if line != "\n")
             n_columns = next(lines).count(",") + 1
@@ -385,10 +404,40 @@ def _load_spectral_map(path: Path, header: str) -> SpectralMap:
         raise SchemaError(
             f"spectral_map column {i + 1} must be {_frame_column(i)!r}, got {columns[i + 1]!r}"
         )
-    data = _load_whole_counts(path, n_frames)
+    n_rows, signed = _data_rows(path)
+    data = None if signed else _load_whole_counts(path, n_frames, n_rows)
     if data is None:
-        data = _loadtxt(path, _map_dtype("f8", n_frames))
+        data = _loadtxt(path, _map_dtype("f8", n_frames), n_rows)
     return SpectralMap(wavelength_nm=data["wavelength_nm"], counts=data["counts"].T)
+
+
+# bytes read at a time by the row count
+_READ_BYTES = 1 << 20
+
+
+def _data_rows(path: Path) -> tuple[int, bool]:
+    """The number of data rows numpy's parser reads in ``path``, and
+    whether a "-" occurs in the file, from one pass over its bytes.
+
+    A line ends at "\\n", "\\r\\n" or "\\r", as in the text layer numpy
+    reads through, and a line with no byte is no row, as numpy skips it;
+    the header line is not counted. The scan takes a Python step per line:
+    a map's lines are long, one a pixel.
+    """
+    rows, signed, open_line = -1, False, False
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_READ_BYTES), b""):
+            signed = signed or b"-" in chunk
+            # "\r\n" becomes a line end and an empty line, which is no row
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r", b"\n")
+            start, end = 0, chunk.find(b"\n")
+            while end >= 0:
+                rows += open_line or end > start
+                open_line, start = False, end + 1
+                end = chunk.find(b"\n", start)
+            open_line = start < len(chunk)
+    return rows + open_line, signed
 
 
 def _map_dtype(counts: str, n_frames: int) -> np.dtype:
@@ -399,25 +448,22 @@ def _map_dtype(counts: str, n_frames: int) -> np.dtype:
 _CONVERT_FIELDS = 32768
 
 
-def _load_whole_counts(path: Path, n_frames: int) -> np.ndarray | None:
-    """The map's rows as the float parse reads them, read with int64
-    counts by the rule of the module docstring, or None where the file
-    needs the float parse: a "-" in its data rows, or any parse error or
-    warning. The counts become float64 in the parsed buffer, a few rows at
-    a time, so the returned array is a read-only view of that one buffer
-    in the float parse's dtype.
+def _load_whole_counts(path: Path, n_frames: int, n_rows: int) -> np.ndarray | None:
+    """The map's ``n_rows`` rows as the float parse reads them, read with
+    int64 counts by the rule of the module docstring, or None where the
+    file needs the float parse: any parse error or warning. The counts
+    become float64 in the parsed buffer, a few rows at a time, so the
+    returned array is a read-only view of that one buffer in the float
+    parse's dtype.
     """
-    with open(path, "rb") as fh:
-        fh.readline()
-        if any(b"-" in chunk for chunk in iter(lambda: fh.read(1 << 20), b"")):
-            return None
     try:
         # a numpy that reads a fractional field into an int64 with a
-        # deprecation warning would give a wrong count: fall back on it too
+        # deprecation warning would give a wrong count: fall back on it too.
+        # The float parse names a ragged row, so this one does not look
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw = _loadtxt(path, _map_dtype("i8", n_frames))
-    except (SchemaError, Warning):
+            raw = _loadtxt(path, _map_dtype("i8", n_frames), n_rows, name_rows=False)
+    except (ValueError, Warning):
         return None
     raw.flags.writeable = True
     ints = raw.view(np.int64).reshape(raw.size, -1)

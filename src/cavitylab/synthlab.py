@@ -286,6 +286,11 @@ def generate_drift_map(
     )
 
 
+# frames of a WLED map generated at a time: a block's expected counts and
+# its Poisson draw take a few hundred kB at 200 pixels
+_WLED_BLOCK_FRAMES = 256
+
+
 def generate_wled_map(
     n_frames: int,
     l_start_um: float = 5.0,
@@ -297,6 +302,10 @@ def generate_wled_map(
 
     Fixed scenario: ROC 24 um, a 550-680 nm window, Lorentzians of FWHM
     0.8 nm, 500 counts high over a baseline of 10, Poisson counts.
+
+    Memory: the float64 counts matrix is the one full-size array. It is
+    filled ``_WLED_BLOCK_FRAMES`` frames at a time, each block's expected
+    counts and Poisson draw a block in size.
     """
     window = (550.0, 680.0)
     grid = np.linspace(*window, n_pixels)
@@ -305,20 +314,29 @@ def generate_wled_map(
     n_m = len(m_values)
     centers = dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, n_m)
     inside = (window[0] < centers) & (centers < window[1])
-    # peaks are added in ascending m within each frame, the summation order
-    # the generated counts are pinned to; peak k is evaluated only on the
-    # frames whose window holds it, one contiguous run of frames because a
-    # resonance moves monotonically with length, one parameter row a frame
-    expected = np.full((n_frames, n_pixels), 10.0)
-    for k in range(n_m):
-        lo = inside[:, k].argmax()
-        hi = lo + np.count_nonzero(inside[:, k])
-        peaks = np.tile([500.0, 0.0, 0.8, 0.0], (hi - lo, 1))
-        peaks[:, 1] = centers[lo:hi, k]
-        expected[lo:hi] += models.get_model("lorentzian").fn(grid, peaks)
-    counts = rng_from_seed(seed).poisson(expected)
-    del expected
-    return SpectralMap(*_handed_over(grid, counts.astype(float)), frame_period_s=1.0)
+    # peak k lies in the window over one contiguous run of frames, because a
+    # resonance moves monotonically with length
+    starts = inside.argmax(axis=0)
+    runs = list(zip(starts.tolist(), (starts + np.count_nonzero(inside, axis=0)).tolist()))
+    lorentzian = models.get_model("lorentzian").fn
+    rng = rng_from_seed(seed)
+    counts = np.empty((n_frames, n_pixels))
+    for b0 in range(0, n_frames, _WLED_BLOCK_FRAMES):
+        b1 = min(b0 + _WLED_BLOCK_FRAMES, n_frames)
+        # peaks are added in ascending m within each frame, the summation
+        # order the generated counts are pinned to, each only on the frames
+        # of its run, one parameter row a frame
+        expected = np.full((b1 - b0, n_pixels), 10.0)
+        for k, (lo, hi) in enumerate(runs):
+            lo, hi = max(lo, b0), min(hi, b1)
+            if lo < hi:
+                peaks = np.tile([500.0, 0.0, 0.8, 0.0], (hi - lo, 1))
+                peaks[:, 1] = centers[lo:hi, k]
+                expected[lo - b0:hi - b0] += lorentzian(grid, peaks)
+        # each draw continues the one Philox stream: the blocks' counts are
+        # those of one draw over the whole matrix
+        counts[b0:b1] = rng.poisson(expected)
+    return SpectralMap(*_handed_over(grid, counts), frame_period_s=1.0)
 
 
 # ---------------------------------------------------------------------------

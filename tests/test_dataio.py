@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -529,6 +531,59 @@ def test_map_counts_parse_as_integers_when_whole(tmp_path, monkeypatch, offset, 
     assert [_integer_parse(d) for d in dtypes] == parses
     assert loaded.counts.tobytes() == m.counts.tobytes()
     assert loaded.wavelength_nm.tobytes() == m.wavelength_nm.tobytes()
+
+
+_ENDINGS = {
+    "final newline": lambda text: text,
+    "no final newline": lambda text: text[:-1],
+    "blank line": lambda text: text.replace("\n601.0", "\n\n601.0"),  # before data row 1
+}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+@pytest.mark.parametrize("field, parses", [
+    ("5", [True]),  # whole counts: the integer parse
+    ("2.5", [True, False]),  # a fraction: the integer parse fails, the float parse reads it
+    ("-0", [False]),  # a "-": the float parse only
+])
+def test_map_parse_buffer_is_sized_by_the_row_count(tmp_path, monkeypatch, ending, field,
+                                                    parses):
+    # every map parse is told the data row count, so numpy allocates its
+    # buffer once; the warning numpy gives for a blank line under max_rows
+    # neither leaks nor sends whole counts to the float parse
+    path = tmp_path / "map.csv"
+    path.write_bytes(_ENDINGS[ending](_map_text(field)).encode())
+    assert ("\n\n" in path.read_text()) == (ending == "blank line")
+    want = _float_route(path)
+    calls, loadtxt = [], np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append((_integer_parse(np.dtype(kwargs["dtype"])), kwargs.get("max_rows")))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = _loaded_map(path)
+    assert calls == [(integer, len(_MAP_ROWS)) for integer in parses]
+    assert loaded == want
+
+
+def test_fractional_map_falls_back_without_a_line_scan(tmp_path, monkeypatch):
+    # the failed integer parse is not diagnosed: the float parse reads the
+    # file next and names a ragged row itself. The loader opens the file
+    # for its header and for its row count, nothing more
+    path = tmp_path / "map.csv"
+    path.write_text(_map_text("2.5", row=2))
+    modes, real_open = [], open
+
+    def spy(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", spy, raising=False)
+    assert _loaded_map(path) == _float_route(path)
+    assert modes == ["r", "rb"]
 
 
 @pytest.mark.parametrize(

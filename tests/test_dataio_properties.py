@@ -5,17 +5,20 @@ ValidationError subclass or returns a record that meets the dataio
 invariants; every schema loader does the same for any altered file, and
 refuses text that does not parse. ``save_csv`` writes every schema byte for
 byte as the per-value oracle of ``test_dataio`` does, and the file reads
-back to the record's values. Canonical report JSON reads back as the
-tree it was rendered from, floats rounded to ten significant digits, with
-sorted keys, and refuses NaN, infinity and floats whose ten-digit text reads
-back as infinity anywhere in the tree. Examples are derandomized and bounded
-so that the suite stays deterministic and fast.
+back to the record's values. A map's data row count, which sizes its parse
+buffer, is the number of rows numpy reads, for any line ends. Canonical
+report JSON reads back as the tree it was rendered from, floats rounded to
+ten significant digits, with sorted keys, and refuses NaN, infinity and
+floats whose ten-digit text reads back as infinity anywhere in the tree.
+Examples are derandomized and bounded so that the suite stays
+deterministic and fast.
 """
 
 import hashlib
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +244,33 @@ def test_load_csv(tmp_path, schema, data):
     assert records
     for rec in records:
         _check(rec)
+
+
+@st.composite
+def _line_texts(draw):
+    """A header and up to 12 one-field lines, empty ones drawn often, each
+    ended by "\n", "\r" or "\r\n"; the last line maybe not ended."""
+    lines = draw(st.lists(st.sampled_from(["", "", "1", " ", "-7", "ab"]), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip(["h", *lines], ends))
+    return text.rstrip("\r\n") if lines and draw(st.booleans()) else text
+
+
+@PROPERTY
+@given(_line_texts(), st.sampled_from([1, 2, 3, 1 << 20]))
+def test_map_row_count_is_the_parsers(tmp_path, text, read_bytes):
+    # the count that sizes a map's parse buffer is the number of rows numpy
+    # reads, whatever the line ends, the empty lines and the read size
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_READ_BYTES", read_bytes)
+        counted = dataio._data_rows(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns when no row holds data
+        rows = np.loadtxt(path, dtype="U4", delimiter=",", skiprows=1, ndmin=1, comments=None)
+    assert counted == (len(rows), "-" in text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,49 @@ def test_map_generators_bit_identical(seed):
 def test_full_size_wled_map_bit_identical():
     wled = synthlab.generate_wled_map(7200, seed=0)
     assert dataio.digest_arrays(wled.wavelength_nm, wled.counts_matrix()) == _WLED_FULL_DIGEST
+
+
+def test_wled_map_generation_holds_one_full_size_array():
+    # the counts matrix and one block of frames: the generator's traced
+    # peak stays below twice the counts' bytes
+    tracemalloc.start()
+    try:
+        wled = synthlab.generate_wled_map(7200, n_pixels=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * wled.counts.nbytes
+
+
+def _wled_one_draw(n_frames, seed):
+    """The WLED map as one Poisson draw over the whole expected matrix,
+    each peak added over its run of frames in ascending m."""
+    window = (550.0, 680.0)
+    grid = np.linspace(*window, 200)
+    lengths = np.linspace(5.0, 3.7, n_frames)
+    m_values = optics.mode_indices((3.7, 5.0), window)
+    centers = optics.dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, -1)
+    inside = (window[0] < centers) & (centers < window[1])
+    expected = np.full((n_frames, grid.size), 10.0)
+    for k in range(len(m_values)):
+        lo = inside[:, k].argmax()
+        hi = lo + np.count_nonzero(inside[:, k])
+        peaks = np.tile([500.0, 0.0, 0.8, 0.0], (hi - lo, 1))
+        peaks[:, 1] = centers[lo:hi, k]
+        expected[lo:hi] += models.get_model("lorentzian").fn(grid, peaks)
+    return grid, synthlab.rng_from_seed(seed).poisson(expected).astype(float)
+
+
+@pytest.mark.parametrize("n_frames", [255, 256, 257, 513])
+def test_wled_map_blocks_equal_one_draw(n_frames):
+    # frames are generated a block at a time; on either side of a block
+    # edge the map is the one-draw map bit for bit
+    assert synthlab._WLED_BLOCK_FRAMES == 256
+    wled = synthlab.generate_wled_map(n_frames, seed=5)
+    grid, counts = _wled_one_draw(n_frames, seed=5)
+    assert wled.wavelength_nm.tobytes() == grid.tobytes()
+    assert wled.counts.dtype == np.float64
+    assert wled.counts.tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("n_frames", [72, 7200])
