@@ -76,17 +76,20 @@ _fraction = _float_flag(lambda v: 0 < v <= 1, "a number in (0, 1]")
 _refractive_index = _float_flag(lambda v: 1 <= v < math.inf, "a finite number >= 1")
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _int_flag(holds, domain: str):
+    """The argparse type of an integer flag: the integer when ``holds(n)``,
+    else exit 2 with "must be <domain>", also for text that is no integer
+    of decimal digits."""
+    def parse(text: str) -> int:
+        value = int(text) if text.strip().isdecimal() else -1  # holds for no domain
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
-
+_positive_int = _int_flag(lambda n: n >= 1, "an integer >= 1")
+_non_negative_int = _int_flag(lambda n: n >= 0, "an integer >= 0")
 
 # the bootstrap draws its resamples at once and refits them in stacks of at
 # most 2**15 points, so memory grows only with the resamples but time grows
@@ -94,13 +97,8 @@ def _non_negative_int(text: str) -> int:
 # RSS (200 take 0.5 s and 48 MB) on a 2-CPU Xeon host
 MAX_RESAMPLES = 1000
 
-
-def _resamples(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) == 1 or int(text) > MAX_RESAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"must be 0 or an integer from 2 to {MAX_RESAMPLES}, got {text!r}"
-        )
-    return int(text)
+_resamples = _int_flag(lambda n: n == 0 or 2 <= n <= MAX_RESAMPLES,
+                       f"0 or an integer from 2 to {MAX_RESAMPLES}")
 
 
 def _orders(text: str) -> list[int]:

@@ -108,10 +108,7 @@ class FitProblem:
         None for the heuristic start of every row. Row k is the problem
         ``FitProblem(model_id, x[k], y[k], weights[k], initial_params[k])``,
         checked with whole-array operations: the first row that fails raises
-        what that problem raises, with ``problem_index`` set to its row. (A
-        model's heuristic start rule that refuses a row, such as a
-        non-decaying window, raises as it does for that row alone, without
-        ``problem_index``.)
+        what that problem raises, with ``problem_index`` set to its row.
         """
         model = models.get_model(model_id)
         x, y, w, p0 = _validated(model, *(

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FitQualityError, ValidationError
+from .errors import CavityLabError, FitQualityError, ValidationError
 
 __all__ = ["MODELS", "Model", "evaluate", "initial_params", "jacobian_matrix", "param_names"]
 
@@ -382,8 +382,19 @@ def _detuned_purcell_init(x, y):
 
 
 def _row_by_row(init):
-    # a start rule written for one problem, taken row by row over a stack
-    return lambda x, y: np.array([init(xk, yk) for xk, yk in zip(x, y)])
+    # a start rule written for one problem, taken row by row over a stack; a
+    # row it refuses is named by ``problem_index``, as in every stack refusal
+    def starts(x, y):
+        rows = []
+        for k, (xk, yk) in enumerate(zip(x, y)):
+            try:
+                rows.append(init(xk, yk))
+            except CavityLabError as exc:
+                exc.problem_index = k
+                raise
+        return np.array(rows)
+
+    return starts
 
 
 def _abs_width(index):

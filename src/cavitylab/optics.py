@@ -35,6 +35,7 @@ from . import fitkit, models
 from .dataio import ScanTrace, SpectralMap, Spectrum
 from .errors import (
     CavityLabError,
+    FitQualityError,
     GeometryError,
     InsufficientDataError,
     SearchError,
@@ -109,6 +110,13 @@ def scalar_roc(roc, roc_mode: str = "geometric") -> float:
     if value <= 0:
         raise GeometryError("radius of curvature must be positive")
     return value
+
+
+def _check_positive_finite(**values) -> None:
+    """Raise ValidationError naming the first of ``values`` not in (0, inf)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
 
 
 def gouy_fraction(l_eff_um: float, roc_um: float) -> float:
@@ -190,8 +198,7 @@ def resonance_length(wavelength_nm: float, m: int, roc) -> float:
     """
     if m < 1:
         raise ValidationError("longitudinal index m must be >= 1")
-    if wavelength_nm <= 0:
-        raise ValidationError("wavelength must be positive")
+    _check_positive_finite(wavelength_nm=wavelength_nm)
     roc_um = scalar_roc(roc)
     if math.isinf(roc_um):
         return m * wavelength_nm / 2000.0
@@ -249,6 +256,8 @@ def double_resonance_search(
     Candidates are sorted by length mismatch (the physically tunable
     variable); an empty list is a valid outcome.
     """
+    _check_positive_finite(lambda_exc_nm=lambda_exc_nm, lambda_det_nm=lambda_det_nm,
+                           tolerance_um=tolerance_um)
     roc_um = scalar_roc(roc)
     lo = max(l_range_um[0], 1e-6)
     hi = min(l_range_um[1], roc_um * (1 - 1e-9))
@@ -339,8 +348,7 @@ def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
 def q_from_linewidth(lambda_c_nm: float, kappa_ghz: float) -> float:
     """Quality factor nu_c / kappa for an effective linewidth in GHz, with
     nu_c = c / lambda_c of the vacuum wavelength."""
-    if lambda_c_nm <= 0 or kappa_ghz <= 0:
-        raise ValidationError("wavelength and linewidth must be positive")
+    _check_positive_finite(lambda_c_nm=lambda_c_nm, kappa_ghz=kappa_ghz)
     return C_NM_GHZ / lambda_c_nm / kappa_ghz
 
 
@@ -357,10 +365,9 @@ def cavity_figures(
     disagree whenever finesse and linewidth were measured independently, so
     both are reported, with their ratio, and never silently mixed.
     """
-    if finesse <= 0:
-        raise ValidationError("finesse must be positive")
-    if m_det < 1:
-        raise ValidationError("m_det must be >= 1")
+    _check_positive_finite(finesse=finesse)
+    if not (1 <= m_det < math.inf and m_det == int(m_det)):
+        raise ValidationError(f"m_det must be an integer >= 1, got {m_det}")
     fsr_thz = C_UM_THZ / (2.0 * geom.refractive_index * geom.l_eff_um)
     kappa_ghz = fsr_thz * 1000.0 / finesse
     q = m_det * finesse
@@ -607,36 +614,29 @@ def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray)
     return np.maximum(models.nearest_not_above(rows, peaks, half, 1) - left, 3.0)
 
 
-def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines):
+def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines) -> list:
     """Lorentzian fit problems, one per peak: on the samples of row k of
     ``rows`` (a (K, n) array, or one row shared by every peak) within eight
     half-maximum widths (at least 10 samples) of column ``peaks[k]``, the
     width measured above ``baselines[k]`` (or one baseline for all), the
     median of the row. The problems of each group of equal-length windows
-    are built as one stack. Returns the problems in order up to the first
-    one refused, and that refusal (None when every problem is built)."""
+    are built as one stack. Records are finite, so a window is refused only
+    for fewer than 4 samples (the Lorentzian start never raises, the model
+    has no bounds). A window holds min(n, 11) samples or more, so only a
+    3-sample row is refused: every window is the whole row, raised for peak 0."""
     rows = np.broadcast_to(rows, (peaks.size, x.size))
     baselines = np.broadcast_to(baselines, peaks.shape)
     half_windows = np.maximum(8.0 * _fwhm_in_samples(rows, peaks, baselines), 10).astype(int)
     starts = np.maximum(peaks - half_windows, 0)
     stops = np.minimum(peaks + half_windows + 1, x.size)
-    problems, (first, refusal) = [None] * len(rows), (len(rows), None)
+    problems = [None] * len(rows)
     for length in np.unique(stops - starts):
         group = np.flatnonzero(stops - starts == length)
         columns = starts[group, None] + np.arange(length)
-        windows = x[columns], rows[group[:, None], columns]
-        try:
-            stack = fitkit.FitProblem.stack("lorentzian", *windows)
-        except CavityLabError as exc:
-            # the rows before the refused one are built; the first refused
-            # row of all the groups is the one reported
-            j = exc.problem_index
-            stack = fitkit.FitProblem.stack("lorentzian", *(w[:j] for w in windows))
-            if group[j] < first:
-                first, refusal = int(group[j]), exc
+        stack = fitkit.FitProblem.stack("lorentzian", x[columns], rows[group[:, None], columns])
         for k, problem in zip(group.tolist(), stack):
             problems[k] = problem
-    return problems[:first], refusal
+    return problems
 
 
 def _resonances(fits) -> tuple[np.ndarray, np.ndarray]:
@@ -656,12 +656,14 @@ def finesse_from_scan(traces) -> tuple[float, float]:
 
     Peaks whose fitted centers lie within one fitted FWHM of each other are
     one resonance (see :func:`_resonances`). Every ramp's peaks are found
-    and their fit problems built first, ramp by ramp, so a ramp with too
-    few peaks or a refused window raises, in ramp order, before anything is
-    fitted. The peaks of all ramps are then fitted in one
-    :func:`fitkit.fit_many` call; a failed fit (its ``problem_index``
-    counting the peaks of all ramps) raises before any ramp is refused for
-    peaks that merge into one resonance.
+    and their fit problems built first, so a ramp with too few peaks
+    raises, in ramp order, before anything is fitted; no window of a ramp
+    with two peaks is refused (see :func:`_peak_problems`). The peaks of
+    all ramps are then fitted in one :func:`fitkit.fit_many` call; a failed
+    fit raises, its ``problem_index`` counting the peaks of all ramps. Then
+    the first ramp in order fails that has a fit stopped short of its step
+    tolerance (``FitQualityError`` naming the ramp and the termination) or
+    peaks that merge into fewer than two resonances.
 
     Parameters
     ----------
@@ -687,25 +689,34 @@ def finesse_from_scan(traces) -> tuple[float, float]:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        problems, refusal = _peak_problems(trace.axis, trace.signal, peaks, baseline)
-        if refusal is not None:
-            raise refusal
-        ramps.append(problems)
+        ramps.append(_peak_problems(trace.axis, trace.signal, peaks, baseline))
     fits = iter(fitkit.fit_many([problem for problems in ramps for problem in problems]))
     estimates = []
     for i, (trace, problems) in enumerate(zip(traces, ramps)):
-        centers, widths = _resonances(list(itertools.islice(fits, len(problems))))
+        ramp_fits = list(itertools.islice(fits, len(problems)))
+        _require_converged(ramp_fits, f"ramp {i} ({trace.sweep_direction})")
+        centers, widths = _resonances(ramp_fits)
         if centers.size < 2:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): {len(problems)} peaks merge into "
                 "one resonance, need >= 2"
             )
-        for j in range(centers.size - 1):
-            spacing = abs(centers[j + 1] - centers[j])
-            estimates.append(spacing / widths[j])
-            estimates.append(spacing / widths[j + 1])
-    estimates = np.asarray(estimates)
+        # each spacing over the width of the resonance below it, then above it
+        spacings = np.diff(centers)
+        estimates.append(np.column_stack([spacings / widths[:-1], spacings / widths[1:]]))
+    estimates = np.concatenate(estimates, axis=None)
     return float(estimates.mean()), float(estimates.std(ddof=1))
+
+
+def _require_converged(fits, name: str) -> None:
+    """Raise ``FitQualityError`` for the first of ``fits`` that stopped for
+    any reason but its step tolerance, naming its source ``name``."""
+    for fit in fits:
+        if not fit.converged:
+            raise FitQualityError(
+                f"{name}: peak fit did not converge: {fit.termination} "
+                f"after {fit.iterations} iterations"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -757,11 +768,9 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    problems, refusal = _peak_problems(
-        spectrum.wavelength_nm, spectrum.counts, strongest, baseline)
-    if refusal is not None:
-        raise refusal
-    fits = fitkit.fit_many(problems)
+    fits = fitkit.fit_many(_peak_problems(
+        spectrum.wavelength_nm, spectrum.counts, strongest, baseline))
+    _require_converged(fits, "spectrum")
     centers, _ = _resonances(fits)
     if centers.size < 2:
         lo, hi = sorted(float(f.params[1]) for f in fits)
@@ -778,10 +787,13 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
 
     Each frame's fundamental peak is fitted with a Lorentzian; the drift is
     delta_L(t) = (lambda_res(t) - lambda_res(0)) / 2 in nm at the frame
-    times of the map. A failed fit, or a frame-to-frame jump larger than
-    half the free spectral range of a cavity of length ``l_eff_um`` at frame
-    0's strongest pixel, raises TrackingBreakError carrying the frame index.
-    The jump guard always runs, so ``l_eff_um`` must be positive and finite.
+    times of the map. One failure rule holds: a frame fails for having no
+    peak, for a window its fit problem refuses, for a fit that fails or
+    stops short of its step tolerance, or for a jump from the frame before
+    larger than half the free spectral range of a cavity of length
+    ``l_eff_um`` at frame 0's strongest pixel. The first failing frame in
+    order raises TrackingBreakError carrying its index. The jump guard
+    always runs, so ``l_eff_um`` must be positive and finite.
     """
     if not 0 < l_eff_um < math.inf:
         raise ValidationError(f"l_eff_um must be a positive finite length, got {l_eff_um}")
@@ -789,21 +801,23 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     lam0 = float(wl[np.argmax(counts[0])])
     max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
 
-    # every frame's peak search and fit runs in one batch; the first frame in
-    # order that fails (no peak, failed fit or jump) is the one reported
+    # every frame's peak search runs in one batch, and the frames before the
+    # first one without a peak are fitted in another
     peaks, medians = _strongest_peaks(counts)
-    # the frames before the first one without a peak
-    n_peaks = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
-    problems, refusal = _peak_problems(wl, counts[:n_peaks], peaks[:n_peaks], medians[:n_peaks])
-    if refusal is None and n_peaks < peaks.size:
-        refusal = InsufficientDataError("no peak found to fit")
-    failure = None if refusal is None else (len(problems), refusal)
+    failing = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
+    failure = InsufficientDataError("no peak found to fit")
     try:
-        results = fitkit.fit_many(problems)
+        results = fitkit.fit_many(_peak_problems(
+            wl, counts[:failing], peaks[:failing], medians[:failing]))
     except CavityLabError as exc:
-        results, failure = exc.results[:exc.problem_index], (exc.problem_index, exc)
+        # a refused window (only frame 0 of a 3-pixel map) leaves no fits
+        failing, failure, results = exc.problem_index, exc, getattr(exc, "results", [])
     centers = []
-    for i, result in enumerate(results):
+    for i, result in enumerate(results[:failing]):
+        if not result.converged:
+            failing, failure = i, FitQualityError(
+                f"fit did not converge: {result.termination} after {result.iterations} iterations")
+            break
         center = float(result.params[1])
         if centers and abs(center - centers[-1]) > max_jump_nm:
             raise TrackingBreakError(
@@ -812,9 +826,9 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
                 index=i,
             )
         centers.append(center)
-    if failure is not None:
-        i, exc = failure
-        raise TrackingBreakError(f"peak fit failed at frame {i}: {exc}", index=i) from exc
+    if failing < peaks.size:
+        raise TrackingBreakError(
+            f"peak fit failed at frame {failing}: {failure}", index=failing) from failure
     return [
         (float(t), (c - centers[0]) / 2.0) for t, c in zip(spectral_map.times_s(), centers)
     ]
@@ -829,8 +843,7 @@ def cte_fit(temperatures_k, delta_l_nm, reference_length_um: float):
     -------
     (alpha_per_k, sigma_alpha, fit_result)
     """
-    if reference_length_um <= 0:
-        raise ValidationError("reference_length_um must be positive")
+    _check_positive_finite(reference_length_um=reference_length_um)
     problem = fitkit.FitProblem(
         model_id="linear",
         x=np.asarray(temperatures_k, dtype=float),

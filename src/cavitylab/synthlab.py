@@ -312,7 +312,8 @@ def generate_wled_map(
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
     m_values = mode_indices((min(l_start_um, l_end_um), max(l_start_um, l_end_um)), window)
     n_m = len(m_values)
-    centers = dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, n_m)
+    # a copy of the wavelength column, so the rest of the map is freed
+    centers = dispersion_map(24.0, lengths, m_values)[:, 1].reshape(n_frames, n_m).copy()
     inside = (window[0] < centers) & (centers < window[1])
     # peak k lies in the window over one contiguous run of frames, because a
     # resonance moves monotonically with length

@@ -646,6 +646,21 @@ def test_dispersion_map_over_the_row_cap_exit_2(extra, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag, value, domain", [
+    (["fit"], "--seed", "-1", "an integer >= 0"),
+    (["fit"], "--seed", "1.5", "an integer >= 0"),
+    (["purcell-budget"], "--m-det", "0", "an integer >= 1"),
+    (["fit"], "--bootstrap", "1", "0 or an integer from 2 to 1000"),
+    (["fit"], "--bootstrap", "1001", "0 or an integer from 2 to 1000"),
+    (["fit"], "--bootstrap", "x", "0 or an integer from 2 to 1000"),
+])
+def test_integer_flag_refusal_messages(argv, flag, value, domain, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args([*argv, flag, value])
+    assert exit_.value.code == 2
+    assert f"error: argument {flag}: must be {domain}, got {value!r}\n" in capsys.readouterr().err
+
+
 def test_fit_seed_and_bootstrap_domains_end_inclusive():
     args = cli.build_parser().parse_args(
         ["fit", "--preset", "g2_dip", "--seed", "0", "--bootstrap", str(cli.MAX_RESAMPLES)]

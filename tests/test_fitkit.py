@@ -561,6 +561,20 @@ def test_stacked_build_reports_the_first_row_in_order():
     assert (err.value.problem_index, err.value.index) == (1, 4)
 
 
+def test_stacked_build_names_the_row_its_start_rule_refuses():
+    # a rising window has no decay to start from: its row is named, as in
+    # every other refusal of a stack, and its message is the one it meets alone
+    t = np.linspace(0.0, 20.0, 40)
+    y = np.tile(np.rint(500.0 * np.exp(-t / 4.0)), (4, 1))
+    y[2] = y[2, ::-1]
+    with pytest.raises(FitQualityError, match="not decaying") as alone:
+        fitkit.FitProblem("exponential_decay", t, y[2])
+    with pytest.raises(FitQualityError) as err:
+        fitkit.FitProblem.stack("exponential_decay", np.tile(t, (4, 1)), y)
+    assert err.value.problem_index == 2
+    assert str(err.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("model_id", sorted(models.MODELS))
 def test_stacked_build_equals_each_problem_built_alone(model_id):
     # given starts, and heuristic ones (for saturation clipped into the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 from cavitylab import fitkit, models, optics, synthlab
 from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum
 from cavitylab.errors import (
+    FitQualityError,
     GeometryError,
     InsufficientDataError,
     SearchError,
@@ -120,6 +122,20 @@ def test_resonance_length_roundtrip_identity():
 def test_resonance_length_no_root():
     with pytest.raises(SearchError):
         optics.resonance_length(618.5, 1000, 24.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_resonance_searches_refuse_values_that_are_not_positive_and_finite(value):
+    # a NaN wavelength raised a bare ValueError (from the root finder, or
+    # from the index range of the search), inf a SearchError, and a NaN
+    # tolerance returned no candidates
+    with pytest.raises(ValidationError, match=f"^wavelength_nm .* got {value}"):
+        optics.resonance_length(value, 10, 24.0)
+    args = {"lambda_exc_nm": 533.3, "lambda_det_nm": 618.5, "tolerance_um": 0.025}
+    for name in args:
+        with pytest.raises(ValidationError, match=f"^{name} .* got {value}"):
+            optics.double_resonance_search(
+                roc=24.0, l_range_um=(3.6, 3.9), **{**args, name: value})
 
 
 def test_double_resonance_contains_paper_pair():
@@ -390,6 +406,35 @@ def test_finesse_split_top_of_one_resonance_is_too_few():
         optics.finesse_from_scan(trace)
 
 
+_FIT_MANY = fitkit.fit_many
+
+
+def _stalled_fits(monkeypatch, stalled):
+    # fit_many as it is, but the fits at the positions in ``stalled`` end in
+    # no_descent, as if every damping try of their last iteration failed
+    def stalling(problems):
+        results = _FIT_MANY(problems)
+        return [dataclasses.replace(r, termination="no_descent") if i in stalled else r
+                for i, r in enumerate(results)]
+
+    monkeypatch.setattr(optics.fitkit, "fit_many", stalling)
+
+
+def test_finesse_refuses_an_unconverged_peak_fit(monkeypatch):
+    scans = synthlab.generate_scan_pair(seed=41)
+    with monkeypatch.context() as m:
+        m.setattr(fitkit, "_MAX_ITER", 2)
+        with pytest.raises(FitQualityError,
+                           match=r"^ramp 0 \(up\): peak fit did not converge: max_iter after 2 "):
+            optics.finesse_from_scan(scans)
+    # the fits of both ramps are pooled: the first fit of ramp 1 follows
+    # the peaks of ramp 0
+    n_up = optics.detect_peaks(scans[0].signal, rel_prominence=0.2).size
+    _stalled_fits(monkeypatch, {n_up})
+    with pytest.raises(FitQualityError, match=r"^ramp 1 \(down\): .* no_descent after"):
+        optics.finesse_from_scan(scans)
+
+
 def test_resonances_merge_a_center_within_the_width_of_the_one_below():
     # the one merge rule of the finesse and the length pipelines: a center
     # within the |FWHM| of the center below it, at one width included, is
@@ -440,6 +485,16 @@ def test_two_maxima_of_one_resonance_give_no_length():
     first = Spectrum(wavelength_nm=drift_map.wavelength_nm, counts=drift_map.counts_matrix()[0])
     with pytest.raises(InsufficientDataError, match="one resonance"):
         optics.effective_length_from_spectrum(first)
+
+
+def test_effective_length_refuses_an_unconverged_peak_fit(monkeypatch):
+    centers = [_wavelength(24.0, 4.2, m) for m in (13, 14)]
+    grid = np.linspace(540.0, 680.0, 4000)
+    h = (0.5 / 2.0) ** 2
+    counts = 10.0 + sum(900.0 * h / ((grid - c) ** 2 + h) for c in centers)
+    monkeypatch.setattr(fitkit, "_MAX_ITER", 2)
+    with pytest.raises(FitQualityError, match="^spectrum: peak fit did not converge: max_iter"):
+        optics.effective_length_from_spectrum(Spectrum(wavelength_nm=grid, counts=counts))
 
 
 def test_drift_series_tracks_every_seed_under_the_jump_guard():
@@ -509,6 +564,34 @@ def test_drift_series_reports_the_first_bad_frame():
     assert err.value.index == 3
 
 
+def test_drift_series_reports_an_unconverged_fit_at_its_frame(monkeypatch):
+    frames = _drift_frames([0.0, 0.05, 0.1, 0.15, 5.5, 5.55])
+    with monkeypatch.context() as m:
+        m.setattr(fitkit, "_MAX_ITER", 2)
+        with pytest.raises(TrackingBreakError, match="frame 0: fit did not converge: "
+                           "max_iter after 2 iterations") as err:
+            optics.drift_series(frames, l_eff_um=20.0)
+    assert err.value.index == 0 and isinstance(err.value.__cause__, FitQualityError)
+    # one failure rule: an unconverged frame 2 comes before the jump at frame 4
+    _stalled_fits(monkeypatch, {2})
+    with pytest.raises(TrackingBreakError, match="frame 2: .* no_descent") as err:
+        optics.drift_series(frames, l_eff_um=20.0)
+    assert err.value.index == 2
+    # the jump at frame 4 before an unconverged frame 5
+    _stalled_fits(monkeypatch, {5})
+    with pytest.raises(TrackingBreakError, match="jumped .* at frame 4") as err:
+        optics.drift_series(frames, l_eff_um=20.0)
+    assert err.value.index == 4
+    # an unconverged frame 1 before a peakless frame 3
+    counts = frames.counts_matrix().copy()
+    counts[3] = 30.0
+    _stalled_fits(monkeypatch, {1})
+    with pytest.raises(TrackingBreakError, match="frame 1: .* no_descent") as err:
+        optics.drift_series(SpectralMap(wavelength_nm=frames.wavelength_nm, counts=counts),
+                            l_eff_um=20.0)
+    assert err.value.index == 1
+
+
 def test_drift_series_reports_a_window_too_short_to_fit():
     # a 3-pixel frame's window holds 3 samples for 4 parameters: the problem
     # refuses it while the frames' problems are being built
@@ -531,27 +614,25 @@ def test_drift_series_leaves_a_start_that_is_not_finite_to_the_fit():
     assert err.value.index == 0
 
 
-def test_peak_problems_report_the_first_refused_window_of_all_groups():
-    # windows of 81, 145 and 209 samples, built in that order: row 2 of the
-    # group of 81 is refused first and row 4 of the group of 209 last, but
-    # row 1 of the group of 145 is the first refused row
-    x = np.linspace(0.0, 100.0, 400)
-    rows = np.array([models.evaluate("lorentzian", [100.0, c, w, 5.0], x) for c, w in
-                     zip([50.0, 40.0, 60.0, 45.0, 55.0], [1.0, 2.0, 1.0, 2.0, 3.0])])
-    peaks, baselines = rows.argmax(axis=1), np.median(rows, axis=1)
-    rows[2, peaks[2] - 30], rows[1, peaks[1] + 50] = np.inf, np.nan
-    rows[4, peaks[4] + 60] = -np.inf
-    problems, refusal = optics._peak_problems(x, rows, peaks, baselines)
-    start, stop = peaks[1] - 72, peaks[1] + 73
-    with pytest.raises(ValidationError) as alone:
-        fitkit.FitProblem("lorentzian", x[start:stop], rows[1, start:stop])
-    assert (type(refusal), str(refusal)) == (type(alone.value), str(alone.value))
-    assert str(refusal) == "non-finite y at index 122"
-    assert len(problems) == 1
-    start, stop = peaks[0] - 40, peaks[0] + 41
-    built = fitkit.FitProblem("lorentzian", x[start:stop], rows[0, start:stop])
-    assert problems[0].initial_params.tobytes() == built.initial_params.tobytes()
-    assert problems[0].y.tobytes() == built.y.tobytes()
+def test_peak_problems_refuse_a_window_only_for_a_row_of_fewer_than_4_samples():
+    # records are finite, so a window can be refused only for holding fewer
+    # than 4 samples; every window holds at least min(n, 11), so only a
+    # 3-sample row is refused, and the stack raises for peak 0
+    rng = np.random.Generator(np.random.Philox(32))
+    for n in range(3, 61):
+        x = np.sort(rng.uniform(-100.0, 100.0, n))
+        centers, widths = rng.uniform(0, n, (6, 1)), rng.uniform(0.3, 30.0, (6, 1))
+        rows = 100.0 / (1.0 + ((np.arange(n) - centers) / widths) ** 2) + rng.poisson(2.0, (6, n))
+        peaks, baselines = rng.integers(0, n, 6), rng.uniform(-50.0, 150.0, 6)
+        for shared in (rows, rows[0]):  # a row per peak, or one row for all
+            if n < 4:
+                with pytest.raises(InsufficientDataError, match="3 points cannot") as err:
+                    optics._peak_problems(x, shared, peaks, baselines)
+                assert err.value.problem_index == 0
+            else:
+                problems = optics._peak_problems(x, shared, peaks, baselines)
+                assert len(problems) == 6, n
+                assert all(q.x.size >= min(n, 11) for q in problems), n
 
 
 def _fwhm_in_samples_loop(y, i_peak, baseline):
@@ -601,6 +682,39 @@ def test_cte_fit_recovers_alpha():
     est, sigma, result = optics.cte_fit(temps, dl_nm, reference_length_um=l_ref)
     assert est == pytest.approx(alpha, rel=1e-9)
     assert result.converged
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -3.7])
+def test_cte_fit_refuses_a_length_that_is_not_positive_and_finite(value):
+    # inf gave alpha = 0.0 +- 0.0 from a converged fit, NaN gave NaN +- NaN
+    temps = np.linspace(285.0, 295.0, 40)
+    with pytest.raises(ValidationError, match=f"reference_length_um .* got {value}"):
+        optics.cte_fit(temps, 0.02 * temps, reference_length_um=value)
+
+
+@pytest.mark.parametrize("name", ["finesse", "lambda_c_nm"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_cavity_figures_refuse_values_that_are_not_positive_and_finite(name, value):
+    # a NaN finesse gave NaN kappa and Q; lambda_c_nm = inf a ZeroDivisionError
+    args = {"finesse": 4600.0, "m_det": 12, "lambda_c_nm": 618.5, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got {value}"):
+        optics.cavity_figures(GEOM, **args)
+
+
+@pytest.mark.parametrize("m_det", [math.nan, math.inf, 1.5, 0])
+def test_cavity_figures_refuse_a_mode_number_that_is_no_integer_from_1(m_det):
+    # a NaN m_det gave a NaN quality factor, 1.5 gave Q = 1.5 finesse
+    with pytest.raises(ValidationError, match=f"^m_det must be an integer >= 1, got {m_det}"):
+        optics.cavity_figures(GEOM, finesse=4600.0, m_det=m_det, lambda_c_nm=618.5)
+
+
+@pytest.mark.parametrize("name", ["lambda_c_nm", "kappa_ghz"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_q_from_linewidth_refuses_values_that_are_not_positive_and_finite(name, value):
+    # a linewidth of inf gave Q = 0.0
+    args = {"lambda_c_nm": 618.5, "kappa_ghz": 160.0, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} must be positive and finite, got {value}"):
+        optics.q_from_linewidth(**args)
 
 
 def test_finesse_drift_and_cte_fit_in_one_loop_per_model(monkeypatch):
