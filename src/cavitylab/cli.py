@@ -237,10 +237,7 @@ def cmd_fit(args) -> int:
 
     problem = fitkit.FitProblem(model_id=model_id, x=x, y=y)
     result = fitkit.fit(problem)
-    if not result.converged:
-        raise NumericalError(
-            f"fit did not converge: {result.termination} after {result.iterations} iterations"
-        )
+    result.require_converged("fit")
     step = result.to_report_step(problem)
     if args.bootstrap:
         sigma = fitkit.bootstrap_uncertainty(

@@ -91,6 +91,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import models
 from .errors import DataError, InsufficientDataError, SchemaError, ValidationError
 
 __all__ = [
@@ -226,7 +227,7 @@ class TimeHistogram:
                 )
         _values("counts", _freeze(self, "counts", counts, dtype=np.int64), centers, counts=True)
         widths = np.diff(centers)
-        width = float(np.median(widths))
+        width = float(models.median(widths))
         # written so that a NaN or infinite width fails
         if not np.all(np.abs(widths - width) <= 1e-9 * width):
             raise ValidationError("bin width not uniform within 1e-9 relative")

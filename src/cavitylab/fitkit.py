@@ -233,6 +233,12 @@ class FitResult:
     def converged(self) -> bool:
         return self.termination == "step_tolerance"
 
+    def require_converged(self, name: str) -> None:
+        """Raise ``FitQualityError`` naming ``name`` unless the fit converged."""
+        if not self.converged:
+            raise FitQualityError(
+                f"{name} did not converge: {self.termination} after {self.iterations} iterations")
+
     @property
     def sigmas(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))

@@ -19,7 +19,8 @@ Start values (``init``) take stacks only, and :func:`initial_params` lifts
 a 1-D problem to a stack of one: ``x`` and ``y`` of shape (K, n) give (K, P)
 start values, row k bit for bit the start of row k alone; those of
 ``lorentzian``, ``gaussian`` and ``detuned_purcell`` are whole-array
-operations, the others are taken row by row. ``canonical`` maps
+operations, the others are taken row by row. The Lorentzian's also takes
+each row's length, of rows padded past it by repeating their last sample. ``canonical`` maps
 one parameter vector, or each row of a (K, P) batch, to its canonical form.
 
 Models
@@ -112,40 +113,64 @@ def _lorentzian_jac(x, p):
     return J
 
 
-def nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, step: int):
+def median(values) -> np.ndarray:
+    """``np.median`` of each row (the last axis, not empty) of ``values``,
+    bit for bit, from one sort: the middle value of an odd count, (a + b) / 2
+    of the two middle values of an even one, and a row's NaN for a row that
+    holds one. A zero median of a row holding a -0.0 is ``np.median``'s
+    own: which zero that returns depends on its partition."""
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    a = np.sort(rows, axis=1)
+    n, last = a.shape[1], a[:, -1]
+    m = np.where(np.isnan(last), last,
+                 a[:, n // 2] if n % 2 else (a[:, n // 2 - 1] + a[:, n // 2]) / 2.0)
+    zero = np.flatnonzero(m == 0.0)
+    zero = zero[((a[zero] == 0.0) & np.signbit(a[zero])).any(axis=1)]
+    if zero.size:
+        m[zero] = np.median(rows[zero], axis=1)
+    return m.reshape(values.shape[:-1])
+
+
+def nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, ends):
     """Column of the first sample of each row of a (K, n) array, from
-    ``peaks[k]`` on in direction ``step`` (-1 or 1), that is not above
-    ``levels[k]`` (NaN is not), or of the row's last sample in that
-    direction: the one half-maximum crossing search, of the start widths and
+    ``peaks[k]`` on toward column ``ends[k]`` (one end for all rows, or one
+    each), that is not above ``levels[k]`` (NaN is not), or ``ends[k]``
+    itself: the one half-maximum crossing search, of the start widths and
     of the fit windows. Each round looks 4 times as far as the last."""
-    n = rows.shape[1]
-    end = 0 if step < 0 else n - 1
+    offsets = ends - peaks
+    step, distance = np.sign(offsets), np.abs(offsets)
     found = np.empty(len(rows), dtype=int)
     todo, reach = np.arange(len(rows)), 16
     while todo.size:
-        columns = np.minimum(np.maximum(peaks[todo, None] + step * np.arange(reach), 0), n - 1)
-        stop = ~(rows[todo[:, None], columns] > levels[todo, None]) | (columns == end)
+        d = distance[todo, None]
+        walked = np.minimum(np.arange(reach), d)
+        columns = peaks[todo, None] + step[todo, None] * walked
+        stop = ~(rows[todo[:, None], columns] > levels[todo, None]) | (walked == d)
         hit = stop.any(axis=1)
         found[todo[hit]] = columns[hit, np.argmax(stop[hit], axis=1)]
         todo, reach = todo[~hit], 4 * reach
     return found
 
 
-def _half_width(x, y, i_peak, level):
+def _half_width(x, y, i_peak, level, lengths=None):
     """Full width of each row of a (K, n) y around its highest sample
     ``i_peak[k]`` at ``level[k]``, by linear interpolation in the pair of
     samples on each side nearest the peak that brackets the level; a tenth
-    of the row's x span (1 for a zero span) where a side has none."""
+    of the row's x span (1 for a zero span) where a side has none. Row k
+    holds ``lengths[k]`` samples (all n when None), its last x and y
+    repeated past them."""
     n = y.shape[1]
+    last = (n if lengths is None else lengths) - 1
     span = np.abs(x[:, -1] - x[:, 0])
     width = np.where(span != 0.0, span / 10.0, 1.0)
     if n > 1:
         # pair j is samples j and j + 1: on each side, the pair that ends at
         # the first sample out from the peak not above the level, or the
         # peak's own pair if the peak is not above it; none nearer brackets it
-        j = np.stack([np.minimum(nearest_not_above(y, i_peak, level, -1), i_peak - 1),
-                      np.maximum(nearest_not_above(y, i_peak, level, 1) - 1, i_peak)])
-        k, pairs = np.arange(len(y)), np.clip(j, 0, n - 2)
+        j = np.stack([np.minimum(nearest_not_above(y, i_peak, level, 0), i_peak - 1),
+                      np.maximum(nearest_not_above(y, i_peak, level, last) - 1, i_peak)])
+        k, pairs = np.arange(len(y)), np.clip(j, 0, last - 1)
         y0, y1 = y[k, pairs], y[k, pairs + 1]
         brackets = ((y0 <= level) & (level <= y1)) | ((y0 >= level) & (level >= y1))
         rows = np.flatnonzero((brackets & (pairs == j)).all(axis=0))
@@ -157,19 +182,21 @@ def _half_width(x, y, i_peak, level):
     return width
 
 
-def _peak_shape(x, y):
+def _peak_shape(x, y, lengths=None):
     """The highest sample of each row of a (K, n) y, as (height above the
     lowest sample, its x, the full width at half that height, the lowest
-    sample)."""
+    sample). Row k holds its first ``lengths[k]`` samples (all n when None),
+    padded past them by repeating its last x and y, which moves neither its
+    lowest nor its first highest sample."""
     rows = np.arange(len(y))
     offset, i = y.min(axis=1), y.argmax(axis=1)
     height = y[rows, i] - offset
-    width = _half_width(x, y, i, offset + height / 2.0)
+    width = _half_width(x, y, i, offset + height / 2.0, lengths)
     return np.stack([height, x[rows, i], width, offset], axis=-1)
 
 
-def _lorentzian_init(x, y):
-    p = _peak_shape(x, y)
+def _lorentzian_init(x, y, lengths=None):
+    p = _peak_shape(x, y, lengths)
     p[:, 2] = np.maximum(p[:, 2], 1e-12)
     return p
 
@@ -350,7 +377,7 @@ def _saturation_init(power, y):
     i_sat = 1.2 * float(np.max(y))
     half = i_sat / 2.0
     above = np.nonzero(y >= half)[0]
-    p_sat = float(power[above[0]]) if above.size else float(np.median(power))
+    p_sat = float(power[above[0]]) if above.size else float(median(power))
     return np.array([i_sat, max(p_sat, 1e-9)])
 
 

@@ -439,15 +439,17 @@ def _peak_floors(rows: np.ndarray):
     """Median, lowest sample and peak floor of each row of a (K, n) array:
     the floor is 5 MAD around the median, and at least 1e-9 of the span.
 
-    Median and MAD are ``np.median``'s, bit for bit, taken in one of two
+    Median and MAD are ``np.median``'s, bit for bit, taken in one of three
     ways. A row of whole numbers below 2**52 in magnitude whose span is at
     most its length, as a ramp of counts is, is counted: its two middle
     values (one twice for an odd length) from a histogram of the row and
     its cumulative sum, the MAD's from the histogram of the whole numbers
     2|y - median|, and every mean and half of them is exact. Every other
-    row (NaN, +-inf, fractions, large or wide spans) is partitioned by
-    ``np.median``, and so is a row whose counted median is zero: which of a
-    -0.0 and a 0.0 that returns depends on its partition.
+    row (NaN, +-inf, fractions, large or wide spans, and a row whose counted
+    median is zero) is sorted, all such rows in one :func:`models.median`
+    call for the medians and one for the MADs. Only a zero median of a row
+    holding a -0.0 is left to ``np.median``: which zero that returns
+    depends on its partition.
     """
     lows, highs = rows.min(axis=1), rows.max(axis=1)
     spans = highs - lows
@@ -462,9 +464,9 @@ def _peak_floors(rows: np.ndarray):
     rest = np.flatnonzero(~counted)
     if rest.size:
         deviations = rows[rest]
-        medians[rest] = np.median(deviations, axis=1, overwrite_input=True)
+        medians[rest] = models.median(deviations)
         deviations -= medians[rest, None]
-        mads[rest] = np.median(np.abs(deviations, out=deviations), axis=1, overwrite_input=True)
+        mads[rest] = models.median(np.abs(deviations, out=deviations))
     return medians, lows, np.maximum(5.0 * mads, 1e-9 * spans)
 
 
@@ -573,24 +575,30 @@ def _range_minima(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _first_prominent(rows: np.ndarray, peaks: np.ndarray, floors: np.ndarray):
     """Per row of a (K, n) array, the column of the highest of ``peaks``
-    (flat indices) whose prominence reaches the row's floor, or -1, and
-    that prominence. Candidates are tried in descending height, ties in
-    sample order, so the answer is ``argmax`` over the peaks that pass.
-    Each round tries the next 1, 2, 4, ... candidates of every open row."""
+    (flat indices, ascending) whose prominence reaches the row's floor, or
+    -1, and that prominence. Candidates are tried in descending height,
+    ties in sample order, so the answer is ``argmax`` over the peaks that
+    pass: each row's highest first, in one round; only the rows where it
+    fails are ranked, and each further round tries their next 2, 4, ..."""
     n = rows.shape[1]
-    peaks = peaks[np.lexsort((-rows.ravel()[peaks], peaks // n))]
-    row = peaks // n
-    rank = np.arange(peaks.size) - np.searchsorted(row, row)  # place in its row, highest first
-    best = np.full(rows.shape[0], -1)
-    prominence = np.zeros(rows.shape[0])
-    tried = 0
-    while (tries := np.flatnonzero((rank >= tried) & (rank <= 2 * tried) & (best[row] < 0))).size:
+    best, prominence = np.full(rows.shape[0], -1), np.zeros(rows.shape[0])
+    row, heights = peaks // n, rows.ravel()[peaks]
+    top = np.full(rows.shape[0], -np.inf)
+    np.maximum.at(top, row, heights)
+    order = np.flatnonzero(heights == top[row])
+    order = order[np.diff(row[order], prepend=-1) != 0]  # the first of a row's highest
+    rank, tried = np.zeros(order.size, dtype=int), 0
+    while (tries := order[(rank >= tried) & (rank <= 2 * tried) & (best[row[order]] < 0)]).size:
         trial = _prominences(rows, peaks[tries])
         passed = trial >= floors[row[tries]]
         tries, trial = tries[passed], trial[passed]
         first = np.diff(row[tries], prepend=-1) != 0  # each row's highest that passed
         best[row[tries[first]]] = peaks[tries[first]] % n
         prominence[row[tries[first]]] = trial[first]
+        if not tried:  # the open rows' candidates, ranked: the highest failed as rank 0
+            order = np.flatnonzero(best[row] < 0)
+            order = order[np.lexsort((-heights[order], row[order]))]
+            rank = np.arange(order.size) - np.searchsorted(row[order], row[order])
         tried = 2 * tried + 1
     return best, prominence
 
@@ -610,8 +618,8 @@ def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray)
     the distance between the nearest samples on either side, the peak
     included, that are not above half maximum, or the row's ends."""
     half = baselines + (rows[np.arange(len(rows)), peaks] - baselines) / 2.0
-    left = models.nearest_not_above(rows, peaks, half, -1)
-    return np.maximum(models.nearest_not_above(rows, peaks, half, 1) - left, 3.0)
+    left = models.nearest_not_above(rows, peaks, half, 0)
+    return np.maximum(models.nearest_not_above(rows, peaks, half, rows.shape[1] - 1) - left, 3.0)
 
 
 def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines) -> list:
@@ -619,21 +627,30 @@ def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines
     ``rows`` (a (K, n) array, or one row shared by every peak) within eight
     half-maximum widths (at least 10 samples) of column ``peaks[k]``, the
     width measured above ``baselines[k]`` (or one baseline for all), the
-    median of the row. The problems of each group of equal-length windows
-    are built as one stack. Records are finite, so a window is refused only
-    for fewer than 4 samples (the Lorentzian start never raises, the model
-    has no bounds). A window holds min(n, 11) samples or more, so only a
-    3-sample row is refused: every window is the whole row, raised for peak 0."""
+    median of the row. Every window's Lorentzian start is taken in one call
+    of the registry's start rule, the windows padded to the longest by
+    their last sample; each group of equal-length windows is one stack from
+    those starts (from its own, which the fit refuses, where one is not
+    finite). Records are finite, so a window is refused only for fewer than
+    4 samples (the Lorentzian start never raises, the model has no bounds).
+    A window holds min(n, 11) samples or more, so only a 3-sample row is
+    refused: every window is the whole row, raised for peak 0."""
+    if not peaks.size:
+        return []
     rows = np.broadcast_to(rows, (peaks.size, x.size))
     baselines = np.broadcast_to(baselines, peaks.shape)
     half_windows = np.maximum(8.0 * _fwhm_in_samples(rows, peaks, baselines), 10).astype(int)
     starts = np.maximum(peaks - half_windows, 0)
-    stops = np.minimum(peaks + half_windows + 1, x.size)
+    lengths = np.minimum(peaks + half_windows + 1, x.size) - starts
+    columns = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    xs, ys = x[columns], rows[np.arange(peaks.size)[:, None], columns]
+    p0 = models.get_model("lorentzian").init(xs, ys, lengths)
     problems = [None] * len(rows)
-    for length in np.unique(stops - starts):
-        group = np.flatnonzero(stops - starts == length)
-        columns = starts[group, None] + np.arange(length)
-        stack = fitkit.FitProblem.stack("lorentzian", x[columns], rows[group[:, None], columns])
+    for length in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == length)
+        given = p0[group] if np.isfinite(p0[group]).all() else None
+        stack = fitkit.FitProblem.stack(
+            "lorentzian", xs[group, :length], ys[group, :length], initial_params=given)
         for k, problem in zip(group.tolist(), stack):
             problems[k] = problem
     return problems
@@ -694,7 +711,8 @@ def finesse_from_scan(traces) -> tuple[float, float]:
     estimates = []
     for i, (trace, problems) in enumerate(zip(traces, ramps)):
         ramp_fits = list(itertools.islice(fits, len(problems)))
-        _require_converged(ramp_fits, f"ramp {i} ({trace.sweep_direction})")
+        for fit in ramp_fits:
+            fit.require_converged(f"ramp {i} ({trace.sweep_direction}): peak fit")
         centers, widths = _resonances(ramp_fits)
         if centers.size < 2:
             raise InsufficientDataError(
@@ -706,17 +724,6 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         estimates.append(np.column_stack([spacings / widths[:-1], spacings / widths[1:]]))
     estimates = np.concatenate(estimates, axis=None)
     return float(estimates.mean()), float(estimates.std(ddof=1))
-
-
-def _require_converged(fits, name: str) -> None:
-    """Raise ``FitQualityError`` for the first of ``fits`` that stopped for
-    any reason but its step tolerance, naming its source ``name``."""
-    for fit in fits:
-        if not fit.converged:
-            raise FitQualityError(
-                f"{name}: peak fit did not converge: {fit.termination} "
-                f"after {fit.iterations} iterations"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +777,8 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
     fits = fitkit.fit_many(_peak_problems(
         spectrum.wavelength_nm, spectrum.counts, strongest, baseline))
-    _require_converged(fits, "spectrum")
+    for fit in fits:
+        fit.require_converged("spectrum: peak fit")
     centers, _ = _resonances(fits)
     if centers.size < 2:
         lo, hi = sorted(float(f.params[1]) for f in fits)
@@ -814,9 +822,10 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
         failing, failure, results = exc.problem_index, exc, getattr(exc, "results", [])
     centers = []
     for i, result in enumerate(results[:failing]):
-        if not result.converged:
-            failing, failure = i, FitQualityError(
-                f"fit did not converge: {result.termination} after {result.iterations} iterations")
+        try:
+            result.require_converged("fit")
+        except FitQualityError as exc:
+            failing, failure = i, exc
             break
         center = float(result.params[1])
         if centers and abs(center - centers[-1]) > max_jump_nm:

@@ -401,8 +401,8 @@ def oracle_dispersion(roc_um: float, l_grid_um, lambda_grid_nm) -> set[tuple[int
     """
     l_grid = np.asarray(l_grid_um, dtype=float)
     lam_grid = np.asarray(lambda_grid_nm, dtype=float)
-    d_l = float(np.median(np.diff(l_grid))) if l_grid.size > 1 else 0.0
-    d_lam = float(np.median(np.diff(lam_grid))) if lam_grid.size > 1 else 0.0
+    d_l = float(models.median(np.diff(l_grid))) if l_grid.size > 1 else 0.0
+    d_lam = float(models.median(np.diff(lam_grid))) if lam_grid.size > 1 else 0.0
     cells = set()
     for i, l_um in enumerate(l_grid):
         zeta = abcd_gouy_fraction(l_um, roc_um, n_steps=2000)

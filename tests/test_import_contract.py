@@ -1,8 +1,10 @@
 """cavitylab never loads scipy: not on the command line, not in the peak
-detection behind the finesse and drift pipelines. Every name the package and
-its layers export in ``__all__`` exists, every module-level private name is
-read somewhere in the package, every public name is reached from a command
-or an acceptance criterion, and the model layer imports no other layer.
+detection behind the finesse and drift pipelines. The README commands do
+not load ``numpy.ma`` either, which ``np.median`` imports on its first
+call. Every name the package and its layers export in ``__all__`` exists,
+every module-level private name is read somewhere in the package, every
+public name is reached from a command or an acceptance criterion, and the
+model layer imports no other layer.
 
 Each run check uses a fresh interpreter, because the test process itself has
 long since imported scipy for its oracle tests.
@@ -36,14 +38,15 @@ _README_COMMANDS = [
 ]
 
 # the commands print their own lines; this prints, last, each command's exit
-# code and the scipy modules loaded after it
+# code and the scipy and numpy.ma modules loaded after it
 _RUN_COMMANDS = """
 import json, sys
 from cavitylab import cli
 seen = []
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    seen.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+    seen.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                              or m.split(".")[:2] == ["numpy", "ma"])])
 print(json.dumps(seen))
 """
 

@@ -157,3 +157,51 @@ def test_counted_medians_are_np_median_bits(monkeypatch):
         if counted is not None:  # the path taken, so that neither path goes untested
             assert counted_rows[-1] == (len(rows) if counted else 0), (name, counted_rows[-1])
     assert sum(counted_rows) > 100
+
+
+def _rows_whose_highest_maxima_fail(rng, k, n):
+    """(K, n) rows on a noisy baseline that end in a plateau rising 0.5 a
+    sample into the last sample, with bumps of 2 on it: the row's highest
+    local maxima, each too shallow for the floor. Below them most rows hold
+    one resonance that clears it; the others hold none."""
+    rows = rng.poisson(5.0, (k, n)).astype(float)
+    columns = np.arange(n)
+    for row in rows:
+        if rng.random() < 0.9:
+            center, width = rng.uniform(0.2 * n, 0.5 * n), rng.uniform(1.0, 4.0)
+            row += rng.uniform(60.0, 150.0) / (1.0 + ((columns - center) / width) ** 2)
+        start = int(rng.uniform(0.7, 0.8) * n)
+        plateau = 300.0 + 0.5 * np.arange(n - start)
+        bumps = rng.choice(np.arange(1, n - start - 1), rng.integers(1, 20), replace=False)
+        plateau[bumps] += 2.0
+        row[start:] = plateau
+    return rows
+
+
+def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
+    # each row's highest maximum is tried first; a row where it fails ranks
+    # its other maxima and tries them 2, 4, 8, ... at a time. Rows whose
+    # highest passes share the batch
+    rng = np.random.Generator(np.random.Philox(36))
+    n = 300
+    failing = _rows_whose_highest_maxima_fail(rng, 60, n)
+    centers, widths = rng.uniform(0, n, (20, 1)), rng.uniform(1.0, 10.0, (20, 1))
+    passing = 200.0 / (1.0 + ((np.arange(n) - centers) / widths) ** 2) + rng.poisson(5.0, (20, n))
+    rows = rng.permutation(np.concatenate([failing, passing]))
+    _, lows, floors = optics._peak_floors(rows)
+    maxima = optics._local_maxima(rows, lows, floors)
+    strongest, _ = optics._strongest_peaks(rows)
+    top_fails, ranks = 0, []
+    for k, (row, peak) in enumerate(zip(rows, strongest)):
+        mine = maxima[maxima // n == k]
+        highest = mine[np.argmax(rows.ravel()[mine])]
+        top_fails += bool(optics._prominences(rows, np.array([highest]))[0] < floors[k])
+        peaks = _scipy_peaks(row)
+        assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1), k
+        if peak >= 0:  # the maxima tried before the one that passed
+            ranks.append(int(np.sum(rows.ravel()[mine] > row[peak])))
+        for rel_prominence in (0.0, 0.2):
+            assert np.array_equal(optics.detect_peaks(row, rel_prominence),
+                                  _scipy_peaks(row, rel_prominence)), (k, rel_prominence)
+    assert top_fails == 60 and -1 in strongest.tolist()
+    assert min(ranks) == 0 and max(ranks) >= 7  # the first round, and a fourth
