@@ -25,7 +25,7 @@ LAMBDA_DET_NM = 618.5
 def main():
     geom = optics.CavityGeometry(roc_x_um=25.0, roc_y_um=22.0, l_eff_um=3.75)
     print("elliptical mirror reduced to scalar ROC:",
-          f"{optics.scalar_roc(geom):.2f} um (geometric mean)")
+          f"{geom.roc_um:.2f} um (geometric mean)")
     print(f"simulation below uses ROC = {ROC_UM} um\n")
 
     print("Gouy term across the stability range (fraction of pi):")

@@ -137,19 +137,17 @@ def cmd_dispersion(args) -> int:
             "raise --l-step-nm or narrow --l-min to --l-max"
         )
     out = _out_dir(args)
-    roc_modes = (
-        [("geometric", "")] if args.roc_mode == "geometric" else [("x", "_x"), ("y", "_y")]
-    )
-    radii = _radii(args)
-    # every axis's radius, checked before anything is built or written
-    axis_rocs = []
-    for roc_mode, _ in roc_modes:
-        roc_um = math.inf if args.gouy == "off" else optics.scalar_roc(radii, roc_mode)
+    roc_x, roc_y = _radii(args)
+    if args.gouy == "off":  # plane waves: the flat-mirror limit
+        roc_x = roc_y = math.inf
+    # (roc_mode, file suffix, radius) of each axis, every radius checked before any output
+    axes = ([("geometric", "", optics.mean_roc(roc_x, roc_y))] if args.roc_mode == "geometric"
+            else [("x", "_x", roc_x), ("y", "_y", roc_y)])
+    for _, _, roc_um in axes:
         if args.l_max >= roc_um:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
-        axis_rocs.append(roc_um)
     l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
     m_values = optics.mode_indices(
         (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
@@ -158,7 +156,7 @@ def cmd_dispersion(args) -> int:
     # an axis that repeats an earlier radius reuses that map and its candidates
     built = {}
     reports = []
-    for (roc_mode, suffix), roc_um in zip(roc_modes, axis_rocs):
+    for roc_mode, suffix, roc_um in axes:
         map_path = out / f"dispersion_map{suffix}.csv"
         if roc_um in built:
             first_path, candidates = built[roc_um]

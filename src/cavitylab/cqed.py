@@ -14,11 +14,11 @@ by the effective (vibration-broadened) linewidth, q_vib = nu_c / kappa_exp,
 and includes the spatial penalty of the emitter position, so the residual
 ``alignment`` isolates the dipole-orientation mismatch.
 
-Every value the chain computes, the degraded Q and the mode volume
-included, must come out a finite positive number. Otherwise (an overflow,
-an underflow to 0 or a division by zero) the budget raises
+Every value the chain computes, the ideal and degraded Q and the mode
+volume included, must come out a finite positive number. Otherwise (an
+overflow, an underflow to 0 or a division by zero) the budget raises
 :class:`~cavitylab.errors.NumericalError` naming the value and what it was
-computed from.
+computed from, before any step's input domain check sees it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import NumericalError, ValidationError
-from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth, scalar_roc
+from .errors import NumericalError, ValidationError, check_domain
+from .optics import C_NM_GHZ, CavityGeometry, mode_volume_lambda3, q_from_linewidth
 
 __all__ = [
     "CouplingRates",
@@ -59,9 +59,8 @@ class CouplingRates:
     gamma_star_ghz: float = 0.0
 
     def __post_init__(self):
-        for name in ("g_ghz", "kappa_ghz", "gamma0_ghz", "gamma_star_ghz"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+        check_domain("non-negative and finite", g_ghz=self.g_ghz, kappa_ghz=self.kappa_ghz,
+                     gamma0_ghz=self.gamma0_ghz, gamma_star_ghz=self.gamma_star_ghz)
 
     @property
     def gamma_total_ghz(self) -> float:
@@ -73,8 +72,7 @@ def purcell_measured(tau0_ns: float, tau_p_ns: float) -> float:
 
     Values below 1 (inhibition) are allowed; callers flag them in reports.
     """
-    if tau0_ns <= 0 or tau_p_ns <= 0:
-        raise ValidationError("lifetimes must be positive")
+    check_domain("positive and finite", tau0_ns=tau0_ns, tau_p_ns=tau_p_ns)
     return tau0_ns / tau_p_ns
 
 
@@ -88,8 +86,9 @@ def purcell_theoretical(
     wavelength cubed, so for n = 1 the expression reduces to
     3 Q / (4 pi^2 V).
     """
-    if min(lambda_c_nm, refractive_index, quality_factor, mode_volume_lambda3) <= 0:
-        raise ValidationError("all Purcell inputs must be positive")
+    check_domain("positive and finite", lambda_c_nm=lambda_c_nm,
+                 refractive_index=refractive_index, quality_factor=quality_factor,
+                 mode_volume_lambda3=mode_volume_lambda3)
     return (
         3.0 / (4.0 * math.pi**2)
         * quality_factor
@@ -104,7 +103,7 @@ def spatial_correction(geom: CavityGeometry) -> float:
     mirror-spot expressions is 1 - L/ROC at any wavelength, so that closed
     form is returned.
     """
-    return 1.0 - geom.l_eff_um / scalar_roc(geom)
+    return 1.0 - geom.l_eff_um / geom.roc_um
 
 
 def epsilon_correction(
@@ -116,13 +115,8 @@ def epsilon_correction(
     branching ratio; pass ``branching=1`` when the transition of interest
     carries the full zero-phonon emission.
     """
-    for name, value in (
-        ("quantum_efficiency", quantum_efficiency),
-        ("debye_waller", debye_waller),
-        ("branching", branching),
-    ):
-        if not 0 < value <= 1:
-            raise ValidationError(f"{name} must lie in (0, 1], got {value}")
+    check_domain("in (0, 1]", quantum_efficiency=quantum_efficiency,
+                 debye_waller=debye_waller, branching=branching)
     return quantum_efficiency * debye_waller * branching
 
 
@@ -139,10 +133,10 @@ def length_jitter_nm(
     The radicand is clamped at zero: the fit's constants make it slightly
     negative when kappa_eff is close to kappa.
     """
-    if not 0 < kappa_ghz < kappa_eff_ghz < math.inf:
-        raise ValidationError("need 0 < kappa < kappa_eff, both finite")
-    if not (0 < lambda_nm < math.inf and 0 < l_eff_um < math.inf):
-        raise ValidationError("wavelength and length must be positive")
+    check_domain("positive and finite", kappa_ghz=kappa_ghz, kappa_eff_ghz=kappa_eff_ghz,
+                 lambda_nm=lambda_nm, l_eff_um=l_eff_um)
+    if not kappa_ghz < kappa_eff_ghz:
+        raise ValidationError(f"need kappa < kappa_eff, got {kappa_ghz} >= {kappa_eff_ghz}")
     f_gauss = math.sqrt(max((kappa_eff_ghz - 0.5346 * kappa_ghz) ** 2
                             - 0.2166 * kappa_ghz**2, 0.0))
     sigma_nu = f_gauss / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -269,7 +263,7 @@ def budget_report(
     check_q_sources({"q_ideal": q_ideal, "finesse": finesse, "m_det": m_det,
                      "q_exp": q_exp, "kappa_exp_ghz": kappa_exp_ghz})
     if q_ideal is None:
-        q_ideal = m_det * finesse
+        q_ideal = _checked("q_ideal", operator.mul, m_det=m_det, finesse=finesse)
     if q_exp is None:
         q_exp = _checked("q_vib", q_from_linewidth,
                          lambda_c_nm=lambda_c_nm, kappa_ghz=kappa_exp_ghz)

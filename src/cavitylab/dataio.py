@@ -92,7 +92,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models
-from .errors import DataError, InsufficientDataError, SchemaError, ValidationError
+from .errors import DataError, InsufficientDataError, SchemaError, ValidationError, check_domain
 
 __all__ = [
     "ScanTrace",
@@ -256,8 +256,7 @@ class SpectralMap:
         if counts.shape[0] == 0:
             raise ValidationError("spectral map needs at least one frame")
         _values("counts", counts, wl, counts=True)
-        if not self.frame_period_s > 0:
-            raise ValidationError("frame_period_s must be positive")
+        check_domain("positive and finite", frame_period_s=self.frame_period_s)
 
     @property
     def frames(self) -> tuple[Spectrum, ...]:

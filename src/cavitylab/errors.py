@@ -5,6 +5,8 @@ when a numerically well-posed computation fails derive from NumericalError.
 The CLI maps the former to exit code 2 and the latter to exit code 3.
 """
 
+import math
+
 
 class CavityLabError(Exception):
     """Base class for all toolkit errors."""
@@ -68,3 +70,19 @@ class FitQualityError(NumericalError):
 
 class NonphysicalResultError(NumericalError):
     """Derived quantity landed outside its physical range."""
+
+
+# the domains of a physical number, by the name a refusal gives each
+_DOMAINS = {
+    "positive and finite": lambda value: 0 < value < math.inf,
+    "non-negative and finite": lambda value: 0 <= value < math.inf,
+    "in (0, 1]": lambda value: 0 < value <= 1,
+}
+
+
+def check_domain(domain: str, **values) -> None:
+    """ValidationError "<name> must be <domain>, got <value>" for the first of
+    ``values`` outside ``domain``, a key of ``_DOMAINS``; NaN is in none."""
+    for name, value in values.items():
+        if not _DOMAINS[domain](value):
+            raise ValidationError(f"{name} must be {domain}, got {value}")

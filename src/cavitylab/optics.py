@@ -7,8 +7,8 @@ Resonances of the empty cavity follow
 for longitudinal index m, transverse order q (0 for the fundamental) and
 effective length L. Mirror field penetration is folded into L and never
 modeled separately. An elliptical concave mirror is reduced to a scalar
-radius of curvature, the geometric mean sqrt(roc_x * roc_y), by
-:func:`scalar_roc`. ROC = inf is the flat-mirror (plane-wave) limit: the
+radius of curvature, :func:`mean_roc`, which every other function takes
+as a plain number. ROC = inf is the flat-mirror (plane-wave) limit: the
 Gouy term vanishes and 2 L / lambda = m.
 
 Resonance wavelengths are the in-gap values c/(n * nu); with a vacuum or
@@ -41,6 +41,7 @@ from .errors import (
     SearchError,
     TrackingBreakError,
     ValidationError,
+    check_domain,
 )
 
 __all__ = [
@@ -55,10 +56,10 @@ __all__ = [
     "effective_length_from_adjacent_modes",
     "finesse_from_scan",
     "gouy_fraction",
+    "mean_roc",
     "mode_indices",
     "mode_volume_lambda3",
     "resonance_length",
-    "scalar_roc",
 ]
 
 # speed of light in the unit systems used internally:
@@ -90,38 +91,20 @@ class CavityGeometry:
                 f"refractive_index must be finite and >= 1, got {self.refractive_index}"
             )
 
-
-def scalar_roc(roc, roc_mode: str = "geometric") -> float:
-    """Reduce a geometry or an (roc_x, roc_y) pair to one radius; pass a scalar through."""
-    if isinstance(roc, CavityGeometry):
-        roc = (roc.roc_x_um, roc.roc_y_um)
-    if isinstance(roc, tuple):
-        roc_x, roc_y = roc
-        if not (roc_x > 0 and roc_y > 0):
-            raise GeometryError("radii of curvature must be positive")
-        if roc_mode == "geometric":
-            return math.sqrt(roc_x * roc_y)
-        if roc_mode == "x":
-            return roc_x
-        if roc_mode == "y":
-            return roc_y
-        raise ValidationError(f"roc_mode must be geometric, x or y, got {roc_mode!r}")
-    value = float(roc)
-    if value <= 0:
-        raise GeometryError("radius of curvature must be positive")
-    return value
+    @property
+    def roc_um(self) -> float:
+        """The mirror's one radius of curvature (um): see :func:`mean_roc`."""
+        return mean_roc(self.roc_x_um, self.roc_y_um)
 
 
-def _check_positive_finite(**values) -> None:
-    """Raise ValidationError naming the first of ``values`` not in (0, inf)."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value}")
+def mean_roc(roc_x_um: float, roc_y_um: float) -> float:
+    """An elliptical mirror's one radius: the geometric mean sqrt(roc_x * roc_y)."""
+    return math.sqrt(roc_x_um * roc_y_um)
 
 
 def gouy_fraction(l_eff_um: float, roc_um: float) -> float:
-    """Gouy contribution arccos(sqrt(1 - L/ROC))/pi, in [0, 1/2)."""
-    if roc_um <= 0:
+    """Gouy contribution arccos(sqrt(1 - L/ROC))/pi, in [0, 1/2); refuses ROC <= 0 or NaN."""
+    if not roc_um > 0:
         raise GeometryError("radius of curvature must be positive")
     if not 0 <= l_eff_um < roc_um:
         raise GeometryError(
@@ -188,7 +171,7 @@ def brent_root(f, a, b, xtol=2e-12, rtol=4 * math.ulp(1.0)):
     raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
-def resonance_length(wavelength_nm: float, m: int, roc) -> float:
+def resonance_length(wavelength_nm: float, m: int, roc: float) -> float:
     """Length (um) at which the fundamental mode of index ``m`` resonates at
     the given wavelength (:func:`dispersion_map` tabulates higher orders).
 
@@ -198,24 +181,24 @@ def resonance_length(wavelength_nm: float, m: int, roc) -> float:
     """
     if m < 1:
         raise ValidationError("longitudinal index m must be >= 1")
-    _check_positive_finite(wavelength_nm=wavelength_nm)
-    roc_um = scalar_roc(roc)
-    if math.isinf(roc_um):
+    check_domain("positive and finite", wavelength_nm=wavelength_nm)
+    gouy_fraction(0.0, roc)  # refuses a radius that is not positive
+    if math.isinf(roc):
         return m * wavelength_nm / 2000.0
 
     def mismatch(l_um):
-        return 2000.0 * l_um / wavelength_nm - gouy_fraction(l_um, roc_um) - m
+        return 2000.0 * l_um / wavelength_nm - gouy_fraction(l_um, roc) - m
 
     lo = 1e-9
-    hi = roc_um * (1.0 - 1e-12)
+    hi = roc * (1.0 - 1e-12)
     if mismatch(lo) > 0 or mismatch(hi) < 0:
         raise SearchError(
-            f"no resonance length in (0, {roc_um} um) for m={m}, "
+            f"no resonance length in (0, {roc} um) for m={m}, "
             f"lambda={wavelength_nm} nm"
         )
     l_um = brent_root(mismatch, lo, hi, xtol=1e-13, rtol=8.9e-16)
     # residual check in frequency units (1 MHz = 1e-6 THz)
-    freq = C_UM_THZ / (2.0 * l_um) * (m + gouy_fraction(l_um, roc_um))
+    freq = C_UM_THZ / (2.0 * l_um) * (m + gouy_fraction(l_um, roc))
     target = C_NM_THZ / wavelength_nm
     if abs(freq - target) > 1e-6:
         raise SearchError("root refinement failed to reach 1 MHz residual")
@@ -247,7 +230,7 @@ def mode_indices(l_range_um, lambda_range_nm) -> range:
 def double_resonance_search(
     lambda_exc_nm: float,
     lambda_det_nm: float,
-    roc,
+    roc: float,
     l_range_um: tuple[float, float],
     tolerance_um: float,
 ) -> list[DoubleResonance]:
@@ -256,11 +239,11 @@ def double_resonance_search(
     Candidates are sorted by length mismatch (the physically tunable
     variable); an empty list is a valid outcome.
     """
-    _check_positive_finite(lambda_exc_nm=lambda_exc_nm, lambda_det_nm=lambda_det_nm,
-                           tolerance_um=tolerance_um)
-    roc_um = scalar_roc(roc)
+    check_domain("positive and finite", lambda_exc_nm=lambda_exc_nm,
+                 lambda_det_nm=lambda_det_nm, tolerance_um=tolerance_um)
+    gouy_fraction(0.0, roc)  # refuses a radius that is not positive
     lo = max(l_range_um[0], 1e-6)
-    hi = min(l_range_um[1], roc_um * (1 - 1e-9))
+    hi = min(l_range_um[1], roc * (1 - 1e-9))
     if not lo < hi:
         raise ValidationError("l_range must be a non-empty interval inside stability")
 
@@ -268,7 +251,7 @@ def double_resonance_search(
         out = {}
         for m in mode_indices((lo, hi), (wavelength, wavelength)):
             try:
-                l_um = resonance_length(wavelength, m, roc_um)
+                l_um = resonance_length(wavelength, m, roc)
             except SearchError:
                 continue
             if lo <= l_um <= hi:
@@ -295,7 +278,7 @@ def double_resonance_search(
 
 
 def dispersion_map(
-    roc,
+    roc: float,
     l_grid_um,
     m_values: Sequence[int],
     transverse_orders: Sequence[int] = (0,),
@@ -303,17 +286,23 @@ def dispersion_map(
     """Resonance wavelengths over a length sweep.
 
     Returns an array with columns (l_eff_um, wavelength_nm, mode_m,
-    transverse_order), ready for CSV export.
+    transverse_order), ready for CSV export: one array, each column
+    broadcast into it with no full-size temporary.
     """
-    roc_um = scalar_roc(roc)
+    gouy_fraction(0.0, roc)  # refuses a radius that is not positive, also for no lengths
     l_um = np.asarray(l_grid_um, dtype=float)
     # Python floats: the same bits and errors as numpy scalars, at a third of the cost
-    g = np.array([gouy_fraction(v, roc_um) for v in l_um.tolist()])
+    g = np.array([gouy_fraction(v, roc) for v in l_um.tolist()])
+    q = np.asarray(transverse_orders, dtype=float)[:, None]
+    m = np.asarray(m_values, dtype=float)
     # rows ordered by length, then order, then index, as (l, q, m) axes
-    l_um, q, m = np.meshgrid(l_um, np.asarray(transverse_orders, dtype=float),
-                             np.asarray(m_values, dtype=float), indexing="ij")
-    wavelength = 2000.0 * l_um / (m + (q + 1.0) * g[:, None, None])
-    return np.column_stack([a.ravel() for a in (l_um, wavelength, m, q)])
+    rows = np.empty((l_um.size, q.size, m.size, 4))
+    rows[..., 0], rows[..., 2], rows[..., 3] = l_um[:, None, None], m, q
+    wavelength = rows[..., 1]  # 2000 L / (m + (q + 1) g), computed in place
+    np.multiply(q + 1.0, g[:, None, None], out=wavelength)
+    wavelength += m
+    np.divide((2000.0 * l_um)[:, None, None], wavelength, out=wavelength)
+    return rows.reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +312,8 @@ def dispersion_map(
 
 def beam_waist_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """1/e^2 intensity waist radius at the flat mirror (um)."""
-    roc_um = scalar_roc(geom)
+    check_domain("positive and finite", wavelength_nm=wavelength_nm)
+    roc_um = geom.roc_um
     l_um = geom.l_eff_um
     lam_um = wavelength_nm / 1000.0 / geom.refractive_index
     w0_sq = (lam_um / math.pi) * math.sqrt(l_um * (roc_um - l_um))
@@ -332,7 +322,8 @@ def beam_waist_um(geom: CavityGeometry, wavelength_nm: float) -> float:
 
 def mirror_spot_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """Beam radius on the curved mirror (um)."""
-    roc_um = scalar_roc(geom)
+    check_domain("positive and finite", wavelength_nm=wavelength_nm)
+    roc_um = geom.roc_um
     l_um = geom.l_eff_um
     lam_um = wavelength_nm / 1000.0 / geom.refractive_index
     wl_sq = (lam_um / math.pi) * roc_um * math.sqrt(l_um / (roc_um - l_um))
@@ -341,6 +332,7 @@ def mirror_spot_um(geom: CavityGeometry, wavelength_nm: float) -> float:
 
 def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
     """Mode volume pi * w0^2 * L / 4 in units of the vacuum wavelength cubed."""
+    check_domain("positive and finite", lambda_nm=lambda_nm)
     w0 = beam_waist_um(geom, lambda_nm)
     return math.pi * w0**2 * geom.l_eff_um / 4.0 / (lambda_nm / 1000.0) ** 3
 
@@ -348,7 +340,7 @@ def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
 def q_from_linewidth(lambda_c_nm: float, kappa_ghz: float) -> float:
     """Quality factor nu_c / kappa for an effective linewidth in GHz, with
     nu_c = c / lambda_c of the vacuum wavelength."""
-    _check_positive_finite(lambda_c_nm=lambda_c_nm, kappa_ghz=kappa_ghz)
+    check_domain("positive and finite", lambda_c_nm=lambda_c_nm, kappa_ghz=kappa_ghz)
     return C_NM_GHZ / lambda_c_nm / kappa_ghz
 
 
@@ -365,7 +357,7 @@ def cavity_figures(
     disagree whenever finesse and linewidth were measured independently, so
     both are reported, with their ratio, and never silently mixed.
     """
-    _check_positive_finite(finesse=finesse)
+    check_domain("positive and finite", finesse=finesse)
     if not (1 <= m_det < math.inf and m_det == int(m_det)):
         raise ValidationError(f"m_det must be an integer >= 1, got {m_det}")
     fsr_thz = C_UM_THZ / (2.0 * geom.refractive_index * geom.l_eff_um)
@@ -743,6 +735,8 @@ def effective_length_from_adjacent_modes(
     ``roc_um`` is given, one refinement pass re-solves the full resonance
     condition for the rounded mode number of the long-wavelength peak.
     """
+    check_domain("positive and finite", lambda_long_nm=lambda_long_nm,
+                 lambda_short_nm=lambda_short_nm)
     if lambda_long_nm <= lambda_short_nm:
         raise ValidationError(
             f"expected lambda_long > lambda_short, got {lambda_long_nm} <= {lambda_short_nm}"
@@ -803,8 +797,7 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     order raises TrackingBreakError carrying its index. The jump guard
     always runs, so ``l_eff_um`` must be positive and finite.
     """
-    if not 0 < l_eff_um < math.inf:
-        raise ValidationError(f"l_eff_um must be a positive finite length, got {l_eff_um}")
+    check_domain("positive and finite", l_eff_um=l_eff_um)
     wl, counts = spectral_map.wavelength_nm, spectral_map.counts_matrix()
     lam0 = float(wl[np.argmax(counts[0])])
     max_jump_nm = lam0**2 / (4.0 * l_eff_um * 1000.0)
@@ -852,7 +845,7 @@ def cte_fit(temperatures_k, delta_l_nm, reference_length_um: float):
     -------
     (alpha_per_k, sigma_alpha, fit_result)
     """
-    _check_positive_finite(reference_length_um=reference_length_um)
+    check_domain("positive and finite", reference_length_um=reference_length_um)
     problem = fitkit.FitProblem(
         model_id="linear",
         x=np.asarray(temperatures_k, dtype=float),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio, models
 from .dataio import ScanTrace, SpectralMap, Spectrum, TemperatureLog, TimeHistogram
-from .errors import ValidationError
+from .errors import ValidationError, check_domain
 from .optics import C_NM_GHZ, brent_root, dispersion_map, mode_indices
 
 __all__ = [
@@ -235,8 +235,7 @@ def generate_scan_pair(
     above, over a baseline of 5. ``noise`` is ``poisson`` or ``none``. The
     generator truth is ``finesse`` = fsr_volts / fwhm_volts exactly.
     """
-    if finesse <= 0 or fsr_volts <= 0:
-        raise ValidationError("finesse and fsr must be positive")
+    check_domain("positive and finite", finesse=finesse, fsr_volts=fsr_volts)
     if noise not in ("none", "poisson"):
         raise ValidationError(f"unknown noise kind {noise!r}")
     fwhm = fsr_volts / finesse
@@ -479,10 +478,8 @@ def vibration_broadening_sim(
     intrinsic linewidth exactly. Sampling uses common random numbers per
     seed, so the output is monotone in the jitter amplitude.
     """
-    if kappa_intrinsic_ghz <= 0:
-        raise ValidationError("intrinsic linewidth must be positive")
-    if length_jitter_rms_nm < 0:
-        raise ValidationError("jitter must be non-negative")
+    check_domain("positive and finite", kappa_intrinsic_ghz=kappa_intrinsic_ghz)
+    check_domain("non-negative and finite", length_jitter_rms_nm=length_jitter_rms_nm)
     if length_jitter_rms_nm == 0.0:
         return kappa_intrinsic_ghz
     nu_ghz = C_NM_GHZ / 618.5

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,27 @@ def test_dispersion_per_axis_builds_each_distinct_map_once(
     assert steps[0]["outputs"]["candidates"]
     if maps == 1:
         assert steps[0]["outputs"]["candidates"] == steps[1]["outputs"]["candidates"]
+
+
+@pytest.mark.parametrize("roc_mode, radii", [
+    ("geometric", [math.sqrt(25.0 * 22.0)]),
+    ("per-axis", [25.0, 22.0]),
+])
+def test_dispersion_gives_each_axis_its_radius(roc_mode, radii, tmp_path, monkeypatch):
+    # the map and the search of each axis take that axis's radius as a number:
+    # the geometric mean of --roc-x and --roc-y, or each of them in turn
+    seen = []
+    dispersion_map, search = cli.optics.dispersion_map, cli.optics.double_resonance_search
+    monkeypatch.setattr(cli.optics, "dispersion_map", lambda roc, *rest: (
+        seen.append(("map", roc)) or dispersion_map(roc, *rest)))
+    monkeypatch.setattr(cli.optics, "double_resonance_search", lambda exc, det, roc, *rest: (
+        seen.append(("search", roc)) or search(exc, det, roc, *rest)))
+    args = _dispersion_args(tmp_path, extra=("--roc-mode", roc_mode))
+    i = args.index("--roc")
+    args[i : i + 2] = ["--roc-x", "25", "--roc-y", "22"]
+    assert run(args) == 0
+    assert seen == [(kind, roc) for roc in radii for kind in ("map", "search")]
+
 
 def test_dispersion_idempotent(tmp_path):
     out1 = tmp_path / "a"
@@ -505,6 +527,18 @@ def test_purcell_budget_nonfinite_step_exit_3(flag, value, step, given, tmp_path
     err = capsys.readouterr().err
     assert f"purcell budget: {step} " in err and given in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_purcell_budget_overflowing_ideal_q_exit_3(tmp_path, capsys):
+    # in-domain flags whose product m_det * finesse overflows: a numerical
+    # failure of the budget, not a refused input, and no report
+    args = {k: v for k, v in _BUDGET_ARGS.items() if k != "--q-ideal"}
+    argv = ["purcell-budget", *(x for item in args.items() for x in item),
+            "--finesse", "1e308", "--m-det", "12", "--out", str(tmp_path / "out")]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "purcell budget: " in err and "is inf, not a finite positive number" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -40,13 +40,29 @@ def test_geometry_refuses_a_refractive_index_not_finite_and_at_least_1(index):
         CavityGeometry(24.0, 24.0, 3.7, refractive_index=index)
 
 
-def test_scalar_roc_modes():
+def test_geometry_radius_is_the_geometric_mean():
     geom = CavityGeometry(25.0, 22.0, 3.7)
-    assert optics.scalar_roc(geom, "geometric") == pytest.approx(math.sqrt(550.0))
-    assert optics.scalar_roc(geom, "x") == 25.0
-    assert optics.scalar_roc(geom, "y") == 22.0
-    with pytest.raises(ValidationError):
-        optics.scalar_roc(geom, "mean")
+    assert geom.roc_um == optics.mean_roc(25.0, 22.0) == math.sqrt(550.0)
+    assert optics.mean_roc(24.0, 24.0) == 24.0
+    # the figures that read it: 1 - L/ROC in the spatial factor
+    assert optics.beam_waist_um(geom, 618.5) ** 2 / optics.mirror_spot_um(geom, 618.5) ** 2 \
+        == pytest.approx(1.0 - 3.7 / math.sqrt(550.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("roc", [0.0, -24.0, math.nan])
+def test_every_radius_is_checked_by_the_gouy_term(roc):
+    # a radius that is not positive raises the Gouy term's GeometryError in
+    # each function that takes one, before any search or table is built
+    calls = [
+        lambda: optics.gouy_fraction(3.7, roc),
+        lambda: optics.resonance_length(618.5, 12, roc),
+        lambda: optics.double_resonance_search(533.3, 618.5, roc, (2.0, 6.0), 0.025),
+        lambda: optics.dispersion_map(roc, [3.7, 3.8], [11, 12]),
+        lambda: optics.dispersion_map(roc, [], [11, 12]),
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError, match="^radius of curvature must be positive$"):
+            call()
 
 
 def test_gouy_value_against_abcd_oracle():
@@ -151,6 +167,25 @@ def test_double_resonance_identical_wavelengths():
     candidates = optics.double_resonance_search(618.5, 618.5, 24.0, (2.0, 6.0), 0.001)
     assert candidates
     assert all(c.m_exc == c.m_det and c.mismatch_um == 0.0 for c in candidates)
+
+
+def test_double_resonance_search_skips_an_index_with_no_length_in_range(monkeypatch):
+    # up to 23.99 um of a 24 um mirror, m = 78 resonates at no length below
+    # the radius for 618.5 nm: the search skips it for either wavelength
+    skipped = []
+    resonance_length = optics.resonance_length
+
+    def probe(wavelength, m, roc):
+        try:
+            return resonance_length(wavelength, m, roc)
+        except SearchError:
+            skipped.append(m)
+            raise
+
+    monkeypatch.setattr(optics, "resonance_length", probe)
+    candidates = optics.double_resonance_search(618.5, 618.5, 24.0, (20.0, 23.99), 0.001)
+    assert skipped == [78, 78]
+    assert len(candidates) == 13
 
 
 def test_double_resonance_tolerance_monotonicity():
@@ -464,6 +499,13 @@ def test_effective_length_degenerate_raises():
         optics.effective_length_from_adjacent_modes(618.5, 618.5 - 1e-9)
     with pytest.raises(ValidationError):
         optics.effective_length_from_adjacent_modes(600.0, 618.5)
+
+
+def test_effective_length_outside_stability_raises():
+    # modes 1 nm apart put the cavity at 191.89 um, past a 24 um radius
+    with pytest.raises(GeometryError) as err:
+        optics.effective_length_from_adjacent_modes(620.0, 619.0, roc_um=24.0)
+    assert str(err.value) == "estimated length 191.890 um is outside stability (ROC 24.0 um)"
 
 
 def test_effective_length_from_synthetic_spectrum():

@@ -219,6 +219,26 @@ def test_wled_map_generation_frees_the_dispersion_map():
     assert peak < 1.45 * wled.counts.nbytes
 
 
+@pytest.mark.parametrize("n_lengths, orders, m_values", [
+    (7200, (0,), range(11, 22)),  # the full-size WLED map's table
+    (800, (0, 1, 3), range(5, 25)),
+])
+def test_dispersion_map_holds_no_full_size_temporary(n_lengths, orders, m_values):
+    # the four columns are broadcast into the result: the traced peak was
+    # 2.02 times the result's bytes with a meshgrid and a column stack, and
+    # is 1.07-1.09 times them broadcast; one more quarter-size column would
+    # pass 1.25
+    lengths = np.linspace(5.0, 3.7, n_lengths)
+    tracemalloc.start()
+    try:
+        rows = optics.dispersion_map(24.0, lengths, m_values, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n_lengths * len(orders) * len(m_values), 4)
+    assert peak < 1.25 * rows.nbytes
+
+
 def _wled_one_draw(n_frames, seed):
     """The WLED map as one Poisson draw over the whole expected matrix,
     each peak added over its run of frames in ascending m."""
