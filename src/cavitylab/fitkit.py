@@ -36,10 +36,12 @@ matrix at the fitted point, scaled by the reduced Pearson chi-square,
 matching the convention of relative weights. The inverse is the damped
 steps' solve against the identity, bit for bit ``np.linalg.inv``; a normal
 matrix singular there gives a NaN covariance, not a pseudo-inverse, and
-:meth:`FitResult.to_report_step` refuses it. :func:`bootstrap_uncertainty`
-draws its resamples from the model's noise: Poisson counts around the
-fitted curve, or for a Gaussian model weighted residuals resampled and
-rescaled to the weight of the point they land on.
+:meth:`FitResult.to_report_step` refuses it. An LM loop's covariances are
+computed together on the first read of any, so a caller that reads none
+pays for none. :func:`bootstrap_uncertainty` draws its resamples from the
+model's noise: Poisson counts around the fitted curve, or for a Gaussian
+model weighted residuals resampled and rescaled to the weight of the point
+they land on.
 """
 
 from __future__ import annotations
@@ -229,6 +231,15 @@ class FitResult:
     termination: str
     cost_trace: tuple[float, ...] = field(default=(), repr=False)
 
+    def __getattr__(self, name):
+        # a result of the engine holds its loop's covariances and its row
+        # there instead of a covariance, which its first read takes from them
+        held = self.__dict__
+        if name != "covariance" or "_loop" not in held:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        held["covariance"] = held["_loop"].covariances()[held["_row"]]
+        return held["covariance"]
+
     @property
     def converged(self) -> bool:
         return self.termination == "step_tolerance"
@@ -308,7 +319,8 @@ def _normal_equations(model, x, w, p, r=None):
     residuals ``r``, the gradient with it; ``w`` None for unit weights."""
     J = model.jac(x, p)
     if w is not None:
-        J *= w[:, :, None]
+        for column in J.transpose(2, 0, 1):  # one column at a time: faster than broadcast
+            column *= w
     Jt = J.transpose(0, 2, 1)
     return Jt @ J if r is None else (Jt @ J, (Jt @ r[:, :, None])[:, :, 0])
 
@@ -360,6 +372,23 @@ def _picks(index: np.ndarray, starts):
         slice(None) if e - a == t - s else index[a:e] - s
         for a, e, s, t in zip(at, at[1:], starts, starts[1:])
     ], at
+
+
+class _LoopCovariances:
+    """An LM loop's covariances, all computed on the first read of any and
+    then kept alone: reduced chi-square times the inverse normal matrix of
+    each block's fitted x and weight rows (or None) at rows a:e of ``p``."""
+
+    def __init__(self, model, blocks, p, reduced_chi2):
+        self._held = (model, blocks, p, reduced_chi2)
+
+    @np.errstate(all="ignore")
+    def covariances(self) -> np.ndarray:
+        if isinstance(held := self._held, tuple):  # one read: a racing read gets equal bits
+            model, blocks, p, reduced_chi2 = held
+            H = np.concatenate([_normal_equations(model, x, w, p[a:e]) for x, w, a, e in blocks])
+            self._held = reduced_chi2[:, None, None] * _solve_rows(H, np.eye(model.n_params))[0]
+        return self._held
 
 
 @np.errstate(all="ignore")
@@ -512,6 +541,9 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
             for b, pick, a, e, w_new, r_new, _ in trials:
                 good = ok[a:e]
                 new_b, acc_b = _rows(good), _rows(good, pick)
+                if isinstance(acc_b, slice):  # the whole block: keep the trial's arrays
+                    r[b], w[b] = r_new, w_new  # (a Gaussian model's w_new is w[b])
+                    continue
                 r[b][acc_b] = r_new[new_b]
                 if fisher:
                     w[b][acc_b] = w_new[new_b]
@@ -550,33 +582,27 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     inside = True if lo is None else np.all((p_canon >= lo) & (p_canon <= hi), axis=1)[:, None]
     p_fit = np.where(inside, p_canon, p_fit)
 
-    # covariance: reduced (Pearson) chi-square times the inverse normal
-    # matrix, both of each block's fitted rows, whose points begin at
-    # ``fits_at`` among those of p_fit
+    # each block's reduced (Pearson) chi-square now, its covariances on first
+    # read at a copy of p_fit, whose rows the results' params are
     kept, fits_at = _picks(fitted, cuts)
-    H, reduced_chi2 = [], []
-    for xb, wb, rb, k, a, e in zip(x, w, r, kept, fits_at[:-1], fits_at[1:]):
-        H.append(_normal_equations(model, xb[k], None if wb is None else wb[k], p_fit[a:e]))
-        reduced_chi2.append(_row_dots(rb[k]) / max(xb.shape[1] - n_params, 1))
-    H, reduced_chi2 = np.concatenate(H), np.concatenate(reduced_chi2)
-    inverse, _ = _solve_rows(H, np.eye(n_params))
-    covariance = reduced_chi2[:, None, None] * inverse
+    reduced_chi2 = np.concatenate([
+        _row_dots(rb[k]) / max(rb.shape[1] - n_params, 1) for rb, k in zip(r, kept)])
+    loop = _LoopCovariances(model, [
+        (xb[k], None if wb is None else wb[k], a, e)
+        for xb, wb, k, a, e in zip(x, w, kept, fits_at[:-1], fits_at[1:])
+    ], p_fit.copy(), reduced_chi2)
     ends = [_TERMINATIONS[t] for t in termination[fitted].tolist()]
     counts = iterations[fitted].tolist()
     traces = np.array(history)[:, fitted].T.tolist()
     for j, (k, chi2, n, end, trace) in enumerate(
             zip(fitted.tolist(), reduced_chi2.tolist(), counts, ends, traces)):
-        outcome[k] = FitResult(
-            model_id=model.name,
-            params=p_fit[j],
-            covariance=covariance[j],
-            reduced_chi2=chi2,
-            iterations=n,
-            termination=end,
-            # the start, one entry per iteration, less the last when it
-            # accepted nothing
-            cost_trace=tuple(trace[:n + (end != "no_descent")]),
-        )
+        # built as FitProblem.stack builds problems; the cost trace is the start
+        # and one entry per iteration, less the last when it accepted nothing
+        outcome[k] = result = object.__new__(FitResult)
+        result.__dict__.update(
+            model_id=model.name, params=p_fit[j], reduced_chi2=chi2, iterations=n,
+            termination=end, cost_trace=tuple(trace[:n + (end != "no_descent")]),
+            _loop=loop, _row=j)
     return outcome
 
 

@@ -310,24 +310,25 @@ def dispersion_map(
 # ---------------------------------------------------------------------------
 
 
+def _mode_scales(geom: CavityGeometry, wavelength_nm: float) -> tuple[float, float, float]:
+    """lambda / (pi n) in the gap, the mirror radius and the length (um) of
+    a geometry that confines a mode: a flat (infinite) radius does not."""
+    check_domain("positive and finite", wavelength_nm=wavelength_nm)
+    if math.inf in (geom.roc_x_um, geom.roc_y_um):
+        raise GeometryError(f"no mode is confined by radii {geom.roc_x_um}, {geom.roc_y_um} um")
+    return wavelength_nm / 1000.0 / geom.refractive_index / math.pi, geom.roc_um, geom.l_eff_um
+
+
 def beam_waist_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """1/e^2 intensity waist radius at the flat mirror (um)."""
-    check_domain("positive and finite", wavelength_nm=wavelength_nm)
-    roc_um = geom.roc_um
-    l_um = geom.l_eff_um
-    lam_um = wavelength_nm / 1000.0 / geom.refractive_index
-    w0_sq = (lam_um / math.pi) * math.sqrt(l_um * (roc_um - l_um))
-    return math.sqrt(w0_sq)
+    scale, roc_um, l_um = _mode_scales(geom, wavelength_nm)
+    return math.sqrt(scale * math.sqrt(l_um * (roc_um - l_um)))
 
 
 def mirror_spot_um(geom: CavityGeometry, wavelength_nm: float) -> float:
     """Beam radius on the curved mirror (um)."""
-    check_domain("positive and finite", wavelength_nm=wavelength_nm)
-    roc_um = geom.roc_um
-    l_um = geom.l_eff_um
-    lam_um = wavelength_nm / 1000.0 / geom.refractive_index
-    wl_sq = (lam_um / math.pi) * roc_um * math.sqrt(l_um / (roc_um - l_um))
-    return math.sqrt(wl_sq)
+    scale, roc_um, l_um = _mode_scales(geom, wavelength_nm)
+    return math.sqrt(scale * roc_um * math.sqrt(l_um / (roc_um - l_um)))
 
 
 def mode_volume_lambda3(geom: CavityGeometry, lambda_nm: float) -> float:
@@ -413,14 +414,16 @@ def _peaks_and_median(signal, rel_prominence: float):
         return np.array([], dtype=int), math.nan
     rows = y[None, :]
     (median,), lows, floors = _peak_floors(rows)
-    peaks = _local_maxima(rows, lows, floors)
+    peaks, at = _local_maxima(rows, lows, floors)
     low, floor = lows[0], floors[0]
+    top, top_prominence = -1, 0.0  # under rel_prominence, the top peak's is known
     if rel_prominence > 0.0:
-        (top,), (top_prominence,) = _first_prominent(rows, peaks, floors)
+        (top,), (top_prominence,) = _first_prominent(rows, floors, peaks, at)
         if top < 0:
             return np.array([], dtype=int), float(median)
         peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
-    prominences = _prominences(rows, peaks)
+    prominences, others = np.full(peaks.size, top_prominence), peaks != top
+    prominences[others] = _prominences(rows, peaks[others], at)
     peaks, prominences = peaks[prominences >= floor], prominences[prominences >= floor]
     if rel_prominence > 0.0 and peaks.size:
         peaks = peaks[prominences >= rel_prominence * prominences.max()]
@@ -493,17 +496,17 @@ def _middle_bins(histograms: np.ndarray, n: int):
     return np.argmax(cumulative > (n - 1) // 2, axis=1), np.argmax(cumulative > n // 2, axis=1)
 
 
-def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> tuple:
     """Flat indices of the local maxima of each row of a (K, n) array that
     stand at least ``steps`` above the row's lowest sample ``lows``, in
     scipy's sense: the middle sample (rounded down) of a run of equal
     samples whose neighbours are both lower; a row's first and last samples
     are never maxima.
 
-    Only samples that reach the step are looked at, so the scan costs one
-    pass over ``rows``. The threshold is lowered by a few ulps of the
-    numbers that made it, so it keeps every sample whose height above the
-    lowest one, as a float difference, reaches the step.
+    Only the samples that reach the step, ``at`` (returned too), are looked
+    at: one pass over ``rows``. The threshold is lowered by a few ulps of
+    the numbers that made it, so it keeps every sample whose height above
+    the lowest one, as a float difference, reaches the step.
     """
     n = rows.shape[1]
     slack = 8 * np.finfo(float).eps * (np.abs(lows) + steps)
@@ -519,27 +522,27 @@ def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> np.n
         (col[starts] > 0) & (left[starts] < v[starts])
         & (col[ends] < n - 1) & (right[ends] < v[ends])
     )
-    return (first[peak] + last[peak]) // 2
+    return (first[peak] + last[peak]) // 2, at
 
 
-def _prominences(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+def _prominences(rows: np.ndarray, peaks: np.ndarray, at: np.ndarray) -> np.ndarray:
     """scipy's prominence of each peak (flat indices into a (K, n) array):
     the peak's height above the higher of its two bases, each the lowest
     sample on its side, within its row, before the first sample higher
     than the peak.
 
-    Every sample higher than a peak is among the samples ``at`` that reach
-    the lowest peak. Maxima of ``at``'s values over spans of 1, 2, 4, ...
-    samples let every peak find its nearest higher sample on each side in
-    log2(len(at)) vectorized steps, and the bases are minima over the
-    samples between.
+    Each peak and every sample of its row higher than it are among ``at``,
+    the samples that reach their row's step (:func:`_local_maxima`); those
+    that reach the lowest peak are searched. Maxima of their values over
+    spans of 1, 2, 4, ... samples find every peak's nearest higher sample
+    on each side in log2 steps, and the bases are minima between.
     """
     if not peaks.size:
         return np.empty(0)
     n = rows.shape[1]
     y = rows.ravel()
     heights = y[peaks]
-    at = np.flatnonzero(y >= heights.min())
+    at = at[y[at] >= heights.min()]
     spans = [y[at]]  # spans[k][i]: the highest of the 2**k samples at[i:i + 2**k]
     while 2 ** len(spans) <= at.size:
         half = 2 ** (len(spans) - 1)
@@ -565,13 +568,14 @@ def _range_minima(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(last, np.minimum(minima[::2], y[-1]), minima[::2])
 
 
-def _first_prominent(rows: np.ndarray, peaks: np.ndarray, floors: np.ndarray):
+def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at):
     """Per row of a (K, n) array, the column of the highest of ``peaks``
-    (flat indices, ascending) whose prominence reaches the row's floor, or
-    -1, and that prominence. Candidates are tried in descending height,
-    ties in sample order, so the answer is ``argmax`` over the peaks that
-    pass: each row's highest first, in one round; only the rows where it
-    fails are ranked, and each further round tries their next 2, 4, ..."""
+    (flat indices, ascending, all in ``at``) whose prominence reaches the
+    row's floor, or -1, and that prominence. Candidates are tried in
+    descending height, ties in sample order, so the answer is ``argmax``
+    over the peaks that pass: each row's highest first, in one round; only
+    the rows where it fails are ranked, and each further round tries their
+    next 2, 4, ..."""
     n = rows.shape[1]
     best, prominence = np.full(rows.shape[0], -1), np.zeros(rows.shape[0])
     row, heights = peaks // n, rows.ravel()[peaks]
@@ -581,7 +585,7 @@ def _first_prominent(rows: np.ndarray, peaks: np.ndarray, floors: np.ndarray):
     order = order[np.diff(row[order], prepend=-1) != 0]  # the first of a row's highest
     rank, tried = np.zeros(order.size, dtype=int), 0
     while (tries := order[(rank >= tried) & (rank <= 2 * tried) & (best[row[order]] < 0)]).size:
-        trial = _prominences(rows, peaks[tries])
+        trial = _prominences(rows, peaks[tries], at)
         passed = trial >= floors[row[tries]]
         tries, trial = tries[passed], trial[passed]
         first = np.diff(row[tries], prepend=-1) != 0  # each row's highest that passed
@@ -600,7 +604,7 @@ def _strongest_peaks(rows: np.ndarray):
     a row with none) and each row's median, for a (K, n) array: the batched
     form of ``detect_peaks(row)[argmax]`` over the rows."""
     medians, lows, floors = _peak_floors(rows)
-    best, _ = _first_prominent(rows, _local_maxima(rows, lows, floors), floors)
+    best, _ = _first_prominent(rows, floors, *_local_maxima(rows, lows, floors))
     return best, medians
 
 

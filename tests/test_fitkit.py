@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import model_grid, perturb_params, random_params
 
-from cavitylab import fitkit, models, synthlab
+from cavitylab import fitkit, models, optics, synthlab
 from cavitylab.errors import (
     DataError,
     FitQualityError,
@@ -888,3 +890,116 @@ def test_model_bounds_apply_and_clip_the_heuristic_start():
     assert problem.initial_params[0] == 1e-12
     with pytest.raises(ValidationError):
         fitkit.FitProblem(model_id="saturation", x=x, y=y, initial_params=[-1.0, 2.0])
+
+
+# sha256 of covariance bytes, recorded before covariances were computed on
+# first read: the fit of every preset, seeds 0-9; the 120 frame fits of
+# drift maps 0-4; and one fit_many of four models and mixed lengths, read
+# last to first. The normal matrices sum in the order of the OpenBLAS
+# kernel, so there is one digest for each of the AVX-512 (SkylakeX), AVX2
+# (Haswell, Zen), AVX (Sandybridge), SSE4 (Nehalem, Barcelona, Atom) and
+# SSE3 (Prescott, Core2) kernels
+_COVARIANCE_DIGESTS = {
+    "5a985ed3f6074f88604b13422d02e0c98b4303bb61d9859d24827b5a2ac3e7d0",
+    "7fb150f41ef9b237fc4dc07844cead2435a692fc3f5437b0679788c573eb044b",
+    "22e493ca265f2d6ce7edeaf3592bbac459f6faaec48ff884fb9a822841017662",
+    "842012053873f02308e4a182b52c53f64f28b5c1c9479a24367d58c9b722eb3d",
+    "86d13afc7b21ac3b275f0e03cce7a2aa69c29bd8e4b8e5d3a88ab6fb369c12f5",
+}
+
+
+def _drift_fits(monkeypatch, seeds):
+    """The frame fits of drift_series on the default drift maps of ``seeds``."""
+    fits, fit_many = [], fitkit.fit_many
+
+    def keep(problems):
+        fits.extend(fit_many(problems))
+        return fits[len(fits) - len(problems):]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitkit, "fit_many", keep)
+        for seed in seeds:
+            optics.drift_series(synthlab.generate_drift_map(seed=seed)[0], l_eff_um=3.7)
+    return fits
+
+
+def test_covariances_read_late_keep_their_bits(monkeypatch):
+    digest = hashlib.sha256()
+    for name in synthlab.preset_names():
+        for seed in range(10):
+            ds = synthlab.generate(synthlab.preset(name, seed=seed))
+            result = fitkit.fit(fitkit.FitProblem(ds.spec.model_id, ds.x, ds.y))
+            digest.update(result.covariance.tobytes())
+    drift = _drift_fits(monkeypatch, range(5))
+    assert len(drift) == 600
+    for result in drift:
+        digest.update(result.covariance.tobytes())
+    problems = []
+    for k, n in enumerate((801, 401, 801, 201)):
+        x, y = _lorentzian_data(noise_sigma=5.0, seed=k)
+        problems.append(fitkit.FitProblem("lorentzian", x[:n], y[:n], np.full(n, 0.2)))
+        ds = synthlab.generate(synthlab.preset(("lifetime_4k", "saturation_10k")[k % 2], seed=k))
+        problems.append(fitkit.FitProblem(ds.spec.model_id, ds.x, ds.y))
+        x = ds.x[:12 + k]
+        problems.append(fitkit.FitProblem("linear", x, 3.0 * x + np.sin(x)))
+    for result in fitkit.fit_many(problems)[::-1]:
+        digest.update(result.covariance.tobytes())
+    assert digest.hexdigest() in _COVARIANCE_DIGESTS
+
+
+def test_unread_covariances_cost_no_jacobian_after_the_last_iteration(monkeypatch):
+    # the finesse and drift loops read no covariance: their last model call
+    # is the last iteration's trial objective, not a normal matrix at the
+    # fitted points
+    base, calls = models.get_model("lorentzian"), []
+
+    def fn(x, p):
+        calls.append("fn")
+        return base.fn(x, p)
+
+    def jac(x, p):
+        calls.append("jac")
+        return base.jac(x, p)
+
+    monkeypatch.setitem(models.MODELS, "lorentzian", dataclasses.replace(base, fn=fn, jac=jac))
+    optics.finesse_from_scan(synthlab.generate_scan_pair(seed=43))
+    assert "jac" in calls and calls[-1] == "fn"
+    calls.clear()
+    optics.drift_series(synthlab.generate_drift_map(seed=43)[0], l_eff_um=3.7)
+    assert "jac" in calls and calls[-1] == "fn"
+
+
+def test_reading_one_covariance_computes_its_whole_loop_at_once(monkeypatch):
+    # seed 43's 120 frame fits are one loop of 5 window lengths: the first
+    # read of any covariance takes one Jacobian per length and one stacked
+    # solve, and every later read of the loop none
+    base, solve_rows = models.get_model("lorentzian"), fitkit._solve_rows
+    calls = {"jac": 0, "solve": 0}
+
+    def jac(x, p):
+        calls["jac"] += 1
+        return base.jac(x, p)
+
+    def solve(A, b):
+        calls["solve"] += 1
+        return solve_rows(A, b)
+
+    monkeypatch.setitem(models.MODELS, "lorentzian", dataclasses.replace(base, jac=jac))
+    monkeypatch.setattr(fitkit, "_solve_rows", solve)
+    drift = _drift_fits(monkeypatch, [43])
+    calls.update(jac=0, solve=0)
+    sigmas = drift[57].sigmas
+    assert calls == {"jac": 5, "solve": 1}
+    covariances = [fit.covariance for fit in drift[::-1]]
+    assert calls == {"jac": 5, "solve": 1}
+    assert np.array_equal(np.sqrt(np.diag(covariances[120 - 1 - 57])), sigmas)
+
+
+def test_a_covariance_first_read_outside_the_engine_warns_nothing():
+    # the singular g2 fit to lifetime counts: its late normal matrix and
+    # solve run under the engine's floating-point policy, not the caller's
+    ds = synthlab.generate(synthlab.preset("lifetime_4k", seed=0))
+    result = fitkit.fit(fitkit.FitProblem("g2_three_level", ds.x, ds.y))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert np.isnan(result.covariance).all()

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cavitylab import fitkit, models, optics, synthlab
+from cavitylab import cqed, fitkit, models, optics, synthlab
 from cavitylab.dataio import ScanTrace, SpectralMap, Spectrum
 from cavitylab.errors import (
     FitQualityError,
@@ -47,6 +47,26 @@ def test_geometry_radius_is_the_geometric_mean():
     # the figures that read it: 1 - L/ROC in the spatial factor
     assert optics.beam_waist_um(geom, 618.5) ** 2 / optics.mirror_spot_um(geom, 618.5) ** 2 \
         == pytest.approx(1.0 - 3.7 / math.sqrt(550.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("radii", [(math.inf, 24.0), (24.0, math.inf), (math.inf, math.inf)])
+def test_a_flat_mirror_has_no_mode_to_size(radii):
+    # a geometry keeps an infinite radius for the flat-mirror resonances,
+    # but it confines no mode: the waist was inf and the mirror spot NaN
+    geom = CavityGeometry(*radii, 3.75)
+    assert optics.resonance_length(618.5, 12, geom.roc_um) == 12 * 618.5 / 2000.0
+    calls = [
+        lambda: optics.beam_waist_um(geom, 618.5),
+        lambda: optics.mirror_spot_um(geom, 618.5),
+        lambda: optics.mode_volume_lambda3(geom, 618.5),
+        lambda: optics.cavity_figures(geom, 4600.0, 12, 618.5),
+        lambda: cqed.budget_report(21.7, 12.2, 0.8, 0.56, geom, 618.5, q_ideal=56400.0,
+                                   kappa_exp_ghz=160.0),
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError, match=f"^no mode is confined by radii {radii[0]}, "
+                                                f"{radii[1]} um$"):
+            call()
 
 
 @pytest.mark.parametrize("roc", [0.0, -24.0, math.nan])

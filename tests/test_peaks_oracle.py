@@ -189,13 +189,13 @@ def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
     passing = 200.0 / (1.0 + ((np.arange(n) - centers) / widths) ** 2) + rng.poisson(5.0, (20, n))
     rows = rng.permutation(np.concatenate([failing, passing]))
     _, lows, floors = optics._peak_floors(rows)
-    maxima = optics._local_maxima(rows, lows, floors)
+    maxima, at = optics._local_maxima(rows, lows, floors)
     strongest, _ = optics._strongest_peaks(rows)
     top_fails, ranks = 0, []
     for k, (row, peak) in enumerate(zip(rows, strongest)):
         mine = maxima[maxima // n == k]
         highest = mine[np.argmax(rows.ravel()[mine])]
-        top_fails += bool(optics._prominences(rows, np.array([highest]))[0] < floors[k])
+        top_fails += bool(optics._prominences(rows, np.array([highest]), at)[0] < floors[k])
         peaks = _scipy_peaks(row)
         assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1), k
         if peak >= 0:  # the maxima tried before the one that passed
