@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cqed, dataio, fitkit, models, optics, synthlab
-from .errors import NumericalError, ValidationError
+from .errors import _DOMAINS, NumericalError, ValidationError
 
 __all__ = ["cmd_dispersion", "cmd_fit", "cmd_purcell_budget", "entrypoint", "main"]
 
@@ -70,9 +70,10 @@ def _float_flag(holds, domain: str):
     return parse
 
 
-_positive = _float_flag(lambda v: 0 < v < math.inf, "a positive number")
-_non_negative = _float_flag(lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_fraction = _float_flag(lambda v: 0 < v <= 1, "a number in (0, 1]")
+# the library's own domains, refused in the library's words
+_positive, _non_negative, _fraction = (
+    _float_flag(_DOMAINS[d], d)
+    for d in ("positive and finite", "non-negative and finite", "in (0, 1]"))
 _refractive_index = _float_flag(lambda v: 1 <= v < math.inf, "a finite number >= 1")
 
 

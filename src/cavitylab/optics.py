@@ -401,6 +401,7 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     the strongest prominence is at least that of the highest peak that
     clears the floor.
     """
+    check_domain("non-negative and finite", rel_prominence=rel_prominence)
     return _peaks_and_median(signal, rel_prominence)[0]
 
 
@@ -433,67 +434,13 @@ def _peaks_and_median(signal, rel_prominence: float):
 def _peak_floors(rows: np.ndarray):
     """Median, lowest sample and peak floor of each row of a (K, n) array:
     the floor is 5 MAD around the median, and at least 1e-9 of the span.
-
-    Median and MAD are ``np.median``'s, bit for bit, taken in one of three
-    ways. A row of whole numbers below 2**52 in magnitude whose span is at
-    most its length, as a ramp of counts is, is counted: its two middle
-    values (one twice for an odd length) from a histogram of the row and
-    its cumulative sum, the MAD's from the histogram of the whole numbers
-    2|y - median|, and every mean and half of them is exact. Every other
-    row (NaN, +-inf, fractions, large or wide spans, and a row whose counted
-    median is zero) is sorted, all such rows in one :func:`models.median`
-    call for the medians and one for the MADs. Only a zero median of a row
-    holding a -0.0 is left to ``np.median``: which zero that returns
-    depends on its partition.
+    Median and MAD are ``np.median``'s bits, through :func:`models.median`.
     """
-    lows, highs = rows.min(axis=1), rows.max(axis=1)
-    spans = highs - lows
-    medians, mads = np.empty(len(rows)), np.empty(len(rows))
-    counted = np.zeros(len(rows), dtype=bool)
-    # False for NaN and inf; below 2**52 the mean of two whole floats is exact
-    narrow = np.flatnonzero((spans <= rows.shape[1]) & (-(2.0**52) < lows) & (highs < 2.0**52))
-    if narrow.size:
-        counted[narrow], medians[narrow], mads[narrow] = _counted_medians(
-            rows if narrow.size == len(rows) else rows[narrow], lows[narrow],
-            int(np.max(spans[narrow])) + 2)
-    rest = np.flatnonzero(~counted)
-    if rest.size:
-        deviations = rows[rest]
-        medians[rest] = models.median(deviations)
-        deviations -= medians[rest, None]
-        mads[rest] = models.median(np.abs(deviations, out=deviations))
-    return medians, lows, np.maximum(5.0 * mads, 1e-9 * spans)
-
-
-def _counted_medians(rows: np.ndarray, lows: np.ndarray, m: int):
-    """Which rows of a (K, n) array are counted (see :func:`_peak_floors`),
-    and the median and MAD of each row, valid where it is counted. Every
-    sample lies within m - 2 of its row's lowest, ``lows``, and below 2**52
-    in magnitude."""
-    n_rows, n = rows.shape
-    k = rows.astype(np.intp)
-    whole = (k == rows).all(axis=1)
-    # a sample's bin: its distance from the row's lowest, after the bins of
-    # the rows before; a row that is not whole may reach its spare last bin
-    k -= (lows.astype(np.intp) - np.arange(n_rows) * m)[:, None]
-    histograms = np.bincount(k.ravel(), minlength=n_rows * m).reshape(n_rows, m)
-    low, high = _middle_bins(histograms, n)
-    # every bin's distance from the median, doubled to a whole number, and
-    # binned the same way
-    m2 = 2 * m - 1
-    doubled = np.abs(2 * np.arange(m) - (low + high)[:, None]) + (np.arange(n_rows) * m2)[:, None]
-    low2, high2 = _middle_bins(
-        np.bincount(doubled.ravel(), histograms.ravel(), n_rows * m2).reshape(n_rows, m2), n)
-    medians = lows + (low + high) / 2.0
-    return whole & (medians != 0.0), medians, (low2 + high2) / 4.0
-
-
-def _middle_bins(histograms: np.ndarray, n: int):
-    """The bins of the ((n - 1) // 2)-th and (n // 2)-th smallest of the n
-    values counted in each row of ``histograms``: the two middle values of
-    an even count, the middle one twice of an odd count."""
-    cumulative = histograms.cumsum(axis=1)
-    return np.argmax(cumulative > (n - 1) // 2, axis=1), np.argmax(cumulative > n // 2, axis=1)
+    lows = rows.min(axis=1)
+    medians = models.median(rows)
+    deviations = rows - medians[:, None]
+    mads = models.median(np.abs(deviations, out=deviations))
+    return medians, lows, np.maximum(5.0 * mads, 1e-9 * (rows.max(axis=1) - lows))
 
 
 def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> tuple:

@@ -687,8 +687,13 @@ def test_dispersion_map_over_the_row_cap_exit_2(extra, tmp_path, capsys):
     (["fit"], "--bootstrap", "1", "0 or an integer from 2 to 1000"),
     (["fit"], "--bootstrap", "1001", "0 or an integer from 2 to 1000"),
     (["fit"], "--bootstrap", "x", "0 or an integer from 2 to 1000"),
+    (["purcell-budget"], "--tau0", "abc", "positive and finite"),
+    (["dispersion"], "--roc", "nan", "positive and finite"),
+    (["purcell-budget"], "--f-fp", "-1", "non-negative and finite"),
+    (["purcell-budget"], "--qe", "1.5", "in (0, 1]"),
+    (["purcell-budget"], "--refractive-index", "0.9", "a finite number >= 1"),
 ])
-def test_integer_flag_refusal_messages(argv, flag, value, domain, capsys):
+def test_flag_refusal_messages(argv, flag, value, domain, capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.build_parser().parse_args([*argv, flag, value])
     assert exit_.value.code == 2

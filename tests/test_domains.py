@@ -45,6 +45,8 @@ _CALLS = [
      dict(frame_period_s=60.0), _POSITIVE),
     (functools.partial(optics.cavity_figures, GEOM, m_det=12),
      dict(finesse=4600.0, lambda_c_nm=618.5), _POSITIVE),
+    (functools.partial(optics.detect_peaks, _MAP.counts[0]), dict(rel_prominence=0.2),
+     _NON_NEGATIVE),
     (optics.q_from_linewidth, dict(lambda_c_nm=618.5, kappa_ghz=160.0), _POSITIVE),
     (functools.partial(optics.cte_fit, np.arange(4.0), np.arange(4.0)),
      dict(reference_length_um=3.75), _POSITIVE),
