@@ -121,7 +121,11 @@ def median(values) -> np.ndarray:
     own: which zero that returns depends on its partition."""
     values = np.asarray(values, dtype=float)
     rows = values.reshape(-1, values.shape[-1])
-    a = np.sort(rows, axis=1)
+    return sorted_median(rows, np.sort(rows, axis=1)).reshape(values.shape[:-1])
+
+
+def sorted_median(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`median` of each row of a (K, n) array ``rows`` from ``a``, its sort."""
     n, last = a.shape[1], a[:, -1]
     m = np.where(np.isnan(last), last,
                  a[:, n // 2] if n % 2 else (a[:, n // 2 - 1] + a[:, n // 2]) / 2.0)
@@ -129,7 +133,7 @@ def median(values) -> np.ndarray:
     zero = zero[((a[zero] == 0.0) & np.signbit(a[zero])).any(axis=1)]
     if zero.size:
         m[zero] = np.median(rows[zero], axis=1)
-    return m.reshape(values.shape[:-1])
+    return m
 
 
 def nearest_not_above(rows: np.ndarray, peaks: np.ndarray, levels: np.ndarray, ends):

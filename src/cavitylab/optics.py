@@ -394,12 +394,12 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     comparable height.
 
     Maxima and prominences follow ``scipy.signal.find_peaks`` exactly, so
-    for a finite signal the result equals ``find_peaks(signal,
-    prominence=floor)`` followed by the relative cut. Prominences are
-    computed only for maxima that can pass: a prominence never exceeds the
-    peak's height above the lowest sample, and under ``rel_prominence``
-    the strongest prominence is at least that of the highest peak that
-    clears the floor.
+    the result equals ``find_peaks(signal, prominence=floor)`` followed by
+    the relative cut. The signal must be finite, and 5 (max - min) too (the
+    floor is 5 MAD). Prominences are computed only for maxima that can pass:
+    a prominence never exceeds the peak's height above the lowest sample,
+    and under ``rel_prominence`` the strongest prominence is at least that
+    of the highest peak that clears the floor (:func:`_strongest_peaks`).
     """
     check_domain("non-negative and finite", rel_prominence=rel_prominence)
     return _peaks_and_median(signal, rel_prominence)[0]
@@ -411,18 +411,26 @@ def _peaks_and_median(signal, rel_prominence: float):
     y = np.asarray(signal, dtype=float)
     if y.ndim != 1:
         raise ValidationError(f"signal must be one-dimensional, got shape {y.shape}")
+    if y.size and not math.isfinite(5.0 * (float(y.max()) - float(y.min()))):  # no warning
+        raise ValidationError("signal must be finite, and 5 (max - min) must not overflow")
     if y.size < 3:
         return np.array([], dtype=int), math.nan
     rows = y[None, :]
-    (median,), lows, floors = _peak_floors(rows)
-    peaks, at = _local_maxima(rows, lows, floors)
+    top, top_prominence, j = -1, 0.0, int(np.argmax(y == y.max()))  # y.argmax() is slower
+    if rel_prominence > 0.0 and 0 < j < y.size - 1 and y[j] > y[j + 1]:  # see _strongest_peaks
+        top, top_prominence = j, y[j] - max(y[:j + 1].min(), y[j:].min())
+    levels = min(rel_prominence, 1.0) * top_prominence if top >= 0 else None
+    (median,), lows, floors = _peak_floors(rows, levels)
     low, floor = lows[0], floors[0]
-    top, top_prominence = -1, 0.0  # under rel_prominence, the top peak's is known
-    if rel_prominence > 0.0:
-        (top,), (top_prominence,) = _first_prominent(rows, floors, peaks, at)
-        if top < 0:
-            return np.array([], dtype=int), float(median)
-        peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
+    if rel_prominence > 0.0 and top_prominence >= floor:
+        peaks, at = _local_maxima(rows, lows, np.maximum(floors, rel_prominence * top_prominence))
+    else:
+        peaks, at = _local_maxima(rows, lows, floors)
+        if rel_prominence > 0.0:
+            (top,), (top_prominence,) = _first_prominent(rows, floors, peaks, at)
+            if top < 0:
+                return np.array([], dtype=int), float(median)
+            peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
     prominences, others = np.full(peaks.size, top_prominence), peaks != top
     prominences[others] = _prominences(rows, peaks[others], at)
     peaks, prominences = peaks[prominences >= floor], prominences[prominences >= floor]
@@ -431,16 +439,36 @@ def _peaks_and_median(signal, rel_prominence: float):
     return peaks, float(median)
 
 
-def _peak_floors(rows: np.ndarray):
+def _peak_floors(rows: np.ndarray, levels=None):
     """Median, lowest sample and peak floor of each row of a (K, n) array:
     the floor is 5 MAD around the median, and at least 1e-9 of the span.
     Median and MAD are ``np.median``'s bits, through :func:`models.median`.
+    Where a bound on the floor is at most ``levels[k]``, it stands in and
+    the MAD's sort is skipped: any x >= ``levels[k]`` passes either. The
+    bound: for a the sorted row, m its median, h = n // 2 + 1, s = (n - h)
+    // 2, a[s:s + h] holds the middle sample of n = 2k + 1 (s <= k <= s + k)
+    and both of n = 2k (s <= k - 1, k <= s + k). Rounding is monotone, so
+    a[s] <= m <= a[s + h - 1] and none of these h deviates by more than
+    r = max(a[s + h - 1] - m, m - a[s]). The h smallest deviations hold the
+    middle one of an odd n and both of an even n (k = h - 1), so MAD <= r,
+    their mean rounded too (if r + r overflows, so does 5 r), and floor <=
+    max(5 r, 1e-9 span). A NaN bound is never at most a level.
     """
+    a = np.sort(rows, axis=1)
+    medians = models.sorted_median(rows, a)
     lows = rows.min(axis=1)
-    medians = models.median(rows)
-    deviations = rows - medians[:, None]
-    mads = models.median(np.abs(deviations, out=deviations))
-    return medians, lows, np.maximum(5.0 * mads, 1e-9 * (rows.max(axis=1) - lows))
+    spans = 1e-9 * (rows.max(axis=1) - lows)
+    s, m = (rows.shape[1] - 1) // 4, rows.shape[1] // 2  # s = (n - h) // 2, s + h - 1 = s + m
+    floors, exact = np.empty(len(rows)), slice(None)  # a mask of all rows would copy them
+    with np.errstate(over="ignore"):  # an inf bound or floor: no peak clears it
+        if levels is not None:
+            floors = np.maximum(5.0 * np.maximum(a[:, s + m] - medians, medians - a[:, s]), spans)
+            exact = ~decided if (decided := floors <= levels).any() else exact
+        del a  # the deviations reuse its memory instead of faulting in fresh pages
+        deviations = rows[exact] - medians[exact, None]
+        mads = models.median(np.abs(deviations, out=deviations))
+        floors[exact] = np.maximum(5.0 * mads, spans[exact])
+    return medians, lows, floors
 
 
 def _local_maxima(rows: np.ndarray, lows: np.ndarray, steps: np.ndarray) -> tuple:
@@ -538,7 +566,7 @@ def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at
         first = np.diff(row[tries], prepend=-1) != 0  # each row's highest that passed
         best[row[tries[first]]] = peaks[tries[first]] % n
         prominence[row[tries[first]]] = trial[first]
-        if not tried:  # the open rows' candidates, ranked: the highest failed as rank 0
+        if not tried and (best < 0).any():  # rank the open rows' candidates, the failed first
             order = np.flatnonzero(best[row] < 0)
             order = order[np.lexsort((-heights[order], row[order]))]
             rank = np.arange(order.size) - np.searchsorted(row[order], row[order])
@@ -549,9 +577,22 @@ def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at
 def _strongest_peaks(rows: np.ndarray):
     """Column of each row's highest peak that clears its noise floor (-1 for
     a row with none) and each row's median, for a (K, n) array: the batched
-    form of ``detect_peaks(row)[argmax]`` over the rows."""
-    medians, lows, floors = _peak_floors(rows)
-    best, _ = _first_prominent(rows, floors, *_local_maxima(rows, lows, floors))
+    form of ``detect_peaks(row)[argmax]`` over the rows. A row's first
+    highest sample, inside it and above the next, is its highest peak, its
+    bases the lowest samples on either side; other rows, and those where it
+    fails the floor, are searched in ranked rounds (:func:`_first_prominent`)."""
+    n, y = rows.shape[1], rows.ravel()
+    best = rows.argmax(axis=1)
+    peaks = np.arange(0, y.size, n) + best
+    top = (best > 0) & (best < n - 1) & (y[peaks] > y[np.minimum(peaks + 1, y.size - 1)])
+    prominences = np.full(len(rows), np.nan)
+    prominences[top] = _prominences(rows, peaks[top], peaks[top])
+    medians, lows, floors = _peak_floors(rows, prominences)
+    rest = np.flatnonzero(~(prominences >= floors))  # their floors are exact
+    if rest.size:
+        others = rows if rest.size == len(rows) else rows[rest]  # a copy of every row is slow
+        best[rest], _ = _first_prominent(
+            others, floors[rest], *_local_maxima(others, lows[rest], floors[rest]))
     return best, medians
 
 

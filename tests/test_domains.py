@@ -46,7 +46,7 @@ _CALLS = [
     (functools.partial(optics.cavity_figures, GEOM, m_det=12),
      dict(finesse=4600.0, lambda_c_nm=618.5), _POSITIVE),
     (functools.partial(optics.detect_peaks, _MAP.counts[0]), dict(rel_prominence=0.2),
-     _NON_NEGATIVE),
+     _NON_NEGATIVE),  # its signal: see _SIGNALS_OUTSIDE
     (optics.q_from_linewidth, dict(lambda_c_nm=618.5, kappa_ghz=160.0), _POSITIVE),
     (functools.partial(optics.cte_fit, np.arange(4.0), np.arange(4.0)),
      dict(reference_length_um=3.75), _POSITIVE),
@@ -76,6 +76,42 @@ def test_a_value_outside_its_domain_is_refused_by_name(call, kwargs, name, domai
     with pytest.raises(ValidationError) as err:
         call(**{**kwargs, name: value})
     assert str(err.value) == f"{name} must be {domain}, got {value}"
+
+
+# detect_peaks' signal must be finite, with 5 (max - min) finite: the floor
+# is 5 MAD, and the MAD is at most the span. The largest spans inside pass,
+# and give find_peaks' answer, with no warning
+_SIGNALS_OUTSIDE = {
+    "overflowing span": [1e308, -1e308, 1e308, -1e308, 1e308],
+    "overflowing 5 span": [0.0, 1e308, 0.0, 0.0, 0.0],
+    "inf": [1.0, 3.0, math.inf, 3.0, 1.0],
+    "-inf": [1.0, 3.0, -math.inf, 3.0, 1.0],
+    "nan": [1.0, 3.0, math.nan, 3.0, 1.0],
+}
+_SIGNALS_INSIDE = [
+    ([3e307, 0.0, 3e307, 0.0, 3e307], [2]),
+    ([0.0, 3.5e307, 0.0, 0.0, 0.0], [1]),
+    ([3e307, 0.0, 3.5e307, 0.0, 3e307], [2]),
+]
+
+
+@pytest.mark.parametrize("rel_prominence", [0.0, 0.2])
+@pytest.mark.parametrize("signal", _SIGNALS_OUTSIDE.values(), ids=_SIGNALS_OUTSIDE.keys())
+def test_detect_peaks_refuses_a_signal_outside_its_domain(signal, rel_prominence):
+    with pytest.raises(ValidationError) as err:
+        optics.detect_peaks(np.array(signal), rel_prominence=rel_prominence)
+    assert str(err.value) == "signal must be finite, and 5 (max - min) must not overflow"
+
+
+@pytest.mark.parametrize("rel_prominence", [0.0, 0.2])
+@pytest.mark.parametrize("signal, peaks", _SIGNALS_INSIDE)
+def test_detect_peaks_takes_the_largest_spans_inside(signal, peaks, rel_prominence):
+    from scipy.signal import find_peaks
+
+    y = np.array(signal)
+    floor = max(5.0 * np.median(np.abs(y - np.median(y))), 1e-9 * (y.max() - y.min()))
+    assert find_peaks(y, prominence=floor)[0].tolist() == peaks
+    assert optics.detect_peaks(y, rel_prominence=rel_prominence).tolist() == peaks
 
 
 @pytest.mark.parametrize("domain, inside, outside", [

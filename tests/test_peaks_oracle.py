@@ -6,10 +6,14 @@ map's rows must pick what ``detect_peaks(row)[argmax]`` picks. scipy is the
 oracle here and is imported only inside these tests.
 """
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavitylab import optics, synthlab
+from cavitylab import models, optics, synthlab
 
 
 def _floor(y):
@@ -189,3 +193,124 @@ def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
                                   _scipy_peaks(row, rel_prominence)), (k, rel_prominence)
     assert top_fails == 60 and -1 in strongest.tolist()
     assert min(ranks) == 0 and max(ranks) >= 7  # the first round, and a fourth
+
+
+def _window(row, n, shift=0):
+    """The n samples of ``row`` around its highest one, moved ``shift`` on."""
+    start = min(max(int(np.argmax(row)) - n // 2 + shift, 0), row.size - n)
+    return row[start:start + n].copy()
+
+
+def test_strongest_peaks_of_batches_where_row_maxima_decide_some_rows(monkeypatch):
+    # a row whose first highest sample is a peak that clears the floor is
+    # decided by it; edge maxima, flat and plateau tops and constant rows
+    # search their maxima in ranked rounds. Stacked by length, the two kinds
+    # interleave in one batch
+    sent = []
+
+    def spy(rows, *args):
+        sent.append(len(rows))
+        return first_prominent(rows, *args)
+
+    first_prominent = optics._first_prominent
+    monkeypatch.setattr(optics, "_first_prominent", spy)
+    rng = np.random.Generator(np.random.Philox(38))
+    drift = synthlab.generate_drift_map(seed=300)[0].counts_matrix()
+    by_length = {}
+    for family, y in _signals():
+        if family in ("edge maximum", "flat tops", "constant"):
+            by_length.setdefault(y.size, []).append(y)
+    total = mixed = 0
+    for n, others in sorted(by_length.items()):
+        peaks = [_window(drift[k], n, int(rng.integers(-2, 3)))
+                 for k in rng.integers(0, len(drift), len(others))]
+        plateaus = [_window(drift[k], n) for k in rng.integers(0, len(drift), 3)]
+        for row in plateaus:  # the highest sample's right neighbour raised to it
+            top = int(np.argmax(row))
+            row[min(top + 1, n - 1)] = row[top]
+        rows = rng.permutation(np.array(others + peaks + plateaus))
+        sent.clear()
+        strongest, medians = optics._strongest_peaks(rows)
+        for row, peak, median in zip(rows, strongest, medians):
+            expected = _scipy_peaks(row)
+            assert peak == (expected[np.argmax(row[expected])] if expected.size else -1), n
+            assert median == np.median(row)
+        total += len(rows)
+        mixed += bool(sent) and sent[0] < len(rows)
+    assert total > 2000 and mixed >= 40
+
+
+@st.composite
+def _floor_rows(draw):
+    """(K, n) rows, odd and even n, of whole numbers (many ties), fractions,
+    signed zeros and NaN, maybe on an offset of up to 1e15."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    values = st.one_of(
+        st.integers(-20, 20).map(float), st.floats(-1e3, 1e3),
+        st.sampled_from([-0.0, 0.0, np.nan]))
+    rows = np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=k, max_size=k)))
+    offset = draw(st.sampled_from([0.0, 0.5, -1e6, 1e15, -1e15]) | st.floats(-1e15, 1e15))
+    return rows + offset if offset else rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=_floor_rows())
+def test_the_floor_bound_is_at_least_the_floor(rows):
+    # where the bound is at most a row's level it stands in for the floor;
+    # with every level inf, each row's bound is returned but a NaN row's
+    medians, lows, floors = optics._peak_floors(rows)
+    bound_medians, bound_lows, bounds = optics._peak_floors(rows, np.full(len(rows), np.inf))
+    assert np.array_equal(bound_medians, medians, equal_nan=True)
+    assert np.array_equal(bound_lows, lows, equal_nan=True)
+    assert np.array_equal(np.isnan(bounds), np.isnan(floors))
+    assert np.all(np.isnan(floors) | (bounds >= floors)), (bounds, floors)
+
+
+def test_row_maxima_decide_the_benchmark_inputs(monkeypatch):
+    # characterize's seed-43...46 inputs at full size: every ramp's highest
+    # sample decides its search without the MAD's sort, and 476 of the 480
+    # drift rows theirs; 4 plateau tops take the ranked rounds and the MAD
+    first_prominent, median = optics._first_prominent, models.median
+    ranked, mads = [], []
+
+    def spy_rounds(rows, *args):
+        ranked.append(len(rows))
+        return first_prominent(rows, *args)
+
+    def spy_median(values):
+        if sys._getframe(1).f_code.co_name == "_peak_floors":
+            mads.append(len(values))
+        return median(values)
+
+    monkeypatch.setattr(optics, "_first_prominent", spy_rounds)
+    monkeypatch.setattr(models, "median", spy_median)
+    for seed in range(43, 47):
+        scans = synthlab.generate_scan_pair(finesse=4600.0, n_samples=120_000, seed=seed)
+        drift_map, _ = synthlab.generate_drift_map(
+            n_frames=120, n_pixels=400, alpha_per_k=5.1e-6, reference_length_um=3.7, seed=seed)
+        optics.finesse_from_scan(scans)
+        optics.drift_series(drift_map, l_eff_um=3.7)
+    assert sum(ranked) == 4 and sum(mads) == 4, (ranked, mads)
+    assert len(mads) == 4 * 3  # two ramps and one map per seed
+
+
+def test_relative_cuts_above_one_and_tops_whose_other_candidates_fail():
+    # a cut above 1 keeps no peak: none has a prominence above the strongest
+    ramp = synthlab.generate_scan_pair(seed=41)[0].signal
+    assert optics.detect_peaks(ramp, 0.2).size >= 2
+    assert optics.detect_peaks(ramp, 1.5).size == 0 == _scipy_peaks(ramp, 1.5).size
+    # a slow wave with ripples: 5 MAD is above every maximum's prominence
+    rng = np.random.Generator(np.random.Philox(39))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (40, 1))
+    waves = np.round(100.0 + 10.0 * np.sin(np.arange(200) / 16.0 + phases))
+    waves += rng.integers(0, 2, waves.shape)
+    lone = waves.copy()
+    lone[:, 100] = 400.0  # one resonance decides; every other maximum fails the floor
+    shallow = waves.copy()
+    shallow[np.arange(40), np.argmax(waves, axis=1)] += 1.0  # the highest maximum fails too
+    for rows, expected in ((lone, [100]), (shallow, [])):
+        for row in rows:
+            for rel_prominence in (0.2, 1.0, 1.5):
+                found = optics.detect_peaks(row, rel_prominence)
+                assert np.array_equal(found, _scipy_peaks(row, rel_prominence))
+            assert optics.detect_peaks(row, 0.2).tolist() == expected
