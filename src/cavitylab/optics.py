@@ -463,7 +463,9 @@ def _peak_floors(rows: np.ndarray, levels=None):
     with np.errstate(over="ignore"):  # an inf bound or floor: no peak clears it
         if levels is not None:
             floors = np.maximum(5.0 * np.maximum(a[:, s + m] - medians, medians - a[:, s]), spans)
-            exact = ~decided if (decided := floors <= levels).any() else exact
+            if (decided := floors <= levels).all():
+                return medians, lows, floors
+            exact = ~decided if decided.any() else exact
         del a  # the deviations reuse its memory instead of faulting in fresh pages
         deviations = rows[exact] - medians[exact, None]
         mads = models.median(np.abs(deviations, out=deviations))

@@ -172,7 +172,9 @@ def test_spectral_map_is_read_only():
         m.counts[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("value, kind", [("-2", "negative"), ("nan", "non-finite")])
+@pytest.mark.parametrize("value, kind", [
+    ("-2", "negative"), ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+])
 def test_spectral_map_bad_count_names_frame(tmp_path, value, kind):
     path = tmp_path / "map.csv"
     path.write_text(
@@ -185,6 +187,15 @@ def test_spectral_map_bad_count_names_frame(tmp_path, value, kind):
     assert kind in message
     assert "frame 1" in message and "frame_0001" in message and "row 1" in message
     assert err.value.index == (1, 1)
+
+
+def test_spectral_map_of_negative_zero_loads(tmp_path):
+    # the counts' minimum is -0.0, which is not below 0
+    path = tmp_path / "map.csv"
+    path.write_text("wavelength_nm,frame_0000,frame_0001\n600.0,1,-0\n601.0,2,3\n")
+    m = dataio.load_csv(path, "spectral_map")
+    assert m.counts.min() == 0.0 and np.signbit(m.counts[1, 0])
+    assert m.counts.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
 
 @pytest.mark.parametrize(

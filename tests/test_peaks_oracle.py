@@ -291,7 +291,7 @@ def test_row_maxima_decide_the_benchmark_inputs(monkeypatch):
         optics.finesse_from_scan(scans)
         optics.drift_series(drift_map, l_eff_um=3.7)
     assert sum(ranked) == 4 and sum(mads) == 4, (ranked, mads)
-    assert len(mads) == 4 * 3  # two ramps and one map per seed
+    assert len(mads) == 3  # only searches with a row the bound leaves take a MAD
 
 
 def test_relative_cuts_above_one_and_tops_whose_other_candidates_fail():

@@ -219,6 +219,36 @@ def test_wled_map_generation_frees_the_dispersion_map():
     assert peak < 1.45 * wled.counts.nbytes
 
 
+def test_full_size_map_loads_into_one_full_size_array(tmp_path):
+    # the parse buffer is the one full-size array: the value check builds
+    # its masks only to name a bad count, and the traced peak was 1.31
+    # times the counts' bytes with them built for every map, 1.10 without
+    path = dataio.save_csv(synthlab.generate_wled_map(7200, seed=0), tmp_path / "wled.csv")
+    tracemalloc.start()
+    try:
+        loaded = dataio.load_csv(path, "spectral_map")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * loaded.counts.nbytes
+
+
+def test_map_record_of_a_read_only_matrix_allocates_no_mask():
+    # a read-only matrix is taken as handed over, and the block's minimum
+    # and maximum check it: the two boolean masks once took 0.25 times the
+    # counts' bytes
+    wled = synthlab.generate_wled_map(7200, seed=0)
+    assert not wled.counts.flags.writeable
+    tracemalloc.start()
+    try:
+        m = dataio.SpectralMap(wavelength_nm=wled.wavelength_nm, counts=wled.counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.counts is wled.counts
+    assert peak < 0.01 * wled.counts.nbytes
+
+
 @pytest.mark.parametrize("n_lengths, orders, m_values", [
     (7200, (0,), range(11, 22)),  # the full-size WLED map's table
     (800, (0, 1, 3), range(5, 25)),
