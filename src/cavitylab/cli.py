@@ -89,13 +89,13 @@ def _int_flag(holds, domain: str):
     return parse
 
 
-_positive_int = _int_flag(lambda n: n >= 1, "an integer >= 1")
-_non_negative_int = _int_flag(lambda n: n >= 0, "an integer >= 0")
+_positive_int, _non_negative_int = (
+    _int_flag(_DOMAINS[d], d) for d in ("an integer >= 1", "an integer >= 0"))
 
-# the bootstrap draws its resamples at once and refits them in stacks of at
-# most 2**15 points, so memory grows only with the resamples but time grows
-# with their count: 1000 g2_dip resamples take about 2.2 s and 72 MB of peak
-# RSS (200 take 0.5 s and 48 MB) on a 2-CPU Xeon host
+# the bootstrap draws its resamples at once and refits them one stack of at
+# most 2**15 points at a time, so memory grows only with the resamples but
+# time grows with their count: a g2_dip fit with 1000 resamples takes about
+# 2.0-2.2 s and 70 MB of peak RSS (200: 0.4 s and 46 MB) on a 2-CPU Xeon host
 MAX_RESAMPLES = 1000
 
 _resamples = _int_flag(lambda n: n == 0 or 2 <= n <= MAX_RESAMPLES,

@@ -6,6 +6,7 @@ The CLI maps the former to exit code 2 and the latter to exit code 3.
 """
 
 import math
+import numbers
 
 
 class CavityLabError(Exception):
@@ -72,17 +73,28 @@ class NonphysicalResultError(NumericalError):
     """Derived quantity landed outside its physical range."""
 
 
-# the domains of a physical number, by the name a refusal gives each
+def _integer_from(least: int):
+    # a bool is no count and no seed, though Python counts it an integer
+    return lambda value: (isinstance(value, numbers.Integral)
+                          and not isinstance(value, bool) and value >= least)
+
+
+# the domains of a physical number, and of a size or a seed, by the name a
+# refusal gives each
 _DOMAINS = {
     "positive and finite": lambda value: 0 < value < math.inf,
     "non-negative and finite": lambda value: 0 <= value < math.inf,
     "in (0, 1]": lambda value: 0 < value <= 1,
+    "an integer >= 0": _integer_from(0),
+    "an integer >= 1": _integer_from(1),
+    "an integer >= 2": _integer_from(2),
 }
 
 
 def check_domain(domain: str, **values) -> None:
     """ValidationError "<name> must be <domain>, got <value>" for the first of
-    ``values`` outside ``domain``, a key of ``_DOMAINS``; NaN is in none."""
+    ``values`` outside ``domain``, a key of ``_DOMAINS``; NaN is in none, and
+    a float or a bool is in no integer domain."""
     for name, value in values.items():
         if not _DOMAINS[domain](value):
             raise ValidationError(f"{name} must be {domain}, got {value}")

@@ -63,6 +63,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         models.get_model(self.model_id)
+        check_domain("an integer >= 0", seed=self.seed)
         if self.noise not in ("none", "poisson", "gaussian"):
             raise ValidationError(f"unknown noise kind {self.noise!r}")
         if self.noise == "gaussian" and not (self.noise_sigma and self.noise_sigma > 0):
@@ -236,6 +237,8 @@ def generate_scan_pair(
     generator truth is ``finesse`` = fsr_volts / fwhm_volts exactly.
     """
     check_domain("positive and finite", finesse=finesse, fsr_volts=fsr_volts)
+    check_domain("an integer >= 2", n_samples=n_samples)
+    check_domain("an integer >= 0", seed=seed)
     if noise not in ("none", "poisson"):
         raise ValidationError(f"unknown noise kind {noise!r}")
     fwhm = fsr_volts / finesse
@@ -269,6 +272,8 @@ def generate_drift_map(
     fit against temperature returns ``alpha_per_k`` for the given reference
     length.
     """
+    check_domain("an integer >= 2", n_frames=n_frames, n_pixels=n_pixels)
+    check_domain("an integer >= 0", seed=seed)
     temps = np.linspace(285.0, 295.0, n_frames)
     shift_nm = 2.0 * alpha_per_k * reference_length_um * 1000.0 * (temps - temps[0])
     grid = np.linspace(614.5, 622.5 + shift_nm.max(), n_pixels)
@@ -303,9 +308,16 @@ def generate_wled_map(
     0.8 nm, 500 counts high over a baseline of 10, Poisson counts.
 
     Memory: the float64 counts matrix is the one full-size array. It is
-    filled ``_WLED_BLOCK_FRAMES`` frames at a time, each block's expected
-    counts and Poisson draw a block in size.
+    filled ``_WLED_BLOCK_FRAMES`` frames at a time: while the calling thread
+    draws one block's counts, one helper thread, which lives only within the
+    call, builds the next block's expected counts, so two expected blocks
+    and one Poisson draw, each a block in size, are alive at once.
     """
+    from concurrent.futures import ThreadPoolExecutor  # not paid by the CLI's start
+
+    check_domain("an integer >= 1", n_frames=n_frames)
+    check_domain("an integer >= 2", n_pixels=n_pixels)
+    check_domain("an integer >= 0", seed=seed)
     window = (550.0, 680.0)
     grid = np.linspace(*window, n_pixels)
     lengths = np.linspace(l_start_um, l_end_um, n_frames)
@@ -319,13 +331,12 @@ def generate_wled_map(
     starts = inside.argmax(axis=0)
     runs = list(zip(starts.tolist(), (starts + np.count_nonzero(inside, axis=0)).tolist()))
     lorentzian = models.get_model("lorentzian").fn
-    rng = rng_from_seed(seed)
-    counts = np.empty((n_frames, n_pixels))
-    for b0 in range(0, n_frames, _WLED_BLOCK_FRAMES):
-        b1 = min(b0 + _WLED_BLOCK_FRAMES, n_frames)
+
+    def expected_counts(b0):
         # peaks are added in ascending m within each frame, the summation
         # order the generated counts are pinned to, each only on the frames
         # of its run, one parameter row a frame
+        b1 = min(b0 + _WLED_BLOCK_FRAMES, n_frames)
         expected = np.full((b1 - b0, n_pixels), 10.0)
         for k, (lo, hi) in enumerate(runs):
             lo, hi = max(lo, b0), min(hi, b1)
@@ -333,9 +344,22 @@ def generate_wled_map(
                 peaks = np.tile([500.0, 0.0, 0.8, 0.0], (hi - lo, 1))
                 peaks[:, 1] = centers[lo:hi, k]
                 expected[lo - b0:hi - b0] += lorentzian(grid, peaks)
-        # each draw continues the one Philox stream: the blocks' counts are
-        # those of one draw over the whole matrix
-        counts[b0:b1] = rng.poisson(expected)
+        return expected
+
+    rng = rng_from_seed(seed)
+    counts = np.empty((n_frames, n_pixels))
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        upcoming = ahead.submit(expected_counts, 0)
+        for b0 in range(0, n_frames, _WLED_BLOCK_FRAMES):
+            # an error raised in the helper is raised here
+            expected = upcoming.result()
+            if b0 + _WLED_BLOCK_FRAMES < n_frames:
+                upcoming = ahead.submit(expected_counts, b0 + _WLED_BLOCK_FRAMES)
+            # numpy releases the GIL while it draws from a contiguous
+            # expected block, so the helper builds the next block meanwhile;
+            # each draw continues the one Philox stream: the blocks' counts
+            # are those of one draw over the whole matrix
+            counts[b0:b0 + _WLED_BLOCK_FRAMES] = rng.poisson(expected)
     return SpectralMap(*_handed_over(grid, counts), frame_period_s=1.0)
 
 
@@ -480,6 +504,8 @@ def vibration_broadening_sim(
     """
     check_domain("positive and finite", kappa_intrinsic_ghz=kappa_intrinsic_ghz)
     check_domain("non-negative and finite", length_jitter_rms_nm=length_jitter_rms_nm)
+    check_domain("an integer >= 1", n_samples=n_samples)
+    check_domain("an integer >= 0", seed=seed)
     if length_jitter_rms_nm == 0.0:
         return kappa_intrinsic_ghz
     nu_ghz = C_NM_GHZ / 618.5

@@ -1,16 +1,19 @@
 """Every physical number the optics, cqed and dataio functions take is
 refused outside its domain by one check, with one message:
 "<name> must be <domain>, got <value>". NaN and +inf lie outside every
-domain; so does one finite value per domain."""
+domain; so does one finite value per domain. The sizes and seeds that the
+generators and the bootstrap take are refused by the same check, as
+integers from a least value."""
 
 import functools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 
-from cavitylab import cqed, optics
+from cavitylab import cqed, fitkit, optics, synthlab
 from cavitylab.dataio import SpectralMap
 from cavitylab.errors import ValidationError, check_domain
 
@@ -118,9 +121,45 @@ def test_detect_peaks_takes_the_largest_spans_inside(signal, peaks, rel_prominen
     (_POSITIVE, [1e-320, 1.0, 1e308], [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
     (_NON_NEGATIVE, [0.0, -0.0, 1.0, 1e308], [-1e-320, math.inf, -math.inf, math.nan]),
     (_FRACTION, [1e-320, 0.5, 1.0], [0.0, 1.0 + 2**-52, -1.0, math.inf, math.nan]),
+    ("an integer >= 1", [1, np.int64(2), 2**70], [0, -1, 1.0, True, np.bool_(True), math.nan]),
 ])
 def test_check_domain_bounds(domain, inside, outside):
     check_domain(domain, **{f"v{i}": v for i, v in enumerate(inside)})
     for value in outside:
         with pytest.raises(ValidationError, match=f"^x must be {re.escape(domain)}, got"):
             check_domain(domain, ok=inside[0], x=value)
+
+
+_LINE = fitkit.FitProblem(model_id="linear", x=np.arange(8.0), y=np.arange(8.0) % 3)
+
+# (function, valid keyword arguments, least value of each): a size or a
+# seed, refused with the same check before the function does any work
+_COUNT_CALLS = [
+    (synthlab.generate_wled_map, dict(n_frames=1, n_pixels=2, seed=0), (1, 2, 0)),
+    (synthlab.generate_drift_map, dict(n_frames=2, n_pixels=2, seed=0), (2, 2, 0)),
+    (synthlab.generate_scan_pair, dict(n_samples=2, seed=0), (2, 0)),
+    (functools.partial(synthlab.vibration_broadening_sim, 15.0, 0.5),
+     dict(n_samples=1, seed=0), (1, 0)),
+    (functools.partial(synthlab.preset, "lifetime_4k"), dict(seed=0), (0,)),
+    (functools.partial(fitkit.bootstrap_uncertainty, _LINE, fitkit.fit(_LINE)),
+     dict(n_resamples=2, seed=0), (2, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, name, least, value",
+    [
+        pytest.param(call, kwargs, name, least, value, id=f"{_name(call)}-{name}-{value}")
+        for call, kwargs, leasts in _COUNT_CALLS
+        for name, least in zip(kwargs, leasts)
+        for value in (least - 1, -2, least + 0.5, float(least), True)
+    ],
+)
+def test_a_size_or_seed_outside_its_domain_is_refused_by_name(call, kwargs, name, least, value):
+    call(**kwargs)  # the least values pass
+    call(**{**kwargs, name: np.int64(kwargs[name])})  # as does a numpy integer
+    threads = threading.active_count()
+    with pytest.raises(ValidationError) as err:
+        call(**{**kwargs, name: value})
+    assert str(err.value) == f"{name} must be an integer >= {least}, got {value}"
+    assert threading.active_count() == threads

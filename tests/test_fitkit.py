@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -648,6 +649,23 @@ def test_bootstrap_draws_counts_for_a_poisson_model():
     result = fitkit.fit(problem)
     boot = fitkit.bootstrap_uncertainty(problem, result, n_resamples=200, seed=7)
     assert abs(boot[1] - result.sigmas[1]) <= 0.3 * result.sigmas[1]
+
+
+def test_bootstrap_refits_hold_one_loop_at_a_time():
+    # each refit loop's stacked x and weights are freed once its parameters
+    # are read: the traced peak of 200 g2_dip resamples was 4.23 times the
+    # resamples' float bytes with every loop's results alive to the end,
+    # and is 2.58 times them a loop at a time
+    ds = synthlab.generate(synthlab.preset("g2_dip", seed=7))
+    problem = fitkit.FitProblem(model_id="g2_three_level", x=ds.x, y=ds.y)
+    result = fitkit.fit(problem)
+    tracemalloc.start()
+    try:
+        fitkit.bootstrap_uncertainty(problem, result, n_resamples=200, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 200 * ds.x.size * 8
 
 
 # The Poisson refits at the benchmark's size, as float.hex: the bootstrap

@@ -92,6 +92,14 @@ def test_package_never_imports_scipy():
     assert _python(_PEAK_PIPELINES) == ["True 120 []"]
 
 
+def test_cli_import_loads_no_thread_machinery():
+    # the WLED generator imports its helper thread's executor when called,
+    # so a command's start does not pay for threading or concurrent.futures
+    code = ("import sys; had = 'threading' in sys.modules; import cavitylab.cli; "
+            "print(had or 'threading' not in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert _python(code) == ["True False"]
+
+
 @pytest.mark.parametrize("name", ["cavitylab", *(f"cavitylab.{m}" for m in _LAYERS)])
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)

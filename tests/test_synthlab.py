@@ -1,4 +1,7 @@
+import dataclasses
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,6 +301,56 @@ def test_wled_map_blocks_equal_one_draw(n_frames):
     assert wled.wavelength_nm.tobytes() == grid.tobytes()
     assert wled.counts.dtype == np.float64
     assert wled.counts.tobytes() == counts.tobytes()
+
+
+class _BlockAheadError(Exception):
+    pass
+
+
+def _counted_line_shape(monkeypatch):
+    """Swap the registry's Lorentzian for one that records the thread of
+    each call in ``calls`` and raises on the call numbered ``fail_at``."""
+    model = models.get_model("lorentzian")
+    state = SimpleNamespace(calls=[], fail_at=None)
+
+    def fn(x, p):
+        state.calls.append(threading.current_thread())
+        if len(state.calls) == state.fail_at:
+            raise _BlockAheadError(state.fail_at)
+        return model.fn(x, p)
+
+    monkeypatch.setitem(models.MODELS, "lorentzian", dataclasses.replace(model, fn=fn))
+    return state
+
+
+# four blocks, the last one partial
+_FOUR_BLOCKS = 3 * synthlab._WLED_BLOCK_FRAMES + 5
+
+
+def test_wled_map_helper_thread_lives_within_the_call(monkeypatch):
+    # the next block's expected counts are built on a helper thread while
+    # the calling thread draws; the helper is gone when the call returns
+    line_shape = _counted_line_shape(monkeypatch)
+    threads = threading.active_count()
+    synthlab.generate_wled_map(_FOUR_BLOCKS, seed=5)
+    assert threading.active_count() == threads
+    assert threading.current_thread() not in line_shape.calls
+
+
+def test_an_error_building_a_block_ahead_reaches_the_caller(monkeypatch):
+    # the line shape's last call builds the last block, while the block
+    # before it is drawn: its error is raised in the caller unchanged, and
+    # the helper is gone
+    line_shape = _counted_line_shape(monkeypatch)
+    synthlab.generate_wled_map(_FOUR_BLOCKS, seed=5)
+    line_shape.fail_at = len(line_shape.calls)
+    line_shape.calls.clear()
+    threads = threading.active_count()
+    with pytest.raises(_BlockAheadError) as err:
+        synthlab.generate_wled_map(_FOUR_BLOCKS, seed=5)
+    assert err.value.args == (line_shape.fail_at,)
+    assert len(line_shape.calls) == line_shape.fail_at
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("n_frames", [72, 7200])
