@@ -80,9 +80,14 @@ _refractive_index = _float_flag(lambda v: 1 <= v < math.inf, "a finite number >=
 def _int_flag(holds, domain: str):
     """The argparse type of an integer flag: the integer when ``holds(n)``,
     else exit 2 with "must be <domain>", also for text that is no integer
-    of decimal digits."""
+    of decimal digits, and naming Python's digit limit for text over it."""
     def parse(text: str) -> int:
-        value = int(text) if text.strip().isdecimal() else -1  # holds for no domain
+        try:
+            value = int(text) if text.strip().isdecimal() else -1  # holds for no domain
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {domain} of at most {sys.get_int_max_str_digits()} digits, "
+                f"got {len(text.strip())} digits") from None
         if not holds(value):
             raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
         return value
@@ -102,14 +107,13 @@ _resamples = _int_flag(lambda n: n == 0 or 2 <= n <= MAX_RESAMPLES,
                        f"0 or an integer from 2 to {MAX_RESAMPLES}")
 
 
+# the map holds the orders as floats, which hold every integer up to 2**53
+_order = _int_flag(lambda q: 0 <= q <= 2**53, "comma-separated integers from 0 to 2**53")
+
+
 def _orders(text: str) -> list[int]:
-    """A comma-separated list of distinct transverse orders, each a non-negative integer."""
-    parts = text.split(",")
-    if not all(q.strip().isdecimal() for q in parts):
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated non-negative integers, got {text!r}"
-        )
-    orders = [int(q) for q in parts]
+    """A comma-separated list of distinct transverse orders (see ``_order``)."""
+    orders = [_order(q) for q in text.split(",")]
     if len(set(orders)) < len(orders):
         raise argparse.ArgumentTypeError(f"must not repeat an order, got {text!r}")
     return orders

@@ -396,50 +396,39 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
     Maxima and prominences follow ``scipy.signal.find_peaks`` exactly, so
     the result equals ``find_peaks(signal, prominence=floor)`` followed by
     the relative cut. The signal must be finite, and 5 (max - min) too (the
-    floor is 5 MAD). Prominences are computed only for maxima that can pass:
-    a prominence never exceeds the peak's height above the lowest sample,
-    and under ``rel_prominence`` the strongest prominence is at least that
-    of the highest peak that clears the floor (:func:`_strongest_peaks`).
+    floor is 5 MAD). The signal is searched as a batch of one row by
+    :func:`_all_peaks`, the search of every peak of every row of a map.
     """
     check_domain("non-negative and finite", rel_prominence=rel_prominence)
-    return _peaks_and_median(signal, rel_prominence)[0]
-
-
-def _peaks_and_median(signal, rel_prominence: float):
-    """:func:`detect_peaks` and the median of the signal that set its floor
-    (NaN for a signal of fewer than 3 samples, which has no peaks)."""
     y = np.asarray(signal, dtype=float)
     if y.ndim != 1:
         raise ValidationError(f"signal must be one-dimensional, got shape {y.shape}")
-    if y.size and not math.isfinite(5.0 * (float(y.max()) - float(y.min()))):  # no warning
+    return _all_peaks(y[None, :], rel_prominence)[0]
+
+
+def _all_peaks(rows: np.ndarray, rel_prominence: float):
+    """Flat indices, ascending, of each row's :func:`detect_peaks` in a (K, n)
+    array, and each row's median (NaN for rows of no samples). Only maxima
+    that can pass get a prominence: it is at most a peak's height above the
+    lowest sample, and a row's largest is at least that of its highest peak
+    that clears the floor (:func:`_strongest_peaks`); where a bound on the
+    floor is at most min(``rel_prominence``, 1) of that, the bound stands in."""
+    if not rows.size:
+        return np.array([], dtype=int), np.full(len(rows), np.nan)
+    if not math.isfinite(5.0 * (float(rows.max()) - float(rows.min()))):  # no warning
         raise ValidationError("signal must be finite, and 5 (max - min) must not overflow")
-    if y.size < 3:
-        return np.array([], dtype=int), math.nan
-    rows = y[None, :]
-    top, top_prominence, j = -1, 0.0, int(np.argmax(y == y.max()))  # y.argmax() is slower
-    if rel_prominence > 0.0 and 0 < j < y.size - 1 and y[j] > y[j + 1]:  # see _strongest_peaks
-        top, top_prominence = j, y[j] - max(y[:j + 1].min(), y[j:].min())
-    levels = min(rel_prominence, 1.0) * top_prominence if top >= 0 else None
-    (median,), lows, floors = _peak_floors(rows, levels)
-    low, floor = lows[0], floors[0]
-    if rel_prominence > 0.0 and top_prominence >= floor:
-        peaks, at = _local_maxima(rows, lows, np.maximum(floors, rel_prominence * top_prominence))
-    else:
-        peaks, at = _local_maxima(rows, lows, floors)
-        if rel_prominence > 0.0:
-            (top,), (top_prominence,) = _first_prominent(rows, floors, peaks, at)
-            if top < 0:
-                return np.array([], dtype=int), float(median)
-            peaks = peaks[y[peaks] - low >= max(floor, rel_prominence * top_prominence)]
-    prominences, others = np.full(peaks.size, top_prominence), peaks != top
-    prominences[others] = _prominences(rows, peaks[others], at)
-    peaks, prominences = peaks[prominences >= floor], prominences[prominences >= floor]
-    if rel_prominence > 0.0 and peaks.size:
-        peaks = peaks[prominences >= rel_prominence * prominences.max()]
-    return peaks, float(median)
+    _, medians, highest, lows, floors = _strongest_peaks(rows, min(rel_prominence, 1.0))
+    peaks, at = _local_maxima(rows, lows, np.maximum(floors, rel_prominence * highest))
+    prominences = _prominences(rows, peaks, at)
+    row = peaks // rows.shape[1]
+    passed = prominences >= floors[row]
+    peaks, prominences, row = peaks[passed], prominences[passed], row[passed]
+    largest = np.zeros(len(rows))  # a lower peak can be more prominent than the highest
+    np.maximum.at(largest, row, prominences)
+    return peaks[prominences >= rel_prominence * largest[row]], medians
 
 
-def _peak_floors(rows: np.ndarray, levels=None):
+def _peak_floors(rows: np.ndarray, levels: np.ndarray):
     """Median, lowest sample and peak floor of each row of a (K, n) array:
     the floor is 5 MAD around the median, and at least 1e-9 of the span.
     Median and MAD are ``np.median``'s bits, through :func:`models.median`.
@@ -452,20 +441,19 @@ def _peak_floors(rows: np.ndarray, levels=None):
     r = max(a[s + h - 1] - m, m - a[s]). The h smallest deviations hold the
     middle one of an odd n and both of an even n (k = h - 1), so MAD <= r,
     their mean rounded too (if r + r overflows, so does 5 r), and floor <=
-    max(5 r, 1e-9 span). A NaN bound is never at most a level.
+    max(5 r, 1e-9 span). A NaN bound is never at most a level, nor any
+    bound at most a NaN level.
     """
     a = np.sort(rows, axis=1)
     medians = models.sorted_median(rows, a)
     lows = rows.min(axis=1)
     spans = 1e-9 * (rows.max(axis=1) - lows)
     s, m = (rows.shape[1] - 1) // 4, rows.shape[1] // 2  # s = (n - h) // 2, s + h - 1 = s + m
-    floors, exact = np.empty(len(rows)), slice(None)  # a mask of all rows would copy them
     with np.errstate(over="ignore"):  # an inf bound or floor: no peak clears it
-        if levels is not None:
-            floors = np.maximum(5.0 * np.maximum(a[:, s + m] - medians, medians - a[:, s]), spans)
-            if (decided := floors <= levels).all():
-                return medians, lows, floors
-            exact = ~decided if decided.any() else exact
+        floors = np.maximum(5.0 * np.maximum(a[:, s + m] - medians, medians - a[:, s]), spans)
+        if (decided := floors <= levels).all():
+            return medians, lows, floors
+        exact = ~decided if decided.any() else slice(None)  # a mask of all rows would copy them
         del a  # the deviations reuse its memory instead of faulting in fresh pages
         deviations = rows[exact] - medians[exact, None]
         mads = models.median(np.abs(deviations, out=deviations))
@@ -535,14 +523,17 @@ def _prominences(rows: np.ndarray, peaks: np.ndarray, at: np.ndarray) -> np.ndar
     row_start = peaks - peaks % n
     start = np.maximum(np.where(lo > 0, at[lo - 1] + 1, 0), row_start)
     stop = np.minimum(np.where(hi < m, at[np.minimum(hi, m - 1)], y.size), row_start + n)
-    return heights - np.maximum(_range_minima(y, start, peaks + 1), _range_minima(y, peaks, stop))
+    return heights - _higher_bases(y, start, peaks, stop)
 
 
-def _range_minima(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``y[lo:hi].min()`` for each pair of bounds, with lo < hi <= y.size."""
-    last = hi == y.size  # reduceat takes no bound past the end: end one short, then fold in y[-1]
-    minima = np.minimum.reduceat(y, np.column_stack([lo, np.where(last, y.size - 1, hi)]).ravel())
-    return np.where(last, np.minimum(minima[::2], y[-1]), minima[::2])
+def _higher_bases(y: np.ndarray, start: np.ndarray, peaks: np.ndarray, stop: np.ndarray):
+    """The higher of ``y[start:peaks + 1].min()`` and ``y[peaks:stop].min()``
+    for each peak (start <= peaks < stop <= y.size, peaks < y.size - 1), from
+    one reduceat over (start, peaks + 1, peaks, stop) for every peak."""
+    last = stop == y.size  # reduceat takes no bound past the end: end one short, then fold in y[-1]
+    bounds = np.column_stack([start, peaks + 1, peaks, np.where(last, y.size - 1, stop)])
+    minima = np.minimum.reduceat(y, bounds.ravel()).reshape(-1, 4)
+    return np.maximum(minima[:, 0], np.where(last, np.minimum(minima[:, 2], y[-1]), minima[:, 2]))
 
 
 def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at):
@@ -576,26 +567,29 @@ def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at
     return best, prominence
 
 
-def _strongest_peaks(rows: np.ndarray):
+def _strongest_peaks(rows: np.ndarray, level: float = 1.0):
     """Column of each row's highest peak that clears its noise floor (-1 for
-    a row with none) and each row's median, for a (K, n) array: the batched
-    form of ``detect_peaks(row)[argmax]`` over the rows. A row's first
-    highest sample, inside it and above the next, is its highest peak, its
-    bases the lowest samples on either side; other rows, and those where it
-    fails the floor, are searched in ranked rounds (:func:`_first_prominent`)."""
+    none) and each row's median, for a (K, n) array: the batched form of
+    ``detect_peaks(row)[argmax]``; then that peak's prominence (0 for none),
+    and each row's lowest sample and floor, a bound where that is at most
+    ``level`` times the prominence of a first highest sample, inside the row
+    and above the next. Such a sample is the row's highest peak, its bases
+    the lowest samples on either side; other rows, and those where it fails
+    the floor, are searched in ranked rounds (:func:`_first_prominent`)."""
     n, y = rows.shape[1], rows.ravel()
     best = rows.argmax(axis=1)
-    peaks = np.arange(0, y.size, n) + best
+    starts = np.arange(0, y.size, n)
+    peaks = starts + best
     top = (best > 0) & (best < n - 1) & (y[peaks] > y[np.minimum(peaks + 1, y.size - 1)])
     prominences = np.full(len(rows), np.nan)
-    prominences[top] = _prominences(rows, peaks[top], peaks[top])
-    medians, lows, floors = _peak_floors(rows, prominences)
+    prominences[top] = y[peaks[top]] - _higher_bases(y, starts[top], peaks[top], starts[top] + n)
+    medians, lows, floors = _peak_floors(rows, level * prominences)
     rest = np.flatnonzero(~(prominences >= floors))  # their floors are exact
     if rest.size:
         others = rows if rest.size == len(rows) else rows[rest]  # a copy of every row is slow
-        best[rest], _ = _first_prominent(
+        best[rest], prominences[rest] = _first_prominent(
             others, floors[rest], *_local_maxima(others, lows[rest], floors[rest]))
-    return best, medians
+    return best, medians, prominences, lows, floors
 
 
 def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray) -> np.ndarray:
@@ -687,7 +681,7 @@ def finesse_from_scan(traces) -> tuple[float, float]:
     ramps = []
     for i, trace in enumerate(traces):
         # the median that set the noise floor is the fits' baseline
-        peaks, baseline = _peaks_and_median(trace.signal, rel_prominence=0.2)
+        peaks, (baseline,) = _all_peaks(trace.signal[None, :], rel_prominence=0.2)
         if peaks.size < 2:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
@@ -753,13 +747,15 @@ def effective_length_from_adjacent_modes(
 
 
 def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = None) -> float:
-    """Length from the two most prominent resonances of a broadband spectrum.
+    """Length from the two highest resonances, by counts, of a broadband
+    spectrum: of the peaks :func:`detect_peaks` finds, the two highest
+    samples are fitted.
 
     As in :func:`finesse_from_scan`, two peaks whose fitted centers lie
     within one fitted FWHM are one resonance (see :func:`_resonances`),
     which leaves too few for a spacing.
     """
-    peaks, baseline = _peaks_and_median(spectrum.counts, rel_prominence=0.0)
+    peaks, (baseline,) = _all_peaks(spectrum.counts[None, :], rel_prominence=0.0)
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
@@ -798,7 +794,7 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
 
     # every frame's peak search runs in one batch, and the frames before the
     # first one without a peak are fitted in another
-    peaks, medians = _strongest_peaks(counts)
+    peaks, medians, *_ = _strongest_peaks(counts)
     failing = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
     failure = InsufficientDataError("no peak found to fit")
     try:

@@ -656,6 +656,11 @@ def test_module_entry_point(tmp_path):
         ("--bootstrap", "1001"),
         ("--seed", "-1"),
         ("--seed", "1.5"),
+        # more digits than Python reads as an integer, and an order a float
+        # cannot hold
+        pytest.param("--seed", "9" * 5000, id="--seed-5000-digits"),
+        pytest.param("--transverse-orders", "9" * 5000, id="--transverse-orders-5000-digits"),
+        pytest.param("--transverse-orders", "1" + "0" * 400, id="--transverse-orders-1e400"),
     ],
 )
 def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):

@@ -54,14 +54,14 @@ def _window_batches():
     for seed in range(20):
         drift_map, _ = synthlab.generate_drift_map(seed=seed)
         yield (drift_map.wavelength_nm, drift_map.counts_matrix(),
-               *optics._strongest_peaks(drift_map.counts_matrix()))
+               *optics._strongest_peaks(drift_map.counts_matrix())[:2])
     for seed in (43, 44, 45, 46):
         drift_map, _ = synthlab.generate_drift_map(n_frames=120, n_pixels=400, seed=seed)
         yield (drift_map.wavelength_nm, drift_map.counts_matrix(),
-               *optics._strongest_peaks(drift_map.counts_matrix()))
+               *optics._strongest_peaks(drift_map.counts_matrix())[:2])
     for seed in range(100, 121):
         for trace in synthlab.generate_scan_pair(seed=seed):
-            peaks, baseline = optics._peaks_and_median(trace.signal, rel_prominence=0.2)
+            peaks, (baseline,) = optics._all_peaks(trace.signal[None, :], 0.2)
             yield trace.axis, trace.signal, peaks, baseline
     rng = np.random.Generator(np.random.Philox(35))
     for n in (4, 5, 12, 30, 200):

@@ -1,8 +1,9 @@
 """The numpy peak detector returns scipy's ``find_peaks`` indices exactly.
 
 ``detect_peaks`` must equal ``find_peaks(signal, prominence=floor)`` followed
-by the relative-prominence cut, and the batched strongest-peak search over a
-map's rows must pick what ``detect_peaks(row)[argmax]`` picks. scipy is the
+by the relative-prominence cut, the batched search of every peak of a map's
+rows must give each row its ``detect_peaks``, and the batched strongest-peak
+search must pick what ``detect_peaks(row)[argmax]`` picks. scipy is the
 oracle here and is imported only inside these tests.
 """
 
@@ -60,6 +61,21 @@ def _signals():
     for n in (1, 2):
         for _ in range(20):
             out.append((f"{n} samples", rng.poisson(5.0, n).astype(float)))
+    # the highest peak stands on a shoulder, so a lower peak is more
+    # prominent; in the seeded ones a bump at the middle has a prominence
+    # between 0.2 of the highest peak's and 0.2 of the lower one's
+    y = np.zeros(40)
+    y[10], y[37], y[38:] = 10.0, 20.0, 15.0
+    out.append(("prominent lower peak", y))
+    for _ in range(40):
+        n = int(rng.integers(12, 80))
+        y = rng.poisson(2.0, n).astype(float) if rng.random() < 0.5 else np.zeros(n)
+        prominence = rng.uniform(60.0, 150.0)
+        y[rng.integers(1, n // 4)] += prominence
+        y[n // 2] += rng.uniform(9.0, 0.2 * prominence)
+        top = rng.integers(n // 2 + 2, n - 1)
+        y[top], y[top + 1:] = 200.0, 200.0 - rng.uniform(8.0, 30.0)
+        out.append(("prominent lower peak", y))
     return out
 
 
@@ -84,7 +100,7 @@ def test_strongest_peak_of_each_row_is_detect_peaks_argmax():
     rows[2, 20:24] = 300.0
     maps.append(rows)
     for counts in maps:
-        strongest, medians = optics._strongest_peaks(counts)
+        strongest, medians = optics._strongest_peaks(counts)[:2]
         for row, peak, median in zip(counts, strongest, medians):
             peaks = _scipy_peaks(row)
             assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1)
@@ -94,7 +110,8 @@ def test_strongest_peak_of_each_row_is_detect_peaks_argmax():
 
 def _median_formula(rows):
     """Median and peak floor of each row by ``np.median``, one row at a time:
-    the oracle of the counting path in ``optics._peak_floors``."""
+    the oracle of ``optics._peak_floors``, which reads both from sorts of
+    the whole batch."""
     with np.errstate(invalid="ignore"):  # inf - inf in an inf row's deviations and span
         medians = np.array([np.median(row) for row in rows])
         mads = np.array([np.median(np.abs(row - m)) for row, m in zip(rows, medians)])
@@ -139,7 +156,7 @@ def _floor_batches():
 def test_peak_floors_are_np_median_bits():
     for name, rows in _floor_batches():
         with np.errstate(invalid="ignore"):
-            medians, lows, floors = optics._peak_floors(rows)
+            medians, lows, floors = optics._peak_floors(rows, np.full(len(rows), np.nan))
         expected_medians, expected_floors = _median_formula(rows)
         for got, want in ((medians, expected_medians), (floors, expected_floors)):
             assert np.array_equal(got, want, equal_nan=True), (name, got, want)
@@ -176,9 +193,9 @@ def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
     centers, widths = rng.uniform(0, n, (20, 1)), rng.uniform(1.0, 10.0, (20, 1))
     passing = 200.0 / (1.0 + ((np.arange(n) - centers) / widths) ** 2) + rng.poisson(5.0, (20, n))
     rows = rng.permutation(np.concatenate([failing, passing]))
-    _, lows, floors = optics._peak_floors(rows)
+    _, lows, floors = optics._peak_floors(rows, np.full(len(rows), np.nan))
     maxima, at = optics._local_maxima(rows, lows, floors)
-    strongest, _ = optics._strongest_peaks(rows)
+    strongest = optics._strongest_peaks(rows)[0]
     top_fails, ranks = 0, []
     for k, (row, peak) in enumerate(zip(rows, strongest)):
         mine = maxima[maxima // n == k]
@@ -193,6 +210,29 @@ def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
                                   _scipy_peaks(row, rel_prominence)), (k, rel_prominence)
     assert top_fails == 60 and -1 in strongest.tolist()
     assert min(ranks) == 0 and max(ranks) >= 7  # the first round, and a fourth
+
+
+@pytest.mark.parametrize("rel_prominence", [0.0, 0.2, 1.0, 1.5])
+def test_all_peaks_of_a_batch_are_each_rows_detect_peaks(rel_prominence):
+    # the batched search gives every row its own detect_peaks and the bits
+    # of np.median: Poisson rows, a drift map's, and rows whose highest
+    # maxima fail the floor mixed with rows their highest peak decides
+    rng = np.random.Generator(np.random.Philox(41))
+    n = 300
+    centers, widths = rng.uniform(0, n, (20, 1)), rng.uniform(1.0, 10.0, (20, 1))
+    decided = 200.0 / (1.0 + ((np.arange(n) - centers) / widths) ** 2) + rng.poisson(5.0, (20, n))
+    batches = [
+        rng.poisson(3.0, (200, 60)).astype(float),
+        synthlab.generate_drift_map(seed=300)[0].counts_matrix(),
+        rng.permutation(np.concatenate([_rows_whose_highest_maxima_fail(rng, 40, n), decided])),
+    ]
+    for rows in batches:
+        peaks, medians = optics._all_peaks(rows, rel_prominence)
+        assert np.all(np.diff(peaks) > 0)
+        for k, row in enumerate(rows):
+            found = peaks[peaks // rows.shape[1] == k] % rows.shape[1]
+            assert np.array_equal(found, optics.detect_peaks(row, rel_prominence)), k
+        assert medians.tobytes() == np.array([np.median(row) for row in rows]).tobytes()
 
 
 def _window(row, n, shift=0):
@@ -230,7 +270,7 @@ def test_strongest_peaks_of_batches_where_row_maxima_decide_some_rows(monkeypatc
             row[min(top + 1, n - 1)] = row[top]
         rows = rng.permutation(np.array(others + peaks + plateaus))
         sent.clear()
-        strongest, medians = optics._strongest_peaks(rows)
+        strongest, medians = optics._strongest_peaks(rows)[:2]
         for row, peak, median in zip(rows, strongest, medians):
             expected = _scipy_peaks(row)
             assert peak == (expected[np.argmax(row[expected])] if expected.size else -1), n
@@ -258,7 +298,7 @@ def _floor_rows(draw):
 def test_the_floor_bound_is_at_least_the_floor(rows):
     # where the bound is at most a row's level it stands in for the floor;
     # with every level inf, each row's bound is returned but a NaN row's
-    medians, lows, floors = optics._peak_floors(rows)
+    medians, lows, floors = optics._peak_floors(rows, np.full(len(rows), np.nan))
     bound_medians, bound_lows, bounds = optics._peak_floors(rows, np.full(len(rows), np.inf))
     assert np.array_equal(bound_medians, medians, equal_nan=True)
     assert np.array_equal(bound_lows, lows, equal_nan=True)
