@@ -132,10 +132,12 @@ def cmd_dispersion(args) -> int:
         # plane-wave resonances are the flat-mirror limit, fundamental only
         raise ValidationError("--gouy off maps order 0 only: drop --transverse-orders")
     # lengths x mode indices x the orders the map holds, in floats, before anything is built
-    # (a huge --l-max would overflow the integer mode range)
-    rows = ((args.l_max - args.l_min) / (args.l_step_nm / 1000.0) + 1.0) * (
-        2000.0 * args.l_max / min(args.lambda_exc, args.lambda_det) + 3.0
-    ) * len(orders)
+    # (a huge --l-max would overflow the integer mode range; a step under about 2.5e-321 nm
+    # underflows to 0 um, which counts as too many lengths)
+    l_step_um = args.l_step_nm / 1000.0
+    lengths = (args.l_max - args.l_min) / l_step_um + 1.0 if l_step_um else math.inf
+    modes = 2000.0 * args.l_max / min(args.lambda_exc, args.lambda_det) + 3.0
+    rows = lengths * modes * len(orders)
     if not rows <= MAX_MAP_ROWS:
         raise ValidationError(
             f"the dispersion map would have {rows:.3g} rows, over {MAX_MAP_ROWS}: "
@@ -153,7 +155,7 @@ def cmd_dispersion(args) -> int:
             raise ValidationError(
                 f"unstable geometry: l_max ({args.l_max} um) must be < ROC ({roc_um} um)"
             )
-    l_grid = np.arange(args.l_min, args.l_max + 1e-12, args.l_step_nm / 1000.0)
+    l_grid = np.arange(args.l_min, args.l_max + 1e-12, l_step_um)
     m_values = optics.mode_indices(
         (args.l_min, args.l_max), sorted((args.lambda_exc, args.lambda_det))
     )

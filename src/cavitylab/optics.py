@@ -408,24 +408,53 @@ def detect_peaks(signal, rel_prominence: float = 0.0) -> np.ndarray:
 
 def _all_peaks(rows: np.ndarray, rel_prominence: float):
     """Flat indices, ascending, of each row's :func:`detect_peaks` in a (K, n)
-    array, and each row's median (NaN for rows of no samples). Only maxima
-    that can pass get a prominence: it is at most a peak's height above the
-    lowest sample, and a row's largest is at least that of its highest peak
-    that clears the floor (:func:`_strongest_peaks`); where a bound on the
-    floor is at most min(``rel_prominence``, 1) of that, the bound stands in."""
+    array, and each row's median (NaN for rows of no samples). Every row is
+    searched once, from a step above its lowest sample at the larger of its
+    floor and ``rel_prominence`` times the prominence of its first highest
+    sample where that is a peak (:func:`_row_tops`). No peak the cuts keep
+    is below the step: a prominence is at most the peak's height above the
+    lowest sample, and a row's largest is at least its top's where that
+    clears the floor (where it fails, the step is the floor for a cut up to
+    1, and a cut above 1 keeps nothing). Where a bound on the floor is at
+    most min(``rel_prominence``, 1) of the top's prominence, the bound
+    stands in: every peak the relative cut keeps clears it."""
     if not rows.size:
         return np.array([], dtype=int), np.full(len(rows), np.nan)
     if not math.isfinite(5.0 * (float(rows.max()) - float(rows.min()))):  # no warning
         raise ValidationError("signal must be finite, and 5 (max - min) must not overflow")
-    _, medians, highest, lows, floors = _strongest_peaks(rows, min(rel_prominence, 1.0))
-    peaks, at = _local_maxima(rows, lows, np.maximum(floors, rel_prominence * highest))
-    prominences = _prominences(rows, peaks, at)
+    _, top, medians, lows, floors = _row_tops(rows, min(rel_prominence, 1.0))
+    peaks, prominences = _clearing_peaks(rows, lows, floors, np.fmax(floors, rel_prominence * top))
     row = peaks // rows.shape[1]
-    passed = prominences >= floors[row]
-    peaks, prominences, row = peaks[passed], prominences[passed], row[passed]
     largest = np.zeros(len(rows))  # a lower peak can be more prominent than the highest
     np.maximum.at(largest, row, prominences)
     return peaks[prominences >= rel_prominence * largest[row]], medians
+
+
+def _row_tops(rows: np.ndarray, level: float):
+    """Column of each row's first highest sample of a (K, n) array, that
+    sample's prominence where it is a peak inside the row (higher than the
+    sample after it; NaN elsewhere), and :func:`_peak_floors`' medians, lows
+    and floors, a bound where that is at most ``level`` times the
+    prominence. Such a sample is the row's highest peak, its bases the
+    lowest samples on either side."""
+    n, y = rows.shape[1], rows.ravel()
+    best = rows.argmax(axis=1)
+    starts = np.arange(0, y.size, n)
+    peaks = starts + best
+    top = (best > 0) & (best < n - 1) & (y[peaks] > y[np.minimum(peaks + 1, y.size - 1)])
+    prominences = np.full(len(rows), np.nan)
+    prominences[top] = y[peaks[top]] - _higher_bases(y, starts[top], peaks[top], starts[top] + n)
+    return best, prominences, *_peak_floors(rows, level * prominences)
+
+
+def _clearing_peaks(rows: np.ndarray, lows: np.ndarray, floors: np.ndarray, steps: np.ndarray):
+    """Flat indices, ascending, and prominences of the peaks of each row of a
+    (K, n) array that stand at least ``steps`` above the row's lowest sample
+    and whose prominence reaches the row's floor."""
+    peaks, at = _local_maxima(rows, lows, steps)
+    prominences = _prominences(rows, peaks, at)
+    passed = prominences >= floors[peaks // rows.shape[1]]
+    return peaks[passed], prominences[passed]
 
 
 def _peak_floors(rows: np.ndarray, levels: np.ndarray):
@@ -536,60 +565,24 @@ def _higher_bases(y: np.ndarray, start: np.ndarray, peaks: np.ndarray, stop: np.
     return np.maximum(minima[:, 0], np.where(last, np.minimum(minima[:, 2], y[-1]), minima[:, 2]))
 
 
-def _first_prominent(rows: np.ndarray, floors: np.ndarray, peaks: np.ndarray, at):
-    """Per row of a (K, n) array, the column of the highest of ``peaks``
-    (flat indices, ascending, all in ``at``) whose prominence reaches the
-    row's floor, or -1, and that prominence. Candidates are tried in
-    descending height, ties in sample order, so the answer is ``argmax``
-    over the peaks that pass: each row's highest first, in one round; only
-    the rows where it fails are ranked, and each further round tries their
-    next 2, 4, ..."""
-    n = rows.shape[1]
-    best, prominence = np.full(rows.shape[0], -1), np.zeros(rows.shape[0])
-    row, heights = peaks // n, rows.ravel()[peaks]
-    top = np.full(rows.shape[0], -np.inf)
-    np.maximum.at(top, row, heights)
-    order = np.flatnonzero(heights == top[row])
-    order = order[np.diff(row[order], prepend=-1) != 0]  # the first of a row's highest
-    rank, tried = np.zeros(order.size, dtype=int), 0
-    while (tries := order[(rank >= tried) & (rank <= 2 * tried) & (best[row[order]] < 0)]).size:
-        trial = _prominences(rows, peaks[tries], at)
-        passed = trial >= floors[row[tries]]
-        tries, trial = tries[passed], trial[passed]
-        first = np.diff(row[tries], prepend=-1) != 0  # each row's highest that passed
-        best[row[tries[first]]] = peaks[tries[first]] % n
-        prominence[row[tries[first]]] = trial[first]
-        if not tried and (best < 0).any():  # rank the open rows' candidates, the failed first
-            order = np.flatnonzero(best[row] < 0)
-            order = order[np.lexsort((-heights[order], row[order]))]
-            rank = np.arange(order.size) - np.searchsorted(row[order], row[order])
-        tried = 2 * tried + 1
-    return best, prominence
-
-
-def _strongest_peaks(rows: np.ndarray, level: float = 1.0):
+def _strongest_peaks(rows: np.ndarray):
     """Column of each row's highest peak that clears its noise floor (-1 for
-    none) and each row's median, for a (K, n) array: the batched form of
-    ``detect_peaks(row)[argmax]``; then that peak's prominence (0 for none),
-    and each row's lowest sample and floor, a bound where that is at most
-    ``level`` times the prominence of a first highest sample, inside the row
-    and above the next. Such a sample is the row's highest peak, its bases
-    the lowest samples on either side; other rows, and those where it fails
-    the floor, are searched in ranked rounds (:func:`_first_prominent`)."""
-    n, y = rows.shape[1], rows.ravel()
-    best = rows.argmax(axis=1)
-    starts = np.arange(0, y.size, n)
-    peaks = starts + best
-    top = (best > 0) & (best < n - 1) & (y[peaks] > y[np.minimum(peaks + 1, y.size - 1)])
-    prominences = np.full(len(rows), np.nan)
-    prominences[top] = y[peaks[top]] - _higher_bases(y, starts[top], peaks[top], starts[top] + n)
-    medians, lows, floors = _peak_floors(rows, level * prominences)
-    rest = np.flatnonzero(~(prominences >= floors))  # their floors are exact
+    none), the first of equal ones, and each row's median, for a (K, n)
+    array: the batched form of ``detect_peaks(row)[argmax]``. A row whose
+    first highest sample is a peak that clears the floor is decided by it
+    (:func:`_row_tops`); only the other rows are searched, at their exact
+    floors, and take their highest peak that passes."""
+    best, top, medians, lows, floors = _row_tops(rows, 1.0)
+    rest = np.flatnonzero(~(top >= floors))  # their floors are exact
     if rest.size:
         others = rows if rest.size == len(rows) else rows[rest]  # a copy of every row is slow
-        best[rest], prominences[rest] = _first_prominent(
-            others, floors[rest], *_local_maxima(others, lows[rest], floors[rest]))
-    return best, medians, prominences, lows, floors
+        peaks, _ = _clearing_peaks(others, lows[rest], floors[rest], floors[rest])
+        row = peaks // rows.shape[1]
+        order = np.lexsort((-others.ravel()[peaks], row))  # stable: equal heights in sample order
+        first = order[np.diff(row[order], prepend=-1) != 0]
+        best[rest] = -1
+        best[rest[row[first]]] = peaks[first] % rows.shape[1]
+    return best, medians
 
 
 def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray) -> np.ndarray:
@@ -794,7 +787,7 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
 
     # every frame's peak search runs in one batch, and the frames before the
     # first one without a peak are fitted in another
-    peaks, medians, *_ = _strongest_peaks(counts)
+    peaks, medians = _strongest_peaks(counts)
     failing = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
     failure = InsufficientDataError("no peak found to fit")
     try:

@@ -677,7 +677,8 @@ def test_dispersion_bad_flag_value_exit_2(flag, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [("--l-max", "1e6"), ("--l-max", "1e308"),
-                                   ("--l-step-nm", "1e-9")])
+                                   ("--l-step-nm", "1e-9"), ("--l-step-nm", "5e-324"),
+                                   ("--l-step-nm", "1e-322")])
 def test_dispersion_map_over_the_row_cap_exit_2(extra, tmp_path, capsys):
     # refused from the flags alone, before the map or the output exists
     assert run(_dispersion_args(tmp_path, extra=extra)) == 2

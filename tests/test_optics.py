@@ -712,7 +712,7 @@ def _fwhm_in_samples_loop(y, i_peak, baseline):
 def test_fwhm_in_samples_equals_its_loop():
     rng = np.random.Generator(np.random.Philox(31))
     counts = synthlab.generate_drift_map(seed=300)[0].counts_matrix()
-    peaks, medians = optics._strongest_peaks(counts)[:2]
+    peaks, medians = optics._strongest_peaks(counts)
     n = counts.shape[1]
     # seeded rows of peaks of any width, with random columns and baselines:
     # peaks below their baseline (the 3-sample floor), at the row's ends,

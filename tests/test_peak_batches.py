@@ -54,11 +54,11 @@ def _window_batches():
     for seed in range(20):
         drift_map, _ = synthlab.generate_drift_map(seed=seed)
         yield (drift_map.wavelength_nm, drift_map.counts_matrix(),
-               *optics._strongest_peaks(drift_map.counts_matrix())[:2])
+               *optics._strongest_peaks(drift_map.counts_matrix()))
     for seed in (43, 44, 45, 46):
         drift_map, _ = synthlab.generate_drift_map(n_frames=120, n_pixels=400, seed=seed)
         yield (drift_map.wavelength_nm, drift_map.counts_matrix(),
-               *optics._strongest_peaks(drift_map.counts_matrix())[:2])
+               *optics._strongest_peaks(drift_map.counts_matrix()))
     for seed in range(100, 121):
         for trace in synthlab.generate_scan_pair(seed=seed):
             peaks, (baseline,) = optics._all_peaks(trace.signal[None, :], 0.2)

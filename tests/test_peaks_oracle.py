@@ -100,7 +100,7 @@ def test_strongest_peak_of_each_row_is_detect_peaks_argmax():
     rows[2, 20:24] = 300.0
     maps.append(rows)
     for counts in maps:
-        strongest, medians = optics._strongest_peaks(counts)[:2]
+        strongest, medians = optics._strongest_peaks(counts)
         for row, peak, median in zip(counts, strongest, medians):
             peaks = _scipy_peaks(row)
             assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1)
@@ -184,8 +184,8 @@ def _rows_whose_highest_maxima_fail(rng, k, n):
 
 
 def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
-    # each row's highest maximum is tried first; a row where it fails ranks
-    # its other maxima and tries them 2, 4, 8, ... at a time. Rows whose
+    # a row whose highest maximum fails the floor is searched for every
+    # maximum that clears it and takes the highest of those. Rows whose
     # highest passes share the batch
     rng = np.random.Generator(np.random.Philox(36))
     n = 300
@@ -203,13 +203,13 @@ def test_rows_whose_highest_maximum_fails_try_the_others_in_order():
         top_fails += bool(optics._prominences(rows, np.array([highest]), at)[0] < floors[k])
         peaks = _scipy_peaks(row)
         assert peak == (peaks[np.argmax(row[peaks])] if peaks.size else -1), k
-        if peak >= 0:  # the maxima tried before the one that passed
+        if peak >= 0:  # the maxima higher than the one that passed
             ranks.append(int(np.sum(rows.ravel()[mine] > row[peak])))
         for rel_prominence in (0.0, 0.2):
             assert np.array_equal(optics.detect_peaks(row, rel_prominence),
                                   _scipy_peaks(row, rel_prominence)), (k, rel_prominence)
     assert top_fails == 60 and -1 in strongest.tolist()
-    assert min(ranks) == 0 and max(ranks) >= 7  # the first round, and a fourth
+    assert min(ranks) == 0 and max(ranks) >= 7  # the highest passes, or 7 higher fail
 
 
 @pytest.mark.parametrize("rel_prominence", [0.0, 0.2, 1.0, 1.5])
@@ -235,6 +235,27 @@ def test_all_peaks_of_a_batch_are_each_rows_detect_peaks(rel_prominence):
         assert medians.tobytes() == np.array([np.median(row) for row in rows]).tobytes()
 
 
+def test_all_peaks_search_each_row_once(monkeypatch):
+    # rows whose highest sample is at an edge are decided by no top: their
+    # maxima are found and scored in one pass, not once per candidate
+    calls = {"_local_maxima": 0, "_prominences": 0}
+
+    def spy(name):
+        original = getattr(optics, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(optics, name, spy(name))
+    rows = np.random.Generator(np.random.Philox(42)).poisson(20.0, (200, 60)).astype(float)
+    rows[:, 0] = rows.max(axis=1) + 1.0
+    peaks, _ = optics._all_peaks(rows, 0.2)
+    assert peaks.size and calls == {"_local_maxima": 1, "_prominences": 1}, calls
+
+
 def _window(row, n, shift=0):
     """The n samples of ``row`` around its highest one, moved ``shift`` on."""
     start = min(max(int(np.argmax(row)) - n // 2 + shift, 0), row.size - n)
@@ -244,16 +265,17 @@ def _window(row, n, shift=0):
 def test_strongest_peaks_of_batches_where_row_maxima_decide_some_rows(monkeypatch):
     # a row whose first highest sample is a peak that clears the floor is
     # decided by it; edge maxima, flat and plateau tops and constant rows
-    # search their maxima in ranked rounds. Stacked by length, the two kinds
-    # interleave in one batch
+    # are searched for their peaks that clear the floor. Stacked by length,
+    # the two kinds interleave in one batch
     sent = []
 
     def spy(rows, *args):
-        sent.append(len(rows))
-        return first_prominent(rows, *args)
+        if sys._getframe(1).f_code.co_name == "_strongest_peaks":
+            sent.append(len(rows))
+        return clearing_peaks(rows, *args)
 
-    first_prominent = optics._first_prominent
-    monkeypatch.setattr(optics, "_first_prominent", spy)
+    clearing_peaks = optics._clearing_peaks
+    monkeypatch.setattr(optics, "_clearing_peaks", spy)
     rng = np.random.Generator(np.random.Philox(38))
     drift = synthlab.generate_drift_map(seed=300)[0].counts_matrix()
     by_length = {}
@@ -270,7 +292,7 @@ def test_strongest_peaks_of_batches_where_row_maxima_decide_some_rows(monkeypatc
             row[min(top + 1, n - 1)] = row[top]
         rows = rng.permutation(np.array(others + peaks + plateaus))
         sent.clear()
-        strongest, medians = optics._strongest_peaks(rows)[:2]
+        strongest, medians = optics._strongest_peaks(rows)
         for row, peak, median in zip(rows, strongest, medians):
             expected = _scipy_peaks(row)
             assert peak == (expected[np.argmax(row[expected])] if expected.size else -1), n
@@ -309,20 +331,21 @@ def test_the_floor_bound_is_at_least_the_floor(rows):
 def test_row_maxima_decide_the_benchmark_inputs(monkeypatch):
     # characterize's seed-43...46 inputs at full size: every ramp's highest
     # sample decides its search without the MAD's sort, and 476 of the 480
-    # drift rows theirs; 4 plateau tops take the ranked rounds and the MAD
-    first_prominent, median = optics._first_prominent, models.median
+    # drift rows theirs; 4 plateau tops are searched at the MAD's floor
+    clearing_peaks, median = optics._clearing_peaks, models.median
     ranked, mads = [], []
 
-    def spy_rounds(rows, *args):
-        ranked.append(len(rows))
-        return first_prominent(rows, *args)
+    def spy_search(rows, *args):
+        if sys._getframe(1).f_code.co_name == "_strongest_peaks":
+            ranked.append(len(rows))
+        return clearing_peaks(rows, *args)
 
     def spy_median(values):
         if sys._getframe(1).f_code.co_name == "_peak_floors":
             mads.append(len(values))
         return median(values)
 
-    monkeypatch.setattr(optics, "_first_prominent", spy_rounds)
+    monkeypatch.setattr(optics, "_clearing_peaks", spy_search)
     monkeypatch.setattr(models, "median", spy_median)
     for seed in range(43, 47):
         scans = synthlab.generate_scan_pair(finesse=4600.0, n_samples=120_000, seed=seed)
