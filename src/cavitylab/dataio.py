@@ -89,6 +89,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -336,10 +337,13 @@ def load_csv(path, schema_id: str):
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file does not exist: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not any(line.strip() for line in fh):
-            raise InsufficientDataError(f"{path.name} holds no data rows")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not any(line.strip() for line in fh):
+                raise InsufficientDataError(f"{path.name} holds no data rows")
+    except UnicodeDecodeError as exc:
+        raise _refusal(path, exc) from exc
     if schema_id not in _SCHEMAS:
         raise ValidationError(f"unknown schema id {schema_id!r}")
     record_type, expected, fields = _SCHEMAS[schema_id]
@@ -373,9 +377,8 @@ def _loadtxt(path: Path, dtype: np.dtype, max_rows: int | None = None,
 
     ``max_rows``, the file's data row count where the caller has it, lets
     numpy allocate its buffer once at that size instead of growing it.
-    A file that does not parse is refused with a :class:`SchemaError`: at
-    the first data row whose field count is not the header's, skipping the
-    empty lines numpy skips, or else with numpy's own message. With
+    A file that does not parse is refused with a :class:`SchemaError` (see
+    :func:`_refusal`). With
     ``name_rows`` false numpy's ``ValueError`` is raised as it is, for a
     caller that parses the file again on failure.
     """
@@ -390,17 +393,27 @@ def _loadtxt(path: Path, dtype: np.dtype, max_rows: int | None = None,
     except ValueError as exc:
         if not name_rows:
             raise
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            lines = (line for line in fh if line != "\n")
-            n_columns = next(lines).count(",") + 1
-            for i, line in enumerate(lines):
-                if line.count(",") + 1 != n_columns:
-                    raise SchemaError(f"expected {n_columns} columns at row {i}",
-                                      row_index=i) from exc
-        raise SchemaError(f"malformed numeric data in {path.name}: {exc}") from exc
+        raise _refusal(path, exc) from exc
     # nothing else holds the array, so records keep views of it uncopied
     data.flags.writeable = False
     return data
+
+
+def _refusal(path: Path, exc: ValueError) -> SchemaError:
+    """The refusal of a file that does not read: at its header or its first
+    data row (skipping the empty lines numpy skips) that is not UTF-8 text
+    or whose field count is not the header's; or else with ``exc``'s."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = [fh.readline(), *(line for line in fh if line != "\n")]
+    for i, line in enumerate(lines, -1):
+        if re.search("[\udc80-\udcff]", line):  # a byte surrogateescape kept
+            where = "in its header" if i < 0 else f"at row {i}"
+            return SchemaError(f"{path.name} is not UTF-8 text {where}",
+                               row_index=None if i < 0 else i)
+        if line.count(",") != lines[0].count(","):
+            return SchemaError(f"expected {lines[0].count(',') + 1} columns at row {i}",
+                               row_index=i)
+    return SchemaError(f"malformed numeric data in {path.name}: {exc}")
 
 
 def _load_spectral_map(path: Path, header: str) -> SpectralMap:

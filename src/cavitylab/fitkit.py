@@ -13,8 +13,8 @@ model's larger batch is cut greedily into the fewest loops within that
 bound, so the engine's memory does not grow with the number of problems.
 Each problem keeps its own damping, step acceptance, iteration count and
 convergence, and one problem's failure changes no other result.
-:meth:`FitProblem.stack` builds the problems of one model and one length
-from stacked arrays, checked with whole-array operations.
+Callers that hold stacks of one model and one length (peak windows,
+bootstrap resamples) hand them to the loop as they are, checked as wholes.
 
 The model registry is the engine's only configuration:
 :mod:`cavitylab.models` gives each model its analytic Jacobian, start
@@ -82,7 +82,6 @@ class FitProblem:
     takes none, as its likelihood sets them, and refuses negative counts.
     Bounds come from the registered model only: a heuristic start is clipped
     into them; explicit ``initial_params`` must lie within them.
-    :meth:`stack` builds many problems of one model and one length at once.
     """
 
     model_id: str
@@ -101,39 +100,15 @@ class FitProblem:
             None if self.initial_params is None
             else np.asarray(self.initial_params, dtype=float).reshape(1, -1),
         )
-        for name, value in zip(_FIELDS, (x[0], y[0], None if w is None else w[0], p0[0])):
+        for name, value in zip(("x", "y", "weights", "initial_params"),
+                               (x[0], y[0], None if w is None else w[0], p0[0])):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def stack(cls, model_id: str, x, y, weights=None, initial_params=None) -> list[FitProblem]:
-        """The K problems of one model and one length given as stacks: ``x``,
-        ``y`` and ``weights`` of shape (K, n), ``initial_params`` (K, P) or
-        None for the heuristic start of every row. Row k is the problem
-        ``FitProblem(model_id, x[k], y[k], weights[k], initial_params[k])``,
-        checked with whole-array operations: the first row that fails raises
-        what that problem raises, with ``problem_index`` set to its row.
-        """
-        model = models.get_model(model_id)
-        x, y, w, p0 = _validated(model, *(
-            None if a is None else np.asarray(a, dtype=float)
-            for a in (x, y, weights, initial_params)))
-        if not len(y):
-            return []
-        problems = []
-        for row in zip(x, y, itertools.repeat(None) if w is None else w, p0):
-            problem = object.__new__(cls)
-            problem.__dict__.update(zip(_FIELDS, row), model_id=model_id)
-            problems.append(problem)
-        return problems
 
     def effective_weights(self) -> np.ndarray:
         return self.weights if self.weights is not None else np.ones_like(self.y)
 
     def data_digest(self) -> str:
         return digest_arrays(self.x, self.y, self.effective_weights())
-
-
-_FIELDS = ("x", "y", "weights", "initial_params")
 
 
 def _first_flagged(n_rows: int, checks) -> tuple:
@@ -393,13 +368,13 @@ class _LoopCovariances:
 
 
 @np.errstate(all="ignore")
-def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
+def _fit_group(model: models.Model, blocks: Sequence[tuple]) -> list:
     """The LM loop: K problems of one model in lockstep, in length blocks.
 
-    Returns one entry per problem, its FitResult or the error it failed
-    with. Each run of problems of one length, in the order given, forms a
-    block (:func:`fit_many` orders a loop's problems by length, so each
-    length is one block). What depends on the length (the model, the
+    ``blocks`` are checked stacks (x, y, w or None, p0) of one length each,
+    taken as they are. Returns one entry per row of the blocks in order, its
+    FitResult or the error it failed with (:func:`_fit_stacks` gives a loop
+    one block a length). What depends on the length (the model, the
     objective and its row sums, the normal equations) is a stacked call per
     block, over the block's rows still iterating; the steps in parameter
     space (the damped solves, clips, acceptance and step tests, the rank
@@ -412,19 +387,12 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     covariance.
     """
     n_params, fisher = model.n_params, model.noise == "poisson"
-    # block b holds problems cuts[b] to cuts[b + 1]
-    blocks = [list(block) for _, block in itertools.groupby(problems, lambda q: q.x.size)]
-    cuts = list(itertools.accumulate(map(len, blocks), initial=0))
-    x = [np.stack([q.x for q in block]) for block in blocks]
-    y = [np.stack([q.y for q in block]) for block in blocks]
     # the weights of the Jacobian rows: the given ones (None for unit
-    # weights, as a factor of 1 changes no bit) or, for a count model, the
-    # Fisher weights at each problem's current point
-    w = [
-        None if fisher or all(q.weights is None for q in block)
-        else np.stack([q.effective_weights() for q in block])
-        for block in blocks
-    ]
+    # weights, as a factor of 1 changes no bit) or, for a count model (given
+    # none), the Fisher weights at each problem's current point
+    x, y, w, p0 = zip(*blocks)
+    # block b holds problems cuts[b] to cuts[b + 1]
+    cuts = list(itertools.accumulate((len(yb) for yb in y), initial=0))
     lo, hi = model.bounds or (None, None)
 
     if fisher:
@@ -458,8 +426,8 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     # a trial point off the model's domain has a non-finite cost and is
     # rejected like any uphill step, without a warning (see the errstate);
     # only a bad start point is a data error
-    outcome: list = [None] * len(problems)
-    p = np.stack([q.initial_params for q in problems])
+    outcome: list = [None] * cuts[-1]
+    p = np.concatenate(p0)
     # each block's weights and residuals at its problems' current points,
     # which every accepted step overwrites in place
     w, r, cost = map(list, zip(*(
@@ -472,8 +440,8 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
         idx = int(np.argmin(np.isfinite(r[b][k - cuts[b]])))
         outcome[k] = DataError(f"non-finite residual at index {idx} of the start point", index=idx)
     # why each problem stopped, as an index into _TERMINATIONS
-    termination = np.zeros(len(problems), dtype=int)
-    iterations = np.zeros(len(problems), dtype=int)
+    termination = np.zeros(cuts[-1], dtype=int)
+    iterations = np.zeros(cuts[-1], dtype=int)
     # the objective after each iteration, by problem: a problem's cost
     # trace is its start and one entry per accepted step
     history = [cost.copy()]
@@ -597,8 +565,8 @@ def _fit_group(model: models.Model, problems: Sequence[FitProblem]) -> list:
     traces = np.array(history)[:, fitted].T.tolist()
     for j, (k, chi2, n, end, trace) in enumerate(
             zip(fitted.tolist(), reduced_chi2.tolist(), counts, ends, traces)):
-        # built as FitProblem.stack builds problems; the cost trace is the start
-        # and one entry per iteration, less the last when it accepted nothing
+        # built without __init__'s checks; the cost trace is the start and
+        # one entry per iteration, less the last when it accepted nothing
         outcome[k] = result = object.__new__(FitResult)
         result.__dict__.update(
             model_id=model.name, params=p_fit[j], reduced_chi2=chi2, iterations=n,
@@ -629,12 +597,12 @@ def _loops(sizes: Sequence[int]) -> list[range]:
 def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     """Minimize the objective of every problem under its model's noise policy.
 
-    The problems of one model advance in one lockstep loop, in blocks of
-    one length (a model's problems of more than ``_MAX_STACK_POINTS``
-    points in all run in the fewest loops within that bound, each filled in
-    order up to it), each problem
-    with its own damping, step acceptance, iteration count and convergence;
-    a result is bit for bit what the problem gives fitted alone. Converged
+    The problems of one model are stacked, one array a length, and advance
+    in one lockstep loop in those blocks (a model's problems of more than
+    ``_MAX_STACK_POINTS`` points in all run in the fewest loops within that
+    bound, each filled in order up to it), each problem with its own
+    damping, step acceptance, iteration count and convergence; a result is
+    bit for bit what the problem gives fitted alone. Converged
     means that within ``_MAX_ITER`` iterations an accepted step dp fell
     below the scaled test ||D dp|| < ``_STEP_TOL`` ||D p|| (Moré 1978,
     MINPACK's ``xtol``), D = sqrt(diag(H)) of the normal matrix H at the
@@ -648,16 +616,46 @@ def fit_many(problems: Sequence[FitProblem]) -> list[FitResult]:
     position and ``results`` to the list of results (None where a problem
     failed).
     """
-    groups: dict[str, list[int]] = {}
-    for i, q in enumerate(problems):
-        groups.setdefault(q.model_id, []).append(i)
-    outcome: list = [None] * len(problems)
-    for model_id, idx in groups.items():
-        for run in _loops([problems[i].x.size for i in idx]):
-            # one block a length: the loop's problems in order of length
-            loop = sorted((idx[k] for k in run), key=lambda i: problems[i].x.size)
-            found = _fit_group(models.get_model(model_id), [problems[i] for i in loop])
-            for i, o in zip(loop, found):
+    return _fit_stacks([
+        (models.get_model(q.model_id), np.array([i]), q.x[None], q.y[None],
+         None if q.weights is None else q.weights[None], q.initial_params[None])
+        for i, q in enumerate(problems)])
+
+
+def _merged(stacks: list) -> tuple:
+    # stacks of one model and one length as one, rows in order of position
+    index = np.concatenate([stack[1] for stack in stacks])
+    order = np.argsort(index)
+    if any(stack[4] is not None for stack in stacks):
+        stacks = [(*s[:4], np.ones_like(s[3]) if s[4] is None else s[4], s[5]) for s in stacks]
+    return (stacks[0][0], index[order], *(None if v[0] is None else np.concatenate(v)[order]
+                                          for v in zip(*(stack[2:] for stack in stacks))))
+
+
+def _fit_stacks(stacks: Sequence[tuple]) -> list[FitResult]:
+    """:func:`fit_many` of the problems in stacks (model, index, x, y, w, p0)
+    that :func:`_validated` checked, ascending ``index`` arrays numbering
+    them from 0: a model's ``_loops`` runs, in order of position, are its
+    loops, a block a length, a view of one stack where one holds it."""
+    outcome: list = [None] * sum(len(stack[1]) for stack in stacks)
+    by_model: dict[str, dict] = {}
+    for stack in stacks:
+        by_model.setdefault(stack[0].name, {}).setdefault(stack[3].shape[1], []).append(stack)
+    for lengths in by_model.values():
+        group = [s[0] if len(s) == 1 else _merged(s) for _, s in sorted(lengths.items())]
+        positions = np.concatenate([stack[1] for stack in group])
+        sizes = np.repeat([stack[3].shape[1] for stack in group], [len(s[1]) for s in group])
+        order = np.argsort(positions)
+        positions = positions[order]
+        for run in _loops(sizes[order].tolist()):
+            bounds = positions[run.start], positions[run.stop - 1] + 1
+            rows, blocks = [], []
+            for _, index, *arrays in group:
+                a, e = np.searchsorted(index, bounds).tolist()
+                if e > a:
+                    rows.append(index[a:e])
+                    blocks.append([None if v is None else v[a:e] for v in arrays])
+            for i, o in zip(np.concatenate(rows).tolist(), _fit_group(group[0][0], blocks)):
                 outcome[i] = o
     failed = [i for i, o in enumerate(outcome) if isinstance(o, Exception)]
     if failed:
@@ -683,12 +681,13 @@ def bootstrap_uncertainty(
     fitted curve plus weighted residuals w_i r_i resampled with replacement
     and rescaled to the point they land on, y*_j = y_hat_j + w_i r_i / w_j
     (plain residuals when the problem has no weights). All resamples are
-    drawn in one generator call, in the order of one draw per resample, and
-    refitted from the converged parameters by :func:`fit_many`, one
-    ``_loops`` run (about 2**15 points) at a time, each run's stacks freed
-    once its parameters are read: the memory is that of the resamples plus
-    one run's stacks. The result is the sample standard deviation of the
-    refitted parameters.
+    drawn in one generator call, in the order of one draw per resample,
+    checked as one stack and refitted from the converged parameters, the LM
+    loop taking views of one ``_loops`` run (about 2**15 points) at a time,
+    each loop freed once its parameters are read: the memory is that of the
+    resamples plus one loop. The result is the sample standard deviation of
+    the refitted parameters; a spread that is not finite raises
+    ``FitQualityError`` naming its parameters.
     Agrees with the covariance-based sigma within ~30% on well-conditioned
     problems.
     """
@@ -707,14 +706,19 @@ def bootstrap_uncertainty(
         # residuals' bits
         w = 1.0 if problem.weights is None else problem.weights
         y = y_hat + (w * (problem.y - y_hat))[rng.integers(0, shape[1], shape)] / w
-    resamples = FitProblem.stack(
-        problem.model_id, np.broadcast_to(problem.x, shape), y,
-        weights=None if problem.weights is None else np.broadcast_to(problem.weights, shape),
-        initial_params=np.broadcast_to(result.params, (n_resamples, result.params.size)),
-    )
-    # fit_many would fit the same runs, but its results would hold every
-    # run's stacked x and weights, through their unread covariances, to the end
+    resamples = _validated(
+        model, np.broadcast_to(problem.x, shape), y,
+        None if problem.weights is None else np.broadcast_to(problem.weights, shape),
+        np.broadcast_to(result.params, (n_resamples, result.params.size)))
+    # _fit_stacks would fit the same runs, but its results would hold every
+    # run's weights, through their unread covariances, to the end
     params = np.concatenate([
-        [r.params for r in fit_many(resamples[run.start:run.stop])]
+        [r.params for r in _fit_stacks([(model, np.arange(len(run)), *(
+            None if v is None else v[run.start:run.stop] for v in resamples))])]
         for run in _loops([shape[1]] * n_resamples)])
-    return params.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = params.std(axis=0, ddof=1)
+    if spread := [name for name, s in zip(model.params, sigma.tolist()) if not math.isfinite(s)]:
+        raise FitQualityError(
+            f"bootstrap spread of {', '.join(spread)} over {n_resamples} resamples is not finite")
+    return sigma

@@ -596,18 +596,19 @@ def _fwhm_in_samples(rows: np.ndarray, peaks: np.ndarray, baselines: np.ndarray)
 
 
 def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines) -> list:
-    """Lorentzian fit problems, one per peak: on the samples of row k of
-    ``rows`` (a (K, n) array, or one row shared by every peak) within eight
-    half-maximum widths (at least 10 samples) of column ``peaks[k]``, the
-    width measured above ``baselines[k]`` (or one baseline for all), the
-    median of the row. Every window's Lorentzian start is taken in one call
-    of the registry's start rule, the windows padded to the longest by
-    their last sample; each group of equal-length windows is one stack from
-    those starts (from its own, which the fit refuses, where one is not
-    finite). Records are finite, so a window is refused only for fewer than
-    4 samples (the Lorentzian start never raises, the model has no bounds).
-    A window holds min(n, 11) samples or more, so only a 3-sample row is
-    refused: every window is the whole row, raised for peak 0."""
+    """Lorentzian fit problems, one per peak, problem k of peak k: on the
+    samples of row k of ``rows`` (a (K, n) array, or one row shared by every
+    peak) within eight half-maximum widths (at least 10 samples) of column
+    ``peaks[k]``, the width measured above ``baselines[k]`` (or one baseline
+    for all), the median of the row. Every window's Lorentzian start is
+    taken in one call of the registry's start rule, the windows padded to
+    the longest by their last sample; each group of equal-length windows is
+    one checked stack for :func:`fitkit._fit_stacks` from those starts (from
+    its own, which the fit refuses, where one is not finite). Records are
+    finite, so a window is refused only for fewer than 4 samples (the
+    Lorentzian start never raises, the model has no bounds). A window holds
+    min(n, 11) samples or more, so only a 3-sample row is refused: every
+    window is the whole row, raised for peak 0."""
     if not peaks.size:
         return []
     rows = np.broadcast_to(rows, (peaks.size, x.size))
@@ -617,16 +618,15 @@ def _peak_problems(x: np.ndarray, rows: np.ndarray, peaks: np.ndarray, baselines
     lengths = np.minimum(peaks + half_windows + 1, x.size) - starts
     columns = starts[:, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
     xs, ys = x[columns], rows[np.arange(peaks.size)[:, None], columns]
-    p0 = models.get_model("lorentzian").init(xs, ys, lengths)
-    problems = [None] * len(rows)
+    model = models.get_model("lorentzian")
+    p0 = model.init(xs, ys, lengths)
+    stacks = []
     for length in np.unique(lengths).tolist():
         group = np.flatnonzero(lengths == length)
         given = p0[group] if np.isfinite(p0[group]).all() else None
-        stack = fitkit.FitProblem.stack(
-            "lorentzian", xs[group, :length], ys[group, :length], initial_params=given)
-        for k, problem in zip(group.tolist(), stack):
-            problems[k] = problem
-    return problems
+        stacks.append((model, group, *fitkit._validated(
+            model, xs[group, :length], ys[group, :length], None, given)))
+    return stacks
 
 
 def _resonances(fits) -> tuple[np.ndarray, np.ndarray]:
@@ -649,8 +649,8 @@ def finesse_from_scan(traces) -> tuple[float, float]:
     and their fit problems built first, so a ramp with too few peaks
     raises, in ramp order, before anything is fitted; no window of a ramp
     with two peaks is refused (see :func:`_peak_problems`). The peaks of
-    all ramps are then fitted in one :func:`fitkit.fit_many` call; a failed
-    fit raises, its ``problem_index`` counting the peaks of all ramps. Then
+    all ramps are then fitted in one call of the engine; a failed fit
+    raises, its ``problem_index`` counting the peaks of all ramps. Then
     the first ramp in order fails that has a fit stopped short of its step
     tolerance (``FitQualityError`` naming the ramp and the termination) or
     peaks that merge into fewer than two resonances.
@@ -671,7 +671,7 @@ def finesse_from_scan(traces) -> tuple[float, float]:
         traces = [traces]
     if not traces:
         raise InsufficientDataError("no scan traces given")
-    ramps = []
+    ramps, stacks = [], []
     for i, trace in enumerate(traces):
         # the median that set the noise floor is the fits' baseline
         peaks, (baseline,) = _all_peaks(trace.signal[None, :], rel_prominence=0.2)
@@ -679,17 +679,20 @@ def finesse_from_scan(traces) -> tuple[float, float]:
             raise InsufficientDataError(
                 f"ramp {i} ({trace.sweep_direction}): found {peaks.size} peaks, need >= 2"
             )
-        ramps.append(_peak_problems(trace.axis, trace.signal, peaks, baseline))
-    fits = iter(fitkit.fit_many([problem for problems in ramps for problem in problems]))
+        # peak k of this ramp is problem k after the peaks of the ramps before
+        stacks += [(m, k + sum(ramps), *a) for m, k, *a in
+                   _peak_problems(trace.axis, trace.signal, peaks, baseline)]
+        ramps.append(peaks.size)
+    fits = iter(fitkit._fit_stacks(stacks))
     estimates = []
-    for i, (trace, problems) in enumerate(zip(traces, ramps)):
-        ramp_fits = list(itertools.islice(fits, len(problems)))
+    for i, (trace, n_peaks) in enumerate(zip(traces, ramps)):
+        ramp_fits = list(itertools.islice(fits, n_peaks))
         for fit in ramp_fits:
             fit.require_converged(f"ramp {i} ({trace.sweep_direction}): peak fit")
         centers, widths = _resonances(ramp_fits)
         if centers.size < 2:
             raise InsufficientDataError(
-                f"ramp {i} ({trace.sweep_direction}): {len(problems)} peaks merge into "
+                f"ramp {i} ({trace.sweep_direction}): {n_peaks} peaks merge into "
                 "one resonance, need >= 2"
             )
         # each spacing over the width of the resonance below it, then above it
@@ -752,7 +755,7 @@ def effective_length_from_spectrum(spectrum: Spectrum, roc_um: float | None = No
     if peaks.size < 2:
         raise InsufficientDataError("need two resonance peaks in the spectrum")
     strongest = peaks[np.argsort(spectrum.counts[peaks])[-2:]]
-    fits = fitkit.fit_many(_peak_problems(
+    fits = fitkit._fit_stacks(_peak_problems(
         spectrum.wavelength_nm, spectrum.counts, strongest, baseline))
     for fit in fits:
         fit.require_converged("spectrum: peak fit")
@@ -791,7 +794,7 @@ def drift_series(spectral_map: SpectralMap, l_eff_um: float) -> list[tuple[float
     failing = int(np.argmax(peaks < 0)) if np.any(peaks < 0) else peaks.size
     failure = InsufficientDataError("no peak found to fit")
     try:
-        results = fitkit.fit_many(_peak_problems(
+        results = fitkit._fit_stacks(_peak_problems(
             wl, counts[:failing], peaks[:failing], medians[:failing]))
     except CavityLabError as exc:
         # a refused window (only frame 0 of a 3-pixel map) leaves no fits

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitylab import cli, dataio, fitkit
+from cavitylab import cli, dataio, fitkit, synthlab
 
 
 def run(argv):
@@ -720,3 +721,35 @@ def test_fit_g2_bootstrap_draws_counts(tmp_path):
     assert set(outputs["bootstrap_sigmas"]) == set(outputs["params"])
     assert len(outputs["bootstrap_sigmas"]) == 6
     assert all(s > 0 for s in outputs["bootstrap_sigmas"].values())
+
+
+def test_fit_csv_that_is_not_utf8_exit_2_without_output(tmp_path, capsys):
+    # a byte that is no UTF-8 in a data row is refused by its row: exit 2,
+    # not a UnicodeDecodeError traceback, and no --out path
+    csv = tmp_path / "h.csv"
+    csv.write_bytes(b"t_ns,counts\n0.0,9\n1.0,4\n2.\xe90,2\n3.0,1\n")
+    out = tmp_path / "out"
+    argv = ["fit", "--input", str(csv), "--schema", "histogram", "--model", "exponential_decay"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error: h.csv is not UTF-8 text at row 2\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_bootstrap_whose_spread_overflows_exit_3_without_output(tmp_path, capsys):
+    # a g2 dip on a plateau of 5 counts fits, but its refitted gamma1 spreads
+    # past the float range: a numerical failure (exit 3) that names it, with
+    # no overflow warning and no --out path
+    spec = synthlab.preset("g2_dip", seed=1)
+    plateau = spec.true_params[-1] * (5 / 1500)
+    spec = dataclasses.replace(spec, true_params=(*spec.true_params[:-1], plateau))
+    ds = synthlab.generate(spec)
+    csv, _ = synthlab.write_dataset(ds, tmp_path / "g2.csv")
+    out = tmp_path / "out"
+    argv = ["fit", "--input", str(csv), "--schema", "histogram", "--model", "g2_three_level",
+            "--bootstrap", "10", "--seed", "3", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: bootstrap spread of gamma1 over 10 resamples is not finite\n"
+    assert not out.exists()

@@ -669,3 +669,36 @@ def test_ragged_row_named_in_every_schema(tmp_path, schema, edit, lines):
         dataio.load_csv(path, schema)
     assert str(err.value) == f"expected {header.count(',') + 1} columns at row 1"
     assert err.value.row_index == 1
+
+
+# a good file of each schema: its header and its data row i
+_TEXT_FILES = {
+    "spectrum": ("wavelength_nm,counts", "{i}.5,3"),
+    "scan": ("axis,signal,direction", "{i},1,up"),
+    "histogram": ("t_ns,counts", "{i}.0,3"),
+    "spectral_map": ("wavelength_nm,frame_0000,frame_0001", "{i}.5,3,4"),
+    "temperature_log": ("time_s,temperature_k", "{i},290"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(_TEXT_FILES))
+@pytest.mark.parametrize("bad", [None, 2, 2500])
+def test_a_file_that_is_not_utf8_is_refused_at_its_header_or_row(tmp_path, schema, bad):
+    # byte 0xff in the header, or 0xe9 in data row 2 (within the part of the
+    # file read before the parse) or row 2500 (past it, where the parse
+    # meets it): a SchemaError naming where it sits, not a UnicodeDecodeError
+    header, row = _TEXT_FILES[schema]
+    lines = [header.encode()] + [row.format(i=i).encode() for i in range(3000)]
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    dataio.load_csv(path, schema)
+    if bad is None:
+        lines[0] = lines[0][:3] + b"\xff" + lines[0][3:]
+    else:
+        lines[bad + 1] = lines[bad + 1][:1] + b"\xe9" + lines[bad + 1][1:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(SchemaError) as err:
+        dataio.load_csv(path, schema)
+    where = "in its header" if bad is None else f"at row {bad}"
+    assert str(err.value) == f"f.csv is not UTF-8 text {where}"
+    assert err.value.row_index == bad

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,9 +227,9 @@ def test_fit_many_bookkeeping_matches_each_problem_fitted_alone(monkeypatch):
     fit_group, normal_equations, solve_rows = (
         fitkit._fit_group, fitkit._normal_equations, fitkit._solve_rows)
 
-    def probe_group(model, group):
-        stacks.append((model.name, len(group)))
-        return fit_group(model, group)
+    def probe_group(model, blocks):
+        stacks.append((model.name, sum(len(y) for _, y, _, _ in blocks)))
+        return fit_group(model, blocks)
 
     def probe_iteration(*args):
         tries.append((stacks[-1][0], []))
@@ -289,9 +291,9 @@ def test_fit_many_in_length_blocks_matches_each_problem_fitted_alone(monkeypatch
     fit_group, picks, normal_equations, solve_rows = (
         fitkit._fit_group, fitkit._picks, fitkit._normal_equations, fitkit._solve_rows)
 
-    def probe_group(model, group):
-        loops.append((model.name, sorted({q.x.size for q in group})))
-        return fit_group(model, group)
+    def probe_group(model, blocks):
+        loops.append((model.name, sorted({x.shape[1] for x, _, _, _ in blocks})))
+        return fit_group(model, blocks)
 
     def probe_iteration(*args):
         tries.clear()
@@ -519,6 +521,13 @@ def _spoil(kind, j):
     return model_id, x, y, w, p0
 
 
+def _stacked(model_id, x, y, w=None, p0=None):
+    # the problems of a checked stack, one a row, as FitProblem fields
+    x, y, w, p0 = fitkit._validated(models.get_model(model_id), x, y, w, p0)
+    return [SimpleNamespace(x=x[k], y=y[k], weights=None if w is None else w[k],
+                            initial_params=p0[k]) for k in range(len(y))]
+
+
 def _refusal(build):
     # what a build raises: class, message, point index and row
     with pytest.raises(ValidationError) as err:
@@ -542,7 +551,7 @@ def test_stacked_build_refuses_as_its_first_bad_row_alone(kind, j):
     *alone, _ = _refusal(lambda: fitkit.FitProblem(
         model_id, x[row], y[row], None if w is None else w[row],
         None if p0 is None else p0[row]))
-    assert _refusal(lambda: fitkit.FitProblem.stack(model_id, x, y, w, p0)) == (*alone, row)
+    assert _refusal(lambda: _stacked(model_id, x, y, w, p0)) == (*alone, row)
 
 
 def test_stacked_build_reports_the_first_row_in_order():
@@ -551,16 +560,16 @@ def test_stacked_build_reports_the_first_row_in_order():
     x, y, _, p0 = _stack_rows("saturation")
     y[3, 2], p0[1, 0] = np.nan, -1.0
     with pytest.raises(ValidationError, match="within bounds") as err:
-        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+        _stacked("saturation", x, y, p0=p0)
     assert err.value.problem_index == 1
     p0[1, 0], y[2, 6], p0[2, 1] = 1.0, np.inf, np.nan
     with pytest.raises(DataError, match="non-finite y at index 6") as err:
-        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+        _stacked("saturation", x, y, p0=p0)
     assert (err.value.problem_index, err.value.index) == (2, 6)
     # the x check flags row 1 before the y check flags rows 2 and 3
     x[1, 4] = np.nan
     with pytest.raises(DataError, match="non-finite x at index 4") as err:
-        fitkit.FitProblem.stack("saturation", x, y, initial_params=p0)
+        _stacked("saturation", x, y, p0=p0)
     assert (err.value.problem_index, err.value.index) == (1, 4)
 
 
@@ -573,7 +582,7 @@ def test_stacked_build_names_the_row_its_start_rule_refuses():
     with pytest.raises(FitQualityError, match="not decaying") as alone:
         fitkit.FitProblem("exponential_decay", t, y[2])
     with pytest.raises(FitQualityError) as err:
-        fitkit.FitProblem.stack("exponential_decay", np.tile(t, (4, 1)), y)
+        _stacked("exponential_decay", np.tile(t, (4, 1)), y)
     assert err.value.problem_index == 2
     assert str(err.value) == str(alone.value)
 
@@ -587,7 +596,7 @@ def test_stacked_build_equals_each_problem_built_alone(model_id):
         y[:2] *= -1.0
     w = None if models.get_model(model_id).noise == "poisson" else w
     for starts in (p0, None):
-        stack = fitkit.FitProblem.stack(model_id, x, y, w, starts)
+        stack = _stacked(model_id, x, y, w, starts)
         for k, problem in enumerate(stack):
             alone = fitkit.FitProblem(model_id, x[k], y[k], None if w is None else w[k],
                                       None if starts is None else starts[k])
@@ -667,6 +676,68 @@ def test_bootstrap_refits_hold_one_loop_at_a_time():
         tracemalloc.stop()
     assert peak < 3 * 200 * ds.x.size * 8
 
+
+
+def test_bootstrap_spread_that_overflows_is_a_fit_quality_error():
+    # a g2 dip on a plateau of 5 counts fits to its step tolerance, but its
+    # refitted gamma1 spreads past the float range: the bootstrap names it,
+    # and squaring that spread warns of no overflow
+    spec = synthlab.preset("g2_dip", seed=1)
+    plateau = spec.true_params[-1] * (5 / 1500)
+    spec = dataclasses.replace(spec, true_params=(*spec.true_params[:-1], plateau))
+    ds = synthlab.generate(spec)
+    problem = fitkit.FitProblem(model_id="g2_three_level", x=ds.x, y=ds.y)
+    result = fitkit.fit(problem)
+    assert (result.termination, result.iterations) == ("step_tolerance", 25)
+    for seed in (0, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitQualityError) as err:
+                fitkit.bootstrap_uncertainty(problem, result, 10, seed)
+        assert str(err.value) == "bootstrap spread of gamma1 over 10 resamples is not finite"
+
+
+def _fit_problems_alive():
+    return sum(type(o) is fitkit.FitProblem for o in gc.get_objects())
+
+
+def test_stacks_reach_the_loop_as_views_without_fit_problems(monkeypatch):
+    # the seed-43 drift windows and 200 lifetime_4k resamples reach the LM
+    # loop as the stacks they were checked as: no FitProblem is built, not
+    # even one a row without its checks, and every block the loop takes
+    # shares memory with the checked stack it came from
+    ds = synthlab.generate(synthlab.preset("lifetime_4k", seed=7))
+    problem = fitkit.FitProblem(model_id="exponential_decay", x=ds.x, y=ds.y)
+    result = fitkit.fit(problem)
+    drift_map = synthlab.generate_drift_map(seed=43)[0]
+    validated, fit_group = fitkit._validated, fitkit._fit_group
+    checked, blocks, alive = [], [], []
+
+    def probe_validated(*args):
+        checked.append(validated(*args))
+        return checked[-1]
+
+    def probe_group(model, group):
+        alive.append(_fit_problems_alive())
+        blocks.extend(group)
+        return fit_group(model, group)
+
+    def no_problem(self):
+        raise AssertionError("a FitProblem was built")
+
+    monkeypatch.setattr(fitkit, "_validated", probe_validated)
+    monkeypatch.setattr(fitkit, "_fit_group", probe_group)
+    monkeypatch.setattr(fitkit.FitProblem, "__post_init__", no_problem)
+    for run in (lambda: optics.drift_series(drift_map, l_eff_um=3.7),
+                lambda: fitkit.bootstrap_uncertainty(problem, result, 200, seed=7)):
+        checked.clear(), blocks.clear(), alive.clear()
+        gc.collect()
+        before = _fit_problems_alive()
+        run()
+        assert alive and max(alive) <= before
+        for x, y, _, p0 in blocks:
+            assert any(np.shares_memory(x, cx) and np.shares_memory(y, cy)
+                       and np.shares_memory(p0, cp0) for cx, cy, _, cp0 in checked)
 
 # The Poisson refits at the benchmark's size, as float.hex: the bootstrap
 # sigmas of lifetime_4k seed 7 over 200 resamples, then the g2_dip seed 7
@@ -928,14 +999,15 @@ _COVARIANCE_DIGESTS = {
 
 def _drift_fits(monkeypatch, seeds):
     """The frame fits of drift_series on the default drift maps of ``seeds``."""
-    fits, fit_many = [], fitkit.fit_many
+    fits, fit_stacks = [], fitkit._fit_stacks
 
-    def keep(problems):
-        fits.extend(fit_many(problems))
-        return fits[len(fits) - len(problems):]
+    def keep(stacks):
+        found = fit_stacks(stacks)
+        fits.extend(found)
+        return found
 
     with monkeypatch.context() as patch:
-        patch.setattr(fitkit, "fit_many", keep)
+        patch.setattr(fitkit, "_fit_stacks", keep)
         for seed in seeds:
             optics.drift_series(synthlab.generate_drift_map(seed=seed)[0], l_eff_um=3.7)
     return fits

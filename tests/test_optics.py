@@ -434,7 +434,7 @@ def test_finesse_too_few_peaks_refused_before_fitting(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted a ramp with fewer than two peaks")
 
-    monkeypatch.setattr(optics.fitkit, "fit_many", no_fit)
+    monkeypatch.setattr(optics.fitkit, "_fit_stacks", no_fit)
     axis = np.linspace(0.0, 1.0, 2000)
     h = (2e-3 / 2) ** 2
     one_peak = 5.0 + 1000.0 * h / ((axis - 0.5) ** 2 + h)
@@ -461,18 +461,18 @@ def test_finesse_split_top_of_one_resonance_is_too_few():
         optics.finesse_from_scan(trace)
 
 
-_FIT_MANY = fitkit.fit_many
+_FIT_STACKS = fitkit._fit_stacks
 
 
 def _stalled_fits(monkeypatch, stalled):
-    # fit_many as it is, but the fits at the positions in ``stalled`` end in
-    # no_descent, as if every damping try of their last iteration failed
-    def stalling(problems):
-        results = _FIT_MANY(problems)
+    # the engine as it is, but the fits at the positions in ``stalled`` end
+    # in no_descent, as if every damping try of their last iteration failed
+    def stalling(stacks):
+        results = _FIT_STACKS(stacks)
         return [dataclasses.replace(r, termination="no_descent") if i in stalled else r
                 for i, r in enumerate(results)]
 
-    monkeypatch.setattr(optics.fitkit, "fit_many", stalling)
+    monkeypatch.setattr(optics.fitkit, "_fit_stacks", stalling)
 
 
 def test_finesse_refuses_an_unconverged_peak_fit(monkeypatch):
@@ -692,7 +692,8 @@ def test_peak_problems_refuse_a_window_only_for_a_row_of_fewer_than_4_samples():
                     optics._peak_problems(x, shared, peaks, baselines)
                 assert err.value.problem_index == 0
             else:
-                problems = optics._peak_problems(x, shared, peaks, baselines)
+                problems = [SimpleNamespace(x=row) for _, _, xs, *_ in
+                            optics._peak_problems(x, shared, peaks, baselines) for row in xs]
                 assert len(problems) == 6, n
                 assert all(q.x.size >= min(n, 11) for q in problems), n
 
@@ -788,9 +789,10 @@ def test_finesse_drift_and_cte_fit_in_one_loop_per_model(monkeypatch):
     loops = []
     fit_group = fitkit._fit_group
 
-    def probe(model, group):
-        loops.append((model.name, len(group), len({q.x.size for q in group})))
-        return fit_group(model, group)
+    def probe(model, blocks):
+        loops.append((model.name, sum(len(x) for x, *_ in blocks),
+                      len({x.shape[1] for x, *_ in blocks})))
+        return fit_group(model, blocks)
 
     monkeypatch.setattr(fitkit, "_fit_group", probe)
     optics.finesse_from_scan(scans)

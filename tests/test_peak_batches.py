@@ -5,6 +5,7 @@ and CTE fit keep the digests recorded before those passes existed.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,10 +73,17 @@ def _window_batches():
         yield x, rows, peaks, rng.uniform(-50.0, 150.0, 8)
 
 
+def _window_problems(stacks):
+    # each window of the checked stacks, in the order of its peak
+    windows = [(k, SimpleNamespace(x=xs[j], y=ys[j], initial_params=p0[j]))
+               for _, index, xs, ys, _, p0 in stacks for j, k in enumerate(index.tolist())]
+    return [q for _, q in sorted(windows, key=lambda kq: kq[0])]
+
+
 def test_window_starts_are_each_window_alone():
     lengths, clipped = set(), 0
     for x, rows, peaks, baselines in _window_batches():
-        for q in optics._peak_problems(x, rows, peaks, baselines):
+        for q in _window_problems(optics._peak_problems(x, rows, peaks, baselines)):
             alone = models.initial_params("lorentzian", q.x, q.y)
             assert q.initial_params.tobytes() == alone.tobytes()
             lengths.add(q.x.size)
